@@ -466,6 +466,10 @@ def main(argv=None) -> int:
         return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
+        try:
+            WORK.rmdir()        # only if no other run is using it
+        except OSError:
+            pass
     for problem in run.problems:
         print(f"check: {problem}", file=sys.stderr)
     if args.pin:
