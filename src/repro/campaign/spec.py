@@ -178,9 +178,7 @@ class RunSpec:
 
     def cache_key(self) -> str:
         """Content address: spec payload + simulator code fingerprint."""
-        payload = self.payload()
-        payload["code"] = code_fingerprint()
-        return stable_hash(payload, length=40)
+        return _cache_key(self, code_fingerprint())
 
     def variant(self) -> Dict[str, object]:
         """Non-default config/fly fields — the axes a sweep varied.
@@ -269,6 +267,17 @@ class RunSpec:
             warmup=data.get("warmup", DEFAULT_WARMUP),
             mem_scale=data.get("mem_scale", 1.0),
         )
+
+
+@lru_cache(maxsize=4096)
+def _cache_key(spec: RunSpec, code: str) -> str:
+    # Equal specs serialize identically (see ``__post_init__`` and
+    # ``stable_hash``), so the key is a pure function of this pair; the
+    # fingerprint is part of the memo key so a new one never reads a
+    # stale address.
+    payload = spec.payload()
+    payload["code"] = code
+    return stable_hash(payload, length=40)
 
 
 def dedup(specs: Iterable[RunSpec]) -> List[RunSpec]:

@@ -71,7 +71,9 @@ def run_turbo_fly(core, max_instructions: int, warmup: int = 0,
     stream = core.stream
     pool = get_pool(stream.program, stream.seed, config.bpred)
     s0 = stream._seq
-    pool.ensure(s0 + warmup + pool.CHUNK)
+    # Cover the warmup only: fetch and the pooled oracle grow the pool
+    # on demand past it.
+    pool.ensure(s0 + warmup)
     # The pooled oracle replaces the live walker for the whole run —
     # including the warmup and the method-call paths (``_pair_trace``,
     # ``_next_oracle``) that read ``core.stream`` directly.

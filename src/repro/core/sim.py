@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Union
 
 from repro.core.baseline import BaselineCore
@@ -124,13 +125,32 @@ class SimResult:
         )
 
 
+@lru_cache(maxsize=16)
+def _shared_program(profile: WorkloadProfile,
+                    seed: Optional[int]) -> Program:
+    """The per-process shared program for ``(profile, seed)``.
+
+    Generation is a pure function of its arguments, so every run of one
+    workload can read the same finalized (hence read-only) program; a
+    campaign worker cycles through a handful of pairs, so 16 suffice.
+    ``generate_program`` is looked up at call time, so a wrapper
+    installed on this module sees exactly the real generations.
+    """
+    return generate_program(profile, seed=seed)
+
+
 def _resolve_workload(workload: Union[str, WorkloadProfile, Program],
                       seed: Optional[int]) -> Program:
     if isinstance(workload, Program):
         return workload
     if isinstance(workload, str):
         workload = get_profile(workload)
-    return generate_program(workload, seed=seed)
+    try:
+        hash(workload)
+    except TypeError:
+        # A hand-built profile holding lists cannot key the memo.
+        return generate_program(workload, seed=seed)
+    return _shared_program(workload, seed)
 
 
 # ---------------------------------------------------------------- runners

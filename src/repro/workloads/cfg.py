@@ -75,6 +75,11 @@ class Program:
     _finalized: bool = False
 
     def add_block(self, block: BasicBlock) -> None:
+        if self._finalized:
+            # Finalized programs are shared between runs; see finalize().
+            raise WorkloadError(
+                f"program {self.name!r} is finalized; cannot add block "
+                f"{block.bid}")
         if block.bid in self.blocks:
             raise WorkloadError(f"duplicate block id {block.bid}")
         self.blocks[block.bid] = block
@@ -92,8 +97,12 @@ class Program:
         """Assign PCs and validate the control-flow graph.
 
         Must be called once after all blocks have been added; the walker
-        refuses to run over a non-finalized program.
+        refuses to run over a non-finalized program. A finalized program
+        is read-only (simulations share one per workload and seed), so
+        adding a block or finalizing again raises ``WorkloadError``.
         """
+        if self._finalized:
+            raise WorkloadError(f"program {self.name!r} is already finalized")
         pc = 0x1000  # leave page zero unused, as real loaders do
         for bid in sorted(self.blocks):
             block = self.blocks[bid]

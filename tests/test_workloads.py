@@ -83,6 +83,15 @@ class TestProgramValidation:
         with pytest.raises(WorkloadError):
             prog.add_block(BasicBlock(bid=0))
 
+    def test_finalized_program_is_read_only(self):
+        prog = generate_program(get_profile("smoke"))
+        blocks = dict(prog.blocks)
+        with pytest.raises(WorkloadError, match="finalized"):
+            prog.add_block(BasicBlock(bid=max(prog.blocks) + 1))
+        with pytest.raises(WorkloadError, match="already finalized"):
+            prog.finalize()
+        assert prog.blocks == blocks and prog.finalized
+
     def test_region_validation(self):
         with pytest.raises(WorkloadError):
             Region(rid=0, base=0, size=0)
