@@ -206,6 +206,14 @@ class FlywheelConfig(_CacheKeyMixin):
     #: losing exactly the back-to-back capability the design preserves.
     delay_network: bool = False
 
+    def __post_init__(self) -> None:
+        # Coerce the switches (e.g. ec_enabled=0 from a JSON client) so
+        # equal configs also serialize identically: 0 == False, but JSON
+        # renders them differently and cache keys go through JSON.
+        for name in ("ec_enabled", "use_srt", "redistribution_enabled",
+                     "delay_network"):
+            object.__setattr__(self, name, bool(getattr(self, name)))
+
     @property
     def ec_blocks(self) -> int:
         """Total data-array blocks in the Execution Cache."""

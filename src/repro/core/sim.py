@@ -145,11 +145,6 @@ def _resolve_workload(workload: Union[str, WorkloadProfile, Program],
         return workload
     if isinstance(workload, str):
         workload = get_profile(workload)
-    try:
-        hash(workload)
-    except TypeError:
-        # A hand-built profile holding lists cannot key the memo.
-        return generate_program(workload, seed=seed)
     return _shared_program(workload, seed)
 
 

@@ -77,6 +77,10 @@ class WorkloadProfile:
     stream_mem: bool = False
 
     def __post_init__(self) -> None:
+        # Normalize list-spelled ranges so every profile is hashable and
+        # equal profiles key the same shared program (repro.core.sim).
+        for name in ("blocks_per_func", "instrs_per_block", "loop_trip"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         fracs = (
             self.fp_frac, self.load_frac, self.store_frac, self.mul_frac,
             self.div_frac, self.serial_frac, self.hot_dest_bias,

@@ -15,7 +15,7 @@ import repro.campaign.spec as spec_module
 import repro.core.sim as sim
 from repro.campaign.presets import experiment_specs
 from repro.campaign.spec import RunSpec, code_fingerprint
-from repro.core.config import ClockPlan, stable_hash
+from repro.core.config import ClockPlan, FlywheelConfig, stable_hash
 from repro.core.engine.turbo import HAVE_NUMPY
 from repro.core.registry import kind_names
 from repro.core.sim import default_config, execute_kind
@@ -76,14 +76,15 @@ class TestProgramMemo:
         assert sim._resolve_workload(profile, 3) is not first
         assert sim._resolve_workload(first, None) is first
 
-    def test_unhashable_profile_falls_back_to_generation(self):
+    def test_list_spelled_profile_shares_the_tuple_program(self):
         profile = get_profile("smoke")
-        listy = type(profile)(**{**profile.__dict__,
-                                 "loop_trip": list(profile.loop_trip)})
-        program = sim._resolve_workload(listy, 5)
-        assert sim._resolve_workload(listy, 5) is not program
-        assert _structure(program) == _structure(
-            sim._resolve_workload(profile, 5))
+        listy = type(profile)(**{
+            **profile.__dict__,
+            **{name: list(getattr(profile, name)) for name in (
+                "blocks_per_func", "instrs_per_block", "loop_trip")}})
+        assert listy == profile and hash(listy) == hash(profile)
+        assert (sim._resolve_workload(listy, 5)
+                is sim._resolve_workload(profile, 5))
 
     @pytest.mark.parametrize("kind", kind_names())
     def test_legacy_runs_leave_the_program_unchanged(self, kind):
@@ -128,6 +129,18 @@ class TestCacheKeyMemo:
         assert (MachineSpec("flywheel", "gcc",
                             clock=ClockPlan(base_mhz=600)).cache_key()
                 == as_float.cache_key())
+
+    @pytest.mark.parametrize("order", [(0, False), (False, 0)])
+    def test_int_and_bool_switch_spellings_share_a_key(self, order):
+        # Whichever spelling reaches the memo first, both get the key a
+        # fresh process computes for the canonical bool spelling.
+        spec_module._cache_key.cache_clear()
+        keys = [RunSpec("flywheel", "gcc", seed=9,
+                        fly=FlywheelConfig(ec_enabled=value)).cache_key()
+                for value in order]
+        canonical = RunSpec("flywheel", "gcc", seed=9,
+                            fly=FlywheelConfig(ec_enabled=False))
+        assert keys == [_unmemoized_key(canonical)] * 2
 
     def test_fingerprint_change_changes_the_key(self, monkeypatch):
         run = RunSpec("baseline", "gcc", seed=4)
