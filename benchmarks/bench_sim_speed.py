@@ -16,9 +16,9 @@ the fresh measurement to a committed report and prints a per-kind
 delta table; ``--fail-on-regression PCT`` turns any slowdown beyond PCT
 percent into a non-zero exit for CI (omit it for report-only mode —
 cross-machine comparisons are informative, not gating). The gate covers
-the paired ``@turbo``/``@vector`` series and the speedup tables too,
-but report-only: engine warnings never fail the run, so NumPy-less
-runners (which skip the engine series entirely) stay green.
+the paired ``@turbo`` series and the turbo speedup table too, but
+report-only: turbo warnings never fail the run, so NumPy-less runners
+(which skip the turbo series entirely) stay green.
 ``--quick`` runs one repeat on a reduced budget with no history append,
 for the CI regression step and local iteration.
 
@@ -112,20 +112,19 @@ def measure(benchmarks=BENCH_BENCHMARKS,
             instructions=BENCH_INSTRUCTIONS,
             warmup=BENCH_WARMUP,
             repeats=BENCH_REPEATS,
-            engines=("legacy", "turbo", "vector"),
+            engines=("legacy", "turbo"),
             membound_instructions=MEMBOUND_INSTRUCTIONS,
             membound_warmup=MEMBOUND_WARMUP) -> dict:
     """Best-of-``repeats`` cycles/sec and instrs/sec per kind/benchmark.
 
     ``engines`` is the backend axis: the legacy engine keeps the bare
     series name (``baseline/gcc``) so the cycles/sec trajectory across
-    PRs stays unbroken, the other engines append ``@<engine>``
-    (``baseline/gcc@turbo``, ``baseline/gcc@vector``). When an engine
-    pair runs, the report also carries per-engine speedup tables
-    (``turbo_speedup``/``vector_speedup``: engine / legacy
-    cycles-per-sec per series). Engine repeats share one instruction
-    pool (by design — the pool is cross-run state), so best-of-repeats
-    measures the warm path.
+    PRs stays unbroken, the turbo engine appends ``@turbo``
+    (``baseline/gcc@turbo``). When both run, the report also carries
+    the ``turbo_speedup`` table (turbo / legacy cycles-per-sec per
+    series). Turbo repeats share one instruction pool (by design — the
+    pool is cross-run state), so best-of-repeats measures the warm
+    path.
 
     The engine series run the *kind's* default config with only the
     engine swapped — a bare ``CoreConfig(engine=...)`` would silently
@@ -176,18 +175,15 @@ def measure(benchmarks=BENCH_BENCHMARKS,
         "python": sys.version.split()[0],
         "series": series,
     }
-    for engine in engines:
-        if engine == "legacy":
-            continue
-        speedups = engine_speedups(series, engine)
-        if speedups:
-            report[f"{engine}_speedup"] = speedups
+    speedups = turbo_speedups(series)
+    if speedups:
+        report["turbo_speedup"] = speedups
     return report
 
 
-def engine_speedups(series: dict, engine: str) -> dict:
-    """``base series -> engine/legacy cycles-per-sec ratio`` table."""
-    suffix = f"@{engine}"
+def turbo_speedups(series: dict) -> dict:
+    """``base series -> turbo/legacy cycles-per-sec ratio`` table."""
+    suffix = "@turbo"
     speedups = {}
     for name, row in series.items():
         if name.endswith(suffix):
@@ -196,11 +192,6 @@ def engine_speedups(series: dict, engine: str) -> dict:
                 speedups[name[: -len(suffix)]] = round(
                     row["cycles_per_sec"] / base["cycles_per_sec"], 2)
     return speedups
-
-
-def turbo_speedups(series: dict) -> dict:
-    """``base series -> turbo/legacy cycles-per-sec ratio`` table."""
-    return engine_speedups(series, "turbo")
 
 
 def _measure_membound(repeats: int, engines=("legacy",),
@@ -245,17 +236,16 @@ def _measure_membound(repeats: int, engines=("legacy",),
     return series
 
 
-def compare_speedups(fresh: dict, committed: dict,
-                     key: str = "turbo_speedup") -> list:
-    """Delta rows of one speedup table (fresh vs committed).
+def compare_speedups(fresh: dict, committed: dict) -> list:
+    """Delta rows of the turbo speedup table (fresh vs committed).
 
-    Same shape as :func:`compare` rows, but over the engine/legacy
+    Same shape as :func:`compare` rows, but over the turbo/legacy
     ratios: a quietly shrinking speedup is visible even when both raw
     series move together. Series present on one side only carry a None
     delta.
     """
-    fresh_table = fresh.get(key, {})
-    committed_table = committed.get(key, {})
+    fresh_table = fresh.get("turbo_speedup", {})
+    committed_table = committed.get("turbo_speedup", {})
     rows = []
     for name in sorted(set(fresh_table) | set(committed_table)):
         new = fresh_table.get(name)
@@ -305,15 +295,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_core.json",
                         help="output path (default: ./BENCH_core.json)")
     parser.add_argument("--engine",
-                        choices=("legacy", "turbo", "vector", "both",
-                                 "all"),
+                        choices=("legacy", "turbo", "all"),
                         default="all",
                         help="execution backend(s) to measure; 'all' "
                              "(default) emits paired series "
-                             "(kind/bench, kind/bench@turbo and "
-                             "kind/bench@vector) plus per-engine "
-                             "speedup tables; 'both' is the historical "
-                             "legacy+turbo pair")
+                             "(kind/bench and kind/bench@turbo) plus "
+                             "the turbo speedup table")
     parser.add_argument("--repeats", type=int, default=BENCH_REPEATS)
     parser.add_argument("--quick", action="store_true",
                         help="one repeat on a reduced instruction "
@@ -358,19 +345,17 @@ def main(argv=None) -> int:
                 return 1
 
     if args.engine == "all":
-        engines = ("legacy", "turbo", "vector")
-    elif args.engine == "both":
         engines = ("legacy", "turbo")
     else:
         engines = (args.engine,)
-    if not HAVE_NUMPY and any(e != "legacy" for e in engines):
-        if args.engine in ("turbo", "vector"):
-            print(f"--engine {args.engine} requires NumPy "
+    if not HAVE_NUMPY and "turbo" in engines:
+        if args.engine == "turbo":
+            print("--engine turbo requires NumPy "
                   "(pip install 'repro[turbo]')", file=sys.stderr)
             return 2
         # Default 'all' degrades gracefully so the legacy trajectory
         # is still measurable on a dependency-free checkout.
-        print("NumPy not installed: skipping engine series",
+        print("NumPy not installed: skipping turbo series",
               file=sys.stderr)
         engines = ("legacy",)
     if args.quick:
@@ -388,10 +373,8 @@ def main(argv=None) -> int:
     for name, row in sorted(report["series"].items()):
         print(f"{name:28s} {row['cycles_per_sec']:>9,} cycles/s "
               f"{row['instrs_per_sec']:>9,} instrs/s")
-    for eng in ("turbo", "vector"):
-        for name, ratio in sorted(report.get(f"{eng}_speedup",
-                                             {}).items()):
-            print(f"{name:28s} {eng} speedup {ratio:.2f}x")
+    for name, ratio in sorted(report.get("turbo_speedup", {}).items()):
+        print(f"{name:28s} turbo speedup {ratio:.2f}x")
     print(f"wrote {args.out}")
 
     if not args.no_history and not args.quick:
@@ -422,22 +405,17 @@ def main(argv=None) -> int:
     if committed is not None:
         rows = compare(report, committed)
         print_comparison(rows)
-        speedup_rows = []
-        for eng in ("turbo", "vector"):
-            eng_rows = compare_speedups(report, committed,
-                                        key=f"{eng}_speedup")
-            if not eng_rows:
-                continue
-            speedup_rows.extend(eng_rows)
-            print(f"\n{eng + ' speedup':28s} {'committed':>12s} "
+        speedup_rows = compare_speedups(report, committed)
+        if speedup_rows:
+            print(f"\n{'turbo speedup':28s} {'committed':>12s} "
                   f"{'fresh':>12s} {'delta':>8s}")
-            for row in eng_rows:
-                old = f"{row['old']:.2f}x" if row["old"] else "-"
-                new = f"{row['new']:.2f}x" if row["new"] else "-"
-                delta = (f"{row['delta_pct']:+7.1f}%"
-                         if row["delta_pct"] is not None else "      -")
-                print(f"{row['series']:28s} {old:>12s} {new:>12s} "
-                      f"{delta:>8s}")
+        for row in speedup_rows:
+            old = f"{row['old']:.2f}x" if row["old"] else "-"
+            new = f"{row['new']:.2f}x" if row["new"] else "-"
+            delta = (f"{row['delta_pct']:+7.1f}%"
+                     if row["delta_pct"] is not None else "      -")
+            print(f"{row['series']:28s} {old:>12s} {new:>12s} "
+                  f"{delta:>8s}")
         if args.fail_on_regression is not None:
             # The gate *fails* on the legacy series only: their
             # trajectory is the simulator-cost contract. The paired

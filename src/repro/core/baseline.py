@@ -129,17 +129,11 @@ class BaselineCore:
         branch predictor functionally (no timing), mirroring the paper's
         fast-forward before detailed simulation.
         """
-        engine = self.config.engine
-        if engine == "turbo":
+        if self.config.engine == "turbo":
             from repro.core.engine.turbo.sync import run_turbo_sync
 
             return run_turbo_sync(self, max_instructions, warmup,
                                   prof=getattr(self, "_turbo_prof", None))
-        if engine == "vector":
-            from repro.core.engine.turbo.vector import run_vector_sync
-
-            return run_vector_sync(self, max_instructions, warmup,
-                                   prof=getattr(self, "_turbo_prof", None))
         if warmup:
             self._functional_warmup(warmup)
             if self.dvfs is not None:

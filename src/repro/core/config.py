@@ -117,14 +117,11 @@ class CoreConfig(_CacheKeyMixin):
 
     #: Execution-engine backend. ``"legacy"`` is the per-object tick
     #: loop every golden number was pinned on; ``"turbo"`` selects the
-    #: batched struct-of-arrays engine (``repro.core.engine.turbo``) and
-    #: ``"vector"`` the third tier on top of it (precomputed NumPy
-    #: column kernels + event-horizon skip-ahead,
-    #: ``repro.core.engine.turbo.vector``). Every backend is required
-    #: to be bit-identical on every counter — the engine axis picks an
-    #: implementation, never a machine (DESIGN.md §8, §11). The key is
-    #: elided from spec payloads when default, so all historical content
-    #: addresses are unchanged.
+    #: batched struct-of-arrays engine (``repro.core.engine.turbo``).
+    #: Both backends are required to be bit-identical on every counter
+    #: — the engine axis picks an implementation, never a machine
+    #: (DESIGN.md §8). The key is elided from spec payloads when
+    #: default, so all historical content addresses are unchanged.
     engine: str = "legacy"
 
     def __post_init__(self) -> None:
@@ -143,10 +140,10 @@ class CoreConfig(_CacheKeyMixin):
             raise ConfigError("issue window smaller than issue width")
         if self.deadlock_window < 0:
             raise ConfigError("deadlock_window must be >= 0 (0 = default)")
-        if self.engine not in ("legacy", "turbo", "vector"):
+        if self.engine not in ("legacy", "turbo"):
             raise ConfigError(
-                f"unknown engine {self.engine!r}; expected 'legacy', "
-                "'turbo' or 'vector'")
+                f"unknown engine {self.engine!r}; expected 'legacy' or "
+                "'turbo'")
         if self.engine != "legacy":
             # Deferred import: the turbo package guards its NumPy
             # dependency and raises the canonical ConfigError when the

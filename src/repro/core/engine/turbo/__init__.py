@@ -15,7 +15,7 @@ rule for any engine backend is bit-identity: every counter, event,
 freq-trace point, cache stat and metric snapshot must match the legacy
 engine exactly, or the backend is wrong — there is no "close enough"
 for an implementation axis (tests/test_golden_stats.py enforces this
-for both backends).
+for the turbo backend).
 
 This package guards the NumPy dependency: ``repro`` itself stays
 dependency-free, and the turbo extra is declared as ``repro[turbo]``.
@@ -37,13 +37,12 @@ def require_numpy() -> None:
     """Raise the canonical error when the turbo extra is missing.
 
     Called from ``CoreConfig.__post_init__`` so an ``engine="turbo"``
-    or ``engine="vector"`` spec fails at construction time with an
-    actionable message instead of an ImportError from deep inside a
-    campaign worker.
+    spec fails at construction time with an actionable message instead
+    of an ImportError from deep inside a campaign worker.
     """
     if not HAVE_NUMPY:
         raise ConfigError(
-            "engine='turbo'/'vector' requires NumPy, which is not "
+            "engine='turbo' requires NumPy, which is not "
             "installed; install the turbo extra (pip install "
             "'repro[turbo]') or use engine='legacy'")
 

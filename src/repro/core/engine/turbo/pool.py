@@ -55,12 +55,6 @@ _UNPIP_TAB = np.asarray(UNPIPELINED_TAB, dtype=bool)
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 
-#: ``next_branch`` placeholder for rows with no branch at-or-after them
-#: among the generated rows.  Large enough that ``nb - s >= fetch_width``
-#: always holds, i.e. an unknown next branch reads as "no branch within
-#: any fetch group that ends inside the generated region".
-NB_SENTINEL = 1 << 62
-
 
 class StreamPool:
     """Seq-indexed SoA columns over one program's dynamic stream.
@@ -100,15 +94,6 @@ class StreamPool:
         self.lat0: list = []         # EXEC_LATENCY_TAB[op]
         self.fu_kind: list = []      # FU_KIND_TAB[op]
         self.unpip: list = []        # UNPIPELINED_TAB[op]
-        # Vector-engine columns (see repro.core.engine.turbo.vector):
-        # next-branch index per row plus absolute prefix sums, built with
-        # NumPy per chunk so the vector loop consumes whole fetch groups
-        # and retire runs as O(1) column reads.
-        self.next_branch: list = []  # abs seq of next bkind!=0 row >= i
-        self.pre_mem: list = [0]     # prefix count of rows with mem_addr
-        self.pre_store: list = [0]   # prefix count of retire-path stores
-        self.pre_needs: list = [0]   # prefix count of renamed dests
-        self._nb_pend = 0            # first next_branch row still sentinel
         self._plans: dict = {}       # (start, phys_regs) -> RenamePlan
 
     def plan(self, start: int, phys_regs: int) -> "RenamePlan":
@@ -168,36 +153,6 @@ class StreamPool:
         self.is_load.extend((op_arr == _LOAD).tolist())
         self.is_store.extend((op_arr == _STORE).tolist())
         self.n = len(ops)
-        # ---- vector-engine columns (one NumPy pass per chunk) ----
-        stop = self.n
-        m_arr = np.fromiter((a is not None for a in mem_addr[start:]),
-                            dtype=np.int64, count=stop - start)
-        s_arr = ((op_arr == _STORE) & (m_arr != 0)).astype(np.int64)
-        nd_arr = np.fromiter(
-            (d is not None and d != 0 for d in dest[start:]),
-            dtype=np.int64, count=stop - start)
-        self.pre_mem.extend((np.cumsum(m_arr) + self.pre_mem[-1]).tolist())
-        self.pre_store.extend(
-            (np.cumsum(s_arr) + self.pre_store[-1]).tolist())
-        self.pre_needs.extend(
-            (np.cumsum(nd_arr) + self.pre_needs[-1]).tolist())
-        # next_branch: first bkind!=0 row at or after i.  Rows past the
-        # chunk's last branch hold NB_SENTINEL until a later chunk's first
-        # branch backfills them (the pending region is always the tail).
-        b_idx = np.flatnonzero(np.asarray(bkind[start:], dtype=np.int64))
-        nb = np.full(stop - start, NB_SENTINEL, dtype=np.int64)
-        if b_idx.size:
-            pos = np.searchsorted(b_idx, np.arange(stop - start), "left")
-            hit = pos < b_idx.size
-            nb[hit] = b_idx[np.minimum(pos, b_idx.size - 1)][hit] + start
-        nb_col = self.next_branch
-        nb_col.extend(nb.tolist())
-        if b_idx.size:
-            first_b = start + int(b_idx[0])
-            pend = self._nb_pend
-            if pend < start:
-                nb_col[pend:start] = [first_b] * (start - pend)
-            self._nb_pend = start + int(b_idx[-1]) + 1
 
 
 class RenamePlan:

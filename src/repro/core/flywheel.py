@@ -263,11 +263,7 @@ class FlywheelCore:
 
     def run(self, max_instructions: int, warmup: int = 0) -> SimStats:
         """Simulate until ``max_instructions`` commit after warmup."""
-        if self.config.engine != "legacy":
-            # "turbo" and "vector" share the hybrid replay loop: the
-            # flywheel's hot state lives in real DynInstr objects that
-            # the created-mode pipelines mutate in place, so the
-            # sync-kind column kernels don't apply (DESIGN.md §11).
+        if self.config.engine == "turbo":
             from repro.core.engine.turbo.fly import run_turbo_fly
 
             return run_turbo_fly(self, max_instructions, warmup,

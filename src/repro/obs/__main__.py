@@ -154,11 +154,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     profile = subs.add_parser("profile",
                               help="wall-time per engine phase")
     _add_machine_args(profile)
-    profile.add_argument("--engine", choices=("legacy", "turbo", "vector"),
+    profile.add_argument("--engine", choices=("legacy", "turbo"),
                          default="legacy",
                          help="execution backend to profile (turbo "
-                              "buckets are pool/loop, vector buckets "
-                              "are pool/kernel/horizon)")
+                              "buckets are pool/loop)")
     profile.add_argument("--out", default="",
                          help="also write the JSON report here")
     profile.set_defaults(fn=_cmd_profile)

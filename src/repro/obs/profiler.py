@@ -44,11 +44,6 @@ PHASES = ("frontend", "rename", "dispatch", "schedule", "backend")
 #: actually has — building/warming the instruction pool, and the loop.
 TURBO_PHASES = ("pool", "loop")
 
-#: The vector tier's buckets: pool/plan build, the fused kernel loop,
-#: and the event-horizon analysis (the skip-ahead bound computation),
-#: reported separately so its overhead is a tracked number.
-VECTOR_PHASES = ("pool", "kernel", "horizon")
-
 
 class PhaseProfile:
     """Accumulated wall seconds per engine phase of one run.
@@ -132,11 +127,10 @@ def install(core) -> PhaseProfile:
     """Attach phase timing to a core; must run before ``core.run()``.
 
     Dispatches on the engine first: a core configured with
-    ``engine="turbo"`` or ``engine="vector"`` never calls
-    ``step``/``_fe_tick``/``_be_tick`` (the whole run is one fused
-    loop), so the profile is handed to the engine entry point via
-    ``core._turbo_prof``, which stamps the ``pool``/``loop`` buckets
-    itself (``pool``/``kernel``/``horizon`` on the vector tier).  Legacy engines dispatch on the
+    ``engine="turbo"`` never calls ``step``/``_fe_tick``/``_be_tick``
+    (the whole run is one fused loop), so the profile is handed to the
+    engine entry point via ``core._turbo_prof``, which stamps the
+    ``pool``/``loop`` buckets itself.  Legacy engines dispatch on the
     attribute contract of the built-in kinds: a single-clock core
     exposes ``step``; a dual-clock core exposes ``_fe_tick``/``_be_tick``
     (rebound by its run loop from ``self``, so instance-attribute
@@ -145,11 +139,7 @@ def install(core) -> PhaseProfile:
     """
     engine = getattr(getattr(core, "config", None), "engine", "legacy")
     if engine != "legacy":
-        # Dual-clock cores run the turbo hybrid loop whatever the
-        # engine tier, so only single-clock vector runs get the
-        # kernel/horizon buckets.
-        vec = engine == "vector" and not hasattr(core, "_fe_tick")
-        prof = PhaseProfile(VECTOR_PHASES if vec else TURBO_PHASES)
+        prof = PhaseProfile(TURBO_PHASES)
         core._turbo_prof = prof
         return prof
     prof = PhaseProfile()

@@ -147,10 +147,9 @@ def classify_history(history: Sequence[Dict[str, object]],
     """One :class:`SeriesVerdict` per series in a loaded profile history.
 
     Covers every real series (on ``field``, default cycles/sec — higher
-    is better) plus the synthetic ``turbo_speedup:*`` and
-    ``vector_speedup:*`` ratio series, so a quietly shrinking engine
-    speedup is caught even while both raw series stay within their own
-    noise.  Keyword arguments pass through
+    is better) plus the synthetic ``turbo_speedup:*`` ratio series, so
+    a quietly shrinking engine speedup is caught even while both raw
+    series stay within their own noise.  Keyword arguments pass through
     to :func:`classify_series`.
     """
     from repro.perf.history import series_names, series_values

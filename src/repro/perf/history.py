@@ -48,7 +48,7 @@ def make_snapshot(report: Dict[str, object], *, timestamp: float,
     series: Dict[str, Dict[str, object]] = {}
     for name, row in (report.get("series") or {}).items():
         series[name] = {k: row[k] for k in _SERIES_FIELDS if k in row}
-    snap = {
+    return {
         "schema": HISTORY_SCHEMA,
         "timestamp": float(timestamp),
         "code": str(code),
@@ -56,12 +56,6 @@ def make_snapshot(report: Dict[str, object], *, timestamp: float,
         "series": series,
         "turbo_speedup": dict(report.get("turbo_speedup") or {}),
     }
-    # The vector table is written only when present, so snapshots from
-    # legacy+turbo-only runs stay byte-compatible with older readers.
-    vector = dict(report.get("vector_speedup") or {})
-    if vector:
-        snap["vector_speedup"] = vector
-    return snap
 
 
 def append_snapshot(path: Union[str, Path],
@@ -110,9 +104,11 @@ def load_history(path: Union[str, Path]) -> List[Dict[str, object]]:
 #: (``turbo_speedup:baseline/gcc``) alongside the real throughput series.
 SPEEDUP_PREFIX = "turbo_speedup:"
 
-#: Every per-engine speedup table a snapshot may carry; each one gets a
-#: matching family of synthetic ``<table>:<base>`` series.
-SPEEDUP_TABLES = ("turbo_speedup", "vector_speedup")
+#: Every per-engine speedup table the detectors track; each one gets a
+#: matching family of synthetic ``<table>:<base>`` series.  Any other
+#: table a snapshot carries (older snapshots hold one for a since-deleted
+#: engine tier) is ignored.
+SPEEDUP_TABLES = ("turbo_speedup",)
 
 
 def series_names(history: Sequence[Dict[str, object]],
@@ -120,9 +116,9 @@ def series_names(history: Sequence[Dict[str, object]],
     """Every series name appearing anywhere in the history, sorted.
 
     With ``speedups`` (the default) the engine-speedup ratios appear as
-    synthetic ``turbo_speedup:<base>`` / ``vector_speedup:<base>``
-    series, so the detectors cover the engine/legacy ratio trajectories
-    the same way they cover raw throughput.
+    synthetic ``turbo_speedup:<base>`` series, so the detectors cover
+    the engine/legacy ratio trajectory the same way they cover raw
+    throughput.
     """
     names = set()
     for snap in history:

@@ -42,7 +42,7 @@ def test_engine_series_simulate_the_same_machine():
     """
     report = bench_sim_speed.measure(
         benchmarks=("smoke",), instructions=2000, warmup=500, repeats=1,
-        engines=("legacy", "turbo", "vector"),
+        engines=("legacy", "turbo"),
         membound_instructions=2000, membound_warmup=500)
     series = report["series"]
     legs = sorted(n for n in series if "@" in n)
@@ -51,35 +51,28 @@ def test_engine_series_simulate_the_same_machine():
         base = name.split("@")[0]
         assert series[name]["cycles"] == series[base]["cycles"], (
             f"{name} simulated a different machine than {base}")
-    # Both speedup tables exist and cover every base that has a leg.
-    for engine in ("turbo", "vector"):
-        table = report[f"{engine}_speedup"]
-        bases = {n.split("@")[0] for n in legs if n.endswith(f"@{engine}")}
-        assert set(table) == bases
+    # The speedup table covers every base that has a turbo leg.
+    assert set(report["turbo_speedup"]) == {n.split("@")[0] for n in legs}
 
 
 class TestSpeedupTables:
     SERIES = {
         "baseline/gcc": {"cycles_per_sec": 1000},
         "baseline/gcc@turbo": {"cycles_per_sec": 4500},
-        "baseline/gcc@vector": {"cycles_per_sec": 4600},
         "membound/pointer_chase": {"cycles_per_sec": 2000},
-        "membound/pointer_chase@vector": {"cycles_per_sec": 5100},
+        "membound/pointer_chase@turbo": {"cycles_per_sec": 5100},
         # A zero legacy denominator must be skipped, not divide.
         "broken/x": {"cycles_per_sec": 0},
         "broken/x@turbo": {"cycles_per_sec": 100},
     }
 
     def test_ratios_keyed_by_base_series(self):
-        assert bench_sim_speed.engine_speedups(self.SERIES, "turbo") == {
-            "baseline/gcc": 4.5}
-        assert bench_sim_speed.engine_speedups(self.SERIES, "vector") == {
-            "baseline/gcc": 4.6, "membound/pointer_chase": 2.55}
+        assert bench_sim_speed.turbo_speedups(self.SERIES) == {
+            "baseline/gcc": 4.5, "membound/pointer_chase": 2.55}
 
-    def test_turbo_wrapper_and_missing_engine(self):
-        assert (bench_sim_speed.turbo_speedups(self.SERIES)
-                == bench_sim_speed.engine_speedups(self.SERIES, "turbo"))
-        assert bench_sim_speed.engine_speedups(self.SERIES, "warp") == {}
+    def test_legacy_only_series_give_an_empty_table(self):
+        legacy = {n: r for n, r in self.SERIES.items() if "@" not in n}
+        assert bench_sim_speed.turbo_speedups(legacy) == {}
 
     def test_compare_speedups_flags_shrinkage(self):
         fresh = {"turbo_speedup": {"a/b": 3.0}}

@@ -161,7 +161,7 @@ def test_deprecated_wrappers_match_session_byte_for_byte(key):
 
 
 # --------------------------------------------------------------------------
-# Engine-backend golden equivalence (PR 7: turbo; this PR: vector). An
+# Engine-backend golden equivalence (the turbo backend). An
 # engine backend is an implementation of the same machine, never a
 # different machine: every observable — SimStats, the cache hierarchy's
 # counters, the full metric registry snapshot — must be byte-identical
@@ -172,10 +172,9 @@ def test_deprecated_wrappers_match_session_byte_for_byte(key):
 turbo_required = pytest.mark.skipif(
     not HAVE_NUMPY, reason="turbo extra (NumPy) not installed")
 
-#: The non-legacy tiers, both held to the same golden gate. On the
-#: dual-clock flywheel "vector" routes to the turbo hybrid loop — the
-#: gate still runs it, pinning that routing to the same numbers.
-ENGINES = ("turbo", "vector")
+#: The non-legacy engine held to the golden gate (kept as a parameter
+#: so every test id names the engine it ran).
+ENGINES = ("turbo",)
 
 
 def _full_observables(result):
@@ -201,7 +200,7 @@ def _engine_pair(kind, bench, engine, config_kw=None, clock=None):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_engine_reproduces_golden_pins(key, engine):
-    """Every engine tier must land exactly on the pre-turbo pinned
+    """The turbo engine must land exactly on the pre-turbo pinned
     counters."""
     kind, bench = key.split("/")
     spec = MachineSpec(kind, bench, engine=engine,
@@ -227,10 +226,9 @@ def test_engine_full_observable_parity(key, engine):
 def test_engine_parity_under_governors(kind, engine, gov):
     """The DVFS interval hook fires at the same cycles under every engine
 
-    (a skip-ahead must never jump across an interval boundary — the
-    vector tier explicitly rejoins the event-bounded tick set when a
-    jump nears one), so every governor decision — and therefore every
-    counter and the piecewise ``sim_time_ps`` — is reproduced exactly.
+    (a skip-ahead must never jump across an interval boundary), so
+    every governor decision — and therefore every counter and the
+    piecewise ``sim_time_ps`` — is reproduced exactly.
     """
     clock = ClockPlan(governor=GovernorConfig(name=gov, interval=1000))
     legacy, other = _engine_pair(kind, "gcc", engine, clock=clock)

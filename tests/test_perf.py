@@ -33,6 +33,7 @@ from repro.perf import (
     series_names,
     series_values,
 )
+from repro.perf.history import SPEEDUP_TABLES
 
 #: Tiny budgets: every simulated spec in this file finishes in ~50ms.
 N, W = 1200, 2500
@@ -176,6 +177,23 @@ class TestClassifySeries:
         assert {v.series for v in verdicts} == set(series_names(history))
         assert all(v.verdict in ("improved", "stable", "degraded", "noise")
                    for v in verdicts)
+
+    def test_committed_history_loads_and_classifies(self):
+        # The repo's own history predates the removal of an engine tier:
+        # one snapshot still carries that tier's speedup table and its
+        # ``@<engine>`` series. Every line must still load, and the
+        # retired table must add no synthetic series.
+        path = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
+        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+        history = load_history(path)
+        assert len(history) == len(lines)
+        retired = {k for snap in history for k in snap
+                   if k.endswith("_speedup") and k not in SPEEDUP_TABLES}
+        assert retired
+        names = series_names(history)
+        assert not any(n.split(":")[0] in retired for n in names)
+        verdicts = classify_history(history)
+        assert {v.series for v in verdicts} == set(names)
 
 
 class TestClassifyDelta:
