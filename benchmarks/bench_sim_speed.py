@@ -17,8 +17,8 @@ delta table; ``--fail-on-regression PCT`` turns any slowdown beyond PCT
 percent into a non-zero exit for CI (omit it for report-only mode —
 cross-machine comparisons are informative, not gating). The gate covers
 the paired ``@turbo`` series and the turbo speedup table too, but
-report-only: turbo warnings never fail the run, so NumPy-less runners
-(which skip the turbo series entirely) stay green.
+report-only: turbo warnings never fail the run, and a ``--engine
+legacy`` run (no turbo series at all) stays green.
 ``--quick`` runs one repeat on a reduced budget with no history append,
 for the CI regression step and local iteration.
 
@@ -36,10 +36,7 @@ import json
 import sys
 import time
 
-import pytest
-
-from repro.core.engine.turbo import HAVE_NUMPY
-from repro.core.registry import kind_names
+from repro.core.registry import get_kind, kind_names
 from repro.session import Session
 from repro.workloads import generate_program, get_profile
 
@@ -76,7 +73,15 @@ MEMBOUND_WARMUP = 4_000
 _SESSION = Session()
 
 
+def _engine_config(kind, engine="legacy"):
+    """The kind's default config with only the engine set explicitly
+    (the bare series names track the legacy engine, not the default)."""
+    return get_kind(kind).default_config().with_variant(engine=engine)
+
+
 def _run(kind, workload, instructions, warmup, config=None):
+    if config is None:
+        config = _engine_config(kind)
     return _SESSION.run_workload(kind, workload,
                                  max_instructions=instructions,
                                  warmup=warmup, config=config)
@@ -87,12 +92,8 @@ def test_baseline_sim_speed(benchmark):
     assert result.stats.committed >= 4000
 
 
-@pytest.mark.skipif(not HAVE_NUMPY,
-                    reason="turbo extra (NumPy) not installed")
 def test_baseline_sim_speed_turbo(benchmark):
-    from repro.core.config import CoreConfig
-
-    config = CoreConfig(engine="turbo")
+    config = _engine_config("baseline", "turbo")
     result = benchmark(lambda: _run("baseline", "smoke", 4000, 1000,
                                     config=config))
     assert result.stats.committed >= 4000
@@ -133,16 +134,12 @@ def measure(benchmarks=BENCH_BENCHMARKS,
     the legacy series, with more cycles to simulate
     (tests/test_bench_speed.py pins the config path).
     """
-    from repro.core.registry import get_kind
-
     programs = {b: generate_program(get_profile(b)) for b in benchmarks}
     series = {}
     for kind in kind_names():
         for bench in benchmarks:
             for engine in engines:
-                config = (None if engine == "legacy"
-                          else get_kind(kind).default_config()
-                          .with_variant(engine=engine))
+                config = _engine_config(kind, engine)
                 best = float("inf")
                 result = None
                 for _ in range(repeats):
@@ -212,10 +209,7 @@ def _measure_membound(repeats: int, engines=("legacy",),
     series = {}
     for label, kw in points:
         for engine in engines:
-            if engine == "legacy":
-                config = CoreConfig(**kw) if kw else None
-            else:
-                config = CoreConfig(engine=engine, **kw)
+            config = CoreConfig(engine=engine, **kw)
             best = float("inf")
             result = None
             for _ in range(repeats):
@@ -348,16 +342,6 @@ def main(argv=None) -> int:
         engines = ("legacy", "turbo")
     else:
         engines = (args.engine,)
-    if not HAVE_NUMPY and "turbo" in engines:
-        if args.engine == "turbo":
-            print("--engine turbo requires NumPy "
-                  "(pip install 'repro[turbo]')", file=sys.stderr)
-            return 2
-        # Default 'all' degrades gracefully so the legacy trajectory
-        # is still measurable on a dependency-free checkout.
-        print("NumPy not installed: skipping turbo series",
-              file=sys.stderr)
-        engines = ("legacy",)
     if args.quick:
         report = measure(repeats=1, engines=engines,
                          instructions=QUICK_INSTRUCTIONS,
@@ -393,6 +377,7 @@ def main(argv=None) -> int:
         profiles = {}
         for kind in kind_names():
             prof = profile_machine(kind, BENCH_BENCHMARKS[0],
+                                   config=_engine_config(kind),
                                    instructions=BENCH_INSTRUCTIONS,
                                    warmup=BENCH_WARMUP)
             profiles[kind] = prof
@@ -421,7 +406,7 @@ def main(argv=None) -> int:
             # trajectory is the simulator-cost contract. The paired
             # ``@turbo`` series and the turbo_speedup table are covered
             # too, but report-only — turbo warnings never fail the run,
-            # so a NumPy-less runner (no ``@turbo`` series at all)
+            # so a ``--engine legacy`` run (no ``@turbo`` series at all)
             # stays green and cross-machine turbo ratios stay
             # informative rather than gating.
             def is_turbo(name):

@@ -10,12 +10,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # The core package is dependency-free by design (DESIGN.md). The
-    # turbo engine backend is the single optional NumPy consumer; when
-    # the extra is absent, CoreConfig(engine="turbo") raises the
-    # canonical ConfigError carrying this install hint.
+    # The package, both engines included, is dependency-free by design
+    # (DESIGN.md).
     extras_require={
-        "turbo": ["numpy"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

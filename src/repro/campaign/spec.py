@@ -156,14 +156,11 @@ class RunSpec:
             # Same contract for the flight recorder: an untraced run's
             # payload is byte-identical to pre-TraceSpec payloads.
             del config["trace"]
-        if config.get("engine", "legacy") == "legacy":
-            # And for the engine backend: a legacy-engine run's payload
-            # is byte-identical to pre-turbo payloads, so every pinned
-            # content address — and every warm store — survives the
-            # engine axis. (Turbo runs hash distinctly on purpose: the
-            # backend is supposed to be bit-identical, but a store
-            # entry must record which engine actually produced it.)
-            config.pop("engine", None)
+        # The engine backend is an implementation, never a machine: the
+        # golden gate holds every engine bit-identical, so all engines
+        # share one content address (and default/legacy payloads stay
+        # byte-identical to pre-engine ones).
+        del config["engine"]
         return {
             "kind": self.kind,
             "bench": self.bench,
@@ -219,7 +216,7 @@ class RunSpec:
             bits.append(f"mem={self.config.mem.label}")
         if self.config.trace is not None:
             bits.append(self.config.trace.label)
-        if self.config.engine != "legacy":
+        if self.config.engine is not None:
             bits.append(f"engine={self.config.engine}")
         if self.seed is not None:
             bits.append(f"seed={self.seed}")
@@ -243,7 +240,12 @@ class RunSpec:
     # ----------------------------------------------- (de)serialization
 
     def to_dict(self) -> Dict[str, object]:
-        return self.payload()
+        """:meth:`payload` plus an explicitly chosen engine, so a spec
+        shipped to a worker (or a store record) keeps its engine."""
+        data = self.payload()
+        if self.config.engine is not None:
+            data["config"]["engine"] = self.config.engine
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunSpec":

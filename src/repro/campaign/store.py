@@ -129,10 +129,10 @@ class ResultStore:
         (None for records written by paths that did not time the run);
         ``ls``/``export`` surface it for spotting slow configurations.
 
-        The engine backend is recorded as top-level metadata (the spec
-        payload elides ``engine`` for legacy runs to keep historical
-        content addresses stable), so ``ls``/``export``/``diff`` can
-        read it without reconstructing the spec.
+        The engine that ran is recorded as top-level metadata (no spec
+        payload carries ``engine``: every engine shares one content
+        address), so ``ls``/``export``/``diff`` can read it without
+        reconstructing the spec.
 
         Concurrent writers are safe: the temp file + ``os.replace``
         makes the record visible atomically (last writer wins for the
@@ -146,7 +146,7 @@ class ResultStore:
             "key": key,
             "code": code_fingerprint(),
             "created": time.time(),
-            "engine": getattr(spec.config, "engine", "legacy"),
+            "engine": spec.config.resolved_engine,
             "spec": spec.to_dict(),
             "result": result.to_dict(),
         }

@@ -129,7 +129,7 @@ class BaselineCore:
         branch predictor functionally (no timing), mirroring the paper's
         fast-forward before detailed simulation.
         """
-        if self.config.engine == "turbo":
+        if self.config.engine != "legacy":
             from repro.core.engine.turbo.sync import run_turbo_sync
 
             return run_turbo_sync(self, max_instructions, warmup,
@@ -244,12 +244,18 @@ class BaselineCore:
         self.stats.be_cycles_create = self.cycle
         self.stats.fe_cycles_active = self.cycle
 
+    #: Set by the turbo loop, whose ROB holds seq ints rather than
+    #: RobEntry objects: maps the head seq to the snapshot's ``oldest``.
+    _turbo_oldest = None
+
     def _deadlock_snapshot(self):
         """Structured machine state for the watchdog's DeadlockError."""
         be = self.be
         head = be.rob.head()
         oldest = None
-        if head is not None:
+        if head is not None and self._turbo_oldest is not None:
+            oldest = self._turbo_oldest(head)
+        elif head is not None:
             dyn = head.dyn
             oldest = {"seq": dyn.seq, "pc": dyn.pc, "op": dyn.op.name,
                       "done": head.done, "is_mem": head.is_mem}

@@ -51,6 +51,10 @@ def stable_hash(payload: object, length: int = 16) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
 
 
+#: The engine a ``CoreConfig(engine=None)`` run executes on.
+DEFAULT_ENGINE = "turbo"
+
+
 class _CacheKeyMixin:
     """Content-addressed identity for frozen config dataclasses."""
 
@@ -115,14 +119,19 @@ class CoreConfig(_CacheKeyMixin):
     #: untouched (DESIGN.md §7).
     trace: Optional[TraceSpec] = None
 
-    #: Execution-engine backend. ``"legacy"`` is the per-object tick
-    #: loop every golden number was pinned on; ``"turbo"`` selects the
-    #: batched struct-of-arrays engine (``repro.core.engine.turbo``).
-    #: Both backends are required to be bit-identical on every counter
-    #: — the engine axis picks an implementation, never a machine
-    #: (DESIGN.md §8). The key is elided from spec payloads when
-    #: default, so all historical content addresses are unchanged.
-    engine: str = "legacy"
+    #: Execution-engine backend: ``None`` (the default engine, which is
+    #: ``"turbo"``, the batched struct-of-arrays engine in
+    #: ``repro.core.engine.turbo``), ``"turbo"`` or ``"legacy"``, the
+    #: per-object tick loop every golden number was pinned on. Both
+    #: backends are required to be bit-identical on every counter — the
+    #: engine axis picks an implementation, never a machine (DESIGN.md
+    #: §8) — so the key never enters a spec's content address.
+    engine: Optional[str] = None
+
+    @property
+    def resolved_engine(self) -> str:
+        """The engine a run of this config executes on."""
+        return DEFAULT_ENGINE if self.engine is None else self.engine
 
     def __post_init__(self) -> None:
         # Rebuild specs handed over as plain payload dicts (store
@@ -140,18 +149,10 @@ class CoreConfig(_CacheKeyMixin):
             raise ConfigError("issue window smaller than issue width")
         if self.deadlock_window < 0:
             raise ConfigError("deadlock_window must be >= 0 (0 = default)")
-        if self.engine not in ("legacy", "turbo"):
+        if self.engine not in (None, "legacy", "turbo"):
             raise ConfigError(
-                f"unknown engine {self.engine!r}; expected 'legacy' or "
-                "'turbo'")
-        if self.engine != "legacy":
-            # Deferred import: the turbo package guards its NumPy
-            # dependency and raises the canonical ConfigError when the
-            # extra is not installed. Checking at config construction
-            # fails the run at spec time, not mid-campaign.
-            from repro.core.engine.turbo import require_numpy
-
-            require_numpy()
+                f"unknown engine {self.engine!r}; expected None (the "
+                "default engine), 'legacy' or 'turbo'")
 
     def with_variant(self, **kw) -> "CoreConfig":
         """Return a copy with some fields replaced (pipeline variants)."""

@@ -12,7 +12,7 @@ order is commit order — program order again.
 The pool exploits that: it drives a *real* ``InstructionStream`` and a
 *real* ``BranchPredictor`` once, ahead of time, and stores the outcome
 as parallel columns indexed by ``seq`` — op class, pc, memory address,
-branch kind, predicted-correct flag — plus NumPy bulk gathers of the
+branch kind, predicted-correct flag — plus per-chunk gathers of the
 op-indexed tables (``EXEC_LATENCY_TAB``/``FU_KIND_TAB``/
 ``UNPIPELINED_TAB``) so per-instruction latency/unit lookups become
 plain list reads.  Reusing the real walker/predictor makes the pool
@@ -22,7 +22,13 @@ correct by construction; the speedup comes from the fused tick loop in
 Pools grow in chunks on demand and are cached across runs keyed by
 (program identity, stream seed, predictor config): a best-of-N
 benchmark repeat or a config sweep over one benchmark re-simulates the
-timing, not the program.
+timing, not the program.  Chunks are small (1024 rows) because a paper
+campaign job simulates a few thousand instructions and every row
+costs ~170 bytes; within a pool the ``pc``/``fall_pc`` ints are shared
+through one intern table (a program has far fewer static pcs than a
+pool has rows), and a rename plan shares its source-tag tuples the
+same way.  Both are exact: ints and tuples are immutable and compared
+by value.
 
 :class:`RenamePlan` is the per-run companion: dest/src physical tags
 for the timed instruction range.  It is per-run because it depends on
@@ -35,8 +41,6 @@ is tracked at run time with a single free-count integer.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.frontend.bpred import BranchPredictor
 from repro.isa import DynInstr
@@ -48,12 +52,8 @@ from repro.isa.opclasses import (
 )
 from repro.workloads.stream import InstructionStream
 
-#: Op-indexed tables as NumPy arrays for the bulk per-chunk gathers.
-_LAT_TAB = np.asarray(EXEC_LATENCY_TAB, dtype=np.int64)
-_FU_TAB = np.asarray(FU_KIND_TAB, dtype=np.int64)
-_UNPIP_TAB = np.asarray(UNPIPELINED_TAB, dtype=bool)
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 
 class StreamPool:
@@ -63,14 +63,14 @@ class StreamPool:
     the list objects once and stay valid across :meth:`ensure` growth.
     """
 
-    CHUNK = 8192
+    CHUNK = 1024
 
     def __init__(self, program, seed: int, bpred_config):
         self._stream = InstructionStream(program, seed)
         self._bpred = BranchPredictor(bpred_config)
         self.n = 0
-        # Python-list columns: O(1) unboxed scalar access in the fused
-        # loop (NumPy scalar indexing would allocate per read).
+        self._pcs: dict = {}         # intern table for pc/fall_pc ints
+        # Python-list columns: O(1) scalar access in the fused loop.
         self.op: list = []           # OpClass (enum; kept for .name)
         self.pc: list = []
         self.mem_addr: list = []     # int or None
@@ -128,10 +128,12 @@ class StreamPool:
         taken = self.taken
         target_pc = self.target_pc
         fall_pc = self.fall_pc
+        intern = self._pcs.setdefault
         for _ in range(self.CHUNK):
             dyn = next_instr()
             ops.append(dyn.op)
-            pc.append(dyn.pc)
+            p = dyn.pc
+            pc.append(intern(p, p))
             mem_addr.append(dyn.mem_addr)
             dest.append(dyn.dest)
             srcs.append(dyn.srcs)
@@ -143,15 +145,16 @@ class StreamPool:
             bk.append(dyn.branch_kind)
             taken.append(dyn.taken)
             target_pc.append(dyn.target_pc)
-            fall_pc.append(dyn.fall_pc)
-        # Bulk table gathers: one vectorized pass per chunk replaces a
-        # per-instruction tuple index in the tick loop.
-        op_arr = np.asarray(ops[start:], dtype=np.int64)
-        self.lat0.extend(_LAT_TAB[op_arr].tolist())
-        self.fu_kind.extend(_FU_TAB[op_arr].tolist())
-        self.unpip.extend(_UNPIP_TAB[op_arr].tolist())
-        self.is_load.extend((op_arr == _LOAD).tolist())
-        self.is_store.extend((op_arr == _STORE).tolist())
+            p = dyn.fall_pc
+            fall_pc.append(p if p is None else intern(p, p))
+        # Table gathers, one pass per chunk: the tick loop then reads a
+        # column instead of indexing a table per instruction.
+        new = ops[start:]
+        self.lat0.extend([EXEC_LATENCY_TAB[op] for op in new])
+        self.fu_kind.extend([FU_KIND_TAB[op] for op in new])
+        self.unpip.extend([UNPIPELINED_TAB[op] for op in new])
+        self.is_load.extend([op is _LOAD for op in new])
+        self.is_store.extend([op is _STORE for op in new])
         self.n = len(ops)
 
 
@@ -171,7 +174,7 @@ class RenamePlan:
     Columns are offset by ``start``: index with ``seq - start``.
     """
 
-    CHUNK = 4096
+    CHUNK = 1024
 
     def __init__(self, pool: StreamPool, start: int, phys_regs: int):
         self._pool = pool
@@ -181,8 +184,9 @@ class RenamePlan:
         self._free_head = 0          # virtual deque: index of next pop
         self.n = start               # absolute seq covered (exclusive)
         self.dest_tag: list = []
-        self.src_tags: list = []     # tuple of physical tags
+        self.src_tags: list = []     # tuple of physical tags (shared)
         self.needs_tag: list = []    # dest renamed (== recycles at commit)
+        self._tags: dict = {}        # intern table for src_tags tuples
 
     def ensure(self, n: int) -> None:
         while self.n < n:
@@ -200,8 +204,10 @@ class RenamePlan:
         dest_tag = self.dest_tag
         src_tags = self.src_tags
         needs_tag = self.needs_tag
+        intern = self._tags.setdefault
         for seq in range(self.n, stop):
-            src_tags.append(tuple([reg_map[s] for s in p_srcs[seq]]))
+            tags = tuple([reg_map[s] for s in p_srcs[seq]])
+            src_tags.append(intern(tags, tags))
             dest = p_dest[seq]
             if dest is None or dest == 0:
                 dest_tag.append(-1)

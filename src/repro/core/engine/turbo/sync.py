@@ -44,6 +44,7 @@ nothing observable reads them after a run.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from functools import partial
 from heapq import heappop, heappush
 from time import perf_counter
 
@@ -233,6 +234,7 @@ def run_turbo_sync(core, max_instructions: int, warmup: int = 0,
     eligible = []                      # heap of seq (selectable now)
     blocked = []                       # per-cycle scratch for select
     done = bytearray(max_instructions + _DONE_SLACK)   # index seq - r0
+    core._turbo_oldest = partial(_oldest, pool, r0, done)
     free_count = len(core.renamer._free)
     fs = r0                            # fetch cursor (next seq to fetch)
     rob_len = len(rob_q)
@@ -656,7 +658,8 @@ def run_turbo_sync(core, max_instructions: int, warmup: int = 0,
                 _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
                            d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
                            l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr)
-            _trip(core, c, committed, pool, r0, done, fetch_blocked)
+            core._fetch_blocked = fetch_blocked
+            watchdog.trip(c, committed, snapshot=core._deadlock_snapshot)
         if dvfs_next is not None and c >= dvfs_next:
             _flush(core, c, committed, fetched, issued, branches,
                    mispredicts, iw_count, lsq_count, e_ic, e_bp, e_dec,
@@ -825,32 +828,8 @@ def _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
     st.writes = l2_wr
 
 
-def _trip(core, c, committed, pool, r0, done, fetch_blocked):
-    """Raise the deadlock error with the legacy snapshot shape.
-
-    The caller has already flushed, so occupancies and the event queues
-    can be read off the live objects; only the ROB head needs the pool
-    (the turbo ROB deque holds seq ints, not RobEntry objects).
-    """
-    be = core.be
-    oldest = None
-    if be._rob_q:
-        s = be._rob_q[0]
-        oldest = {"seq": s, "pc": pool.pc[s], "op": pool.op[s].name,
-                  "done": bool(done[s - r0]),
-                  "is_mem": pool.mem_addr[s] is not None}
-    snap = {
-        "core": type(core).__name__,
-        "cycle": c,
-        "committed": committed,
-        "rob": {"occupancy": len(be.rob), "capacity": be.rob.capacity},
-        "lsq": {"occupancy": len(be.lsq), "capacity": be.lsq.capacity},
-        "iw": {"occupancy": len(core.iw), "capacity": core.iw.capacity},
-        "fetch_blocked": fetch_blocked,
-        "next_event_cycle": be.next_event_cycle(),
-        "oldest": oldest,
-        "mshr": core.hierarchy.stats_dict().get("mshr"),
-    }
-    if core.trace is not None:
-        snap["trace_window"] = [list(ev) for ev in core.trace.window(256)]
-    core.watchdog.trip(c, committed, snapshot=lambda: snap)
+def _oldest(pool, r0, done, s):
+    """The deadlock snapshot's ``oldest`` entry for ROB-head seq ``s``."""
+    return {"seq": s, "pc": pool.pc[s], "op": pool.op[s].name,
+            "done": bool(done[s - r0]),
+            "is_mem": pool.mem_addr[s] is not None}

@@ -263,7 +263,7 @@ class FlywheelCore:
 
     def run(self, max_instructions: int, warmup: int = 0) -> SimStats:
         """Simulate until ``max_instructions`` commit after warmup."""
-        if self.config.engine == "turbo":
+        if self.config.engine != "legacy":
             from repro.core.engine.turbo.fly import run_turbo_fly
 
             return run_turbo_fly(self, max_instructions, warmup,

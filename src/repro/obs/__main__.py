@@ -106,11 +106,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    config = None
-    if args.engine != "legacy":
-        from repro.core.sim import default_config
+    from repro.core.sim import default_config
 
-        config = default_config(args.kind).with_variant(engine=args.engine)
+    config = default_config(args.kind).with_variant(engine=args.engine)
     report = profile_machine(args.kind, args.bench, config=config,
                              instructions=args.instructions,
                              warmup=args.warmup, seed=args.seed)

@@ -126,16 +126,16 @@ def _wrap_domain_tick(fn, seconds, bucket, pc=perf_counter):
 def install(core) -> PhaseProfile:
     """Attach phase timing to a core; must run before ``core.run()``.
 
-    Dispatches on the engine first: a core configured with
-    ``engine="turbo"`` never calls ``step``/``_fe_tick``/``_be_tick``
-    (the whole run is one fused loop), so the profile is handed to the
-    engine entry point via ``core._turbo_prof``, which stamps the
-    ``pool``/``loop`` buckets itself.  Legacy engines dispatch on the
-    attribute contract of the built-in kinds: a single-clock core
-    exposes ``step``; a dual-clock core exposes ``_fe_tick``/``_be_tick``
-    (rebound by its run loop from ``self``, so instance-attribute
-    shadows take effect).  Raises ``TypeError`` for cores exposing
-    neither.
+    Dispatches on the engine first: a core on the turbo engine (the
+    default, ``engine=None``) never calls ``step``/``_fe_tick``/
+    ``_be_tick`` (the whole run is one fused loop), so the profile is
+    handed to the engine entry point via ``core._turbo_prof``, which
+    stamps the ``pool``/``loop`` buckets itself.  Legacy engines
+    dispatch on the attribute contract of the built-in kinds: a
+    single-clock core exposes ``step``; a dual-clock core exposes
+    ``_fe_tick``/``_be_tick`` (rebound by its run loop from ``self``, so
+    instance-attribute shadows take effect).  Raises ``TypeError`` for
+    cores exposing neither.
     """
     engine = getattr(getattr(core, "config", None), "engine", "legacy")
     if engine != "legacy":

@@ -134,9 +134,9 @@ def series_values(history: Sequence[Dict[str, object]], name: str,
                   field: str = "cycles_per_sec") -> List[Tuple[float, float]]:
     """``(timestamp, value)`` trajectory of one series, oldest first.
 
-    Snapshots that do not carry the series (older code, NumPy-less
-    runner skipping the engine series) are simply absent from the
-    trajectory rather than contributing gaps.
+    Snapshots that do not carry the series (older code, a legacy-only
+    measurement) are simply absent from the trajectory rather than
+    contributing gaps.
     """
     points: List[Tuple[float, float]] = []
     table = None

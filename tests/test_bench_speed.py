@@ -21,17 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine.turbo import HAVE_NUMPY
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import bench_sim_speed  # noqa: E402
 
-turbo_required = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="turbo extra (NumPy) not installed")
 
-
-@turbo_required
 def test_engine_series_simulate_the_same_machine():
     """Every ``@engine`` series lands on the legacy series' cycles.
 

@@ -10,6 +10,7 @@ from repro.campaign.spec import code_fingerprint
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.sim import SimResult, run_baseline, run_flywheel
 from repro.errors import CampaignError, WorkloadError
+from repro.session import MachineSpec, Session
 
 #: Tiny budgets: every simulated spec in this file finishes in ~50ms.
 N, W = 1200, 2500
@@ -492,13 +493,12 @@ class TestObservabilityOnCampaign:
 class TestStoreEngineMetadata:
     def test_put_records_engine_top_level(self, tmp_path):
         store = ResultStore(tmp_path)
-        legacy = spec()
+        legacy = spec(config=CoreConfig(engine="legacy"))
         store.put(legacy.cache_key(), legacy, legacy.execute())
         record = next(store.records())
         assert record["engine"] == "legacy"
 
     def test_turbo_engine_recorded(self, tmp_path):
-        pytest.importorskip("numpy")
         store = ResultStore(tmp_path)
         turbo = spec(config=CoreConfig(engine="turbo"))
         store.put(turbo.cache_key(), turbo, turbo.execute())
@@ -517,6 +517,31 @@ class TestStoreEngineMetadata:
         del record["engine"]
         path.write_text(json.dumps(record))
         assert _ls_summary(next(store.records()))["engine"] == "legacy"
+
+    @pytest.mark.parametrize("first", ("default", "legacy"))
+    def test_engines_share_a_key_and_record_the_one_that_ran(
+            self, tmp_path, first):
+        default = MachineSpec("baseline", "smoke", instructions=N,
+                              warmup=W)
+        legacy = default.replace(engine="legacy")
+        assert default.cache_key() == legacy.cache_key()
+        assert default.label != legacy.label
+        session = Session(store=tmp_path)
+        specs = {"default": default, "legacy": legacy}
+        order = [specs[first]] + [s for name, s in specs.items()
+                                  if name != first]
+        results = [session.run(s) for s in order]
+        assert (session.executed, session.hits) == (1, 1)
+        assert results[0] is results[1]
+        (record,) = ResultStore(tmp_path).records()
+        assert record["engine"] == ("turbo" if first == "default"
+                                    else "legacy")
+        assert record["spec"]["config"].get("engine") == (
+            None if first == "default" else "legacy")
+        # A spec shipped as a dict (scheduler workers, the service)
+        # keeps the engine it names.
+        assert RunSpec.from_dict(legacy.to_dict()).config.engine == "legacy"
+        assert "engine" not in default.to_dict()["config"]
 
 
 class TestLsElapsedAlignment:
@@ -555,7 +580,7 @@ class TestExportEngineColumns:
         header, row = out_csv.read_text().splitlines()[:2]
         cols = header.split(",")
         values = row.split(",")
-        assert values[cols.index("engine")] == "legacy"
+        assert values[cols.index("engine")] == "turbo"   # the default
         # The code column matches the live fingerprint, making CSV rows
         # joinable with perf-history snapshots.
         assert values[cols.index("code")] == code_fingerprint()

@@ -25,7 +25,6 @@ transition (create, replay, divergence, SRT swaps).
 import pytest
 
 from repro.core.config import ClockPlan, CoreConfig
-from repro.core.engine.turbo import HAVE_NUMPY
 from repro.core.sim import run_baseline, run_flywheel, run_pipelined_wakeup
 from repro.dvfs import GovernorConfig
 from repro.mem import MemorySpec
@@ -161,19 +160,16 @@ def test_deprecated_wrappers_match_session_byte_for_byte(key):
 
 
 # --------------------------------------------------------------------------
-# Engine-backend golden equivalence (the turbo backend). An
-# engine backend is an implementation of the same machine, never a
-# different machine: every observable — SimStats, the cache hierarchy's
-# counters, the full metric registry snapshot — must be byte-identical
-# to the legacy engine. Skipped (not failed) where the repro[turbo]
-# extra is not installed: CI runs the legacy matrix dependency-free and
-# a dedicated engine job with NumPy.
-
-turbo_required = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="turbo extra (NumPy) not installed")
+# Engine-backend golden equivalence (legacy vs turbo). An engine backend
+# is an implementation of the same machine, never a different machine:
+# every observable — SimStats, the cache hierarchy's counters, the full
+# metric registry snapshot — must be byte-identical across engines. The
+# engine is not part of the content address, so a memoizing Session
+# would serve one engine's result for the other: every test below
+# simulates each engine it names and asserts that it did.
 
 #: The non-legacy engine held to the golden gate (kept as a parameter
-#: so every test id names the engine it ran).
+#: so every test id names the engine it ran against legacy).
 ENGINES = ("turbo",)
 
 
@@ -187,28 +183,36 @@ def _full_observables(result):
 
 
 def _engine_pair(kind, bench, engine, config_kw=None, clock=None):
+    """Full observables of a legacy run and an ``engine`` run of one
+    machine, each simulated afresh."""
+    session = Session()
     out = []
     for eng in ("legacy", engine):
         config = CoreConfig(engine=eng, **(config_kw or {}))
-        out.append(_full_observables(_SESSION.run_workload(
-            kind, bench, config=config, clock=clock,
-            max_instructions=8000, warmup=3000)))
+        result = session.run_workload(kind, bench, config=config,
+                                      clock=clock, max_instructions=8000,
+                                      warmup=3000)
+        assert result.core.config.engine == eng
+        out.append(_full_observables(result))
+    assert session.executed == 2
     return out
 
 
-@turbo_required
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ("legacy",) + ENGINES)
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_engine_reproduces_golden_pins(key, engine):
-    """The turbo engine must land exactly on the pre-turbo pinned
-    counters."""
+    """Each engine, simulated in a fresh session, lands exactly on the
+    pinned counters."""
     kind, bench = key.split("/")
     spec = MachineSpec(kind, bench, engine=engine,
                        instructions=8000, warmup=3000)
-    assert _pin_counters(_SESSION.run(spec).stats, key) == GOLDEN[key]
+    session = Session()
+    result = session.run(spec)
+    assert session.executed == 1
+    assert result.core.config.engine == engine
+    assert _pin_counters(result.stats, key) == GOLDEN[key]
 
 
-@turbo_required
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_engine_full_observable_parity(key, engine):
@@ -220,7 +224,6 @@ def test_engine_full_observable_parity(key, engine):
 
 @pytest.mark.parametrize("gov", ("static", "occupancy", "ipc_ladder",
                                  "energy_budget"))
-@turbo_required
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kind", sorted(_WRAPPERS))
 def test_engine_parity_under_governors(kind, engine, gov):
@@ -235,7 +238,6 @@ def test_engine_parity_under_governors(kind, engine, gov):
     assert legacy == other
 
 
-@turbo_required
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kind", sorted(_WRAPPERS))
 def test_engine_parity_with_mshr_memory_spec(kind, engine):

@@ -16,7 +16,6 @@ import repro.core.sim as sim
 from repro.campaign.presets import experiment_specs
 from repro.campaign.spec import RunSpec, code_fingerprint
 from repro.core.config import ClockPlan, FlywheelConfig, stable_hash
-from repro.core.engine.turbo import HAVE_NUMPY
 from repro.core.registry import kind_names
 from repro.core.sim import default_config, execute_kind
 from repro.experiments.__main__ import ALL_ORDER
@@ -94,14 +93,14 @@ class TestProgramMemo:
         assert result.core.stream.program is program
         assert _structure(program) == before
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="turbo engine needs NumPy")
     @pytest.mark.parametrize("kind", kind_names())
     def test_turbo_runs_leave_the_program_unchanged(self, kind):
         program = sim._resolve_workload("smoke", 7)
         before = _structure(program)
         turbo = _run(kind, engine="turbo")
         assert _structure(program) == before
-        assert turbo.stats.to_dict() == _run(kind).stats.to_dict()
+        assert (turbo.stats.to_dict()
+                == _run(kind, engine="legacy").stats.to_dict())
 
 
 def _unmemoized_key(run: RunSpec) -> str:

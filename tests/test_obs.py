@@ -18,22 +18,19 @@ from repro.obs import (
     chrome_trace,
     render_pipeview,
 )
-from repro.core.engine.turbo import HAVE_NUMPY
 from repro.obs.profiler import PHASES, profile_machine
 
 #: Tiny budgets: every simulated run in this file finishes in ~100ms.
 N, W = 1500, 500
 
-turbo_required = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="turbo extra (NumPy) not installed")
-
 ALL_KINDS = ("baseline", "pipelined_wakeup", "flywheel")
 
 
-def traced(kind, bench="smoke", spec=None, n=N, w=W, **trace_kw):
+def traced(kind, bench="smoke", spec=None, n=N, w=W, engine=None,
+           **trace_kw):
     trace_kw.setdefault("buffer", 65536)
     config = default_config(kind).with_variant(
-        trace=spec or TraceSpec(**trace_kw))
+        trace=spec or TraceSpec(**trace_kw), engine=engine)
     return execute_kind(kind, bench, config=config,
                         max_instructions=n, warmup=w)
 
@@ -275,9 +272,12 @@ class TestRenderers:
 
 
 class TestProfiler:
+    # The stage buckets are the legacy engine's; turbo's are below.
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_report_shape(self, kind):
-        report = profile_machine(kind, "smoke", instructions=N, warmup=W)
+        report = profile_machine(
+            kind, "smoke", instructions=N, warmup=W,
+            config=default_config(kind).with_variant(engine="legacy"))
         prof = report["profile"]
         assert set(prof["phases_s"]) == set(PHASES)
         assert prof["run_s"] > 0
@@ -288,14 +288,14 @@ class TestProfiler:
     def test_profiled_stats_match_plain_run(self):
         # The wrapped step must be behaviourally identical: same cycles,
         # same committed count, same issue totals as an unwrapped run.
-        plain = execute_kind("baseline", "smoke", max_instructions=N,
-                             warmup=W)
-        report = profile_machine("baseline", "smoke", instructions=N,
-                                 warmup=W)
+        legacy = CoreConfig(engine="legacy")
+        plain = execute_kind("baseline", "smoke", config=legacy,
+                             max_instructions=N, warmup=W)
+        report = profile_machine("baseline", "smoke", config=legacy,
+                                 instructions=N, warmup=W)
         assert report["cycles"] == plain.stats.total_be_cycles
         assert report["instructions"] == N
 
-    @turbo_required
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_turbo_engine_buckets(self, kind):
         # The turbo backend has no stage ticks to wrap; its profile must
@@ -313,7 +313,6 @@ class TestProfiler:
         assert prof["ticks"] > 0
         assert report["cycles"] > 0
 
-    @turbo_required
     def test_profile_turbo_matches_plain_turbo_run(self):
         from repro.core.sim import default_config
 
@@ -343,21 +342,29 @@ class TestDeadlockSnapshot:
             dog.trip(42, 7)
         assert err.value.snapshot == {"cycle": 42, "committed": 7}
 
+    # Both engines in one test (the turbo ROB holds seq ints, not
+    # RobEntry objects), and the two snapshots must share their keys.
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_core_snapshot_shape(self, kind):
-        result = traced(kind)
-        snap = result.core._deadlock_snapshot()
-        for key in ("core", "cycle", "committed", "rob", "lsq", "iw",
-                    "oldest", "trace_window"):
-            assert key in snap, key
-        assert snap["rob"]["capacity"] > 0
-        assert isinstance(snap["trace_window"], list)
-        # Snapshot must be JSON-safe: it rides on a raised error that
-        # tooling may want to dump.
-        json.dumps(snap)
+        shapes = []
+        for engine in ("legacy", "turbo"):
+            result = traced(kind, engine=engine)
+            snap = result.core._deadlock_snapshot()
+            for key in ("core", "cycle", "committed", "rob", "lsq", "iw",
+                        "oldest", "trace_window"):
+                assert key in snap, (engine, key)
+            assert snap["rob"]["capacity"] > 0
+            assert isinstance(snap["trace_window"], list)
+            # Snapshot must be JSON-safe: it rides on a raised error
+            # that tooling may want to dump.
+            json.dumps(snap)
+            shapes.append((sorted(snap), sorted(snap["oldest"] or {})))
+        assert shapes[0] == shapes[1]
 
     def test_untr_core_snapshot_has_no_window(self):
-        result = execute_kind("baseline", "smoke", max_instructions=N,
-                              warmup=W)
-        snap = result.core._deadlock_snapshot()
-        assert "trace_window" not in snap
+        for engine in ("legacy", "turbo"):
+            result = execute_kind("baseline", "smoke",
+                                  config=CoreConfig(engine=engine),
+                                  max_instructions=N, warmup=W)
+            snap = result.core._deadlock_snapshot()
+            assert "trace_window" not in snap

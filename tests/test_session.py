@@ -480,6 +480,6 @@ class TestResultRoundTrips:
         from repro.obs.profiler import PHASES
 
         session = Session()
-        report = session.profile(ms())
+        report = session.profile(ms().replace(engine="legacy"))
         assert set(report["profile"]["phases_s"]) == set(PHASES)
         assert session.executed == 1

@@ -134,7 +134,7 @@ class TestIndex:
         row = store.query(kind="baseline")[0]
         assert row["key"] == s.cache_key()
         assert row["elapsed_s"] == 1.5
-        assert row["engine"] == "legacy"
+        assert row["engine"] == "turbo"      # the default engine
 
     def test_record_row_damage_tolerant(self):
         assert record_row({"key": "abc"})["kind"] == ""

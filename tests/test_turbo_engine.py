@@ -13,31 +13,33 @@ here against the legacy engine, once per loop:
 * the deadlock watchdog must trip at the same cycle with the same
   snapshot even when the no-commit window elapses inside a batch.
 
-The NumPy gate for the ``repro[turbo]`` extra comes next: absence must
-surface as the canonical ConfigError at spec construction, never as a
-deep ImportError.
+Engine selection comes next: ``None`` (the default engine) runs turbo,
+unknown names are a ConfigError, and the default engine imports nothing
+outside the standard library.
 
 The last section covers the cross-run :class:`StreamPool` cache —
 content keying on (program, seed, bpred), FIFO bounds, reuse across a
-``Session.map`` fan-out, and growth when a cached pool is shorter than
-a later run needs.
+``Session.map`` fan-out, growth when a cached pool is shorter than a
+later run needs — and the pool's memory: small chunks and shared pc
+ints.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import ClockPlan, CoreConfig
-from repro.core.engine.turbo import HAVE_NUMPY
+from repro.core.engine.turbo.pool import _POOL_CACHE, StreamPool, get_pool
 from repro.core.sim import execute_kind
 from repro.dvfs import GovernorConfig
 from repro.errors import ConfigError, DeadlockError
+from repro.frontend.bpred import BPredConfig
 from repro.obs.spec import TraceSpec
 from repro.session import MachineSpec, Session
 from repro.workloads import generate_program, get_profile
-
-#: The edge-case pins need to *run* the turbo backend; the gate tests
-#: below do not (they exercise exactly the NumPy-absent path).
-turbo_required = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="turbo extra (NumPy) not installed")
 
 
 def _pair(kind, bench, n=8000, w=3000, clock=None, **cfg_kw):
@@ -49,7 +51,6 @@ def _pair(kind, bench, n=8000, w=3000, clock=None, **cfg_kw):
     return out
 
 
-@turbo_required
 class TestSkipAheadEdges:
     @pytest.mark.parametrize("gov", ("occupancy", "ipc_ladder"))
     def test_jump_never_crosses_a_dvfs_interval(self, gov):
@@ -91,7 +92,6 @@ class TestSkipAheadEdges:
         assert trips[0] == trips[1]
 
 
-@turbo_required
 class TestSyncSkipAheadEdges:
     """The same three observers against the single-clock turbo loop."""
 
@@ -131,16 +131,7 @@ class TestSyncSkipAheadEdges:
         assert trips[0] == trips[1]
 
 
-class TestNumpyGate:
-    def test_missing_numpy_is_a_config_error(self, monkeypatch):
-        # Simulate the extra not being installed: the spec must fail at
-        # construction with the actionable install hint.
-        import repro.core.engine.turbo as turbo_pkg
-
-        monkeypatch.setattr(turbo_pkg, "HAVE_NUMPY", False)
-        with pytest.raises(ConfigError, match=r"repro\[turbo\]"):
-            CoreConfig(engine="turbo")
-
+class TestEngineSelection:
     # "vector" named a third engine tier that has since been deleted;
     # it now fails the same way as any other unknown name.
     @pytest.mark.parametrize("engine", ("warp", "vector"))
@@ -148,18 +139,40 @@ class TestNumpyGate:
         with pytest.raises(ConfigError, match="unknown engine"):
             CoreConfig(engine=engine)
 
+    def test_default_engine_is_turbo(self):
+        config = CoreConfig()
+        assert config.engine is None
+        assert config.resolved_engine == "turbo"
+        assert CoreConfig(engine="legacy").resolved_engine == "legacy"
+        # The turbo loop leaves the legacy walker untouched.
+        result = execute_kind("baseline", "smoke", max_instructions=500,
+                              warmup=0)
+        assert result.core.stream.emitted == 0
+
+    def test_default_run_imports_no_numpy(self):
+        # The fast engine is the default, so it must stay within the
+        # standard library like the rest of the package.
+        code = ("import sys\n"
+                "from repro import MachineSpec, Session\n"
+                "Session().run(MachineSpec('flywheel', 'smoke',"
+                " instructions=500, warmup=200))\n"
+                "Session().run(MachineSpec('baseline', 'smoke',"
+                " instructions=500, warmup=200))\n"
+                "assert 'repro.core.engine.turbo.pool' in sys.modules\n"
+                "print('numpy' in sys.modules)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"
+
 
 # --------------------------------------------------------------------------
 # Cross-run stream pool cache (the pool is the shared state behind
 # best-of-N bench repeats and Session.map fan-outs, so its keying and
 # growth rules are load-bearing for correctness, not just speed).
 
-if HAVE_NUMPY:
-    from repro.core.engine.turbo.pool import _POOL_CACHE, StreamPool, get_pool
-    from repro.frontend.bpred import BPredConfig
 
-
-@turbo_required
 class TestStreamPoolCache:
     def setup_method(self):
         _POOL_CACHE.clear()
@@ -236,3 +249,28 @@ class TestStreamPoolCache:
         assert pool.n >= n100 + 500
         assert list(pool.pc[:50]) == head[0]
         assert list(pool.dest[:50]) == head[1]
+
+
+class TestStreamPoolMemory:
+    """A paper campaign job simulates a few thousand instructions, so
+    the pool must not build many more rows than that, nor hold one int
+    object per row for values a program repeats."""
+
+    def setup_method(self):
+        _POOL_CACHE.clear()
+
+    @pytest.mark.parametrize("kind", ("baseline", "flywheel"))
+    def test_short_run_builds_a_short_pool(self, kind):
+        execute_kind(kind, "gcc", max_instructions=1000, warmup=2000)
+        (pool,) = _POOL_CACHE.values()
+        assert 3000 <= pool.n <= 5 * 1024
+
+    def test_pc_ints_are_shared_per_static_instruction(self):
+        prog = generate_program(get_profile("gcc"))
+        pool = StreamPool(prog, 0, BPredConfig())
+        pool.ensure(20_000)
+        assert len({id(pc) for pc in pool.pc}) <= prog.num_static_instrs
+        plan = pool.plan(0, 192)
+        plan.ensure(10_000)
+        assert len({id(tags) for tags in plan.src_tags}) \
+            == len(set(plan.src_tags))
