@@ -46,27 +46,7 @@ code versions, and ``python -m repro.perf`` for versioned performance
 history with statistical degradation detection).
 """
 
-from repro.campaign import ResultStore, RunSpec, Sweep, run_campaign
-from repro.core import (
-    BaselineCore,
-    ClockPlan,
-    CoreConfig,
-    FlywheelConfig,
-    FlywheelCore,
-    PipelinedWakeupCore,
-    SimResult,
-    SimStats,
-    run_baseline,
-    run_flywheel,
-    run_pipelined_wakeup,
-)
-from repro.core.registry import (
-    get_kind,
-    kind_names,
-    register_kind,
-    unregister_kind,
-)
-from repro.dvfs import GovernorConfig
+from repro._lazy import lazy_exports
 from repro.errors import (
     CampaignError,
     ConfigError,
@@ -75,17 +55,37 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.mem import CacheLevelSpec, MemorySpec
-from repro.obs import MetricRegistry, TraceRecorder, TraceSpec
-from repro.power import energy_report
-from repro.session import MachineSpec, Session, SessionEvent, default_session
-from repro.workloads import (
-    PROFILES,
-    SPEC_NAMES,
-    WorkloadProfile,
-    generate_program,
-    get_profile,
-)
+
+#: Where each public name is defined. Names resolve on first access, so
+#: ``import repro`` (and any ``repro.*`` import, which runs this file
+#: first) loads no simulator module until one is used.
+_EXPORTS = {
+    "repro.campaign.store": ("ResultStore",),
+    "repro.campaign.spec": ("RunSpec", "Sweep"),
+    "repro.campaign.executor": ("run_campaign",),
+    "repro.core.baseline": ("BaselineCore",),
+    "repro.core.config": ("ClockPlan", "CoreConfig", "FlywheelConfig"),
+    "repro.core.flywheel": ("FlywheelCore",),
+    "repro.core.pipelined": ("PipelinedWakeupCore",),
+    "repro.core.sim": (
+        "SimResult", "run_baseline", "run_flywheel", "run_pipelined_wakeup"),
+    "repro.core.stats": ("SimStats",),
+    "repro.core.registry": (
+        "get_kind", "kind_names", "register_kind", "unregister_kind"),
+    "repro.dvfs.config": ("GovernorConfig",),
+    "repro.mem.spec": ("CacheLevelSpec", "MemorySpec"),
+    "repro.obs.metrics": ("MetricRegistry",),
+    "repro.obs.trace": ("TraceRecorder",),
+    "repro.obs.spec": ("TraceSpec",),
+    "repro.power.accounting": ("energy_report",),
+    "repro.session": (
+        "MachineSpec", "Session", "SessionEvent", "default_session"),
+    "repro.workloads.profiles": (
+        "PROFILES", "SPEC_NAMES", "WorkloadProfile", "get_profile"),
+    "repro.workloads.generator": ("generate_program",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.3.0"
 

@@ -38,20 +38,20 @@ Example::
 modules) enumerates the job lists behind the paper's figures.
 """
 
-from repro.campaign.executor import (
-    CampaignReport,
-    print_progress,
-    run_campaign,
-)
-from repro.campaign.journal import CampaignRun, list_campaigns
-from repro.campaign.scheduler import (
-    CampaignScheduler,
-    ScheduleReport,
-    resume_campaign,
-    submit_campaign,
-)
-from repro.campaign.spec import RunSpec, Sweep, code_fingerprint, dedup
-from repro.campaign.store import ResultStore, default_store_root
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.campaign.executor": (
+        "CampaignReport", "print_progress", "run_campaign"),
+    "repro.campaign.journal": ("CampaignRun", "list_campaigns"),
+    "repro.campaign.scheduler": (
+        "CampaignScheduler", "ScheduleReport", "resume_campaign",
+        "submit_campaign"),
+    "repro.campaign.spec": ("RunSpec", "Sweep", "code_fingerprint", "dedup"),
+    "repro.campaign.store": ("ResultStore", "default_store_root"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CampaignReport",

@@ -28,8 +28,6 @@ import csv
 import sys
 import time
 
-from repro.campaign.diff import DEFAULT_METRICS as DEFAULT_DIFF_METRICS
-from repro.campaign.diff import cmd_diff
 from repro.campaign.executor import print_progress
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore, default_store_root
@@ -79,6 +77,12 @@ def _add_store_flag(parser: argparse.ArgumentParser) -> None:
 
 def _store(args) -> ResultStore:
     return ResultStore(args.store) if args.store else ResultStore()
+
+
+def _cmd_diff(args) -> int:
+    from repro.campaign.diff import cmd_diff
+
+    return cmd_diff(args)
 
 
 def _cmd_run(args) -> int:
@@ -422,10 +426,9 @@ def main(argv=None) -> int:
                              "kind=baseline,gov=occupancy)")
     p_diff.add_argument("b", metavar="B", help="selector for the B side")
     _add_store_flag(p_diff)
-    p_diff.add_argument("--metrics", default=",".join(DEFAULT_DIFF_METRICS),
-                        metavar="M,N,...",
-                        help="metrics to compare (default: "
-                             f"{','.join(DEFAULT_DIFF_METRICS)})")
+    p_diff.add_argument("--metrics", default=None, metavar="M,N,...",
+                        help="metrics to compare (default: ipc,time_ms,"
+                             "edp,l1d_hit,l2_hit,mshr_stalls)")
     p_diff.add_argument("--min-rel", type=float, default=2.0, metavar="PCT",
                         help="relative-change significance floor in "
                              "percent (default: 2)")
@@ -476,7 +479,7 @@ def main(argv=None) -> int:
                                "(or stdout) instead of flattened CSV")
 
     args = parser.parse_args(argv)
-    handler = {"run": _cmd_run, "ls": _cmd_ls, "diff": cmd_diff,
+    handler = {"run": _cmd_run, "ls": _cmd_ls, "diff": _cmd_diff,
                "resume": _cmd_resume, "migrate": _cmd_migrate,
                "clean": _cmd_clean, "export": _cmd_export}[args.command]
     try:

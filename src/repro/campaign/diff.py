@@ -445,7 +445,8 @@ def cmd_diff(args) -> int:
         raise CampaignError(f"selector {args.a!r} matched no records")
     if not sel_b.records:
         raise CampaignError(f"selector {args.b!r} matched no records")
-    metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+    metrics = (DEFAULT_METRICS if args.metrics is None else
+               tuple(m.strip() for m in args.metrics.split(",") if m.strip()))
     report = diff_records(sel_a, sel_b, metrics=metrics,
                           min_rel=args.min_rel / 100.0)
     if args.json:

@@ -18,7 +18,6 @@ precise per-job budgets.)
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.spec import RunSpec, dedup
 from repro.campaign.store import ResultStore
+from repro.core.registry import get_kind
 from repro.core.sim import SimResult
 from repro.errors import CampaignError
 
@@ -156,6 +156,12 @@ def _run_serial(misses: List[RunSpec], report: CampaignReport,
 def _run_parallel(misses: List[RunSpec], report: CampaignReport, jobs: int,
                   timeout_s: Optional[float], store: Optional[ResultStore],
                   note: Callable[[RunSpec, str], None]) -> None:
+    import multiprocessing
+
+    # Import what the workers will run before they fork, so each one
+    # inherits a warmed interpreter instead of importing it per worker.
+    for kind in {spec.kind for spec in misses}:
+        get_kind(kind).core_cls
     workers = max(1, min(jobs, len(misses)))
     ctx = multiprocessing.get_context()
     with ctx.Pool(processes=workers) as pool:

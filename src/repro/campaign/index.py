@@ -33,10 +33,10 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-try:
-    import sqlite3
-except ImportError:          # pragma: no cover - stdlib, but gate anyway
-    sqlite3 = None  # type: ignore[assignment]
+#: The ``sqlite3`` module, imported on first use by
+#: :func:`_load_sqlite3`: a process that only reads records (a warm
+#: campaign rerun) never loads it.
+sqlite3 = None
 
 #: Bumped when the index schema changes incompatibly.
 INDEX_SCHEMA = 2
@@ -56,6 +56,17 @@ _CREATE = (
     "CREATE INDEX IF NOT EXISTS recs_dir ON recs (dir)",
     "CREATE TABLE IF NOT EXISTS dirs (dir TEXT PRIMARY KEY, mtime INTEGER)",
 )
+
+
+def _load_sqlite3() -> bool:
+    """Import ``sqlite3`` into this module once; False if unavailable."""
+    global sqlite3
+    if sqlite3 is None:
+        try:
+            import sqlite3
+        except ImportError:  # pragma: no cover - stdlib, but gate anyway
+            return False
+    return True
 
 
 def _mem_label(spec: Dict[str, object]) -> str:
@@ -105,13 +116,21 @@ class StoreIndex:
     def __init__(self, root: Path):
         self.root = Path(root)
         self.path = self.root / "index.sqlite"
-        #: Set on the first sqlite3 failure; every entry point then
-        #: reports the index unusable and the store falls back to scans.
-        self.disabled = sqlite3 is None
+        #: Set on the first sqlite3 failure (or if there is no sqlite3);
+        #: every entry point then reports the index unusable and the
+        #: store falls back to scans.
+        self.disabled = False
+
+    def _ready(self) -> bool:
+        """False once the index is disabled (imports sqlite3 first)."""
+        if not self.disabled and not _load_sqlite3():
+            self.disabled = True
+        return not self.disabled
 
     # ------------------------------------------------------- connection
 
     def _connect(self) -> "sqlite3.Connection":
+        _load_sqlite3()
         con = sqlite3.connect(self.path, timeout=10.0)
         con.execute("PRAGMA busy_timeout=10000")
         try:
@@ -146,7 +165,7 @@ class StoreIndex:
     def note_put(self, key: str, path: Path,
                  record: Dict[str, object]) -> None:
         """Upsert one just-written record (best-effort, never raises)."""
-        if self.disabled:
+        if not self._ready():
             return
         try:
             mtime = path.stat().st_mtime_ns
@@ -168,7 +187,7 @@ class StoreIndex:
 
     def note_removed(self, keys: List[str]) -> None:
         """Drop rows for deleted records (best-effort)."""
-        if self.disabled or not keys:
+        if not keys or not self._ready():
             return
         try:
             con = self._connect()
@@ -217,7 +236,7 @@ class StoreIndex:
         None``); only files in changed directories with changed mtimes
         are passed to it. ``force`` re-reads everything (rebuild).
         """
-        if self.disabled:
+        if not self._ready():
             return False
         try:
             con = self._connect()

@@ -29,7 +29,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig, stable_hash
+from repro.core.config import (
+    ClockPlan,
+    CoreConfig,
+    FlywheelConfig,
+    canonical_json,
+)
 from repro.core.registry import KindInfo, get_kind, kind_names
 from repro.core.sim import (
     DEFAULT_INSTRUCTIONS,
@@ -146,26 +151,11 @@ class RunSpec:
 
     def payload(self) -> Dict[str, object]:
         """JSON-safe dict of everything that defines this run."""
-        config = asdict(self.config)
-        if config.get("mem") is None:
-            # The default (derive-from-``memory``) spec serializes the
-            # way pre-MemorySpec payloads did, keeping every historical
-            # content address — and the PR 4 pinned hashes — intact.
-            del config["mem"]
-        if config.get("trace") is None:
-            # Same contract for the flight recorder: an untraced run's
-            # payload is byte-identical to pre-TraceSpec payloads.
-            del config["trace"]
-        # The engine backend is an implementation, never a machine: the
-        # golden gate holds every engine bit-identical, so all engines
-        # share one content address (and default/legacy payloads stay
-        # byte-identical to pre-engine ones).
-        del config["engine"]
         return {
             "kind": self.kind,
             "bench": self.bench,
             "clock": asdict(self.clock),
-            "config": config,
+            "config": _config_payload(self.config),
             "fly": asdict(self.fly) if self.fly is not None else None,
             "seed": self.seed,
             "instructions": self.instructions,
@@ -174,8 +164,18 @@ class RunSpec:
         }
 
     def cache_key(self) -> str:
-        """Content address: spec payload + simulator code fingerprint."""
-        return _cache_key(self, code_fingerprint())
+        """Content address: spec payload + simulator code fingerprint.
+
+        Kept on the instance (specs are frozen, so it cannot go stale;
+        the fingerprint check covers one swapped in at run time), so
+        repeated calls skip even the spec's dataclass hash.
+        """
+        code = code_fingerprint()
+        memo = self.__dict__.get("_key")
+        if memo is None or memo[0] != code:
+            memo = (code, _cache_key(self, code))
+            object.__setattr__(self, "_key", memo)
+        return memo[1]
 
     def variant(self) -> Dict[str, object]:
         """Non-default config/fly fields — the axes a sweep varied.
@@ -273,13 +273,58 @@ class RunSpec:
 
 @lru_cache(maxsize=4096)
 def _cache_key(spec: RunSpec, code: str) -> str:
-    # Equal specs serialize identically (see ``__post_init__`` and
-    # ``stable_hash``), so the key is a pure function of this pair; the
-    # fingerprint is part of the memo key so a new one never reads a
-    # stale address.
-    payload = spec.payload()
-    payload["code"] = code
-    return stable_hash(payload, length=40)
+    """``stable_hash({**spec.payload(), "code": code}, length=40)``.
+
+    Equal specs serialize identically (see ``__post_init__`` and
+    ``stable_hash``), so the key is a pure function of this pair, and
+    equal specs built separately share one computation. The canonical
+    JSON is assembled from members rendered on their own: the config
+    objects' texts are memoized, and the scalars, which sort after
+    every other member, render in one call.
+    """
+    tail = canonical_json({"instructions": spec.instructions,
+                           "kind": spec.kind, "mem_scale": spec.mem_scale,
+                           "seed": spec.seed, "warmup": spec.warmup})
+    text = '{"bench":%s,"clock":%s,"code":%s,"config":%s,"fly":%s,%s' % (
+        canonical_json(spec.bench), _member_json(spec.clock),
+        canonical_json(code), _member_json(spec.config),
+        "null" if spec.fly is None else _member_json(spec.fly), tail[1:])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:40]
+
+
+def _config_payload(config: CoreConfig) -> Dict[str, object]:
+    """A spec payload's ``config`` member."""
+    data = asdict(config)
+    if data.get("mem") is None:
+        # The default (derive-from-``memory``) spec serializes the way
+        # pre-MemorySpec payloads did, keeping every historical content
+        # address — and the PR 4 pinned hashes — intact.
+        del data["mem"]
+    if data.get("trace") is None:
+        # Same contract for the flight recorder: an untraced run's
+        # payload is byte-identical to pre-TraceSpec payloads.
+        del data["trace"]
+    # The engine backend is an implementation, never a machine: the
+    # golden gate holds every engine bit-identical, so all engines share
+    # one content address (and default/legacy payloads stay
+    # byte-identical to pre-engine ones).
+    del data["engine"]
+    return data
+
+
+@lru_cache(maxsize=4096)
+def _member_json(part) -> str:
+    """Canonical JSON of a ``CoreConfig``, ``FlywheelConfig`` or
+    ``ClockPlan`` as a spec payload carries it.
+
+    Equal objects serialize identically (their ``__post_init__`` coerces
+    the spellings JSON would tell apart, and integral floats fold to
+    ints), so each distinct one is serialized once per process: a sweep
+    shares a few configs and clock plans across hundreds of specs.
+    """
+    if isinstance(part, CoreConfig):
+        return canonical_json(_config_payload(part))
+    return canonical_json(asdict(part))
 
 
 def dedup(specs: Iterable[RunSpec]) -> List[RunSpec]:

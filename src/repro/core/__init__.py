@@ -9,19 +9,26 @@ core adds the Dual Clock Issue Window and the Execution Cache with
 two-phase register renaming.
 """
 
-from repro.core.config import CoreConfig, FlywheelConfig, ClockPlan
-from repro.core.stats import SimStats
-from repro.core.baseline import BaselineCore
-from repro.core.pipelined import PipelinedWakeupCore
-from repro.core.flywheel import FlywheelCore
-from repro.core.registry import get_kind, kind_names, register_kind
-from repro.core.sim import (
-    execute_kind,
-    run_baseline,
-    run_flywheel,
-    run_pipelined_wakeup,
-    SimResult,
-)
+from repro._lazy import lazy_exports
+
+# The built-in kinds register on import of ``repro.core.sim``; importing
+# it here means no kind can be looked up before they are registered.
+# It loads no core class: the registry resolves those on first use.
+from repro.core import sim as _sim  # noqa: F401
+
+_EXPORTS = {
+    "repro.core.config": ("CoreConfig", "FlywheelConfig", "ClockPlan"),
+    "repro.core.stats": ("SimStats",),
+    "repro.core.baseline": ("BaselineCore",),
+    "repro.core.pipelined": ("PipelinedWakeupCore",),
+    "repro.core.flywheel": ("FlywheelCore",),
+    "repro.core.registry": ("get_kind", "kind_names", "register_kind"),
+    "repro.core.sim": (
+        "execute_kind", "run_baseline", "run_flywheel", "run_pipelined_wakeup",
+        "SimResult"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CoreConfig",

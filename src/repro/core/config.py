@@ -38,17 +38,29 @@ def _canonical(value: object) -> object:
     return value
 
 
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      default=str)
+
+
+def canonical_json(payload: object) -> str:
+    """Canonical JSON text of a payload: sorted keys, no whitespace,
+    integral floats folded to ints.
+
+    Each nested object renders the same inside a document as on its own,
+    so a document can be assembled from separately rendered members.
+    """
+    return _CANONICAL_ENCODER.encode(_canonical(payload))
+
+
 def stable_hash(payload: object, length: int = 16) -> str:
     """Deterministic hex digest of a JSON-serializable payload.
 
-    Uses canonical JSON (sorted keys, no whitespace, integral floats
-    folded to ints) so the digest is stable across processes and Python
-    versions — unlike ``hash()``, which is randomized per interpreter
-    run.
+    Hashes :func:`canonical_json`, so the digest is stable across
+    processes and Python versions — unlike ``hash()``, which is
+    randomized per interpreter run.
     """
-    blob = json.dumps(_canonical(payload), sort_keys=True,
-                      separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
+    return hashlib.sha256(
+        canonical_json(payload).encode("utf-8")).hexdigest()[:length]
 
 
 #: The engine a ``CoreConfig(engine=None)`` run executes on.

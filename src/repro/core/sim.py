@@ -20,21 +20,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
-from repro.core.baseline import BaselineCore
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
-from repro.core.pipelined import PipelinedWakeupCore
 from repro.core.registry import get_kind, register_kind
 from repro.core.stats import SimStats
 from repro.mem.spec import MemorySpec
-from repro.workloads import (
-    InstructionStream,
-    Program,
-    WorkloadProfile,
-    generate_program,
-    get_profile,
-)
+from repro.workloads.profiles import WorkloadProfile, get_profile
+
+if TYPE_CHECKING:
+    from repro.workloads.cfg import Program
 
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
@@ -125,6 +120,16 @@ class SimResult:
         )
 
 
+def generate_program(profile: WorkloadProfile,
+                     seed: Optional[int] = None) -> Program:
+    """:func:`repro.workloads.generator.generate_program`, imported on
+    the first generation: reading results back never loads the
+    generator."""
+    from repro.workloads.generator import generate_program as generate
+
+    return generate(profile, seed=seed)
+
+
 @lru_cache(maxsize=16)
 def _shared_program(profile: WorkloadProfile,
                     seed: Optional[int]) -> Program:
@@ -141,6 +146,8 @@ def _shared_program(profile: WorkloadProfile,
 
 def _resolve_workload(workload: Union[str, WorkloadProfile, Program],
                       seed: Optional[int]) -> Program:
+    from repro.workloads.cfg import Program
+
     if isinstance(workload, Program):
         return workload
     if isinstance(workload, str):
@@ -161,6 +168,8 @@ def _sync_runner(kind: str):
                warmup: int = DEFAULT_WARMUP,
                seed: Optional[int] = None,
                mem_scale: float = 1.0) -> SimResult:
+        from repro.workloads.stream import InstructionStream
+
         info = get_kind(kind)
         if fly is not None:
             from repro.errors import ConfigError
@@ -201,6 +210,8 @@ def _flywheel_runner(workload: Union[str, WorkloadProfile, Program],
                      seed: Optional[int] = None,
                      mem_scale: float = 1.0) -> SimResult:
     """Runner for the dual-clock Flywheel machine."""
+    from repro.workloads.stream import InstructionStream
+
     info = get_kind(KIND_FLYWHEEL)
     config = config or info.default_config()
     fly = fly or FlywheelConfig()
@@ -246,8 +257,23 @@ def default_config(kind: str) -> CoreConfig:
 
 # --------------------------------------------------- built-in registration
 
+# The core classes resolve on first use (``KindInfo.core_cls``), so
+# validating specs and reading results back load no simulator.
+
+def _baseline_core_cls() -> type:
+    from repro.core.baseline import BaselineCore
+
+    return BaselineCore
+
+
+def _pipelined_core_cls() -> type:
+    from repro.core.pipelined import PipelinedWakeupCore
+
+    return PipelinedWakeupCore
+
+
 def _flywheel_core_cls() -> type:
-    from repro.core.flywheel import FlywheelCore  # package-init-order guard
+    from repro.core.flywheel import FlywheelCore
 
     return FlywheelCore
 
@@ -281,9 +307,10 @@ def _pipelined_normalize(config: CoreConfig) -> CoreConfig:
     return _normalize_memory(config)
 
 
-register_kind(KIND_BASELINE, BaselineCore, _sync_runner(KIND_BASELINE),
+register_kind(KIND_BASELINE, _baseline_core_cls,
+              _sync_runner(KIND_BASELINE),
               normalize_config=_normalize_memory)
-register_kind(KIND_PIPELINED_WAKEUP, PipelinedWakeupCore,
+register_kind(KIND_PIPELINED_WAKEUP, _pipelined_core_cls,
               _sync_runner(KIND_PIPELINED_WAKEUP),
               default_config=_pipelined_default_config,
               normalize_config=_pipelined_normalize)

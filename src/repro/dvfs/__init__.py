@@ -17,23 +17,20 @@ is attached at all, and ``GovernorConfig(name="static")`` is pinned
 bit-identical to that by the golden-stats tests.
 """
 
-from repro.dvfs.config import (
-    DEFAULT_SCALE_STEPS,
-    GOVERNOR_NAMES,
-    GovernorConfig,
-    governor_plan,
-)
-from repro.dvfs.controller import FlywheelDvfsController, SyncDvfsController
-from repro.dvfs.governors import (
-    GOVERNORS,
-    EnergyBudgetGovernor,
-    Governor,
-    IpcLadderGovernor,
-    OccupancyGovernor,
-    StaticGovernor,
-    make_governor,
-)
-from repro.dvfs.telemetry import IntervalTelemetry
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.dvfs.config": (
+        "DEFAULT_SCALE_STEPS", "GOVERNOR_NAMES", "GovernorConfig",
+        "governor_plan"),
+    "repro.dvfs.controller": ("FlywheelDvfsController", "SyncDvfsController"),
+    "repro.dvfs.governors": (
+        "GOVERNORS", "EnergyBudgetGovernor", "Governor", "IpcLadderGovernor",
+        "OccupancyGovernor", "StaticGovernor", "make_governor"),
+    "repro.dvfs.telemetry": ("IntervalTelemetry",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "GovernorConfig",

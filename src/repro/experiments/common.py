@@ -18,7 +18,7 @@ experiment code reads the results back.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.executor import CampaignReport, ProgressFn
 from repro.campaign.store import ResultStore
@@ -71,6 +71,9 @@ class ExperimentContext:
         # context's own warm() batches) never count as on-demand runs.
         self._executed_before = self.session.executed
         self._warm_executed = 0
+        #: One spec per distinct lookup: experiments ask for the same
+        #: runs many times, and a spec keeps its memoized cache key.
+        self._specs: Dict[tuple, MachineSpec] = {}
 
     @property
     def executed(self) -> int:
@@ -85,15 +88,25 @@ class ExperimentContext:
 
     # ------------------------------------------------------------- runs
 
-    def _spec(self, kind: str, bench: str,
-              clock: Optional[ClockPlan] = None,
-              config: Optional[CoreConfig] = None,
-              fly: Optional[FlywheelConfig] = None,
-              mem_scale: float = 1.0) -> MachineSpec:
-        return MachineSpec(kind=kind, bench=bench, clock=clock,
-                           config=config, fly=fly, seed=self.seed,
-                           instructions=self.instructions,
-                           warmup=self.warmup, mem_scale=mem_scale)
+    def spec(self, kind: str, bench: str,
+             clock: Optional[ClockPlan] = None,
+             config: Optional[CoreConfig] = None,
+             fly: Optional[FlywheelConfig] = None,
+             mem_scale: float = 1.0) -> MachineSpec:
+        """The spec of one run at this context's seed and budgets.
+
+        Equal lookups return the same spec object, so its cache key is
+        computed once however often the tables ask for the run.
+        """
+        lookup = (kind, bench, clock, config, fly, mem_scale, self.seed,
+                  self.instructions, self.warmup)
+        spec = self._specs.get(lookup)
+        if spec is None:
+            spec = self._specs[lookup] = MachineSpec(
+                kind=kind, bench=bench, clock=clock, config=config, fly=fly,
+                seed=self.seed, instructions=self.instructions,
+                warmup=self.warmup, mem_scale=mem_scale)
+        return spec
 
     def run_spec(self, spec: SpecLike) -> SimResult:
         """Memoized execution: memory cache, then store, then simulate."""
@@ -102,23 +115,23 @@ class ExperimentContext:
     def baseline(self, bench: str, clock: Optional[ClockPlan] = None,
                  config: Optional[CoreConfig] = None,
                  mem_scale: float = 1.0) -> SimResult:
-        return self.run_spec(self._spec(KIND_BASELINE, bench, clock=clock,
-                                        config=config, mem_scale=mem_scale))
+        return self.run_spec(self.spec(KIND_BASELINE, bench, clock=clock,
+                                       config=config, mem_scale=mem_scale))
 
     def flywheel(self, bench: str, clock: Optional[ClockPlan] = None,
                  fly: Optional[FlywheelConfig] = None,
                  mem_scale: float = 1.0) -> SimResult:
-        return self.run_spec(self._spec(KIND_FLYWHEEL, bench, clock=clock,
-                                        fly=fly, mem_scale=mem_scale))
+        return self.run_spec(self.spec(KIND_FLYWHEEL, bench, clock=clock,
+                                       fly=fly, mem_scale=mem_scale))
 
     def pipelined_wakeup(self, bench: str,
                          clock: Optional[ClockPlan] = None,
                          config: Optional[CoreConfig] = None,
                          mem_scale: float = 1.0) -> SimResult:
         """The Fig. 2 pipelined Wake-Up/Select machine (its own kind)."""
-        return self.run_spec(self._spec(KIND_PIPELINED_WAKEUP, bench,
-                                        clock=clock, config=config,
-                                        mem_scale=mem_scale))
+        return self.run_spec(self.spec(KIND_PIPELINED_WAKEUP, bench,
+                                       clock=clock, config=config,
+                                       mem_scale=mem_scale))
 
     def speedup(self, bench: str, clock: ClockPlan,
                 fly: Optional[FlywheelConfig] = None) -> float:

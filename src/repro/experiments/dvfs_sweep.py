@@ -77,8 +77,7 @@ def sweep_points() -> List[Tuple[str, ClockPlan]]:
 
 def _spec(ctx: ExperimentContext, bench: str, clock: ClockPlan) -> MachineSpec:
     """One sweep point as a declarative spec (the session dedups these)."""
-    return MachineSpec("flywheel", bench, clock=clock, seed=ctx.seed,
-                       instructions=ctx.instructions, warmup=ctx.warmup)
+    return ctx.spec("flywheel", bench, clock=clock)
 
 
 def warm_sweep(ctx: ExperimentContext) -> None:

@@ -26,6 +26,7 @@ blocking on IPC) is this PR's acceptance gate.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.analysis.report import cache_stats_rows, format_cache_stats
@@ -69,8 +70,11 @@ def sweep_specs(instructions: int, warmup: int,
             for _label, mem in POINTS]
 
 
+@lru_cache(maxsize=1024)
 def _spec(kind: str, bench: str, mem, instructions: int, warmup: int,
           seed) -> MachineSpec:
+    # One spec object per point: the presets, the batch and the table
+    # all read the same one, with its memoized cache key.
     config = None
     if mem is not None:
         config = get_kind(kind).default_config().with_variant(mem=mem)

@@ -11,17 +11,19 @@ it.  DESIGN.md §7 documents the event schema and the no-op-path
 guarantee.
 """
 
-from repro.obs.metrics import (
-    MetricCounter,
-    MetricHistogram,
-    MetricRegistry,
-    metrics_delta,
-    register_core_sources,
-)
-from repro.obs.profiler import PhaseProfile, install, profile_machine
-from repro.obs.render import chrome_trace, lifecycles, render_pipeview
-from repro.obs.spec import EVENT_KINDS, STALL_REASONS, TraceSpec
-from repro.obs.trace import TraceRecorder
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.obs.metrics": (
+        "MetricCounter", "MetricHistogram", "MetricRegistry", "metrics_delta",
+        "register_core_sources"),
+    "repro.obs.profiler": ("PhaseProfile", "install", "profile_machine"),
+    "repro.obs.render": ("chrome_trace", "lifecycles", "render_pipeview"),
+    "repro.obs.spec": ("EVENT_KINDS", "STALL_REASONS", "TraceSpec"),
+    "repro.obs.trace": ("TraceRecorder",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "EVENT_KINDS",

@@ -8,11 +8,19 @@ dynamic power when their domain is clock-gated — the Flywheel's front-end
 grid during trace execution.
 """
 
-from repro.power.technology import TechNode, TECH_BY_NAME, TECH_130, TECH_90, TECH_60, TECH_180
-from repro.power.energy import ACCESS_ENERGY_PJ, dynamic_energy_pj
-from repro.power.leakage import LEAKAGE_WEIGHTS, leakage_power_w
-from repro.power.clocktree import clock_energy_pj
-from repro.power.accounting import EnergyReport, energy_report
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.power.technology": (
+        "TechNode", "TECH_BY_NAME", "TECH_130", "TECH_90", "TECH_60",
+        "TECH_180"),
+    "repro.power.energy": ("ACCESS_ENERGY_PJ", "dynamic_energy_pj"),
+    "repro.power.leakage": ("LEAKAGE_WEIGHTS", "leakage_power_w"),
+    "repro.power.clocktree": ("clock_energy_pj",),
+    "repro.power.accounting": ("EnergyReport", "energy_report"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TechNode",

@@ -59,11 +59,13 @@ def energy_report(result: SimResult, tech: TechNode) -> EnergyReport:
     rebuilt from the campaign store, which carry the core kind and L2
     access count as plain fields instead.
     """
-    from repro.core.flywheel import FlywheelCore  # avoid import cycle
-
     core = result.core
     stats = result.stats
     if core is not None:
+        # Only a live result has a core to inspect; a detached one never
+        # loads the simulator.
+        from repro.core.flywheel import FlywheelCore
+
         is_flywheel = isinstance(core, FlywheelCore)
         l2_accesses = core.hierarchy.l2.stats.accesses
     else:

@@ -122,10 +122,17 @@ class MachineSpec:
 
     @classmethod
     def from_run_spec(cls, spec: RunSpec) -> "MachineSpec":
-        return cls(kind=spec.kind, bench=spec.bench, clock=spec.clock,
-                   config=spec.config, fly=spec.fly, seed=spec.seed,
-                   instructions=spec.instructions, warmup=spec.warmup,
-                   mem_scale=spec.mem_scale)
+        """The MachineSpec whose projection is ``spec`` itself.
+
+        ``spec`` is already validated and normalized, so it is adopted
+        as is (with its memoized cache key) instead of being rebuilt.
+        """
+        machine = cls.__new__(cls)
+        for axis in dataclasses.fields(RunSpec):
+            object.__setattr__(machine, axis.name, getattr(spec, axis.name))
+        object.__setattr__(machine, "engine", None)
+        object.__setattr__(machine, "_run", spec)
+        return machine
 
     def cache_key(self) -> str:
         """Content address, byte-compatible with stored campaign records."""

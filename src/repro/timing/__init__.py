@@ -8,14 +8,17 @@ two-component delay model calibrated to the paper's published 0.18um and
 0.06um anchors.
 """
 
-from repro.timing.delay import TECH_NODES, logic_scale, wire_scale, DelayModel
-from repro.timing.structures import (
-    iw_latency_ps,
-    cache_latency_ps,
-    rf_latency_ps,
-    ec_latency_ps,
-)
-from repro.timing.frequency import module_frequencies_mhz, TABLE1_NODES
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.timing.delay": (
+        "TECH_NODES", "logic_scale", "wire_scale", "DelayModel"),
+    "repro.timing.structures": (
+        "iw_latency_ps", "cache_latency_ps", "rf_latency_ps", "ec_latency_ps"),
+    "repro.timing.frequency": ("module_frequencies_mhz", "TABLE1_NODES"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TECH_NODES",

@@ -14,10 +14,17 @@ parallelism, branch predictability, code footprint (trace locality), memory
 working set, FP mix, and rename-pool pressure.
 """
 
-from repro.workloads.cfg import Region, BasicBlock, Program
-from repro.workloads.profiles import WorkloadProfile, PROFILES, SPEC_NAMES, get_profile
-from repro.workloads.generator import ProgramGenerator, generate_program
-from repro.workloads.stream import InstructionStream
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.workloads.cfg": ("Region", "BasicBlock", "Program"),
+    "repro.workloads.profiles": (
+        "WorkloadProfile", "PROFILES", "SPEC_NAMES", "get_profile"),
+    "repro.workloads.generator": ("ProgramGenerator", "generate_program"),
+    "repro.workloads.stream": ("InstructionStream",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Region",

@@ -10,15 +10,19 @@ unmemoized formula.
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.campaign.spec as spec_module
 import repro.core.sim as sim
 from repro.campaign.presets import experiment_specs
 from repro.campaign.spec import RunSpec, code_fingerprint
-from repro.core.config import ClockPlan, FlywheelConfig, stable_hash
+from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig, stable_hash
 from repro.core.registry import kind_names
 from repro.core.sim import default_config, execute_kind
+from repro.dvfs.config import GOVERNOR_NAMES, GovernorConfig
 from repro.experiments.__main__ import ALL_ORDER
+from repro.mem.spec import PREFETCHERS, WRITE_POLICIES, MemorySpec
+from repro.obs.spec import EVENT_KINDS, TraceSpec
 from repro.session import MachineSpec
 from repro.workloads import PROFILES, generate_program, get_profile
 
@@ -152,3 +156,61 @@ class TestCacheKeyMemo:
                                       length=40)
         monkeypatch.undo()
         assert run.cache_key() == before
+
+
+# Specs over every axis a content address sees, for the fragment-built
+# key. Integral floats and int spellings of floats are drawn on purpose:
+# they must render exactly as the canonical payload renders them.
+_GOVERNORS = st.one_of(st.none(), st.builds(
+    GovernorConfig, name=st.sampled_from(GOVERNOR_NAMES),
+    interval=st.integers(1, 5000)))
+_CLOCKS = st.builds(
+    ClockPlan,
+    base_mhz=st.one_of(st.integers(100, 2000),
+                       st.sampled_from([400.0, 950.0, 612.5])),
+    fe_speedup=st.sampled_from([0, 0.25, 0.5, 1.0]),
+    be_speedup=st.sampled_from([0, 0.5, 1]),
+    governor=_GOVERNORS)
+_MEMS = st.one_of(st.none(), st.builds(
+    MemorySpec, mshrs=st.integers(0, 8),
+    prefetch=st.sampled_from(PREFETCHERS),
+    write_policy=st.sampled_from(WRITE_POLICIES)))
+_TRACES = st.one_of(st.none(), st.builds(
+    TraceSpec, buffer=st.integers(1, 4096),
+    events=st.lists(st.sampled_from(EVENT_KINDS), max_size=3)
+    .map(tuple)))
+_CONFIGS = st.one_of(st.none(), st.builds(
+    CoreConfig, iw_entries=st.sampled_from([64, 128]),
+    phys_regs=st.sampled_from([192, 512]), mem=_MEMS, trace=_TRACES,
+    engine=st.sampled_from([None, "legacy", "turbo"])))
+_FLYS = st.one_of(st.none(), st.builds(
+    FlywheelConfig, ec_kb=st.sampled_from([64, 128]),
+    ec_enabled=st.sampled_from([True, False, 0, 1]),
+    sync_cycles=st.integers(1, 3)))
+
+
+@st.composite
+def _run_specs(draw):
+    kind = draw(st.sampled_from(("baseline", "pipelined_wakeup",
+                                 "flywheel")))
+    return RunSpec(
+        kind=kind, bench=draw(st.sampled_from(("gcc", "smoke", "ijpeg"))),
+        clock=draw(st.one_of(st.none(), _CLOCKS)),
+        config=draw(_CONFIGS),
+        fly=draw(_FLYS) if kind == "flywheel" else None,
+        seed=draw(st.one_of(st.none(), st.integers(0, 2**31))),
+        instructions=draw(st.integers(1, 10**6)),
+        warmup=draw(st.integers(0, 10**6)),
+        mem_scale=draw(st.one_of(st.integers(1, 4),
+                                 st.floats(0.25, 4.0, allow_nan=False))))
+
+
+class TestFragmentKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(run=_run_specs())
+    def test_key_matches_the_whole_payload_hash(self, run):
+        expected = _unmemoized_key(run)
+        assert run.cache_key() == expected
+        assert run.cache_key() == expected      # kept on the instance
+        assert MachineSpec.from_run_spec(run).cache_key() == expected
+        assert RunSpec.from_dict(run.to_dict()).cache_key() == expected

@@ -395,6 +395,14 @@ class TestDiffCli:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["pairs"]) == 2
+        assert report["metrics"] == list(DEFAULT_METRICS)
+
+    def test_help_names_the_default_metrics(self, capsys):
+        # The CLI does not import the diff module to build its parser,
+        # so the help spells the defaults out; keep them in step.
+        with pytest.raises(SystemExit):
+            self.run_cli("diff", "--help")
+        assert ",".join(DEFAULT_METRICS) in capsys.readouterr().out
 
     def test_no_match_fails_cleanly(self, clock_store, capsys):
         rc = self.run_cli("diff", "base_mhz=123", "base_mhz=600",
