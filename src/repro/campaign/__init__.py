@@ -1,5 +1,5 @@
-"""Parallel campaign engine: declarative sweeps, multiprocess fan-out and
-a persistent, content-addressed result store.
+"""Parallel campaign engine: declarative sweeps, one multiprocess worker
+loop and a persistent, content-addressed result store.
 
 Pieces:
 
@@ -8,7 +8,8 @@ Pieces:
   into a deduplicated job list, each job content-addressed by
   :meth:`RunSpec.cache_key` (config + workload + budgets + code version).
 * :func:`run_campaign` (``executor.py``) — execute a job list with
-  ``jobs`` worker processes, per-job timeout and progress reporting.
+  ``jobs`` worker processes, per-job timeout and progress reporting;
+  the first failed job raises.
 * :class:`ResultStore` (``store.py``) — sharded on-disk JSON memo table
   keyed by cache key with an advisory SQLite selector index
   (``index.py``), so repeated and overlapping campaigns are
@@ -17,7 +18,9 @@ Pieces:
   (``scheduler.py``) — the resumable serving-stack executor: an
   append-only per-campaign journal, per-job timeout, bounded retry with
   backoff, quarantine for poisoned specs, and ``resume`` after a crash
-  from the journal + store alone.
+  from the journal + store alone. It runs its jobs on the same worker
+  loop as ``run_campaign``, ``executor.run_workers``: one loop of
+  persistent, individually killable workers, two failure policies.
 * ``python -m repro.campaign`` (``__main__.py``) — ``run`` / ``ls`` /
   ``resume`` / ``migrate`` / ``clean`` / ``export --csv`` over the
   store; ``python -m repro.serve`` puts the same machinery behind

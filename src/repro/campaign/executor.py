@@ -1,19 +1,21 @@
-"""Multiprocess campaign executor.
+"""Campaign executor: one loop of persistent worker processes.
 
 ``run_campaign`` takes a job list of :class:`RunSpec`s, resolves as many
-as possible from the :class:`ResultStore`, and fans the remaining misses
-out over ``jobs`` worker processes. Results come back as serialized
-dicts (never live core objects), so the parent can both persist them and
-hand them to experiments — the exact same bytes a cache hit would yield,
+as possible from the :class:`ResultStore`, and runs the remaining misses
+on ``jobs`` worker processes. Results come back as serialized dicts
+(never live core objects), so the parent can both persist them and hand
+them to experiments — the exact same bytes a cache hit would yield,
 which is what makes parallel and serial campaigns bit-identical.
 
-``timeout_s`` is a bounded-wait safety valve: the parent collects
-results in submission order and never waits more than ``timeout_s`` on
-any single pending job; a violation terminates the pool and raises
-:class:`~repro.errors.CampaignError` naming the offending spec. (A job
-running concurrently behind others can therefore exceed the bound by up
-to its queue position's accumulated wait — this catches hangs, not
-precise per-job budgets.)
+:func:`run_workers` is the worker loop, shared with
+:class:`~repro.campaign.scheduler.CampaignScheduler`. At most ``jobs``
+forked workers each run job after job over their own pipe, so the
+per-process program and stream-pool memos carry over between jobs. A
+job's deadline starts when it is dispatched. A worker whose job times
+out, raises or dies with it is killed and replaced by a fresh fork.
+The callers differ only in their failure policy: ``run_campaign``
+raises :class:`~repro.errors.CampaignError` naming the first failed
+spec, after the results that already landed are persisted.
 """
 
 from __future__ import annotations
@@ -47,9 +49,13 @@ class CampaignReport:
     elapsed_s: float = 0.0
     jobs: int = 1
 
+    #: Jobs given up on (a class attribute here, not a field): only the
+    #: scheduler's report quarantines jobs instead of raising.
+    quarantined = ()
+
     @property
     def total(self) -> int:
-        return self.hits + self.executed
+        return self.hits + self.executed + len(self.quarantined)
 
     def result_for(self, spec: RunSpec) -> SimResult:
         return self.results[spec.cache_key()]
@@ -59,14 +65,15 @@ class CampaignReport:
                 f"{self.executed} simulated on {self.jobs} worker(s) "
                 f"in {self.elapsed_s:.1f}s")
 
-
-def _execute_detached(
-        spec: RunSpec) -> Tuple[str, Dict[str, object], float]:
-    """Worker entry point: run one spec, return (key, result, wall time)."""
-    t0 = time.perf_counter()
-    result = spec.execute()
-    elapsed_s = time.perf_counter() - t0
-    return spec.cache_key(), result.to_dict(), elapsed_s
+    def land(self, spec: RunSpec, key: str, payload: Dict[str, object],
+             elapsed_s: float, store: Optional[ResultStore]) -> SimResult:
+        """Persist (given a store) and record one simulated result."""
+        result = SimResult.from_dict(payload)
+        if store is not None:
+            store.put(key, spec, result, elapsed_s=elapsed_s)
+        self.results[key] = result
+        self.executed += 1
+        return result
 
 
 def print_progress(done: int, total: int, spec: RunSpec, source: str) -> None:
@@ -85,11 +92,11 @@ def run_campaign(specs: Iterable[RunSpec],
                  on_result: Optional[ResultFn] = None) -> CampaignReport:
     """Execute a deduplicated job list, memoizing through ``store``.
 
-    With ``jobs > 1`` the misses run under a ``multiprocessing`` pool;
-    the parent process performs all store writes, so workers never race
-    on the cache directory. Identical seeds give identical stats dicts
-    regardless of ``jobs`` (simulations are deterministic and share no
-    state across runs).
+    With ``jobs > 1`` the misses run on :func:`run_workers`' worker
+    processes; the parent process performs all store writes, so workers
+    never race on the cache directory. Identical seeds give identical
+    stats dicts regardless of ``jobs`` (simulations are deterministic
+    and share no state across runs).
 
     ``on_result`` (if given) is called with ``(spec, result, source)``
     as each job resolves, after the result is in the report (and, for
@@ -121,80 +128,229 @@ def run_campaign(specs: Iterable[RunSpec],
         else:
             misses.append(spec)
 
-    if misses:
-        # A timeout can only be enforced from outside the job, so any
-        # timeout_s forces the pool path even for a single serial miss.
-        if (jobs > 1 and len(misses) > 1) or timeout_s is not None:
-            _run_parallel(misses, report, jobs, timeout_s, store, note)
-        else:
-            _run_serial(misses, report, store, note)
+    def finish(job: Job, payload: Dict[str, object],
+               elapsed_s: float) -> None:
+        report.land(job.spec, job.spec.cache_key(), payload, elapsed_s,
+                    store)
+        note(job.spec, "run")
+
+    # A timeout can only be enforced from outside the job, so any
+    # timeout_s takes the worker path even for a single serial miss.
+    if (jobs > 1 and len(misses) > 1) or timeout_s is not None:
+        run_workers([Job(spec) for spec in misses], jobs, timeout_s,
+                    on_done=finish, on_failed=_raise_failure)
+    else:
+        for spec in misses:
+            finish(Job(spec), *_execute(spec))
 
     report.elapsed_s = time.monotonic() - t0
     return report
 
 
-def _finish(spec: RunSpec, key: str, result: SimResult,
-            report: CampaignReport, store: Optional[ResultStore],
-            note: Callable[[RunSpec, str], None],
-            elapsed_s: Optional[float] = None) -> None:
-    if store is not None:
-        store.put(key, spec, result, elapsed_s=elapsed_s)
-    report.results[key] = result
-    report.executed += 1
-    note(spec, "run")
+class WorkerTraceback(Exception):
+    """The traceback a failed job left in its worker process."""
 
 
-def _run_serial(misses: List[RunSpec], report: CampaignReport,
-                store: Optional[ResultStore],
-                note: Callable[[RunSpec, str], None]) -> None:
-    for spec in misses:
-        key, payload, elapsed_s = _execute_detached(spec)
-        _finish(spec, key, SimResult.from_dict(payload), report, store, note,
-                elapsed_s=elapsed_s)
+def _raise_failure(job: "Job", error: str,
+                   exc: Optional[BaseException]) -> None:
+    """``run_campaign``'s failure policy: the first failure ends it."""
+    if exc is None:
+        raise CampaignError(f"campaign {error}: {job.spec.label}") from None
+    exc.__cause__ = WorkerTraceback(error)
+    raise CampaignError(
+        f"campaign job failed: {job.spec.label}: {exc}") from exc
 
 
-def _run_parallel(misses: List[RunSpec], report: CampaignReport, jobs: int,
-                  timeout_s: Optional[float], store: Optional[ResultStore],
-                  note: Callable[[RunSpec, str], None]) -> None:
+# ------------------------------------------------------------ worker loop
+
+
+@dataclass
+class Job:
+    """One spec on its way through :func:`run_workers`."""
+
+    spec: RunSpec
+    entry: object = None   # the caller's own handle (a journal entry)
+    attempt: int = 1
+
+
+def _execute(spec: RunSpec, hook: Optional[Callable] = None
+             ) -> Tuple[Dict[str, object], float]:
+    """Run one spec, return (result dict, wall time of the simulation)."""
+    if hook is not None:
+        hook(spec)
+    t0 = time.perf_counter()
+    result = spec.execute()
+    return result.to_dict(), time.perf_counter() - t0
+
+
+def _serve(conn, hook: Optional[Callable], inherited: List) -> None:
+    """Worker entry: run the specs that arrive on ``conn`` until it closes,
+    replying ``("ok", result dict, seconds)`` or ``("err", traceback,
+    exception)``. The parent-side pipe ends this fork inherited are
+    closed first, so the worker sees EOF (and exits) once the parent is
+    gone."""
+    import traceback
+
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            spec = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply: tuple = ("ok", *_execute(spec, hook))
+        except Exception as exc:
+            reply = ("err", traceback.format_exc(), exc)
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        except Exception:          # the exception does not pickle
+            raised = reply[2]
+            conn.send(("err", reply[1],
+                       RuntimeError(f"{type(raised).__name__}: {raised}")))
+
+
+def _spawn(ctx, hook: Optional[Callable], workers) -> tuple:
+    """Fork one worker: the only place campaign worker processes start."""
+    ours, theirs = ctx.Pipe()
+    process = ctx.Process(
+        target=_serve, daemon=True,
+        args=(theirs, hook, [ours] + [conn for _p, conn in workers]))
+    process.start()
+    theirs.close()
+    return process, ours
+
+
+def _reply(worker, deadline: Optional[float], now: float,
+           timeout_s: Optional[float]) -> Optional[tuple]:
+    """The worker's reply once its job has ended (a timeout or a lost
+    worker is an ``"err"`` reply with no exception), else None."""
+    process, conn = worker
+    if conn.poll():
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            pass
+    elif process.is_alive():
+        if deadline is None or now < deadline:
+            return None
+        return "err", f"job exceeded {timeout_s:g}s timeout", None
+    process.join()
+    return ("err", "job lost its worker process "
+            f"(exitcode {process.exitcode})", None)
+
+
+def _retire(worker) -> None:
+    process, conn = worker
+    process.kill()
+    process.join()
+    conn.close()
+
+
+def run_workers(queue: List[Job], jobs: int, timeout_s: Optional[float],
+                on_done: Callable, on_failed: Callable,
+                hook: Optional[Callable] = None,
+                on_dispatch: Optional[Callable] = None) -> None:
+    """Run ``queue`` on at most ``jobs`` persistent worker processes.
+
+    Jobs dispatch in queue order as workers free up, ``on_dispatch(job)``
+    just before each; ``hook(spec)`` runs in the worker before each
+    simulation. A finished job reaches ``on_done(job, result dict,
+    seconds)``. A failed one reaches ``on_failed(job, error, exc)`` —
+    ``error`` is the worker's traceback and ``exc`` what the job raised,
+    or a one-line reason (timeout, lost worker) and None — which returns
+    a delay after which the job re-queues as its next attempt, or None
+    to drop it, or raises to end the loop. Callbacks run in this
+    process, results that land together before failures, and with an
+    ``on_dispatch`` before the next dispatch (the scheduler journals a
+    result before it dispatches again). Every worker is reaped on the
+    way out.
+
+    When neither a deadline nor ``on_dispatch`` needs to see each job
+    start, a worker also holds the next job queued behind the one it
+    runs, so it does not wait for the callbacks (the store writes)
+    before starting another.
+    """
     import multiprocessing
+    from multiprocessing.connection import wait
 
     # Import what the workers will run before they fork, so each one
     # inherits a warmed interpreter instead of importing it per worker.
-    for kind in {spec.kind for spec in misses}:
+    for kind in {job.spec.kind for job in queue}:
         get_kind(kind).core_cls
-    workers = max(1, min(jobs, len(misses)))
     ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=workers) as pool:
-        pending = [(spec, pool.apply_async(_execute_detached, (spec,)))
-                   for spec in misses]
-        for idx, (spec, handle) in enumerate(pending):
+    jobs = max(1, jobs)
+    depth = 1 if timeout_s or on_dispatch is not None else 2
+    waiting = [(0.0, job) for job in queue]   # (not before, job)
+    #: Live worker -> the (job, deadline)s sent to it, oldest first.
+    sent: Dict[tuple, List[Tuple[Job, Optional[float]]]] = {}
+
+    def refill() -> None:
+        now = time.monotonic()
+        for entry in [entry for entry in waiting if entry[0] <= now]:
+            # An idle worker, else a new one while there are fewer than
+            # ``jobs``, else the least-loaded one with room while more
+            # jobs wait than there are workers (so none of the last jobs
+            # queues behind a long one).
+            worker = min(sent, key=lambda w: len(sent[w]), default=None)
+            if worker is None or sent[worker]:
+                if len(sent) < jobs:
+                    worker = _spawn(ctx, hook, sent)
+                    sent[worker] = []
+                elif len(sent[worker]) >= depth or len(waiting) <= jobs:
+                    return
+            waiting.remove(entry)
+            job = entry[1]
+            if on_dispatch is not None:
+                on_dispatch(job)
             try:
-                key, payload, elapsed_s = handle.get(timeout_s)
-            except multiprocessing.TimeoutError:
-                _salvage(pending[idx + 1:], report, store, note)
-                pool.terminate()
-                raise CampaignError(
-                    f"campaign job exceeded {timeout_s:g}s timeout: "
-                    f"{spec.label}") from None
-            except Exception as exc:
-                _salvage(pending[idx + 1:], report, store, note)
-                pool.terminate()
-                raise CampaignError(
-                    f"campaign job failed: {spec.label}: {exc}") from exc
-            _finish(spec, key, SimResult.from_dict(payload), report, store,
-                    note, elapsed_s=elapsed_s)
+                worker[1].send(job.spec)
+            except OSError:         # it died idle; the job fails below
+                pass
+            sent[worker].append(
+                (job, now + timeout_s if timeout_s else None))
 
-
-def _salvage(remaining, report: CampaignReport, store: Optional[ResultStore],
-             note: Callable[[RunSpec, str], None]) -> None:
-    """Persist already-finished worker results before a pool teardown, so
-    one hung job doesn't throw away the rest of the campaign's work."""
-    for spec, handle in remaining:
-        if not handle.ready():
-            continue
-        try:
-            key, payload, elapsed_s = handle.get(0)
-        except Exception:
-            continue
-        _finish(spec, key, SimResult.from_dict(payload), report, store, note,
-                elapsed_s=elapsed_s)
+    try:
+        while waiting or any(sent.values()):
+            refill()
+            now = time.monotonic()
+            busy = [worker for worker, queued in sent.items() if queued]
+            wakes = [sent[w][0][1] for w in busy if sent[w][0][1] is not None]
+            wakes += [not_before for not_before, _job in waiting
+                      if not_before > now]        # backoffs ending
+            wait([conn for _p, conn in busy]
+                 + [process.sentinel for process, _c in busy],
+                 max(0.0, min(wakes) - now) if wakes else None)
+            now = time.monotonic()
+            ended = []
+            for worker in busy:
+                queued = sent[worker]
+                while queued:
+                    reply = _reply(worker, queued[0][1], now, timeout_s)
+                    if reply is None:
+                        break
+                    ended.append((queued.pop(0)[0], reply))
+                    if reply[0] != "ok":
+                        _retire(worker)
+                        del sent[worker]
+                        # The jobs queued behind it never started.
+                        waiting[:0] = [(0.0, job) for job, _d in queued]
+                        break
+            if on_dispatch is None:
+                # Nothing watches the dispatch order: top the workers'
+                # queues up before the callbacks (the store writes) run.
+                refill()
+            ended.sort(key=lambda item: item[1][0] != "ok")
+            for job, (tag, detail, extra) in ended:
+                if tag == "ok":
+                    on_done(job, detail, extra)
+                    continue
+                delay = on_failed(job, detail, extra)
+                if delay is not None:
+                    job.attempt += 1
+                    waiting.append((time.monotonic() + delay, job))
+    finally:
+        for worker in sent:
+            _retire(worker)

@@ -2,13 +2,15 @@
 
 Where :func:`repro.campaign.executor.run_campaign` is a synchronous
 batch primitive (and raises on the first worker failure), the
-:class:`CampaignScheduler` is the serving-stack executor: it streams a
-:class:`~repro.campaign.journal.CampaignRun`'s jobs to a pool of worker
-*processes* (one process per job, at most ``jobs`` in flight) and
-survives everything short of the host catching fire:
+:class:`CampaignScheduler` is the serving-stack executor. It runs a
+:class:`~repro.campaign.journal.CampaignRun`'s open jobs on the same
+worker loop, :func:`~repro.campaign.executor.run_workers` (at most
+``jobs`` persistent worker processes; the worker of a failed attempt is
+killed and replaced), with its own failure policy, and survives
+everything short of the host catching fire:
 
-* **per-job timeout** — a wedged simulation is terminated and counted
-  as a failed attempt, never stalling the rest of the campaign;
+* **per-job timeout** — a wedged simulation's worker is killed and the
+  attempt counted as failed, never stalling the rest of the campaign;
 * **bounded retry with backoff** — a failed attempt re-queues with
   exponential backoff until ``retries`` is exhausted;
 * **quarantine** — a spec that keeps failing is recorded in the journal
@@ -37,25 +39,14 @@ Hooks (both optional, test/fault-injection seams):
 from __future__ import annotations
 
 import json
-import multiprocessing
-import queue as queue_mod
 import time
-import traceback
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
+from repro.campaign.executor import CampaignReport, Job, run_workers
 from repro.campaign.journal import CampaignRun, JobEntry, list_campaigns
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
-from repro.core.sim import SimResult
 from repro.errors import CampaignError
 
 if TYPE_CHECKING:                 # runtime import is lazy: repro.session
@@ -81,29 +72,15 @@ EventFn = Callable[["SessionEvent"], None]
 
 
 @dataclass
-class ScheduleReport:
+class ScheduleReport(CampaignReport):
     """Outcome of one scheduler pass over a campaign."""
 
     campaign_id: str = ""
-    results: Dict[str, SimResult] = field(default_factory=dict)
-    hits: int = 0                 # jobs satisfied by the store
-    executed: int = 0             # jobs simulated (this pass)
     retried: int = 0              # failed attempts that were re-queued
     quarantined: List[Dict[str, str]] = field(default_factory=list)
-    elapsed_s: float = 0.0
-    jobs: int = 1
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.executed + len(self.quarantined)
-
-    def result_for(self, spec: RunSpec) -> SimResult:
-        return self.results[spec.cache_key()]
 
     def summary(self) -> str:
-        bits = [f"{self.total} jobs: {self.hits} from cache, "
-                f"{self.executed} simulated on {self.jobs} worker(s) "
-                f"in {self.elapsed_s:.1f}s"]
+        bits = [super().summary()]
         if self.retried:
             bits.append(f"{self.retried} retried")
         if self.quarantined:
@@ -121,33 +98,6 @@ class ScheduleReport:
         stats = {key: result.stats.to_dict()
                  for key, result in sorted(self.results.items())}
         return json.dumps(stats, sort_keys=True).encode("utf-8")
-
-
-def _worker(payload: Dict[str, object], index: int,
-            out: "multiprocessing.Queue",
-            worker_hook: Optional[Callable[[RunSpec], None]]) -> None:
-    """Worker-process entry: run one spec, ship a dict (never objects)."""
-    try:
-        spec = RunSpec.from_dict(payload)
-        if worker_hook is not None:
-            worker_hook(spec)
-        t0 = time.perf_counter()
-        result = spec.execute()
-        elapsed_s = time.perf_counter() - t0
-        out.put(("ok", index, result.to_dict(), elapsed_s))
-    except BaseException:
-        out.put(("err", index, traceback.format_exc(), 0.0))
-
-
-@dataclass
-class _Flight:
-    """One in-flight worker process."""
-
-    job: JobEntry
-    spec: RunSpec
-    attempt: int
-    process: "multiprocessing.process.BaseProcess"
-    deadline: Optional[float]
 
 
 class CampaignScheduler:
@@ -195,7 +145,7 @@ class CampaignScheduler:
 
         Store hits resolve first (including jobs a previous, crashed
         pass already simulated — that is what makes resume cheap), then
-        the misses stream through the worker pool. Raises only for
+        the misses stream through the worker loop. Raises only for
         *scheduler* faults (e.g. a ``dispatch_hook`` crash-injection);
         job failures end in quarantine, not an exception.
         """
@@ -249,125 +199,49 @@ class CampaignScheduler:
 
     def _drain(self, misses: List[JobEntry], report: ScheduleReport,
                done: int, total: int) -> int:
-        """The pool loop: keep ≤ ``jobs`` processes in flight, collect
-        completions as they land, retry/quarantine failures."""
-        ctx = multiprocessing.get_context()
-        out: "multiprocessing.Queue" = ctx.Queue()
-        #: (not_before, job, spec, attempt) — jobs waiting for a slot.
-        waiting: List[Tuple[float, JobEntry, RunSpec, int]] = [
-            (0.0, job, self._spec_of(job), job.attempts + 1)
-            for job in misses]
-        flights: Dict[int, _Flight] = {}
-        try:
-            while waiting or flights:
-                now = time.monotonic()
-                # Fill free slots with jobs whose backoff has elapsed.
-                ready = [w for w in waiting if w[0] <= now]
-                while ready and len(flights) < self.jobs:
-                    entry = ready.pop(0)
-                    waiting.remove(entry)
-                    _nb, job, spec, attempt = entry
-                    if self.dispatch_hook is not None:
-                        self.dispatch_hook(spec, job.index, attempt)
-                    process = ctx.Process(
-                        target=_worker,
-                        args=(job.payload, job.index, out,
-                              self.worker_hook),
-                        daemon=True)
-                    process.start()
-                    self.run.record(job.index, "running", attempt=attempt)
-                    deadline = (now + self.timeout_s
-                                if self.timeout_s else None)
-                    flights[job.index] = _Flight(job, spec, attempt,
-                                                 process, deadline)
-                done = self._collect(out, flights, waiting, report,
-                                     done, total)
-        except BaseException:
-            # Scheduler fault (crash injection, ^C): reap the flights —
-            # their journal entries stay "running" and fold back to
-            # pending on the next load; finished-but-uncollected work
-            # is already in the store, so resume still counts it.
-            for flight in flights.values():
-                flight.process.terminate()
-            raise
-        return done
+        """Run the misses on the shared worker loop; retry failed
+        attempts with backoff and quarantine what keeps failing."""
 
-    def _collect(self, out, flights: Dict[int, _Flight],
-                 waiting, report: ScheduleReport,
-                 done: int, total: int) -> int:
-        """Collect queued completions; sweep timeouts and deaths.
+        def dispatch(job: Job) -> None:
+            if self.dispatch_hook is not None:
+                self.dispatch_hook(job.spec, job.entry.index, job.attempt)
+            self.run.record(job.entry.index, "running", attempt=job.attempt)
 
-        All queued messages are drained before the death sweep so a
-        finished worker whose message sits behind another completion is
-        never misdeclared dead. (If the one message-in-transit window
-        is still hit, the attempt is retried — the store put is
-        idempotent, so a spurious retry only costs wall time.)
-        """
-        block = True
-        while True:
-            try:
-                tag, index, payload, elapsed_s = (
-                    out.get(timeout=0.05) if block else out.get_nowait())
-            except queue_mod.Empty:
-                break
-            block = False
-            if index not in flights:
-                continue          # late duplicate after a spurious retry
-            flight = flights.pop(index)
-            flight.process.join()
-            if tag == "ok":
-                result = SimResult.from_dict(payload)
-                self.store.put(flight.job.key, flight.spec, result,
-                               elapsed_s=elapsed_s)
-                self.run.record(index, "done", source="run",
-                                elapsed_s=round(elapsed_s, 6))
-                report.results[flight.job.key] = result
-                report.executed += 1
-                done += 1
-                self._emit(_event(
-                    event="result", spec=flight.spec, result=result,
-                    source="run", done=done, total=total))
-            else:
-                done = self._failed(flight, payload, waiting, report,
-                                    done, total)
-        now = time.monotonic()
-        for index, flight in list(flights.items()):
-            if flight.deadline is not None and now > flight.deadline:
-                flight.process.terminate()
-                flight.process.join()
-                flights.pop(index)
-                done = self._failed(
-                    flight, f"job exceeded {self.timeout_s:g}s timeout",
-                    waiting, report, done, total)
-            elif not flight.process.is_alive():
-                # Died without reporting (OOM-kill, segfault): drain any
-                # late message, else treat as a failed attempt.
-                flights.pop(index)
-                done = self._failed(
-                    flight, "worker process died without a result "
-                    f"(exitcode {flight.process.exitcode})",
-                    waiting, report, done, total)
-        return done
+        def finished(job: Job, payload: Dict[str, object],
+                     elapsed_s: float) -> None:
+            nonlocal done
+            result = report.land(job.spec, job.entry.key, payload,
+                                 elapsed_s, self.store)
+            self.run.record(job.entry.index, "done", source="run",
+                            elapsed_s=round(elapsed_s, 6))
+            done += 1
+            self._emit(_event(event="result", spec=job.spec, result=result,
+                              source="run", done=done, total=total))
 
-    def _failed(self, flight: _Flight, error: str, waiting,
-                report: ScheduleReport, done: int, total: int) -> int:
-        if flight.attempt <= self.retries:
-            self.run.record(flight.job.index, "failed",
-                            attempt=flight.attempt, error=error)
-            report.retried += 1
-            not_before = (time.monotonic()
-                          + self.backoff_s * (2 ** (flight.attempt - 1)))
-            waiting.append((not_before, flight.job, flight.spec,
-                            flight.attempt + 1))
-            return done
-        self.run.record(flight.job.index, "quarantined",
-                        attempt=flight.attempt, error=error)
-        report.quarantined.append({"key": flight.job.key, "error": error,
-                                   "label": flight.spec.label})
-        done += 1
-        self._emit(_event(
-            event="quarantine", spec=flight.spec, done=done, total=total,
-            error=error))
+        def failed(job: Job, error: str, _exc) -> Optional[float]:
+            nonlocal done
+            if job.attempt <= self.retries:
+                self.run.record(job.entry.index, "failed",
+                                attempt=job.attempt, error=error)
+                report.retried += 1
+                return self.backoff_s * (2 ** (job.attempt - 1))
+            self.run.record(job.entry.index, "quarantined",
+                            attempt=job.attempt, error=error)
+            report.quarantined.append({"key": job.entry.key, "error": error,
+                                       "label": job.spec.label})
+            done += 1
+            self._emit(_event(event="quarantine", spec=job.spec, done=done,
+                              total=total, error=error))
+            return None
+
+        # A scheduler fault (crash injection, ^C) propagates after the
+        # loop has reaped its workers: their journal entries stay
+        # "running" and fold back to pending on the next load.
+        run_workers([Job(self._spec_of(job), job, job.attempts + 1)
+                     for job in misses],
+                    self.jobs, self.timeout_s, on_done=finished,
+                    on_failed=failed, hook=self.worker_hook,
+                    on_dispatch=dispatch)
         return done
 
 

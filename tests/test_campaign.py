@@ -2,6 +2,11 @@
 parallel determinism, and the ExperimentContext cache-key fix."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +231,142 @@ class TestCampaign:
         wider = jobs + [spec(bench="ijpeg")]
         report = run_campaign(wider, store=ResultStore(tmp_path))
         assert (report.hits, report.executed) == (len(jobs), 1)
+
+
+#: Run in a fresh interpreter: one spec SIGKILLs the worker running it.
+_KILLED_WORKER = """
+import json, multiprocessing, os, signal, sys, time
+from repro.campaign import ResultStore, RunSpec, run_campaign
+from repro.errors import CampaignError
+
+store_dir, pid_log = sys.argv[1:]
+original = RunSpec.execute
+
+def execute(self):
+    with open(pid_log, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    if self.seed == 99:
+        time.sleep(1.0)          # let the other jobs finish first
+        os.kill(os.getpid(), signal.SIGKILL)
+    return original(self)
+
+RunSpec.execute = execute        # patched before the workers fork
+specs = [RunSpec(kind="baseline", bench="smoke", instructions=1200,
+                 warmup=2500, seed=seed) for seed in (99, 1, 2)]
+store = ResultStore(store_dir)
+try:
+    run_campaign(specs, store, jobs=2)
+    error = None
+except CampaignError as exc:
+    error = str(exc)
+alive = []
+for pid in {int(line) for line in open(pid_log)}:
+    try:
+        os.kill(pid, 0)
+        alive.append(pid)
+    except ProcessLookupError:
+        pass
+print(json.dumps({
+    "error": error, "alive": alive,
+    "children": len(multiprocessing.active_children()),
+    "stored": [s.seed for s in specs if s.cache_key() in store]}))
+"""
+
+
+class TestWorkerFailures:
+    """``run_campaign``'s worker path: a failed job raises CampaignError
+    naming it, after the jobs that finished are persisted."""
+
+    def test_killed_worker_fails_cleanly(self, tmp_path):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1]
+                                 / "src")}
+        # The bound turns a hang (a lost job) into a test failure.
+        out = subprocess.run(
+            [sys.executable, "-c", _KILLED_WORKER, str(tmp_path / "store"),
+             str(tmp_path / "pids")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert "seed=99" in report["error"]
+        assert "worker" in report["error"]
+        assert sorted(report["stored"]) == [1, 2]
+        assert report["alive"] == [] and report["children"] == 0
+
+    def test_timeout_names_the_wedged_job(self, tmp_path, monkeypatch):
+        original = RunSpec.execute
+
+        def execute(self):
+            if self.seed == 99:
+                time.sleep(30)
+            return original(self)
+
+        monkeypatch.setattr(RunSpec, "execute", execute)
+        quick = [spec(seed=1), spec(seed=2)]
+        store = ResultStore(tmp_path)
+        t0 = time.monotonic()
+        with pytest.raises(CampaignError,
+                           match=r"exceeded 0\.5s timeout: .*seed=99"):
+            run_campaign(quick + [spec(seed=99)], store, jobs=2,
+                         timeout_s=0.5)
+        assert time.monotonic() - t0 < 10     # nowhere near the 30s sleep
+        for job in quick:                     # finished work is kept
+            assert job.cache_key() in store
+
+    def test_deadline_starts_at_dispatch(self, monkeypatch):
+        original = RunSpec.execute
+
+        def execute(self):
+            time.sleep(0.3)
+            return original(self)
+
+        monkeypatch.setattr(RunSpec, "execute", execute)
+        jobs = [spec(seed=s) for s in (1, 2, 3, 4)]
+        t0 = time.monotonic()
+        report = run_campaign(jobs, jobs=1, timeout_s=1.0)
+        # The last job waited longer than the budget in the queue, and
+        # only its own run counts against it.
+        assert time.monotonic() - t0 > 1.0
+        assert report.executed == 4
+
+    def test_raising_job_chains_the_original_exception(self, monkeypatch):
+        original = RunSpec.execute
+
+        def execute(self):
+            if self.seed == 2:
+                raise ValueError("poisoned spec")
+            return original(self)
+
+        monkeypatch.setattr(RunSpec, "execute", execute)
+        with pytest.raises(CampaignError,
+                           match=r"failed: .*seed=2: poisoned") as info:
+            run_campaign([spec(seed=1), spec(seed=2)], jobs=2)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "poisoned spec" in str(info.value.__cause__.__cause__)
+
+
+    def test_jobs_queued_behind_a_failed_one_run_later(self, tmp_path):
+        from repro.campaign.executor import Job, run_workers
+
+        def fail_first_attempt(s):
+            marker = tmp_path / str(s.seed)
+            if s.seed == 1 and not marker.exists():
+                marker.write_text("seen")
+                raise ValueError("first attempt fails")
+
+        done, failed = [], []
+
+        def retry(job, error, exc):
+            failed.append((job.spec.seed, job.attempt))
+            return 0.0
+
+        # One worker, no deadline: job 2 is queued behind job 1.
+        run_workers([Job(spec(seed=s)) for s in (1, 2, 3)], 1, None,
+                    on_done=lambda job, payload, elapsed_s: done.append(
+                        (job.spec.seed, job.attempt)),
+                    on_failed=retry, hook=fail_first_attempt)
+        assert failed == [(1, 1)]
+        assert sorted(done) == [(1, 2), (2, 1), (3, 1)]
 
 
 class TestExperimentContext:

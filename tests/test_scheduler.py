@@ -2,6 +2,8 @@
 per-job timeout, and crash-resume equivalence."""
 
 import json
+import os
+import signal
 import time
 from pathlib import Path
 
@@ -47,6 +49,22 @@ def always_fail_hook(s):
 
 def sleepy_hook(s):
     time.sleep(30)
+
+
+def pid_hook(log, inner=None):
+    """Worker hook: log "<pid> <key>" per attempt, then run ``inner``."""
+    def hook(s):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {s.cache_key()}\n")
+        if inner is not None:
+            inner(s)
+    return hook
+
+
+def attempts(log):
+    """[(pid, key)] per attempt, in the order the attempts started."""
+    return [tuple(line.split())
+            for line in Path(log).read_text().splitlines()]
 
 
 class TestSchedulerBasics:
@@ -149,6 +167,50 @@ class TestFailureHandling:
         assert time.monotonic() - t0 < 20   # nowhere near the 30s sleep
         assert len(report.quarantined) == 1
         assert "timeout" in report.quarantined[0]["error"]
+
+
+class TestPersistentWorkers:
+    def test_workers_serve_many_jobs(self, tmp_path):
+        log = tmp_path / "pids"
+        report = submit_campaign(specs(4), ResultStore(tmp_path / "store"),
+                                 jobs=2, worker_hook=pid_hook(log)).execute()
+        assert report.executed == 4
+        runs = attempts(log)
+        assert len(runs) == 4
+        assert len({pid for pid, _key in runs}) <= 2
+
+    def test_failed_attempt_retires_its_worker(self, tmp_path):
+        log, markers = tmp_path / "pids", tmp_path / "markers"
+        markers.mkdir()
+        report = submit_campaign(
+            specs(3), ResultStore(tmp_path / "store"), jobs=2, retries=1,
+            backoff_s=0.01,
+            worker_hook=pid_hook(log, fail_once_hook(str(markers)))
+        ).execute()
+        assert report.executed == 3 and report.retried == 3
+        first_seen, failed_pids = set(), set()
+        for pid, key in attempts(log):
+            if key in first_seen:      # a retry, on a worker that never failed
+                assert pid not in failed_pids
+            else:                      # the failing first attempt
+                first_seen.add(key)
+                failed_pids.add(pid)
+
+    def test_dead_worker_is_replaced_and_the_job_retried(self, tmp_path):
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        def die_once(s):
+            marker = markers / s.cache_key()
+            if not marker.exists():
+                marker.write_text("seen")
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        report = submit_campaign(
+            specs(2), ResultStore(tmp_path / "store"), jobs=2, retries=1,
+            backoff_s=0.01, worker_hook=die_once).execute()
+        assert report.executed == 2 and report.retried == 2
+        assert not report.quarantined
 
 
 class _Crash(BaseException):
