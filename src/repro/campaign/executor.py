@@ -94,9 +94,10 @@ def run_campaign(specs: Iterable[RunSpec],
 
     With ``jobs > 1`` the misses run on :func:`run_workers`' worker
     processes; the parent process performs all store writes, so workers
-    never race on the cache directory. Identical seeds give identical
-    stats dicts regardless of ``jobs`` (simulations are deterministic
-    and share no state across runs).
+    never race on the cache directory, and writes the index rows of all
+    of them in one transaction when the campaign ends or raises.
+    Identical seeds give identical stats dicts regardless of ``jobs``
+    (simulations are deterministic and share no state across runs).
 
     ``on_result`` (if given) is called with ``(spec, result, source)``
     as each job resolves, after the result is in the report (and, for
@@ -136,12 +137,16 @@ def run_campaign(specs: Iterable[RunSpec],
 
     # A timeout can only be enforced from outside the job, so any
     # timeout_s takes the worker path even for a single serial miss.
-    if (jobs > 1 and len(misses) > 1) or timeout_s is not None:
-        run_workers([Job(spec) for spec in misses], jobs, timeout_s,
-                    on_done=finish, on_failed=_raise_failure)
-    else:
-        for spec in misses:
-            finish(Job(spec), *_execute(spec))
+    try:
+        if (jobs > 1 and len(misses) > 1) or timeout_s is not None:
+            run_workers([Job(spec) for spec in misses], jobs, timeout_s,
+                        on_done=finish, on_failed=_raise_failure)
+        else:
+            for spec in misses:
+                finish(Job(spec), *_execute(spec))
+    finally:
+        if store is not None:
+            store.index.flush()
 
     report.elapsed_s = time.monotonic() - t0
     return report
@@ -249,16 +254,42 @@ def _retire(worker) -> None:
     conn.close()
 
 
+def _workload(job: Job) -> tuple:
+    """What a worker's program and stream-pool memos are keyed by."""
+    return job.spec.bench, job.spec.seed
+
+
+def _affine(ready: List[tuple], worker, held: Dict[tuple, tuple]) -> tuple:
+    """The first ready ``(not before, job)`` entry of the workload
+    ``worker`` ran last, else the first of a workload no other worker
+    holds, else the first."""
+    mine = held.get(worker)
+    others = {load for other, load in held.items() if other != worker}
+    fresh = None
+    for entry in ready:
+        load = _workload(entry[1])
+        if load == mine:
+            return entry
+        if fresh is None and load not in others:
+            fresh = entry
+    return fresh or ready[0]
+
+
 def run_workers(queue: List[Job], jobs: int, timeout_s: Optional[float],
                 on_done: Callable, on_failed: Callable,
                 hook: Optional[Callable] = None,
                 on_dispatch: Optional[Callable] = None) -> None:
     """Run ``queue`` on at most ``jobs`` persistent worker processes.
 
-    Jobs dispatch in queue order as workers free up, ``on_dispatch(job)``
-    just before each; ``hook(spec)`` runs in the worker before each
-    simulation. A finished job reaches ``on_done(job, result dict,
-    seconds)``. A failed one reaches ``on_failed(job, error, exc)`` —
+    Jobs dispatch as workers free up, ``on_dispatch(job)`` just before
+    each; ``hook(spec)`` runs in the worker before each simulation. One
+    worker takes the queue in order. With more, a worker takes the first
+    waiting job of the workload ``(bench, seed)`` it ran last, else the
+    first of a workload no other worker holds, else the head of the
+    queue: each workload's program and stream pool are then built in
+    about one worker instead of in every one its jobs happen to reach.
+    A finished job reaches ``on_done(job, result dict, seconds)``. A
+    failed one reaches ``on_failed(job, error, exc)`` —
     ``error`` is the worker's traceback and ``exc`` what the job raised,
     or a one-line reason (timeout, lost worker) and None — which returns
     a delay after which the job re-queues as its next attempt, or None
@@ -286,10 +317,13 @@ def run_workers(queue: List[Job], jobs: int, timeout_s: Optional[float],
     waiting = [(0.0, job) for job in queue]   # (not before, job)
     #: Live worker -> the (job, deadline)s sent to it, oldest first.
     sent: Dict[tuple, List[Tuple[Job, Optional[float]]]] = {}
+    #: Live worker -> the workload of the last job sent to it.
+    held: Dict[tuple, tuple] = {}
 
     def refill() -> None:
         now = time.monotonic()
-        for entry in [entry for entry in waiting if entry[0] <= now]:
+        ready = [entry for entry in waiting if entry[0] <= now]
+        while ready:
             # An idle worker, else a new one while there are fewer than
             # ``jobs``, else the least-loaded one with room while more
             # jobs wait than there are workers (so none of the last jobs
@@ -301,8 +335,11 @@ def run_workers(queue: List[Job], jobs: int, timeout_s: Optional[float],
                     sent[worker] = []
                 elif len(sent[worker]) >= depth or len(waiting) <= jobs:
                     return
+            entry = ready[0] if jobs == 1 else _affine(ready, worker, held)
+            ready.remove(entry)
             waiting.remove(entry)
             job = entry[1]
+            held[worker] = _workload(job)
             if on_dispatch is not None:
                 on_dispatch(job)
             try:
@@ -335,6 +372,7 @@ def run_workers(queue: List[Job], jobs: int, timeout_s: Optional[float],
                     if reply[0] != "ok":
                         _retire(worker)
                         del sent[worker]
+                        held.pop(worker, None)
                         # The jobs queued behind it never started.
                         waiting[:0] = [(0.0, job) for job, _d in queued]
                         break

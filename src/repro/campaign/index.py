@@ -10,8 +10,15 @@ actually return.
 
 The index is a **cache, never a source of truth**:
 
-* ``put()`` upserts the new record's row best-effort; a locked or
-  damaged index never fails a write.
+* ``put()`` only queues the new record's row; :meth:`StoreIndex.flush`
+  writes every queued row in one connection and one transaction. A
+  campaign (``run_campaign``, the scheduler's drain) flushes when it
+  ends, also when it raises, and every read through the index
+  (``refresh``, ``query``, ``count``, ``note_removed``) flushes first.
+  A locked or damaged index never fails a write, and a process that
+  dies before flushing loses only index rows: their shard directories
+  stay unstamped, so the next :meth:`~StoreIndex.refresh` reads the
+  records back in.
 * :meth:`refresh` makes the index catch up with foreign writers
   (other processes, older code versions) *incrementally*: it stats the
   shard directories, re-scans only directories whose mtime changed
@@ -30,6 +37,7 @@ dropped and rebuilt rather than interpreted.
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -105,12 +113,15 @@ def record_row(record: Dict[str, object]) -> Dict[str, object]:
 
 
 class StoreIndex:
-    """SQLite selector index for one store root (connection per call).
+    """SQLite selector index for one store root (queued writes).
 
-    Connections are opened and closed inside each public method so the
+    :meth:`note_put` queues rows in memory and :meth:`flush` writes the
+    queue in one transaction, so a campaign pays for one connection
+    instead of one per record. Every other entry point opens and closes
+    its own connection, flushing the queue through it first, so the
     same :class:`StoreIndex` can be shared across threads (the serve
-    daemon's scheduler and request handlers both touch it) and so a
-    crash never leaves a handle pinning the WAL.
+    daemon's scheduler and request handlers both touch it) and a crash
+    never leaves a handle pinning the WAL.
     """
 
     def __init__(self, root: Path):
@@ -120,6 +131,11 @@ class StoreIndex:
         #: every entry point then reports the index unusable and the
         #: store falls back to scans.
         self.disabled = False
+        #: Rows :meth:`note_put` queued for the next flush, as
+        #: ``(key, rel_dir, mtime, row, dir mtime before, dir mtime
+        #: after)``; swapped out under ``_lock``.
+        self._pending: List[tuple] = []
+        self._lock = threading.Lock()
 
     def _ready(self) -> bool:
         """False once the index is disabled (imports sqlite3 first)."""
@@ -163,27 +179,75 @@ class StoreIndex:
     # ------------------------------------------------------------ write
 
     def note_put(self, key: str, path: Path,
-                 record: Dict[str, object]) -> None:
-        """Upsert one just-written record (best-effort, never raises)."""
+                 record: Dict[str, object],
+                 dir_before: Optional[int]) -> None:
+        """Queue the row of one just-written record (never raises).
+
+        ``dir_before`` is the shard directory's mtime just before the
+        write (None if the directory did not exist); :meth:`flush` uses
+        it to decide whether stamping the directory is safe.
+        """
         if not self._ready():
             return
         try:
             mtime = path.stat().st_mtime_ns
+            dir_after = path.parent.stat().st_mtime_ns
             rel_dir = str(path.parent.relative_to(self.root / "objects"))
+        except (OSError, ValueError):
+            self.disabled = True
+            return
+        entry = (key, rel_dir, mtime, record_row(record), dir_before,
+                 dir_after)
+        with self._lock:
+            self._pending.append(entry)
+
+    def flush(self) -> None:
+        """Write every queued row in one transaction (best-effort)."""
+        if not self._pending or not self._ready():
+            return
+        try:
             con = self._connect()
             try:
-                self._upsert(con, key, rel_dir, mtime, record)
-                # Stamp the shard dir so refresh() does not re-scan it
-                # just because of our own write. A concurrent foreign
-                # writer racing into the same directory in the same
-                # mtime tick is the one (harmless, self-healing) gap:
-                # rebuild()/the next dir change catches it.
-                self._stamp_dir(con, rel_dir, path.parent)
+                self._write_pending(con)
                 con.commit()
             finally:
                 con.close()
-        except (sqlite3.Error, OSError, ValueError):
+        except (sqlite3.Error, OSError):
             self.disabled = True
+
+    def _write_pending(self, con) -> None:
+        """Upsert the queued rows and stamp their shard directories.
+
+        A directory is stamped with its mtime after our last write only
+        if nothing else can have landed in it unindexed: its mtime before
+        our first write must be the stamp already stored (or it did not
+        exist), and each of our writes must have started from the mtime
+        the previous one left. Otherwise the stale stamp makes the next
+        refresh re-scan the directory, which reads only the files no row
+        covers: records a foreign writer, or a process that died before
+        its flush, left there. A foreign write that lands between one of
+        our writes and its stat, or in the same mtime tick, is the one
+        (harmless, self-healing) gap: ``refresh(force=True)`` or the
+        next change to the directory catches it.
+        """
+        with self._lock:
+            pending, self._pending = self._pending, []
+        chains: Dict[str, list] = {}   # dir -> [first before, last after]
+        for key, rel_dir, mtime, row, before, after in pending:
+            self._upsert(con, key, rel_dir, mtime, row)
+            chain = chains.get(rel_dir)
+            if chain is None:
+                chains[rel_dir] = [before, after]
+            elif chain[1] is not None:
+                chain[1] = after if before == chain[1] else None
+        for rel_dir, (before, after) in chains.items():
+            if after is None:
+                continue
+            stamp = con.execute("SELECT mtime FROM dirs WHERE dir=?",
+                                (rel_dir,)).fetchone()
+            if (stamp[0] if stamp else None) == before:
+                con.execute("INSERT OR REPLACE INTO dirs VALUES (?, ?)",
+                            (rel_dir, after))
 
     def note_removed(self, keys: List[str]) -> None:
         """Drop rows for deleted records (best-effort)."""
@@ -192,6 +256,7 @@ class StoreIndex:
         try:
             con = self._connect()
             try:
+                self._write_pending(con)
                 con.executemany("DELETE FROM recs WHERE key=?",
                                 [(k,) for k in keys])
                 con.commit()
@@ -209,8 +274,7 @@ class StoreIndex:
                 pass
 
     def _upsert(self, con, key: str, rel_dir: str, mtime: int,
-                record: Dict[str, object]) -> None:
-        row = record_row(record)
+                row: Dict[str, object]) -> None:
         con.execute(
             "INSERT OR REPLACE INTO recs (key, dir, kind, bench, code,"
             " engine, gov, mem, elapsed_s, created, mtime)"
@@ -218,14 +282,6 @@ class StoreIndex:
             (key, rel_dir, row["kind"], row["bench"], row["code"],
              row["engine"], row["gov"], row["mem"], row["elapsed_s"],
              row["created"], mtime))
-
-    def _stamp_dir(self, con, rel_dir: str, dir_path: Path) -> None:
-        try:
-            mtime = dir_path.stat().st_mtime_ns
-        except OSError:
-            return
-        con.execute("INSERT OR REPLACE INTO dirs VALUES (?, ?)",
-                    (rel_dir, mtime))
 
     # ---------------------------------------------------------- refresh
 
@@ -241,6 +297,7 @@ class StoreIndex:
         try:
             con = self._connect()
             try:
+                self._write_pending(con)
                 if force:
                     con.execute("DELETE FROM recs")
                     con.execute("DELETE FROM dirs")
@@ -313,7 +370,7 @@ class StoreIndex:
             record = read_record(dir_path / f"{key}.json")
             if record is None:
                 continue          # unreadable/torn: stays a store miss
-            self._upsert(con, key, rel_dir, mtime, record)
+            self._upsert(con, key, rel_dir, mtime, record_row(record))
 
     # ------------------------------------------------------------ query
 
@@ -345,6 +402,8 @@ class StoreIndex:
             sql += f" LIMIT {int(limit)} OFFSET {int(offset)}"
         con = self._connect()
         try:
+            self._write_pending(con)
+            con.commit()
             cols = ("key", "kind", "bench", "code", "engine", "gov",
                     "mem", "elapsed_s", "created", "mtime", "dir")
             return [dict(zip(cols, row))
@@ -355,6 +414,8 @@ class StoreIndex:
     def count(self) -> int:
         con = self._connect()
         try:
+            self._write_pending(con)
+            con.commit()
             return con.execute("SELECT COUNT(*) FROM recs").fetchone()[0]
         finally:
             con.close()

@@ -24,7 +24,10 @@ store never observe torn records; corrupt or unreadable records are
 treated as misses and re-simulated. An optional SQLite index
 (:mod:`repro.campaign.index`) caches the selector columns so filtered
 listings do not read every shard; it is advisory — rebuilt lazily and
-incrementally, and any failure degrades to the full-scan path.
+incrementally, and any failure degrades to the full-scan path. A write
+only queues its index row: a campaign writes the queue in one
+transaction when it ends (``store.index.flush()``), and every indexed
+read flushes it first.
 
 The default root is ``~/.cache/repro-campaign``, overridable with the
 ``REPRO_CAMPAIGN_DIR`` environment variable or the CLI ``--store`` flag.
@@ -136,11 +139,15 @@ class ResultStore:
 
         Concurrent writers are safe: the temp file + ``os.replace``
         makes the record visible atomically (last writer wins for the
-        same key), and the index upsert is a row-level last-writer-wins
-        too.
+        same key), and the queued index upsert is a row-level
+        last-writer-wins too.
         """
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            dir_before: Optional[int] = path.parent.stat().st_mtime_ns
+        except OSError:
+            dir_before = None
+            path.parent.mkdir(parents=True, exist_ok=True)
         record = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -165,7 +172,7 @@ class ResultStore:
                 pass
             raise
         self.puts += 1
-        self.index.note_put(key, path, record)
+        self.index.note_put(key, path, record, dir_before)
 
     # -------------------------------------------------------- management
 

@@ -7,8 +7,9 @@ behaviour emerges from the actual address stream.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigError
 
@@ -81,9 +82,11 @@ class Cache:
         self._set_mask = self.num_sets - 1
         self._line_shift = self.line_bytes.bit_length() - 1
         self._tag_shift = self.num_sets.bit_length() - 1
-        # Per-set map tag -> LRU stamp; eviction scans for the min stamp
-        # (associativity is small, so the scan beats an ordered structure).
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
+        # Set index -> (tag -> LRU stamp); eviction scans for the min
+        # stamp (associativity is small, so the scan beats an ordered
+        # structure). A set's map is made on its first allocation, so a
+        # short run pays only for the sets it touches.
+        self._sets: Dict[int, Dict[int, int]] = defaultdict(dict)
         self._clock = 0
 
     def access(self, addr: int, write: bool = False) -> bool:
@@ -169,9 +172,9 @@ class Cache:
         line = addr >> self._line_shift
         set_idx = line & self._set_mask
         tag = line >> self._tag_shift
-        return tag in self._sets[set_idx]
+        cset = self._sets.get(set_idx)     # never allocates a set
+        return cset is not None and tag in cset
 
     def flush(self) -> None:
         """Invalidate all contents (stats are preserved)."""
-        for cset in self._sets:
-            cset.clear()
+        self._sets.clear()

@@ -369,6 +369,57 @@ class TestWorkerFailures:
         assert sorted(done) == [(1, 2), (2, 1), (3, 1)]
 
 
+class TestAffineDispatch:
+    """Workers keep to a workload: a worker takes the jobs of the bench it
+    ran last before it takes one that another worker's memos hold."""
+
+    BENCHES = ("smoke", "gcc", "ijpeg")
+
+    def legs(self):
+        # Leg-major order, so queue order alone would spread every bench
+        # over both workers.
+        return [spec(bench=bench, instructions=N + 100 * leg)
+                for leg in range(4) for bench in self.BENCHES]
+
+    def test_benches_stay_on_their_worker(self, tmp_path, monkeypatch):
+        log = tmp_path / "runs"
+        original = RunSpec.execute
+
+        def execute(self):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {self.bench}\n")
+            return original(self)
+
+        monkeypatch.setattr(RunSpec, "execute", execute)
+        legs = self.legs()
+        parallel = run_campaign(legs, jobs=2)
+        runs = [tuple(line.split()) for line in log.read_text().splitlines()]
+        assert len(runs) == len(legs)
+        for pid in {pid for pid, _bench in runs}:
+            # A worker never comes back to a bench it left.
+            mine = [bench for p, bench in runs if p == pid]
+            switches = [b for i, b in enumerate(mine) if i == 0
+                        or b != mine[i - 1]]
+            assert len(switches) == len(set(switches)), mine
+        # Each bench runs on one worker, bar at most one handover per
+        # worker when the benches run out.
+        assert len(set(runs)) <= len(self.BENCHES) + 2, runs
+        serial = run_campaign(legs, jobs=1)
+        for leg in legs:
+            assert (parallel.result_for(leg).stats.to_dict()
+                    == serial.result_for(leg).stats.to_dict())
+
+    def test_one_worker_dispatches_in_queue_order(self, tmp_path):
+        from repro.campaign import submit_campaign
+
+        order = []
+        legs = self.legs()
+        submit_campaign(legs, ResultStore(tmp_path), jobs=1,
+                        dispatch_hook=lambda _spec, index, _attempt:
+                        order.append(index)).execute()
+        assert order == list(range(len(legs)))
+
+
 class TestExperimentContext:
     def test_config_override_no_longer_aliases(self):
         """Regression: same (bench, clock, tag) with different config=

@@ -128,6 +128,37 @@ class TestCacheBehaviour:
         assert a.stats == b.stats
 
 
+class TestLazySets:
+    """A set's map exists only once a line has been allocated in it."""
+
+    def test_fresh_cache_holds_no_sets(self):
+        cache = Cache("c", 64 * 1024, 2)
+        assert cache.num_sets == 1024
+        assert len(cache._sets) == 0
+
+    def test_probe_allocates_no_set(self):
+        cache = Cache("c", 1024, 2)
+        assert not cache.probe(0x40)
+        assert len(cache._sets) == 0
+        cache.access(0x40)
+        assert cache.probe(0x40) and not cache.probe(0x80)
+        assert len(cache._sets) == 1
+
+    def test_touched_sets_only(self):
+        cache = Cache("c", 1024, 2, line_bytes=32)  # 16 sets
+        for addr in (0x0, 0x20, 0x200, 0x1000):    # sets 0, 1, 0, 0
+            cache.install(addr)
+        assert sorted(cache._sets) == [0, 1]
+
+    def test_flush_empties_the_cache(self):
+        cache = Cache("c", 1024, 2)
+        for addr in range(0, 4096, 32):
+            cache.access(addr)
+        cache.flush()
+        assert len(cache._sets) == 0
+        assert not any(cache.probe(a) for a in range(0, 4096, 32))
+
+
 @settings(max_examples=40, deadline=None)
 @given(bases=st.lists(st.integers(min_value=0, max_value=1 << 18),
                       min_size=1, max_size=120),
@@ -153,7 +184,7 @@ def test_cache_occupancy_bounded(addrs):
     cache = Cache("c", 2048, 2, line_bytes=32)
     for addr in addrs:
         cache.access(addr)
-    resident = sum(len(s) for s in cache._sets)
+    resident = sum(len(s) for s in cache._sets.values())
     assert resident <= cache.num_sets * cache.ways
     # Re-touching the most recent address must hit.
     assert cache.access(addrs[-1])

@@ -277,3 +277,98 @@ class TestConcurrentWriters:
         store.refresh_index(force=True)
         assert {r["key"] for r in store.query()} == {p.stem for p in paths}
         assert sum(1 for r in store.query() if r["key"] == shared) == 1
+
+
+def _count_reads(monkeypatch):
+    """Record every ``ResultStore._read_path`` call from now on."""
+    reads = []
+    original = ResultStore._read_path
+
+    def counted(self, path):
+        reads.append(path)
+        return original(self, path)
+
+    monkeypatch.setattr(ResultStore, "_read_path", counted)
+    return reads
+
+
+class TestBatchedIndexWrites:
+    """A campaign writes its index rows in one transaction when it ends,
+    and the index is complete when the campaign returns or raises."""
+
+    def test_campaign_index_is_complete_on_return(self, tmp_path,
+                                                  monkeypatch):
+        from repro.campaign import run_campaign
+
+        connects = []
+        original = StoreIndex._connect
+
+        def counted(self):
+            connects.append(self.path)
+            return original(self)
+
+        monkeypatch.setattr(StoreIndex, "_connect", counted)
+        specs = [spec(seed=i) for i in range(1, 7)]
+        store = ResultStore(tmp_path)
+        report = run_campaign(specs, store, jobs=2)
+        assert report.executed == len(specs)
+        assert len(connects) <= 2
+        # Another process-level view of the same file: rows were written,
+        # not just queued.
+        assert StoreIndex(tmp_path).count() == len(specs)
+        reads = _count_reads(monkeypatch)
+        assert store.refresh_index()
+        assert reads == []          # every shard dir was stamped
+        assert ({r["key"] for r in store.query()}
+                == {s.cache_key() for s in specs})
+
+    def test_failed_campaign_indexes_what_landed(self, tmp_path,
+                                                 monkeypatch):
+        from repro.campaign import run_campaign
+        from repro.errors import CampaignError
+
+        original = RunSpec.execute
+
+        def execute(self):
+            if self.seed == 4:
+                raise ValueError("poisoned spec")
+            return original(self)
+
+        monkeypatch.setattr(RunSpec, "execute", execute)
+        specs = [spec(seed=i) for i in range(1, 7)]
+        store = ResultStore(tmp_path)
+        with pytest.raises(CampaignError, match="seed=4"):
+            run_campaign(specs, store, jobs=2)
+        landed = {p.stem for p in store._record_paths()}
+        assert landed and specs[3].cache_key() not in landed
+        assert ({r["key"] for r in StoreIndex(tmp_path).query({})}
+                == landed)
+
+    def test_rows_lost_before_a_flush_come_back(self, tmp_path):
+        s = spec()
+        result = s.execute()
+        shared = "abcd" + fake_key(1)[4:]       # same shard dir as ...
+        beside = "abcd" + fake_key(2)[4:]       # ... this one
+        alone = fake_key(3)
+        crashed = ResultStore(tmp_path)
+        crashed.put(shared, s, result)
+        crashed.put(alone, s, result)
+        crashed.index._pending.clear()          # died before flushing
+        survivor = ResultStore(tmp_path)
+        survivor.put(beside, s, result)
+        survivor.index.flush()
+        # The survivor's write must not stamp over the lost row.
+        assert ({r["key"] for r in ResultStore(tmp_path).query()}
+                == {shared, beside, alone})
+
+    def test_garbage_index_does_not_fail_a_campaign(self, tmp_path):
+        from repro.campaign import run_campaign
+
+        (tmp_path / "index.sqlite").write_bytes(b"not a sqlite file")
+        specs = [spec(seed=i) for i in range(1, 4)]
+        store = ResultStore(tmp_path)
+        assert run_campaign(specs, store, jobs=2).executed == len(specs)
+        fresh = ResultStore(tmp_path)
+        rows = fresh.query()
+        assert fresh.index.disabled            # answered by the scan
+        assert {r["key"] for r in rows} == {s.cache_key() for s in specs}
