@@ -11,21 +11,14 @@ simulator's own performance are caught. Two entry points:
   comparable cycles/sec trajectory. Program generation is excluded from
   the timed region (it is identical across kinds and code versions).
 
-The CLI also tracks regressions perun-style: ``--against PATH`` compares
-the fresh measurement to a committed report and prints a per-kind
-delta table; ``--fail-on-regression PCT`` turns any slowdown beyond PCT
-percent into a non-zero exit for CI (omit it for report-only mode —
-cross-machine comparisons are informative, not gating). The gate covers
-the paired ``@turbo`` series and the turbo speedup table too, but
-report-only: turbo warnings never fail the run, and a ``--engine
-legacy`` run (no turbo series at all) stays green.
+Every measurement appends a schema-versioned snapshot (series, engine
+speedups, code fingerprint, timestamp — injected here, at the CLI
+boundary) to ``BENCH_history.jsonl``. ``python -m repro.perf check``
+is the one perf gate: it runs the statistical degradation detectors
+over that history, flags a series or speedup ratio that vanished from
+the latest snapshot, and exits non-zero with ``--fail-on-degraded``.
 ``--quick`` runs one repeat on a reduced budget with no history append,
-for the CI regression step and local iteration.
-
-Every measurement also appends a schema-versioned snapshot (series,
-engine speedups, code fingerprint, timestamp — injected here, at the
-CLI boundary) to ``BENCH_history.jsonl``; ``python -m repro.perf
-check`` runs the statistical degradation detectors over that history.
+for smoke tests and local iteration.
 
 Reference points measured on the PR-1 tree (same protocol, same
 container class) before the engine refactor:
@@ -68,8 +61,7 @@ MEMBOUND_WARMUP = 4_000
 #: Measured through the Session facade's uncached path, so any overhead
 #: the front door adds to a simulation call is part of the number. The
 #: kind list comes from the registry: a new machine kind is benchmarked
-#: (and perf-tracked via ``compare``'s missing-series check) the moment
-#: it registers.
+#: (and perf-tracked by ``repro.perf check``) the moment it registers.
 _SESSION = Session()
 
 
@@ -230,56 +222,6 @@ def _measure_membound(repeats: int, engines=("legacy",),
     return series
 
 
-def compare_speedups(fresh: dict, committed: dict) -> list:
-    """Delta rows of the turbo speedup table (fresh vs committed).
-
-    Same shape as :func:`compare` rows, but over the turbo/legacy
-    ratios: a quietly shrinking speedup is visible even when both raw
-    series move together. Series present on one side only carry a None
-    delta.
-    """
-    fresh_table = fresh.get("turbo_speedup", {})
-    committed_table = committed.get("turbo_speedup", {})
-    rows = []
-    for name in sorted(set(fresh_table) | set(committed_table)):
-        new = fresh_table.get(name)
-        old = committed_table.get(name)
-        delta = ((new - old) / old * 100.0) if new and old else None
-        rows.append({"series": name, "old": old, "new": new,
-                     "delta_pct": delta})
-    return rows
-
-
-def compare(fresh: dict, committed: dict) -> list:
-    """Per-series delta rows between a fresh and a committed report.
-
-    Positive ``delta_pct`` is an improvement (more cycles/sec); series
-    present on only one side are listed with a None delta rather than
-    dropped, so a renamed kind cannot silently leave perf tracking.
-    """
-    fresh_series = fresh.get("series", {})
-    committed_series = committed.get("series", {})
-    rows = []
-    for name in sorted(set(fresh_series) | set(committed_series)):
-        new = fresh_series.get(name, {}).get("cycles_per_sec")
-        old = committed_series.get(name, {}).get("cycles_per_sec")
-        delta = ((new - old) / old * 100.0) if new and old else None
-        rows.append({"series": name, "old": old, "new": new,
-                     "delta_pct": delta})
-    return rows
-
-
-def print_comparison(rows: list) -> None:
-    print(f"\n{'series':28s} {'committed':>12s} {'fresh':>12s} "
-          f"{'delta':>8s}")
-    for row in rows:
-        old = f"{row['old']:,}" if row["old"] else "-"
-        new = f"{row['new']:,}" if row["new"] else "-"
-        delta = (f"{row['delta_pct']:+7.1f}%" if row["delta_pct"] is not None
-                 else "      -")
-        print(f"{row['series']:28s} {old:>12s} {new:>12s} {delta:>8s}")
-
-
 def main(argv=None) -> int:
     import argparse
 
@@ -298,18 +240,10 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=BENCH_REPEATS)
     parser.add_argument("--quick", action="store_true",
                         help="one repeat on a reduced instruction "
-                             "budget, history append skipped — for the "
-                             "CI regression step and local iteration "
-                             "(only comparable against another --quick "
+                             "budget, history append skipped — for "
+                             "smoke tests and local iteration (only "
+                             "comparable against another --quick "
                              "report)")
-    parser.add_argument("--against", default=None, metavar="PATH",
-                        help="committed report to diff the fresh "
-                             "measurement against (e.g. BENCH_core.json)")
-    parser.add_argument("--fail-on-regression", type=float, default=None,
-                        metavar="PCT",
-                        help="exit non-zero if any series is more than "
-                             "PCT percent slower than --against "
-                             "(default: report-only)")
     parser.add_argument("--profile", nargs="?", const="BENCH_profile.json",
                         default=None, metavar="PATH",
                         help="additionally self-profile each kind on the "
@@ -323,20 +257,6 @@ def main(argv=None) -> int:
     parser.add_argument("--no-history", action="store_true",
                         help="skip the history append")
     args = parser.parse_args(argv)
-    if args.fail_on_regression is not None and not args.against:
-        parser.error("--fail-on-regression requires --against")
-
-    # Read the committed report BEFORE measuring: --out and --against may
-    # name the same file (refresh-and-diff in one invocation).
-    committed = None
-    if args.against:
-        try:
-            with open(args.against, encoding="utf-8") as fh:
-                committed = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read {args.against}: {exc}", file=sys.stderr)
-            if args.fail_on_regression is not None:
-                return 1
 
     if args.engine == "all":
         engines = ("legacy", "turbo")
@@ -387,63 +307,6 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"wrote {args.profile}")
 
-    if committed is not None:
-        rows = compare(report, committed)
-        print_comparison(rows)
-        speedup_rows = compare_speedups(report, committed)
-        if speedup_rows:
-            print(f"\n{'turbo speedup':28s} {'committed':>12s} "
-                  f"{'fresh':>12s} {'delta':>8s}")
-        for row in speedup_rows:
-            old = f"{row['old']:.2f}x" if row["old"] else "-"
-            new = f"{row['new']:.2f}x" if row["new"] else "-"
-            delta = (f"{row['delta_pct']:+7.1f}%"
-                     if row["delta_pct"] is not None else "      -")
-            print(f"{row['series']:28s} {old:>12s} {new:>12s} "
-                  f"{delta:>8s}")
-        if args.fail_on_regression is not None:
-            # The gate *fails* on the legacy series only: their
-            # trajectory is the simulator-cost contract. The paired
-            # ``@turbo`` series and the turbo_speedup table are covered
-            # too, but report-only — turbo warnings never fail the run,
-            # so a ``--engine legacy`` run (no ``@turbo`` series at all)
-            # stays green and cross-machine turbo ratios stay
-            # informative rather than gating.
-            def is_turbo(name):
-                return "@" in name
-            bad = [r for r in rows if r["delta_pct"] is not None
-                   and not is_turbo(r["series"])
-                   and r["delta_pct"] < -args.fail_on_regression]
-            # A committed legacy series with no fresh measurement is
-            # lost perf tracking (renamed/dropped kind), not a pass.
-            lost = [r for r in rows if r["old"] and not r["new"]
-                    and not is_turbo(r["series"])]
-            turbo_rows = ([r for r in rows if is_turbo(r["series"])]
-                          + speedup_rows)
-            warn = [r for r in turbo_rows
-                    if (r["delta_pct"] is not None
-                        and r["delta_pct"] < -args.fail_on_regression)
-                    or (r["old"] and not r["new"])]
-            for row in warn:
-                what = ("missing from the fresh report"
-                        if row["old"] and not row["new"]
-                        else f"regressed {row['delta_pct']:+.1f}%")
-                print(f"warning (report-only): turbo series "
-                      f"{row['series']} {what}", file=sys.stderr)
-            if bad or lost:
-                if bad:
-                    print(f"FAIL: regression beyond "
-                          f"{args.fail_on_regression:g}% in: "
-                          + ", ".join(r["series"] for r in bad),
-                          file=sys.stderr)
-                if lost:
-                    print("FAIL: committed series missing from the "
-                          "fresh report: "
-                          + ", ".join(r["series"] for r in lost),
-                          file=sys.stderr)
-                return 1
-            print(f"ok: no gating series regressed beyond "
-                  f"{args.fail_on_regression:g}%")
     return 0
 
 

@@ -1,8 +1,19 @@
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One version number: read ``repro.__version__`` as text, so building
+# the package never imports it.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(
+        encoding="utf-8"),
+    re.M).group(1)
 
 setup(
     name="repro",
-    version="0.7.0",
+    version=VERSION,
     description=(
         "Cycle-level reproduction of Talpes & Marculescu, 'Multiple "
         "Speed Pipelines' (ISCA 2005): dual-clock Flywheel core with "

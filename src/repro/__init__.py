@@ -35,9 +35,9 @@ long campaigns::
 Machine kinds (``"baseline"``, ``"pipelined_wakeup"``, ``"flywheel"``)
 resolve through the pluggable registry —
 :func:`repro.core.registry.register_kind` adds third-party machines that
-then work everywhere a kind name is accepted. The ``run_baseline`` /
-``run_flywheel`` / ``run_pipelined_wakeup`` trio remain as deprecated
-wrappers over the default session.
+then work everywhere a kind name is accepted.
+``Session().run_workload(kind, workload, ...)`` runs an ad-hoc profile
+or program uncached and keeps the live core.
 
 From the shell: ``python -m repro.campaign run --experiments all
 --jobs 4`` (see also ``ls`` / ``export --csv`` / ``clean`` /
@@ -67,8 +67,7 @@ _EXPORTS = {
     "repro.core.config": ("ClockPlan", "CoreConfig", "FlywheelConfig"),
     "repro.core.flywheel": ("FlywheelCore",),
     "repro.core.pipelined": ("PipelinedWakeupCore",),
-    "repro.core.sim": (
-        "SimResult", "run_baseline", "run_flywheel", "run_pipelined_wakeup"),
+    "repro.core.sim": ("SimResult",),
     "repro.core.stats": ("SimStats",),
     "repro.core.registry": (
         "get_kind", "kind_names", "register_kind", "unregister_kind"),
@@ -78,8 +77,7 @@ _EXPORTS = {
     "repro.obs.trace": ("TraceRecorder",),
     "repro.obs.spec": ("TraceSpec",),
     "repro.power.accounting": ("energy_report",),
-    "repro.session": (
-        "MachineSpec", "Session", "SessionEvent", "default_session"),
+    "repro.session": ("MachineSpec", "Session", "SessionEvent"),
     "repro.workloads.profiles": (
         "PROFILES", "SPEC_NAMES", "WorkloadProfile", "get_profile"),
     "repro.workloads.generator": ("generate_program",),
@@ -87,14 +85,13 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # The front door.
     "MachineSpec",
     "Session",
     "SessionEvent",
-    "default_session",
     # Core-kind registry.
     "register_kind",
     "unregister_kind",
@@ -116,10 +113,6 @@ __all__ = [
     "TraceSpec",
     "TraceRecorder",
     "MetricRegistry",
-    # Deprecated one-shot wrappers (use Session/MachineSpec).
-    "run_baseline",
-    "run_flywheel",
-    "run_pipelined_wakeup",
     # Power and workloads.
     "energy_report",
     "PROFILES",

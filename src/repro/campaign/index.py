@@ -311,11 +311,12 @@ class StoreIndex:
             return False
 
     def _shard_dirs(self) -> Iterator[Tuple[str, Path, int]]:
-        """Every directory that directly holds record files.
+        """Every directory that holds record files.
 
-        Yields ``(relative dir, path, mtime_ns)`` for each first-level
-        shard dir (legacy ``ab/`` layout files live there) and each
-        second-level ``ab/cd/`` dir.
+        Yields ``(relative dir, path, mtime_ns)`` for each second-level
+        ``ab/cd/`` shard dir. Files directly under a first-level ``ab/``
+        dir (the pre-sharding layout) are not records until
+        ``ResultStore.migrate`` moves them, so they are never indexed.
         """
         objects = self.root / "objects"
         if not objects.is_dir():
@@ -323,7 +324,6 @@ class StoreIndex:
         with os.scandir(objects) as level1:
             entries1 = [e for e in level1 if e.is_dir()]
         for e1 in entries1:
-            yield e1.name, Path(e1.path), e1.stat().st_mtime_ns
             with os.scandir(e1.path) as level2:
                 for e2 in level2:
                     if e2.is_dir():

@@ -13,9 +13,11 @@ Layout under the store root::
     <root>/campaigns/<id>.jsonl                       # CampaignRun journals
 
 The two-level fan-out keeps directories small as the store grows into
-the millions of records; stores written before the fan-out (one level,
-``objects/ab/<key>.json``) keep working — reads fall back to the legacy
-path and :meth:`ResultStore.migrate` relocates them in one shot.
+the millions of records. Reads, listings and ``clean`` see only this
+layout. Stores written before the fan-out (one level,
+``objects/ab/<key>.json``) are moved into it by one
+:meth:`ResultStore.migrate` (``campaign migrate``), the only code that
+knows the old layout.
 
 Each record carries the spec payload (for ``ls``/``export``), the
 serialized result, the code fingerprint and a creation timestamp. Writes
@@ -77,12 +79,8 @@ class ResultStore:
     def _path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / key[2:4] / f"{key}.json"
 
-    def _legacy_path(self, key: str) -> Path:
-        """Pre-sharding location (one-level fan-out); read fallback."""
-        return self.root / "objects" / key[:2] / f"{key}.json"
-
     def __contains__(self, key: str) -> bool:
-        return self._path(key).exists() or self._legacy_path(key).exists()
+        return self._path(key).exists()
 
     def get(self, key: str) -> Optional[SimResult]:
         """Return the stored result for ``key``, or None (counted)."""
@@ -99,10 +97,7 @@ class ResultStore:
         return result
 
     def _read(self, key: str) -> Optional[Dict[str, object]]:
-        record = self._read_path(self._path(key))
-        if record is None:
-            record = self._read_path(self._legacy_path(key))
-        return record
+        return self._read_path(self._path(key))
 
     def _read_path(self, path: Path) -> Optional[Dict[str, object]]:
         """Parse one record file; None for missing/torn/foreign-schema.
@@ -242,7 +237,7 @@ class ResultStore:
                 break
 
     def _record_paths(self) -> List[Path]:
-        """Every record path, both layouts, newest first (stat only)."""
+        """Every record path, newest first (stat only)."""
         objects = self.root / "objects"
         if not objects.is_dir():
             return []
@@ -251,8 +246,7 @@ class ResultStore:
                 return path.stat().st_mtime
             except OSError:       # concurrently clean()ed — sort it last,
                 return 0.0        # _read_path then skips the vanished file
-        paths = list(objects.glob("*/*.json"))
-        paths += objects.glob("*/*/*.json")
+        paths = list(objects.glob("*/*/*.json"))
         paths.sort(key=mtime, reverse=True)
         return paths
 
@@ -277,8 +271,7 @@ class ResultStore:
         objects = self.root / "objects"
         if not objects.is_dir():
             return 0
-        return (sum(1 for _ in objects.glob("*/*.json"))
-                + sum(1 for _ in objects.glob("*/*/*.json")))
+        return sum(1 for _ in objects.glob("*/*/*.json"))
 
     def migrate(self) -> int:
         """One-shot relocation of legacy one-level records into the
@@ -286,10 +279,9 @@ class ResultStore:
 
         Safe to re-run (no-op on an already-migrated store) and safe
         under concurrent readers: every move is an ``os.replace`` into
-        the path ``get()`` checks first, and readers fall back to the
-        legacy path until the moment it disappears. Finishes by
-        force-refreshing the index so the moved rows point at the new
-        shard directories.
+        the path ``get()`` reads, so a record is a miss until the moment
+        it lands there and a hit after. Finishes by force-refreshing the
+        index so it lists the moved records.
         """
         objects = self.root / "objects"
         moved = 0
@@ -320,24 +312,22 @@ class ResultStore:
         if not objects.is_dir():
             return 0
         # Orphaned temp files from interrupted put()s are always junk.
-        for pattern in ("*/*.tmp", "*/*/*.tmp"):
-            for path in objects.glob(pattern):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        for path in objects.glob("*/*/*.tmp"):
+            try:
+                path.unlink()
+            except OSError:
+                pass
         current = code_fingerprint()
-        for pattern in ("*/*.json", "*/*/*.json"):
-            for path in objects.glob(pattern):
-                if stale_only:
-                    record = self._read_path(path)
-                    if record is not None and record.get("code") == current:
-                        continue
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        for path in objects.glob("*/*/*.json"):
+            if stale_only:
+                record = self._read_path(path)
+                if record is not None and record.get("code") == current:
+                    continue
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
         if stale_only:
             self.refresh_index(force=True)
         else:

@@ -23,9 +23,7 @@ _EXPORTS = {
     "repro.core.pipelined": ("PipelinedWakeupCore",),
     "repro.core.flywheel": ("FlywheelCore",),
     "repro.core.registry": ("get_kind", "kind_names", "register_kind"),
-    "repro.core.sim": (
-        "execute_kind", "run_baseline", "run_flywheel", "run_pipelined_wakeup",
-        "SimResult"),
+    "repro.core.sim": ("execute_kind", "SimResult"),
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
@@ -42,8 +40,5 @@ __all__ = [
     "get_kind",
     "kind_names",
     "register_kind",
-    "run_baseline",
-    "run_flywheel",
-    "run_pipelined_wakeup",
     "SimResult",
 ]

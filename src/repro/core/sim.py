@@ -2,10 +2,9 @@
 
 This module defines :class:`SimResult`, the per-kind runners, and the
 built-in registrations in the core-kind registry
-(:mod:`repro.core.registry`). The preferred public entry point is
-``repro.Session`` with a ``repro.MachineSpec`` — the historical
-``run_baseline``/``run_flywheel``/``run_pipelined_wakeup`` trio survive
-below as thin deprecated wrappers over the module-level default session.
+(:mod:`repro.core.registry`). The public entry point is ``repro.Session``
+with a ``repro.MachineSpec``; ``Session.run_workload`` reaches
+:func:`execute_kind` directly for ad-hoc workloads.
 
 ``SimResult`` is serializable: the live ``core`` object is an in-process
 convenience only, and everything downstream consumers need (the power
@@ -17,7 +16,6 @@ simulations in worker processes and memoize them on disk.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Union
@@ -40,9 +38,6 @@ __all__ = [
     "SimResult",
     "default_config",
     "execute_kind",
-    "run_baseline",
-    "run_flywheel",
-    "run_pipelined_wakeup",
 ]
 
 #: Default instruction budgets; small enough for a pure-Python simulator,
@@ -317,99 +312,3 @@ register_kind(KIND_PIPELINED_WAKEUP, _pipelined_core_cls,
 register_kind(KIND_FLYWHEEL, _flywheel_core_cls, _flywheel_runner,
               default_config=_flywheel_default_config, dual_clock=True,
               normalize_config=_normalize_memory)
-
-
-# ----------------------------------------------------- deprecated wrappers
-
-#: Wrapper names that already warned; each shim warns once per process.
-_DEPRECATION_WARNED = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"repro.{name}() is deprecated; use {replacement} "
-        "(see repro.Session / repro.MachineSpec)",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_baseline(workload: Union[str, WorkloadProfile, Program],
-                 config: Optional[CoreConfig] = None,
-                 clock: Optional[ClockPlan] = None,
-                 max_instructions: int = DEFAULT_INSTRUCTIONS,
-                 warmup: int = DEFAULT_WARMUP,
-                 seed: Optional[int] = None,
-                 mem_scale: float = 1.0) -> SimResult:
-    """Run the fully synchronous baseline core on a workload.
-
-    .. deprecated:: 1.1
-       Thin wrapper over the default :class:`repro.Session`; prefer
-       ``Session().run(MachineSpec(kind="baseline", bench=...))``.
-
-    ``workload`` may be a benchmark name (``"gcc"``), a profile, or a
-    pre-built program. The single clock is ``clock.base_mhz``.
-    """
-    _warn_deprecated("run_baseline", 'Session.run(MachineSpec("baseline", ...))')
-    from repro.session import default_session
-
-    return default_session().run_workload(
-        KIND_BASELINE, workload, config=config, clock=clock,
-        max_instructions=max_instructions, warmup=warmup, seed=seed,
-        mem_scale=mem_scale)
-
-
-def run_pipelined_wakeup(workload: Union[str, WorkloadProfile, Program],
-                         config: Optional[CoreConfig] = None,
-                         clock: Optional[ClockPlan] = None,
-                         max_instructions: int = DEFAULT_INSTRUCTIONS,
-                         warmup: int = DEFAULT_WARMUP,
-                         seed: Optional[int] = None,
-                         mem_scale: float = 1.0) -> SimResult:
-    """Run the pipelined Wake-Up/Select variant (paper Fig. 2).
-
-    .. deprecated:: 1.1
-       Thin wrapper over the default :class:`repro.Session`; prefer
-       ``Session().run(MachineSpec(kind="pipelined_wakeup", bench=...))``.
-
-    Identical to the baseline except the issue window's Wake-Up/Select
-    loop is pipelined (``wakeup_extra_delay >= 1``), sacrificing
-    back-to-back scheduling of dependent instructions.
-    """
-    _warn_deprecated("run_pipelined_wakeup",
-                     'Session.run(MachineSpec("pipelined_wakeup", ...))')
-    from repro.session import default_session
-
-    return default_session().run_workload(
-        KIND_PIPELINED_WAKEUP, workload, config=config, clock=clock,
-        max_instructions=max_instructions, warmup=warmup, seed=seed,
-        mem_scale=mem_scale)
-
-
-def run_flywheel(workload: Union[str, WorkloadProfile, Program],
-                 config: Optional[CoreConfig] = None,
-                 fly: Optional[FlywheelConfig] = None,
-                 clock: Optional[ClockPlan] = None,
-                 max_instructions: int = DEFAULT_INSTRUCTIONS,
-                 warmup: int = DEFAULT_WARMUP,
-                 seed: Optional[int] = None,
-                 mem_scale: float = 1.0) -> SimResult:
-    """Run the Flywheel core on a workload under a clock plan.
-
-    .. deprecated:: 1.1
-       Thin wrapper over the default :class:`repro.Session`; prefer
-       ``Session().run(MachineSpec(kind="flywheel", bench=...))``.
-
-    ``mem_scale`` inflates DRAM latency the same way it does for the
-    baseline (on top of the clock-domain scaling the core already
-    applies), so memory-sensitivity sweeps cover both cores.
-    """
-    _warn_deprecated("run_flywheel",
-                     'Session.run(MachineSpec("flywheel", ...))')
-    from repro.session import default_session
-
-    return default_session().run_workload(
-        KIND_FLYWHEEL, workload, config=config, fly=fly, clock=clock,
-        max_instructions=max_instructions, warmup=warmup, seed=seed,
-        mem_scale=mem_scale)

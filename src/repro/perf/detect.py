@@ -1,6 +1,6 @@
 """Statistical degradation detectors over performance trajectories.
 
-Two detectors replace the single ``--fail-on-regression PCT`` threshold:
+Two detectors classify each series against its own history:
 
 * **Rolling median + MAD** — the latest measurement is compared against
   the median of a trailing window; the median absolute deviation (MAD)
@@ -12,6 +12,10 @@ Two detectors replace the single ``--fail-on-regression PCT`` threshold:
   compares the latest value against the best the series ever achieved
   and escalates ``stable``/``noise`` verdicts to ``degraded`` once the
   cumulative drift exceeds a tolerance.
+
+A series or speedup ratio that the previous snapshot has and the latest
+lacks is ``degraded`` outright: it left perf tracking, and its last
+present value would otherwise pass for the latest measurement.
 
 Every series always gets exactly one of four verdicts — ``improved``,
 ``stable``, ``degraded``, ``noise`` — and the same vocabulary (via
@@ -149,16 +153,30 @@ def classify_history(history: Sequence[Dict[str, object]],
     Covers every real series (on ``field``, default cycles/sec — higher
     is better) plus the synthetic ``turbo_speedup:*`` ratio series, so
     a quietly shrinking engine speedup is caught even while both raw
-    series stay within their own noise.  Keyword arguments pass through
-    to :func:`classify_series`.
+    series stay within their own noise.  A series the previous snapshot
+    has and the latest lacks is ``degraded`` (vanished).  Keyword
+    arguments pass through to :func:`classify_series`.
     """
-    from repro.perf.history import series_names, series_values
+    from repro.perf.history import (
+        series_names,
+        series_values,
+        snapshot_value,
+    )
 
     verdicts = []
     for name in series_names(history):
         points = series_values(history, name, field=field)
         values = [v for _ts, v in points]
         if not values:
+            continue
+        if (len(history) >= 2
+                and snapshot_value(history[-1], name, field) is None
+                and snapshot_value(history[-2], name, field) is not None):
+            verdicts.append(SeriesVerdict(
+                series=name, verdict="degraded", latest=values[-1],
+                n=len(values),
+                reason=f"vanished: {name} is in the previous snapshot "
+                       "but not the latest"))
             continue
         verdicts.append(classify_series(values, name=name, **kwargs))
     return verdicts

@@ -130,6 +130,20 @@ def series_names(history: Sequence[Dict[str, object]],
     return sorted(names)
 
 
+def snapshot_value(snap: Dict[str, object], name: str,
+                   field: str = "cycles_per_sec") -> Optional[float]:
+    """One snapshot's value of series ``name``; None if it lacks it."""
+    for table in SPEEDUP_TABLES:
+        if name.startswith(table + ":"):
+            value = snap.get(table, {}).get(name[len(table) + 1:])
+            break
+    else:
+        value = snap.get("series", {}).get(name, {}).get(field)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
 def series_values(history: Sequence[Dict[str, object]], name: str,
                   field: str = "cycles_per_sec") -> List[Tuple[float, float]]:
     """``(timestamp, value)`` trajectory of one series, oldest first.
@@ -139,16 +153,8 @@ def series_values(history: Sequence[Dict[str, object]], name: str,
     contributing gaps.
     """
     points: List[Tuple[float, float]] = []
-    table = None
-    for t in SPEEDUP_TABLES:
-        if name.startswith(t + ":"):
-            table = t
-            break
     for snap in history:
-        if table is not None:
-            value = snap.get(table, {}).get(name[len(table) + 1:])
-        else:
-            value = snap.get("series", {}).get(name, {}).get(field)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            points.append((float(snap.get("timestamp", 0.0)), float(value)))
+        value = snapshot_value(snap, name, field)
+        if value is not None:
+            points.append((float(snap.get("timestamp", 0.0)), value))
     return points

@@ -28,8 +28,8 @@ fans ``map``/``stream`` batches out through. Machine kinds resolve
 through :mod:`repro.core.registry`, so a third-party
 ``register_kind(...)`` machine works here with no further wiring.
 
-The historical ``run_baseline``/``run_flywheel``/``run_pipelined_wakeup``
-functions are deprecated wrappers over :func:`default_session`.
+:meth:`Session.run_workload` is the imperative escape hatch: it runs an
+ad-hoc profile or program uncached and keeps the live core.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "MachineSpec",
     "Session",
     "SessionEvent",
-    "default_session",
 ]
 
 
@@ -304,9 +303,7 @@ class Session:
         Unlike :meth:`run` this accepts ad-hoc workloads (a
         :class:`WorkloadProfile` or pre-built :class:`Program`, not just
         a benchmark name) and never memoizes — every call simulates
-        afresh and the result keeps its live ``core`` object. The
-        deprecated ``run_*`` wrappers route here, which is what keeps
-        their behaviour (fresh run, live core) exactly as it was.
+        afresh and the result keeps its live ``core`` object.
         """
         result = execute_kind(kind, workload, config=config, fly=fly,
                               clock=clock,
@@ -496,19 +493,3 @@ class Session:
         return (f"Session(store={root!r}, jobs={self.jobs}, "
                 f"cached={len(self._cache)}, hits={self.hits}, "
                 f"executed={self.executed})")
-
-
-#: Lazily created module-level session backing the deprecated ``run_*``
-#: wrappers: no store, no memoization surprises (wrappers go through
-#: :meth:`Session.run_workload`, which always simulates afresh).
-_DEFAULT_SESSION: Optional[Session] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_session() -> Session:
-    """The process-wide default :class:`Session` (created on first use)."""
-    global _DEFAULT_SESSION
-    with _DEFAULT_LOCK:
-        if _DEFAULT_SESSION is None:
-            _DEFAULT_SESSION = Session()
-        return _DEFAULT_SESSION

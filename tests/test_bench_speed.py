@@ -19,8 +19,6 @@ matrix.
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import bench_sim_speed  # noqa: E402
@@ -67,16 +65,3 @@ class TestSpeedupTables:
     def test_legacy_only_series_give_an_empty_table(self):
         legacy = {n: r for n, r in self.SERIES.items() if "@" not in n}
         assert bench_sim_speed.turbo_speedups(legacy) == {}
-
-    def test_compare_speedups_flags_shrinkage(self):
-        fresh = {"turbo_speedup": {"a/b": 3.0}}
-        committed = {"turbo_speedup": {"a/b": 4.0, "c/d": 2.0}}
-        rows = bench_sim_speed.compare_speedups(fresh, committed)
-        by_name = {r["series"]: r for r in rows}
-        assert set(by_name) == {"a/b", "c/d"}
-        # a/b shrank 25%; c/d vanished (None delta on the fresh side).
-        row = by_name["a/b"]
-        assert (row["old"], row["new"]) == (4.0, 3.0)
-        assert row["delta_pct"] == pytest.approx(-25.0)
-        assert by_name["c/d"]["new"] is None
-        assert by_name["c/d"]["delta_pct"] is None

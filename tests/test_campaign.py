@@ -13,7 +13,6 @@ import pytest
 from repro.campaign import ResultStore, RunSpec, Sweep, dedup, run_campaign
 from repro.campaign.spec import code_fingerprint
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
-from repro.core.sim import SimResult, run_baseline, run_flywheel
 from repro.errors import CampaignError, WorkloadError
 from repro.session import MachineSpec, Session
 
@@ -485,17 +484,17 @@ class TestExperimentContext:
 
 class TestMemScaleSymmetry:
     def test_flywheel_accepts_and_honours_mem_scale(self):
-        fast = run_flywheel("smoke", max_instructions=N, warmup=W,
-                            mem_scale=1.0)
-        slow = run_flywheel("smoke", max_instructions=N, warmup=W,
-                            mem_scale=8.0)
+        fast = Session().run_workload(
+            "flywheel", "smoke", max_instructions=N, warmup=W, mem_scale=1.0)
+        slow = Session().run_workload(
+            "flywheel", "smoke", max_instructions=N, warmup=W, mem_scale=8.0)
         assert slow.stats.total_be_cycles > fast.stats.total_be_cycles
 
     def test_matches_baseline_api(self):
-        base = run_baseline("smoke", max_instructions=N, warmup=W,
-                            mem_scale=8.0)
-        fly = run_flywheel("smoke", max_instructions=N, warmup=W,
-                           mem_scale=8.0)
+        base = Session().run_workload(
+            "baseline", "smoke", max_instructions=N, warmup=W, mem_scale=8.0)
+        fly = Session().run_workload(
+            "flywheel", "smoke", max_instructions=N, warmup=W, mem_scale=8.0)
         assert base.stats.committed > 0 and fly.stats.committed > 0
 
     def test_context_threads_mem_scale(self):

@@ -17,12 +17,6 @@ from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
 from repro.clocks.domain import mhz_to_period_ps
 from repro.core.config import ClockPlan
-from repro.core.sim import (
-    SimResult,
-    run_baseline,
-    run_flywheel,
-    run_pipelined_wakeup,
-)
 from repro.core.stats import SimStats
 from repro.dvfs import (
     EnergyBudgetGovernor,
@@ -35,6 +29,7 @@ from repro.dvfs import (
 )
 from repro.errors import ConfigError
 from repro.power import TECH_130, energy_report
+from repro.session import Session
 
 #: Small budgets so adaptive runs stay fast but still see many intervals.
 _N, _W = 6000, 1500
@@ -191,15 +186,17 @@ class TestPolicies:
 
 class TestSyncIntegration:
     def test_static_attaches_controller_but_never_retunes(self):
-        res = run_baseline("smoke", clock=_plan("static"),
-                           max_instructions=_N, warmup=_W)
+        res = Session().run_workload(
+            "baseline", "smoke", clock=_plan("static"), max_instructions=_N,
+            warmup=_W)
         assert res.core.dvfs is not None
         assert res.stats.dvfs_retunes == 0
         assert res.stats.freq_trace == [[0, 950.0]]
 
     def test_occupancy_retunes_and_traces(self):
-        res = run_baseline("gcc", clock=_plan("occupancy"),
-                           max_instructions=_N, warmup=_W)
+        res = Session().run_workload(
+            "baseline", "gcc", clock=_plan("occupancy"), max_instructions=_N,
+            warmup=_W)
         stats = res.stats
         assert stats.dvfs_retunes > 0
         assert len(stats.freq_trace) == stats.dvfs_retunes + 1
@@ -212,8 +209,9 @@ class TestSyncIntegration:
         """Cycles spanning multiple frequencies account time segment by
         segment — the invariant the energy model's static/EDP terms rest
         on. Recomputed independently from the frequency trace."""
-        res = run_baseline("gcc", clock=_plan("occupancy"),
-                           max_instructions=_N, warmup=_W)
+        res = Session().run_workload(
+            "baseline", "gcc", clock=_plan("occupancy"), max_instructions=_N,
+            warmup=_W)
         stats = res.stats
         assert stats.dvfs_retunes > 0
         trace = stats.freq_trace
@@ -228,8 +226,9 @@ class TestSyncIntegration:
         assert stats.sim_time_ps != total * mhz_to_period_ps(950.0)
 
     def test_pipelined_wakeup_supports_governors(self):
-        res = run_pipelined_wakeup("gcc", clock=_plan("occupancy"),
-                                   max_instructions=_N, warmup=_W)
+        res = Session().run_workload(
+            "pipelined_wakeup", "gcc", clock=_plan("occupancy"),
+            max_instructions=_N, warmup=_W)
         assert res.stats.dvfs_retunes > 0
 
     def test_energy_baseline_excludes_functional_warmup(self):
@@ -239,17 +238,19 @@ class TestSyncIntegration:
         *run* power and the governor genuinely regulates (pre-fix it
         calibrated ~2x high off warmup L2 accesses and pinned at
         nominal)."""
-        res = run_baseline("gcc", clock=_plan("energy_budget",
-                                              interval=500),
-                           max_instructions=20_000, warmup=20_000)
+        res = Session().run_workload(
+            "baseline", "gcc", clock=_plan("energy_budget", interval=500),
+            max_instructions=20_000, warmup=20_000)
         stats = res.stats
         assert stats.dvfs_retunes >= 4
         assert min(m for _c, m in stats.freq_trace) < 950.0 * 0.9
 
     def test_energy_report_spans_frequency_segments(self):
-        governed = run_baseline("gcc", clock=_plan("occupancy"),
-                                max_instructions=_N, warmup=_W)
-        fixed = run_baseline("gcc", max_instructions=_N, warmup=_W)
+        governed = Session().run_workload(
+            "baseline", "gcc", clock=_plan("occupancy"), max_instructions=_N,
+            warmup=_W)
+        fixed = Session().run_workload(
+            "baseline", "gcc", max_instructions=_N, warmup=_W)
         gov_rep = energy_report(governed, TECH_130)
         fix_rep = energy_report(fixed, TECH_130)
         assert governed.stats.dvfs_retunes > 0
@@ -265,8 +266,8 @@ class TestFlywheelIntegration:
         clock = ClockPlan(fe_speedup=1.0, be_speedup=0.5,
                           governor=GovernorConfig(name="ipc_ladder",
                                                   interval=250))
-        res = run_flywheel("gcc", clock=clock, max_instructions=_N,
-                           warmup=_W)
+        res = Session().run_workload(
+            "flywheel", "gcc", clock=clock, max_instructions=_N, warmup=_W)
         stats = res.stats
         assert stats.dvfs_retunes > 0
         fast = clock.be_fast_mhz
@@ -282,8 +283,8 @@ class TestFlywheelIntegration:
         clock = ClockPlan(fe_speedup=1.0, be_speedup=0.5,
                           governor=GovernorConfig(name="ipc_ladder",
                                                   interval=250))
-        res = run_flywheel("gcc", clock=clock, max_instructions=_N,
-                           warmup=_W)
+        res = Session().run_workload(
+            "flywheel", "gcc", clock=clock, max_instructions=_N, warmup=_W)
         stats = res.stats
         total = stats.total_be_cycles
         lo_period = mhz_to_period_ps(clock.be_fast_mhz)      # fastest
@@ -345,25 +346,26 @@ class TestCampaignPlumbing:
 
 class TestBenchRegressionGate:
     def test_compare_flags_lost_series_with_none_delta(self):
-        import sys
-        from pathlib import Path
+        # The perf gate is ``repro.perf check`` over the bench history.
+        from repro.perf import classify_history, make_snapshot
 
-        sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
-        try:
-            import bench_sim_speed as b
-        finally:
-            sys.path.pop(0)
-        committed = {"series": {"baseline/gcc": {"cycles_per_sec": 100},
-                                "flywheel/gcc": {"cycles_per_sec": 100}}}
-        fresh = {"series": {"baseline/gcc": {"cycles_per_sec": 80}}}
-        rows = b.compare(fresh, committed)
-        by_name = {r["series"]: r for r in rows}
-        assert by_name["baseline/gcc"]["delta_pct"] == -20.0
-        # A committed series missing from the fresh report surfaces with
-        # old set and new/delta None — what main()'s gate fails on.
+        def snapshot(timestamp, series):
+            rows = {name: {"cycles_per_sec": cps}
+                    for name, cps in series.items()}
+            return make_snapshot({"series": rows}, timestamp=timestamp,
+                                 code="c")
+
+        history = [snapshot(0.0, {"baseline/gcc": 100, "flywheel/gcc": 100}),
+                   snapshot(1.0, {"baseline/gcc": 80})]
+        by_name = {v.series: v
+                   for v in classify_history(history, min_points=2)}
+        assert by_name["baseline/gcc"].rel_delta == pytest.approx(-0.2)
+        # A series the previous snapshot has and the latest lacks
+        # surfaces as degraded with no delta — what check's
+        # --fail-on-degraded fails on.
         lost = by_name["flywheel/gcc"]
-        assert lost["old"] == 100
-        assert lost["new"] is None and lost["delta_pct"] is None
+        assert lost.verdict == "degraded"
+        assert lost.latest == 100 and lost.rel_delta is None
 
 
 class TestReporting:

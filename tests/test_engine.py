@@ -5,12 +5,9 @@ import pytest
 from repro.core.config import CoreConfig
 from repro.core.engine import DeadlockWatchdog
 from repro.core.pipelined import PipelinedWakeupCore
-from repro.core.sim import (
-    KIND_PIPELINED_WAKEUP,
-    run_baseline,
-    run_pipelined_wakeup,
-)
+from repro.core.sim import KIND_PIPELINED_WAKEUP
 from repro.errors import CampaignError, ConfigError, SimulationError
+from repro.session import Session
 from repro.workloads import InstructionStream, generate_program, get_profile
 
 
@@ -67,8 +64,8 @@ class TestDeadlockWindowConfig:
 
 class TestPipelinedWakeupKind:
     def test_runs_and_commits(self):
-        res = run_pipelined_wakeup("smoke", max_instructions=3000,
-                                   warmup=500)
+        res = Session().run_workload(
+            "pipelined_wakeup", "smoke", max_instructions=3000, warmup=500)
         assert res.kind == KIND_PIPELINED_WAKEUP
         assert res.stats.committed >= 3000
 
@@ -79,18 +76,20 @@ class TestPipelinedWakeupKind:
 
     def test_matches_baseline_with_override(self):
         """The kind is exactly the baseline with the loop pipelined."""
-        via_kind = run_pipelined_wakeup("gcc", max_instructions=4000,
-                                        warmup=1000)
-        via_config = run_baseline(
-            "gcc", config=CoreConfig(wakeup_extra_delay=1),
+        via_kind = Session().run_workload(
+            "pipelined_wakeup", "gcc", max_instructions=4000, warmup=1000)
+        via_config = Session().run_workload(
+            "baseline", "gcc", config=CoreConfig(wakeup_extra_delay=1),
             max_instructions=4000, warmup=1000)
         assert (via_kind.stats.total_be_cycles
                 == via_config.stats.total_be_cycles)
         assert via_kind.stats.issued == via_config.stats.issued
 
     def test_slower_than_baseline(self):
-        base = run_baseline("gcc", max_instructions=6000, warmup=2000)
-        ws = run_pipelined_wakeup("gcc", max_instructions=6000, warmup=2000)
+        base = Session().run_workload(
+            "baseline", "gcc", max_instructions=6000, warmup=2000)
+        ws = Session().run_workload(
+            "pipelined_wakeup", "gcc", max_instructions=6000, warmup=2000)
         assert ws.stats.ipc < base.stats.ipc
 
     def test_campaign_spec_round_trip(self):

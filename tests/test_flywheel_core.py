@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.flywheel import FlywheelCore
-from repro.core.sim import default_config, run_baseline, run_flywheel
+from repro.core.sim import default_config
+from repro.session import Session
 from repro.workloads import InstructionStream, generate_program, get_profile
 
 
@@ -36,11 +37,12 @@ class TestFlywheelProgress:
     def test_architectural_equivalence_with_baseline(self):
         """Both cores must commit the exact same instruction stream."""
         # Legacy engine: the turbo loops never advance the live walker.
-        rb = run_baseline("smoke", max_instructions=4000, warmup=0,
-                          config=CoreConfig(engine="legacy"))
-        rf = run_flywheel("smoke", max_instructions=4000, warmup=0,
-                          config=default_config("flywheel")
-                          .with_variant(engine="legacy"))
+        rb = Session().run_workload(
+            "baseline", "smoke", max_instructions=4000, warmup=0,
+            config=CoreConfig(engine="legacy"))
+        rf = Session().run_workload(
+            "flywheel", "smoke", max_instructions=4000, warmup=0,
+            config=default_config("flywheel").with_variant(engine="legacy"))
         # Same workload seed => same dynamic stream => same final walker
         # position modulo pipeline drain differences.
         assert abs(rb.core.stream.emitted - rf.core.stream.emitted) < 3000

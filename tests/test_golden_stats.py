@@ -14,8 +14,7 @@ every pinned counter, including ``sim_time_ps`` (the piecewise time sum
 must degenerate to cycles x period exactly).
 
 The same pins gate the API redesign (PR 4): every kind is executed
-through the ``Session``/``MachineSpec`` front door, and the deprecated
-``run_*`` wrappers must return byte-identical serialized payloads.
+through the ``Session``/``MachineSpec`` front door.
 
 Budgets are small (8k measured / 3k warmup) so the whole module stays
 cheap, but large enough that the Flywheel passes through every mode
@@ -25,7 +24,6 @@ transition (create, replay, divergence, SRT swaps).
 import pytest
 
 from repro.core.config import ClockPlan, CoreConfig
-from repro.core.sim import run_baseline, run_flywheel, run_pipelined_wakeup
 from repro.dvfs import GovernorConfig
 from repro.mem import MemorySpec
 from repro.obs.metrics import MetricRegistry, register_core_sources
@@ -99,12 +97,12 @@ GOLDEN = {
 _EVENT_KEYS = ("iw_write", "iw_select", "rob_write", "fu_op",
                "dcache_access")
 
-_WRAPPERS = {"baseline": run_baseline, "flywheel": run_flywheel,
-             "pipelined_wakeup": run_pipelined_wakeup}
+#: The built-in machine kinds, sorted (the parity tests' parameter).
+_KINDS = ("baseline", "flywheel", "pipelined_wakeup")
 
 #: Shared session: the API-redesign acceptance gate runs every pin
 #: through the ``Session``/``MachineSpec`` front door (and memoizes, so
-#: the wrapper-parity test below only re-simulates its wrapper side).
+#: tests that share a pin simulate it once).
 _SESSION = Session()
 
 
@@ -142,21 +140,6 @@ def test_static_governor_is_timing_transparent(key):
     kind, bench = key.split("/")
     clock = ClockPlan(governor=GovernorConfig(name="static"))
     assert _observed(kind, bench, clock=clock) == GOLDEN[key]
-
-
-@pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_deprecated_wrappers_match_session_byte_for_byte(key):
-    """The legacy ``run_*`` wrappers are the same machine as the new API.
-
-    Their serialized payloads — stats, clock, kind tag, L2 count — must
-    be byte-identical to the ``Session``/``MachineSpec`` path (which
-    also means they reproduce the golden pins above).
-    """
-    kind, bench = key.split("/")
-    via_wrapper = _WRAPPERS[kind](bench, max_instructions=8000, warmup=3000)
-    via_session = _result(kind, bench)
-    assert via_wrapper.to_dict() == via_session.to_dict()
-    assert via_wrapper.core is not None     # wrappers keep the live core
 
 
 # --------------------------------------------------------------------------
@@ -225,13 +208,15 @@ def test_engine_full_observable_parity(key, engine):
 @pytest.mark.parametrize("gov", ("static", "occupancy", "ipc_ladder",
                                  "energy_budget"))
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_engine_parity_under_governors(kind, engine, gov):
-    """The DVFS interval hook fires at the same cycles under every engine
+    """The DVFS interval hook fires at the same cycles under every engine.
 
-    (a skip-ahead must never jump across an interval boundary), so
-    every governor decision — and therefore every counter and the
-    piecewise ``sim_time_ps`` — is reproduced exactly.
+    A skip-ahead may jump past an interval boundary; the hook then fires
+    late, at the first simulated cycle after the jump (DESIGN.md §4).
+    Both engines skip the same spans, so every governor decision — and
+    therefore every counter and the piecewise ``sim_time_ps`` — is
+    reproduced exactly. A tick-by-tick run would retune at other cycles.
     """
     clock = ClockPlan(governor=GovernorConfig(name=gov, interval=1000))
     legacy, other = _engine_pair(kind, "gcc", engine, clock=clock)
@@ -239,7 +224,7 @@ def test_engine_parity_under_governors(kind, engine, gov):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_engine_parity_with_mshr_memory_spec(kind, engine):
     """The general MemorySpec miss path (bounded MSHRs) is engine-neutral."""
     legacy, other = _engine_pair(kind, "gcc", engine,

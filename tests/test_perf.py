@@ -1,8 +1,6 @@
 """Performance versioning: history snapshots, degradation detectors,
-the perf CLI, the campaign diff engine, and the turbo-aware bench gate
-helpers."""
+the perf CLI and the campaign diff engine."""
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -194,6 +192,70 @@ class TestClassifySeries:
         assert not any(n.split(":")[0] in retired for n in names)
         verdicts = classify_history(history)
         assert {v.series for v in verdicts} == set(names)
+
+
+class TestVanishedSeries:
+    """A series or speedup ratio in the previous snapshot but not the
+    latest has left perf tracking: ``degraded``, never a silent pass."""
+
+    @staticmethod
+    def _history(latest_series, latest_speedups):
+        history = [make_snapshot(_report(**{"a/b": 100, "c/d": 50}),
+                                 timestamp=float(i), code="c")
+                   for i in range(3)]
+        report = _report(**latest_series)
+        report["turbo_speedup"] = latest_speedups
+        history.append(make_snapshot(report, timestamp=3.0, code="c"))
+        return history
+
+    def test_vanished_series_is_degraded(self):
+        history = self._history({"a/b": 100}, {"baseline/gcc": 3.4})
+        by_name = {v.series: v for v in classify_history(history)}
+        assert by_name["c/d"].verdict == "degraded"
+        assert "c/d" in by_name["c/d"].reason
+        assert by_name["a/b"].verdict == "stable"
+        assert by_name["turbo_speedup:baseline/gcc"].verdict == "stable"
+
+    def test_vanished_speedup_ratio_is_degraded(self):
+        history = self._history({"a/b": 100, "c/d": 50}, {})
+        by_name = {v.series: v for v in classify_history(history)}
+        ratio = "turbo_speedup:baseline/gcc"
+        assert by_name[ratio].verdict == "degraded"
+        assert ratio in by_name[ratio].reason
+        assert by_name["c/d"].verdict == "stable"
+
+    def test_series_absent_before_the_previous_snapshot_is_not_flagged(
+            self):
+        history = self._history({"a/b": 100, "c/d": 50},
+                                 {"baseline/gcc": 3.4})
+        history.insert(0, make_snapshot(_report(**{"old/x": 1}),
+                                        timestamp=-1.0, code="c"))
+        by_name = {v.series: v for v in classify_history(history)}
+        assert by_name["old/x"].verdict == "noise"
+
+    def test_shrinking_speedup_ratio_is_degraded(self):
+        history = []
+        for i, ratio in enumerate((3.4, 3.4, 3.4, 2.0)):
+            report = _report(**{"a/b": 100})
+            report["turbo_speedup"] = {"baseline/gcc": ratio}
+            history.append(make_snapshot(report, timestamp=float(i),
+                                         code="c"))
+        by_name = {v.series: v for v in classify_history(history)}
+        assert by_name["turbo_speedup:baseline/gcc"].verdict == "degraded"
+        assert by_name["a/b"].verdict == "stable"
+
+    def test_check_fails_on_a_vanished_series(self, tmp_path, capsys):
+        from repro.perf.__main__ import main
+
+        path = tmp_path / "h.jsonl"
+        for snap in self._history({"a/b": 100}, {"baseline/gcc": 3.4}):
+            append_snapshot(path, snap)
+        assert main(["check", "--history", str(path)]) == 0
+        assert main(["check", "--history", str(path),
+                     "--fail-on-degraded"]) == 1
+        captured = capsys.readouterr()
+        assert "vanished" in captured.out
+        assert "c/d" in captured.err
 
 
 class TestClassifyDelta:
@@ -415,33 +477,3 @@ class TestDiffCli:
                           "--store", str(clock_store.root), "--serve")
         assert rc == 1
         assert "--serve requires --html" in capsys.readouterr().err
-
-
-# ------------------------------------------------- bench gate helpers
-
-def _bench_module():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" \
-        / "bench_sim_speed.py"
-    spec = importlib.util.spec_from_file_location("_bench_sim_speed", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchGateHelpers:
-    def test_compare_speedups_rows(self):
-        bench = _bench_module()
-        fresh = {"turbo_speedup": {"baseline/gcc": 3.0}}
-        committed = {"turbo_speedup": {"baseline/gcc": 3.5,
-                                       "flywheel/gcc": 1.4}}
-        rows = bench.compare_speedups(fresh, committed)
-        by_name = {r["series"]: r for r in rows}
-        assert by_name["baseline/gcc"]["delta_pct"] == pytest.approx(
-            (3.0 - 3.5) / 3.5 * 100.0)
-        # Committed-only series keeps a row (None delta), never dropped.
-        assert by_name["flywheel/gcc"]["new"] is None
-        assert by_name["flywheel/gcc"]["delta_pct"] is None
-
-    def test_compare_speedups_empty_when_no_turbo(self):
-        bench = _bench_module()
-        assert bench.compare_speedups({}, {}) == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import ClockPlan
-from repro.core.sim import run_baseline, run_flywheel
 from repro.errors import ConfigError
 from repro.power import (
     ACCESS_ENERGY_PJ,
@@ -18,6 +17,7 @@ from repro.power import (
     leakage_power_w,
 )
 from repro.power.leakage import baseline_structures, flywheel_structures
+from repro.session import Session
 
 
 class TestTechnology:
@@ -70,10 +70,12 @@ class TestClockTree:
 class TestEnergyReport:
     @pytest.fixture(scope="class")
     def runs(self):
-        rb = run_baseline("mesa", max_instructions=15000, warmup=40000)
-        rf = run_flywheel("mesa", clock=ClockPlan(fe_speedup=1.0,
-                                                  be_speedup=0.5),
-                          max_instructions=15000, warmup=40000)
+        rb = Session().run_workload(
+            "baseline", "mesa", max_instructions=15000, warmup=40000)
+        rf = Session().run_workload(
+            "flywheel", "mesa",
+            clock=ClockPlan(fe_speedup=1.0, be_speedup=0.5),
+            max_instructions=15000, warmup=40000)
         return rb, rf
 
     def test_breakdown_sums(self, runs):

@@ -1,8 +1,6 @@
 """Tests for the MachineSpec + Session front door and the core-kind
 registry (PR 4 API redesign)."""
 
-import warnings
-
 import pytest
 
 import repro
@@ -18,7 +16,7 @@ from repro.core.registry import (
 )
 from repro.dvfs import GovernorConfig
 from repro.errors import CampaignError, ConfigError, WorkloadError
-from repro.session import MachineSpec, Session, SessionEvent, default_session
+from repro.session import MachineSpec, Session, SessionEvent
 
 #: Tiny budgets: every simulated spec in this file finishes in ~50ms.
 N, W = 1200, 2500
@@ -333,33 +331,6 @@ class TestRegistry:
         assert get_kind("flywheel").core_cls is FlywheelCore
 
 
-# ------------------------------------------------------------ deprecation
-
-
-class TestDeprecatedWrappers:
-    def test_wrappers_warn_exactly_once_per_process(self):
-        from repro.core import sim
-
-        saved = set(sim._DEPRECATION_WARNED)
-        sim._DEPRECATION_WARNED.clear()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                repro.run_baseline("smoke", max_instructions=N, warmup=W)
-                repro.run_baseline("smoke", max_instructions=N, warmup=W)
-            deps = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-            assert len(deps) == 1
-            assert "Session" in str(deps[0].message)
-        finally:
-            sim._DEPRECATION_WARNED.clear()
-            sim._DEPRECATION_WARNED.update(saved)
-
-    def test_wrappers_share_the_default_session(self):
-        assert default_session() is default_session()
-        assert default_session().store is None
-
-
 class TestExperimentContextOnSession:
     def test_conflicting_store_and_session_rejected(self, tmp_path):
         from repro.experiments.common import ExperimentContext
@@ -400,9 +371,24 @@ class TestExperimentContextOnSession:
 class TestPublicSurface:
     def test_new_names_exported(self):
         for name in ("MachineSpec", "Session", "SessionEvent",
-                     "default_session", "register_kind", "kind_names"):
+                     "register_kind", "kind_names"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
+
+    def test_removed_wrappers_are_gone(self):
+        # Session is the one way to run a machine: 2.0 removed the v1.1
+        # per-kind ``run_<kind>`` wrappers and the process-wide session
+        # accessor behind them.
+        import repro.core
+        import repro.core.sim
+        import repro.session
+
+        for module in (repro, repro.core, repro.core.sim, repro.session):
+            for kind in ("baseline", "flywheel", "pipelined_wakeup"):
+                assert f"run_{kind}" not in module.__all__
+                assert not hasattr(module, f"run_{kind}"), module.__name__
+            assert [name for name in dir(module)
+                    if name.endswith("_session")] == [], module.__name__
 
     def test_session_event_is_frozen(self):
         event = SessionEvent(event="plan", total=3)

@@ -1,17 +1,27 @@
 """Tests for the high-level simulation API and package surface."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
-from repro.core.sim import run_baseline, run_flywheel
 from repro.errors import ConfigError
+from repro.session import Session
 from repro.workloads import generate_program, get_profile
 
 
 class TestPackageSurface:
-    def test_version(self):
+    def test_version(self, monkeypatch):
         assert repro.__version__
+        # The distribution and the package report one version number.
+        setuptools = pytest.importorskip("setuptools")
+        captured = {}
+        monkeypatch.setattr(setuptools, "setup", captured.update)
+        runpy.run_path(str(Path(__file__).resolve().parents[1]
+                           / "setup.py"))
+        assert captured["version"] == repro.__version__
 
     def test_public_names_importable(self):
         for name in repro.__all__:
@@ -20,32 +30,39 @@ class TestPackageSurface:
 
 class TestRunApi:
     def test_accepts_benchmark_name(self):
-        res = run_baseline("smoke", max_instructions=2000, warmup=500)
+        res = Session().run_workload(
+            "baseline", "smoke", max_instructions=2000, warmup=500)
         assert res.name == "smoke"
         assert res.stats.committed >= 2000
 
     def test_accepts_profile(self):
-        res = run_baseline(get_profile("smoke"), max_instructions=2000,
-                           warmup=500)
+        res = Session().run_workload(
+            "baseline", get_profile("smoke"), max_instructions=2000,
+            warmup=500)
         assert res.stats.committed >= 2000
 
     def test_accepts_prebuilt_program(self):
         prog = generate_program(get_profile("smoke"))
-        res = run_flywheel(prog, max_instructions=2000, warmup=500)
+        res = Session().run_workload(
+            "flywheel", prog, max_instructions=2000, warmup=500)
         assert res.stats.committed >= 2000
 
     def test_sim_time_scales_with_clock(self):
-        slow = run_baseline("smoke", clock=ClockPlan(base_mhz=950),
-                            max_instructions=3000, warmup=500)
-        fast = run_baseline("smoke", clock=ClockPlan(base_mhz=1900),
-                            max_instructions=3000, warmup=500)
+        slow = Session().run_workload(
+            "baseline", "smoke", clock=ClockPlan(base_mhz=950),
+            max_instructions=3000, warmup=500)
+        fast = Session().run_workload(
+            "baseline", "smoke", clock=ClockPlan(base_mhz=1900),
+            max_instructions=3000, warmup=500)
         # Same cycle count, half the period.
         assert fast.stats.sim_time_ps == pytest.approx(
             slow.stats.sim_time_ps / 2, rel=0.01)
 
     def test_seed_changes_result(self):
-        a = run_baseline("smoke", max_instructions=3000, warmup=500, seed=1)
-        b = run_baseline("smoke", max_instructions=3000, warmup=500, seed=2)
+        a = Session().run_workload(
+            "baseline", "smoke", max_instructions=3000, warmup=500, seed=1)
+        b = Session().run_workload(
+            "baseline", "smoke", max_instructions=3000, warmup=500, seed=2)
         assert a.stats.total_be_cycles != b.stats.total_be_cycles
 
 
@@ -92,10 +109,12 @@ class TestDualClockVariants:
         assert stats.committed >= 3000
 
     def test_faster_fe_changes_cycle_split(self):
-        eq = run_flywheel("smoke", clock=ClockPlan(fe_speedup=0.0),
-                          max_instructions=3000, warmup=500)
-        fast = run_flywheel("smoke", clock=ClockPlan(fe_speedup=1.0),
-                            max_instructions=3000, warmup=500)
+        eq = Session().run_workload(
+            "flywheel", "smoke", clock=ClockPlan(fe_speedup=0.0),
+            max_instructions=3000, warmup=500)
+        fast = Session().run_workload(
+            "flywheel", "smoke", clock=ClockPlan(fe_speedup=1.0),
+            max_instructions=3000, warmup=500)
         # A 2x front-end clock ticks ~2x as often per unit time.
         fe_ratio = ((fast.stats.fe_cycles_active + fast.stats.fe_cycles_gated)
                     / max(1, fast.stats.total_be_cycles))

@@ -26,6 +26,11 @@ def fake_key(i: int) -> str:
     return hashlib.sha256(str(i).encode()).hexdigest()[:40]
 
 
+def flat_path(store: ResultStore, key: str):
+    """Where a store written before the two-level fan-out kept ``key``."""
+    return store.root / "objects" / key[:2] / f"{key}.json"
+
+
 def write_fake_record(store: ResultStore, i: int, kind="baseline",
                       bench="smoke", legacy=False) -> str:
     """Plant a schema-valid record file directly (no simulation)."""
@@ -34,7 +39,7 @@ def write_fake_record(store: ResultStore, i: int, kind="baseline",
               "created": 1_000_000 + i, "engine": "legacy",
               "spec": {"kind": kind, "bench": bench, "instructions": N},
               "result": {"stats": {"committed": i}}, "elapsed_s": 0.01}
-    path = store._legacy_path(key) if legacy else store._path(key)
+    path = flat_path(store, key) if legacy else store._path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record), encoding="utf-8")
     return key
@@ -53,12 +58,35 @@ class TestShardedLayout:
         assert key in store
         assert store.get(key) is not None
 
-    def test_legacy_flat_records_still_readable(self, tmp_path):
+    def test_flat_records_invisible_until_migrated(self, tmp_path):
+        # Reads, listings and len() see only the sharded layout; a
+        # record in the pre-fan-out flat layout is found only after
+        # migrate() moves it.
+        writer = ResultStore(tmp_path)
+        s = spec()
+        key = s.cache_key()
+        writer.put(key, s, s.execute())
+        writer.index.flush()
+        writer._path(key).rename(flat_path(writer, key))
+        write_fake_record(writer, 1, legacy=True)
+
         store = ResultStore(tmp_path)
-        key = write_fake_record(store, 1, legacy=True)
+        assert key not in store
+        assert store.get(key) is None
+        assert len(store) == 0
+        assert list(store.records()) == []
+        assert store.query() == []
+        assert store.migrate() == 2
         assert key in store
-        assert store._read(key)["key"] == key
-        assert len(store) == 1
+        assert store.get(key) is not None
+        assert len(store) == 2
+        assert len(list(store.records())) == 2
+
+    def test_miss_reads_one_path(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        reads = _count_reads(monkeypatch)
+        assert store.get(fake_key(1)) is None
+        assert reads == [store._path(fake_key(1))]
 
     def test_migrate_relocates_legacy_records(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -68,7 +96,7 @@ class TestShardedLayout:
         assert store.migrate() == 5
         for key in legacy:
             assert store._path(key).is_file()
-            assert not store._legacy_path(key).exists()
+            assert not flat_path(store, key).exists()
         assert store._path(sharded).is_file()
         assert len(store) == 6
         # Idempotent: nothing left to move.
@@ -76,11 +104,20 @@ class TestShardedLayout:
         # Index was force-rebuilt over the new layout.
         assert len(store.query()) == 6
 
-    def test_len_counts_both_layouts(self, tmp_path):
+    def test_len_counts_only_the_sharded_layout(self, tmp_path):
         store = ResultStore(tmp_path)
         write_fake_record(store, 1, legacy=True)
         write_fake_record(store, 2)
+        assert len(store) == 1
+        store.migrate()
         assert len(store) == 2
+
+    def test_clean_leaves_flat_files_alone(self, tmp_path):
+        store = ResultStore(tmp_path)
+        flat = flat_path(store, write_fake_record(store, 1, legacy=True))
+        write_fake_record(store, 2)
+        assert store.clean() == 1
+        assert flat.is_file()
 
 
 class TestIndex:

@@ -52,11 +52,20 @@ def _pair(kind, bench, n=8000, w=3000, clock=None, **cfg_kw):
 
 
 class TestSkipAheadEdges:
+    """Observers against the skip-ahead both engines share.
+
+    A skip-ahead may jump past a DVFS interval boundary or into a trace
+    window; the hook then fires late and skipped spans emit no stall
+    events (DESIGN.md §4, §8). These tests pin the engines to the same
+    skips, not to a tick-by-tick run, which retunes and traces at other
+    cycles.
+    """
+
     @pytest.mark.parametrize("gov", ("occupancy", "ipc_ladder"))
     def test_jump_never_crosses_a_dvfs_interval(self, gov):
         # interval=200 is far shorter than typical replay idle spans, so
-        # a skip-ahead that ignored ``dvfs.next_check`` would jump check
-        # cycles and shift the whole frequency trace.
+        # many jumps pass a boundary. Turbo must fire the hook on the
+        # same late cycle as legacy, or the frequency trace shifts.
         clock = ClockPlan(governor=GovernorConfig(name=gov, interval=200))
         legacy, turbo = _pair("flywheel", "gcc", clock=clock)
         assert legacy.stats.freq_trace == turbo.stats.freq_trace
@@ -68,7 +77,8 @@ class TestSkipAheadEdges:
         # Recorder windows are [start, stop) in back-end cycles. Placing
         # start at arbitrary odd points guarantees some windows open
         # inside a replay idle span; the serialized ring must still be
-        # byte-identical (same first event, same drop counts).
+        # byte-identical across engines (same first event, same drop
+        # counts).
         spec = TraceSpec(buffer=1 << 16, start=start, stop=start + 1500)
         legacy, turbo = _pair("flywheel", "gcc", trace=spec)
         assert legacy.trace == turbo.trace
@@ -97,9 +107,11 @@ class TestSyncSkipAheadEdges:
 
     @pytest.mark.parametrize("gov", ("occupancy", "ipc_ladder"))
     def test_jump_never_crosses_a_dvfs_interval(self, gov):
-        # interval=200 is far shorter than the idle spans the loop would
-        # otherwise elide, so a jump that ignored ``dvfs.next_check``
-        # would skip check cycles and shift the frequency trace.
+        # interval=200 is far shorter than the idle spans the loop
+        # elides, so many jumps pass a boundary. Turbo must fire the
+        # hook on the same late cycle as legacy: on baseline/gcc the
+        # first retune lands at BE cycle 871, where a tick-by-tick run
+        # retunes at 800.
         clock = ClockPlan(governor=GovernorConfig(name=gov, interval=200))
         legacy, turbo = _pair("baseline", "gcc", clock=clock)
         assert legacy.stats.freq_trace == turbo.stats.freq_trace
@@ -109,8 +121,10 @@ class TestSyncSkipAheadEdges:
     @pytest.mark.parametrize("start", (2500, 5001, 9000))
     def test_trace_window_opening_mid_jump(self, start):
         # With the recorder armed every stall and completion emission
-        # must stay on its original cycle: the serialized ring must be
-        # byte-identical, including drop counts.
+        # must land on the same cycle as on legacy: the serialized ring
+        # must be byte-identical, including drop counts. Both engines
+        # emit no stall events inside a skipped span, so the ring is not
+        # what a tick-by-tick run records.
         spec = TraceSpec(buffer=1 << 16, start=start, stop=start + 1500)
         legacy, turbo = _pair("baseline", "gcc", trace=spec)
         assert legacy.trace == turbo.trace
