@@ -210,7 +210,10 @@ class FlywheelConfig(_CacheKeyMixin):
     redistribution_enabled: bool = True
 
     sync_cycles: int = 1            # mixed-clock FIFO latency (consumer cycles)
-    tag_window: int = 2             # duplicated tag-match depth (Sec. 3.2)
+    #: Duplicated tag-match depth (Sec. 3.2). Part of the config (so of
+    #: cache keys and pinned payloads), but neither the timing nor the
+    #: power model reads it: it changes no simulated number.
+    tag_window: int = 2
     #: Section 3.2's cheaper alternative to duplicated tag matching: delay
     #: the wake-up match until broadcasts are seen in the other domain,
     #: losing exactly the back-to-back capability the design preserves.

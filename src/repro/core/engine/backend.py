@@ -16,10 +16,11 @@ Per-cycle contract (back-end clock): the owning core calls
 3. Retire             — in-order commit from the ROB head; the configured
    ``commit_entry(entry)`` hook applies the core's renamer bookkeeping.
 
-and then runs its own issue/dispatch stages, calling ``schedule``/
-``admit``. Hooks are installed once via :meth:`configure` — the tick path
-is the hottest loop in the repository and carries no per-call policy
-arguments.
+and then runs its own issue/dispatch stages, calling
+``schedule_group``. Hooks are installed once via :meth:`configure` — the
+tick path is the hottest loop in the repository and carries no per-call
+policy arguments. The Flywheel's fused run loop inlines ``tick`` and the
+dispatch admission, and uses this instance only for its state.
 
 Event-queue discipline: ``wake_events``/``done_events`` map cycle number
 -> list in issue order. The engine only appends and pops whole cycles, so
@@ -29,13 +30,13 @@ stats — the golden-equivalence property the refactor is pinned against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import CoreConfig
 from repro.core.stats import SimStats
 from repro.execute.fu import FuPool
 from repro.execute.lsq import LoadStoreQueue
-from repro.isa import DynInstr, OpClass
+from repro.isa import OpClass
 from repro.isa.opclasses import EXEC_LATENCY_TAB
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.rob.reorder_buffer import ReorderBuffer, RobEntry
@@ -88,8 +89,14 @@ class ExecBackend:
         self._trace = recorder
 
     def configure(self, iw, on_resolved: ResolveHook,
-                  commit_entry: CommitHook) -> None:
-        """Install the owning core's issue window and policy hooks."""
+                  commit_entry: Optional[CommitHook] = None) -> None:
+        """Install the owning core's issue window and policy hooks.
+
+        A core whose run loop inlines retirement (the Flywheel) passes
+        no ``commit_entry``; :meth:`retire` then raises.
+        """
+        if commit_entry is None:
+            commit_entry = _no_commit
         self._iw = iw
         self._on_resolved = on_resolved
         self._commit_entry = commit_entry
@@ -145,25 +152,6 @@ class ExecBackend:
         rob_q = self._rob_q
         if rob_q and rob_q[0].done:
             self.retire(self._commit_width, mem_scale, self._commit_entry, c)
-
-    def admit(self, dyn: DynInstr, entry: RobEntry) -> None:
-        """Insert one dispatched instruction into ROB (+LSQ if memory).
-
-        The caller has already verified capacity (``rob.full``,
-        ``lsq.full``, window slots) and inserts into its issue window
-        right after — window types differ per core.
-        """
-        # Inline ReorderBuffer.insert (capacity was checked by the caller;
-        # this runs once per dispatched instruction).
-        rob = self.rob
-        self._rob_q.append(entry)
-        rob.writes += 1
-        self.pending[dyn.seq] = entry
-        events = self._events
-        if dyn.mem_addr is not None:
-            self.lsq.insert()
-            events["lsq_write"] += 1
-        events["rob_write"] += 1
 
     def schedule_group(self, selected, c: int, mem_scale: float) -> int:
         """Start execution of one selected group, in selection order.
@@ -255,4 +243,5 @@ def _no_resolve(entry: RobEntry, c: int) -> None:   # pragma: no cover
 
 
 def _no_commit(entry: RobEntry) -> None:   # pragma: no cover
-    raise RuntimeError("ExecBackend.configure() was never called")
+    raise RuntimeError("ExecBackend has no commit hook: configure() was "
+                       "never called, or the core inlines retirement")

@@ -44,11 +44,6 @@ class FrontEndFeed:
         #: :meth:`decode`, which must be on the back-end cycle axis.
         self.trace = None
 
-    @property
-    def fetch_room(self) -> bool:
-        """Bounded fetch-side buffering: don't run ahead of the machine."""
-        return len(self.fetch_out) < self._fetch_cap
-
     def decode(self, c: int) -> None:
         """Move up to ``decode_width`` matured instructions to rename."""
         fetch_out = self.fetch_out

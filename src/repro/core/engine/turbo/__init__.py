@@ -8,7 +8,10 @@ precomputes everything that is program-order deterministic (the stream
 walk, rename tags, branch-predictor outcomes, fetch-group boundaries,
 op-indexed latency/FU tables) into parallel list-backed pools, then
 runs a fused tick loop over plain lists with batched counter flushes
-and event-compiled skip-ahead.
+and event-compiled skip-ahead. That is the single-clock kinds' turbo
+loop (:mod:`.sync`). The Flywheel has one fused loop for both engines
+(``FlywheelCore.run``); for it, turbo only swaps the live instruction
+walker for a :class:`~.pool.PooledOracle` over the same columns.
 
 Selection rides ``CoreConfig.engine``: turbo is the default engine
 (``None``) and ``"legacy"`` selects the reference implementation. The

@@ -232,9 +232,10 @@ class RenamePlan:
 class PooledOracle:
     """Drop-in ``InstructionStream`` stand-in fed from pool columns.
 
-    The Flywheel turbo loop swaps this in as ``core.stream``: every
-    consumer (``_next_oracle``, ``_pair_trace``, functional warmup) then
-    receives a freshly built ``DynInstr`` — instances must be fresh
+    ``FlywheelCore.run`` swaps this in as ``core.stream`` on the turbo
+    engine — the only difference between the Flywheel's two engines:
+    every consumer (fetch, ``_next_oracle``, ``_pair_trace``, functional
+    warmup) then receives a freshly built ``DynInstr`` — instances must be fresh
     because the pipelines mutate rename/latch fields in place — without
     paying the live walker's block bookkeeping, RNG draws and address
     resolution per instruction.  Exposes ``program``/``seed``/``_seq``

@@ -21,12 +21,15 @@ drain the machine, seal the trace into the EC, perform the RT checkpoint
 (FRT after a mispredict, the one-cycle SRT swap after a natural end) and
 either start a replay (EC hit) or restart the front-end (miss).
 
-The common back-end mechanics — scoreboard, wake/done queues, FuPool/LSQ
-execution, ROB retire, the deadlock watchdog — live in
-:mod:`repro.core.engine`; this module keeps the Flywheel policy: the dual
-clock domains (with the :class:`TickScheduler` skipping the gated front
-end ahead in bulk), two-phase renaming, and the trace-creation/replay
-state machine.
+The machine's structures — scoreboard, wake/done queues, FuPool/LSQ,
+ROB, issue window, renamer, the deadlock watchdog — live in
+:mod:`repro.core.engine` and their own packages. :meth:`FlywheelCore.run`
+is the one pipeline over them: a fused loop with every hot stage written
+inline (the stage-marker comments name them), on both engines; the
+engine axis selects only the oracle (the live walker, or the pooled one
+on turbo). The rare paths — trace boundaries, checkpoints,
+redistribution, trace pairing, the replay skip-ahead bound — are
+methods called from that loop.
 
 Modelled simplifications, documented in DESIGN.md: wrong paths during
 creation are fetch stalls (as in the baseline); in replay, recorded
@@ -38,6 +41,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from heapq import heappop, heappush
+from time import perf_counter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.clocks.domain import ClockDomain
@@ -45,6 +50,7 @@ from repro.clocks.scheduler import TickScheduler
 from repro.clocks.synchronizer import SyncFifo
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.engine import DeadlockWatchdog, ExecBackend, FrontEndFeed
+from repro.core.engine.turbo.pool import PooledOracle, get_pool
 from repro.core.stats import SimStats
 from repro.ec.builder import TraceBuilder
 from repro.ec.cache import ExecutionCache
@@ -55,6 +61,7 @@ from repro.frontend.bpred import BranchPredictor
 from repro.isa import DynInstr, OpClass
 from repro.isa.opclasses import EXEC_LATENCY_TAB, FU_KIND_TAB, UNPIPELINED_TAB
 from repro.issue.dual_clock import DualClockIssueWindow
+from repro.issue.window import IWEntry
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.metrics import MetricRegistry, register_core_sources
 from repro.obs.trace import TraceRecorder
@@ -63,6 +70,9 @@ from repro.rename.redistribution import RedistributionController
 from repro.rename.two_phase import TwoPhaseRenamer
 from repro.rob.reorder_buffer import RobEntry
 from repro.workloads.stream import InstructionStream
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 #: Kind-specific default for ``CoreConfig.deadlock_window == 0``; the
 #: Flywheel's checkpoint/drain sequences legitimately stall longer than
@@ -108,20 +118,16 @@ class _Replay:
         self.next_trace: Optional[Trace] = None
 
     @property
-    def all_units_issued(self) -> bool:
-        return self.unit_idx >= len(self.trace.units)
-
-    @property
-    def diverged(self) -> bool:
-        return self.div_pos >= 0
-
-    @property
     def all_valid_issued(self) -> bool:
         return self.valid_issued >= self.valid_count
 
 
 class FlywheelCore:
     """Cycle-level model of the proposed microarchitecture."""
+
+    #: Phase profile the run loop stamps, or None; attached by
+    #: :func:`repro.obs.profiler.install`.
+    _turbo_prof = None
 
     def __init__(self, config: CoreConfig, fly: FlywheelConfig,
                  clock: ClockPlan, stream: InstructionStream,
@@ -158,8 +164,9 @@ class FlywheelCore:
         self.rob = self.be.rob
         self.lsq = self.be.lsq
         self.fu = self.be.fu
-        self.be.configure(self.iw, self._on_branch_resolved,
-                          self._commit_entry)
+        # The run loop inlines the backend's retire stage (two-phase
+        # retirement and EC residency accounting), so no commit hook.
+        self.be.configure(self.iw, self._on_branch_resolved)
         self.ec = ExecutionCache(fly)
         self.builder = TraceBuilder(fly.ec_block_slots, fly.max_trace_units)
         self.fill = FillBuffer(fly.ec_block_slots, fly.ec_latency)
@@ -262,36 +269,561 @@ class FlywheelCore:
     # ------------------------------------------------------------------ run
 
     def run(self, max_instructions: int, warmup: int = 0) -> SimStats:
-        """Simulate until ``max_instructions`` commit after warmup."""
-        if self.config.engine != "legacy":
-            from repro.core.engine.turbo.fly import run_turbo_fly
+        """Simulate until ``max_instructions`` commit after warmup.
 
-            return run_turbo_fly(self, max_instructions, warmup,
-                                 prof=getattr(self, "_turbo_prof", None))
+        One fused loop drives both clock domains. The hot stage bodies
+        (fetch, rename, dispatch, Register Update, wake-up/select, replay
+        allocation and issue, writeback, retire) are written inline over
+        bound locals; everything rare (boundary resolution, checkpoints,
+        redistribution, trace pairing, the replay skip-ahead bound) is a
+        method call. Volatile attributes (mode, scales, the open builder,
+        the renamer's checkpoint tables) are re-read at stage granularity
+        because those methods rebind them mid-run.
+
+        The engine axis selects only the oracle: ``"legacy"`` keeps the
+        live :class:`InstructionStream`, any other engine swaps in a
+        :class:`PooledOracle` over the shared :class:`StreamPool`, so the
+        program walk runs once per benchmark. ``self._turbo_prof``, when
+        set (:func:`repro.obs.profiler.install`), accumulates wall seconds
+        into its ``pool`` (pool build + functional warmup) and ``loop``
+        buckets and counts scheduler pops in ``ticks``.
+        """
+        t0 = perf_counter()
+        config = self.config
+        fly = self.fly
+        if config.engine != "legacy":
+            stream = self.stream
+            pool = get_pool(stream.program, stream.seed, config.bpred)
+            s0 = stream._seq
+            # Cover the warmup only: the oracle grows the pool on demand
+            # past it. The pooled oracle replaces the live walker for the
+            # whole run — including the warmup and the method-call paths
+            # (``_pair_trace``, ``_next_oracle``) that read ``self.stream``.
+            pool.ensure(s0 + warmup)
+            self.stream = PooledOracle(pool, s0)
         if warmup:
             self._functional_warmup(warmup)
             if self.dvfs is not None:
                 self.dvfs.reset_baseline(self)
+
+        # ---- stable machine bindings (object identities never change) ----
         stats = self.stats
-        watchdog = self.watchdog
-        window = watchdog.window
-        last_cycle = 0
-        last_count = -1
+        events = stats.events
+        be = self.be
+        iw = self.iw
+        # Issue-window internals (heaps/waiters mutate in place, even across
+        # flush(), so one binding is safe for the whole run).
+        iw_future = iw._future
+        iw_eligible = iw._eligible
+        iw_waiters = iw._waiters
+        iw_width = iw.issue_width
+        wk_delay = iw.wakeup_extra_delay
+        delay_net = iw.delay_network
+        fu = be.fu
+        fu_counts = fu._counts
+        fu_used = fu._used
+        fu_reserved = fu._reserved
+        fu_kind_tab = FU_KIND_TAB
+        unpip_tab = UNPIPELINED_TAB
+        lsq = be.lsq
+        rob = be.rob
+        rob_q = be._rob_q
+        rob_cap = rob.capacity
+        iw_cap = iw.capacity
+        pending = be.pending
+        ready = be.ready
+        wake_events = be.wake_events
+        done_events = be.done_events
+        on_resolved = be._on_resolved
+        hierarchy = self.hierarchy
+        h_load = hierarchy.load
+        h_store = hierarchy.store
+        h_ifetch = hierarchy.ifetch
+        fill = self.fill
+        fe = self.fe
+        fe_decode = fe.decode
+        fetch_cap = fe._fetch_cap
+        fetch_out = self._fetch_out
+        decode_out = self._decode_out
+        rename_out = self._rename_out
+        dispatch_fifo = self._dispatch_fifo
+        dispatch_q = self._dispatch_q
+        fifo_cap = dispatch_fifo.capacity
+        redirect_fifo = self._redirect_fifo
+        redirect_q = self._redirect_q
+        renamer = self.renamer
+        ren_lid = renamer._lid          # mutated in place, never rebound
+        frt = renamer._frt              # likewise
+        srt_trace = renamer._srt_trace  # likewise
+        pools = self.pools
+        bases = pools.bases             # recomputed in place
+        inflight = pools.inflight
+        highwater = pools.highwater
+        oracle_buffer = self._oracle_buffer
+        next_instr = self.stream.next_instr
+        bpred_predict = self.bpred.predict
+        outstanding = self._outstanding
+        pre_update = self._pre_update
+        entries_of = None               # replay.entries, rebound per replay
+        tr = self.trace
+        tron = tr is not None
+        emit = tr.emit if tron else None
         sched = self.sched
         be_dom = self.be_dom
         fe_dom = self.fe_dom
-        be_tick = self._be_tick
-        fe_tick = self._fe_tick
         dvfs = self.dvfs
+        watchdog = self.watchdog
+        window = watchdog.window
+        lat_tab = EXEC_LATENCY_TAB
+        MODE_CREATE = Mode.CREATE
+        B_NONE = _Boundary.NONE
+        B_MISPREDICT = _Boundary.MISPREDICT
+        B_NATURAL = _Boundary.NATURAL
+
+        dispatch_width = config.dispatch_width
+        rename_width = config.rename_width
+        fetch_width = config.fetch_width
+        issue_width = config.issue_width
+        commit_width = config.commit_width
+        regread = config.regread_stages
+        extra_fe = config.extra_frontend_stages
+        fe_scale = self._fe_scale
+        sync_cycles = fly.sync_cycles
+        ec_enabled = fly.ec_enabled
+        trace_cap = fly.max_trace_instrs
+
+        last_cycle = 0
+        last_count = -1
         now_ps = 0
+        ticks = 0
+        t1 = perf_counter()
+
         # The two-domain scheduler pop is inlined (ties go to the BE
         # domain, which is registered first — same as TickScheduler).
         while stats.committed < max_instructions:
+            ticks += 1
             now_ps = be_dom.next_tick_ps
             if now_ps <= fe_dom.next_tick_ps:
                 be_dom.next_tick_ps = now_ps + be_dom.period_ps
                 be_dom.cycles += 1
-                be_tick(now_ps)
+                # ======================= BE tick =========================
+                c = be_dom.cycles
+                create = self.mode is MODE_CREATE
+                if create:
+                    stats.be_cycles_create += 1
+                else:
+                    stats.be_cycles_execute += 1
+                be_scale = self._be_scale
+                # ---- engine tick: FU bookkeeping, writeback, retire
+                fu._cycle = c
+                if fu._dirty:
+                    fu._used[:] = fu._zeros
+                    fu._dirty = False
+                if fu._n_reserved:
+                    remaining = 0
+                    for res in fu._reserved:
+                        if res:
+                            res[:] = [t for t in res if t > c]
+                            remaining += len(res)
+                    fu._n_reserved = remaining
+                wakes = wake_events.pop(c, None)
+                if wakes is not None:
+                    # ---- writeback: tag broadcast into the window
+                    iw.broadcasts += len(wakes)
+                    ready_at = c + wk_delay
+                    for tag in wakes:
+                        ready[tag] = 1
+                        waiters = iw_waiters.pop(tag, None)
+                        if not waiters:
+                            continue
+                        for went in waiters:
+                            if went.alive:
+                                nr = went.not_ready - 1
+                                went.not_ready = nr
+                                if ready_at > went.earliest:
+                                    went.earliest = ready_at
+                                if nr == 0:
+                                    heappush(iw_future, (went.earliest,
+                                                         went.order, went))
+                                elif nr < 0:
+                                    raise SimulationError(
+                                        "negative wait count in issue window")
+                    events["iw_broadcast"] += len(wakes)
+                    events["rf_write"] += len(wakes)
+                dones = done_events.pop(c, None)
+                if dones is not None:
+                    for entry in dones:
+                        entry.done = True
+                        if entry.mispredicted:
+                            on_resolved(entry, c)
+                    if tron:
+                        for entry in dones:
+                            emit(c, "complete", entry.dyn.seq)
+                if rob_q and rob_q[0].done:
+                    # ---- retire (+ two-phase FRT update)
+                    retired = []
+                    while (rob_q and len(retired) < commit_width
+                           and rob_q[0].done):
+                        retired.append(rob_q.popleft())
+                    for entry in retired:
+                        dyn = entry.dyn
+                        if dyn.op is _STORE and dyn.mem_addr is not None:
+                            h_store(dyn.mem_addr, be_scale, c)
+                            events["dcache_access"] += 1
+                        if entry.is_mem:
+                            lsq.release()
+                        if dyn.dest_lid >= 0:
+                            arch = dyn.dest
+                            frt[arch] = dyn.dest_tag - bases[arch]
+                            if inflight[arch] <= 0:
+                                raise SimulationError(
+                                    "pool underflow on architected reg "
+                                    f"{arch}")
+                            inflight[arch] -= 1
+                        if entry.from_ec:
+                            stats.instrs_from_ec += 1
+                        stats.committed += 1
+                    events["rob_read"] += len(retired)
+                    if tron:
+                        for entry in retired:
+                            emit(c, "retire", entry.dyn.seq)
+                # ---- policy stages
+                if c < self._be_stall_until:
+                    stats.checkpoint_stall_cycles += 1
+                elif (self._applying_redist and not rob_q
+                      and not any(inflight)
+                      and self._boundary is B_NONE
+                      and self._deferred_boundary is None):
+                    # In-flight work has drained (new renames are held in
+                    # the FE): install the new pool geometry (Sec. 3.5).
+                    self._apply_redistribution(c, now_ps)
+                elif create:
+                    # =================== CREATE mode ==================
+                    if iw._count:
+                        # ---- wake-up/select
+                        while iw_future and iw_future[0][0] <= c:
+                            item = heappop(iw_future)
+                            heappush(iw_eligible, (item[1], item[2]))
+                        selected = []
+                        if iw_eligible:
+                            blocked = []
+                            while iw_eligible:
+                                item = iw_eligible[0]
+                                went = item[1]
+                                if not went.alive:
+                                    heappop(iw_eligible)
+                                    continue
+                                if len(selected) >= iw_width:
+                                    break
+                                heappop(iw_eligible)
+                                op = went.dyn.op
+                                kind = fu_kind_tab[op]
+                                if (fu_counts[kind] - fu_used[kind]
+                                        - len(fu_reserved[kind]) > 0):
+                                    fu_used[kind] += 1
+                                    fu._dirty = True
+                                    if unpip_tab[op]:
+                                        fu_reserved[kind].append(
+                                            c + lat_tab[op])
+                                        fu._n_reserved += 1
+                                    fu.ops += 1
+                                    went.alive = False
+                                    iw._count -= 1
+                                    selected.append(went.dyn)
+                                else:
+                                    blocked.append(item)
+                            for item in blocked:
+                                heappush(iw_eligible, item)
+                        if not selected:
+                            if tron:
+                                emit(c, "stall", -1,
+                                     "fu_busy" if iw_eligible
+                                     else "dep_wait")
+                        else:
+                            # ---- create issue: schedule the group, record
+                            # it as an Issue Unit
+                            rf_reads = 0
+                            for dyn in selected:
+                                op = dyn.op
+                                lat = lat_tab[op]
+                                if op is _LOAD:
+                                    lat += h_load(dyn.mem_addr, be_scale, c)
+                                    events["dcache_access"] += 1
+                                if tron:
+                                    emit(c, "issue", dyn.seq, lat)
+                                wake = c + lat
+                                tag = dyn.dest_tag
+                                if tag >= 0:
+                                    wake_events.setdefault(
+                                        wake, []).append(tag)
+                                done_events.setdefault(
+                                    wake + regread, []).append(
+                                        pending.pop(dyn.seq))
+                                rf_reads += len(dyn.src_tags)
+                            group = []
+                            sealing_group = []
+                            sealing = self._sealing
+                            sealing_gen = sealing[2] if sealing else -1
+                            for dyn in selected:
+                                tg = dyn.trace_gen
+                                left = outstanding.get(tg, 1) - 1
+                                if left:
+                                    outstanding[tg] = left
+                                else:
+                                    outstanding.pop(tg, None)
+                                if tg == sealing_gen:
+                                    sealing_group.append((dyn.trace_pos,
+                                                          dyn))
+                                else:
+                                    group.append((dyn.trace_pos, dyn))
+                            if sealing_group:
+                                sealing[0].record_unit(sealing_group)
+                            if self._builder_open and group:
+                                self.builder.record_unit(group)
+                            self._finish_sealing()
+                            n_sel = len(selected)
+                            stats.issued += n_sel
+                            events["iw_select"] += n_sel
+                            events["rf_read"] += rf_reads
+                            events["fu_op"] += n_sel
+                    if dispatch_q:
+                        # ---- Register Update: matured dispatches enter
+                        # the ROB, LSQ and window
+                        n = 0
+                        while n < dispatch_width:
+                            if not dispatch_q or dispatch_q[0][0] > now_ps:
+                                break
+                            dyn = dispatch_q[0][1]
+                            if len(rob_q) >= rob_cap or iw._count >= iw_cap:
+                                if tron:
+                                    emit(c, "stall", dyn.seq,
+                                         "rob_full"
+                                         if len(rob_q) >= rob_cap
+                                         else "iw_full")
+                                break
+                            if (dyn.mem_addr is not None
+                                    and lsq._count >= lsq.capacity):
+                                if tron:
+                                    emit(c, "stall", dyn.seq, "lsq_full")
+                                break
+                            if (dyn.trace_start
+                                    and not self._begin_trace_at_update(
+                                        dyn, c)):
+                                stats.checkpoint_stall_cycles += 1
+                                break
+                            dispatch_q.popleft()
+                            dispatch_fifo.pops += 1
+                            events["sync_fifo_pop"] += 1
+                            tg = dyn.trace_gen
+                            remaining = pre_update.get(tg, 0) - 1
+                            if remaining > 0:
+                                pre_update[tg] = remaining
+                            else:
+                                pre_update.pop(tg, None)
+                            # The checkpoint tables rebind at trace
+                            # starts, so read them per instruction.
+                            renamer.updates += 1
+                            rt = renamer._rt
+                            p_sizes = pools.sizes
+                            tr_run = self._trace_run
+                            dyn.src_tags = tuple(
+                                [bases[a] + (rt[a] + l) % p_sizes[a]
+                                 for a, l in zip(dyn.srcs, dyn.src_lids)])
+                            dl = dyn.dest_lid
+                            if dl >= 0:
+                                arch = dyn.dest
+                                slot = (rt[arch] + dl) % p_sizes[arch]
+                                dyn.dest_tag = bases[arch] + slot
+                                if tr_run >= srt_trace[arch]:
+                                    renamer._srt[arch] = slot
+                                    srt_trace[arch] = tr_run
+                            else:
+                                dyn.dest_tag = -1
+                            events["update_op"] += 1
+                            if dyn.dest_tag >= 0:
+                                ready[dyn.dest_tag] = 0
+                            entry = RobEntry(
+                                dyn,
+                                mispredicted=(dyn.seq
+                                              == self._boundary_branch_seq))
+                            rob_q.append(entry)
+                            rob.writes += 1
+                            pending[dyn.seq] = entry
+                            if dyn.mem_addr is not None:
+                                lsq.insert()
+                                events["lsq_write"] += 1
+                            events["rob_write"] += 1
+                            # Window insertion (capacity checked above);
+                            # the delay network costs one extra BE cycle.
+                            went = IWEntry(dyn, 0,
+                                           c + 2 if delay_net else c + 1,
+                                           iw._order)
+                            iw._order += 1
+                            nr = 0
+                            if dyn.op is not _STORE:
+                                for tag in dyn.src_tags:
+                                    if tag >= 0 and not ready[tag]:
+                                        nr += 1
+                                        iw_waiters.setdefault(
+                                            tag, []).append(went)
+                            went.not_ready = nr
+                            if nr == 0:
+                                heappush(iw_future,
+                                         (went.earliest, went.order, went))
+                            iw._count += 1
+                            iw.writes += 1
+                            if tron:
+                                emit(c, "dispatch", dyn.seq)
+                            outstanding[tg] = outstanding.get(tg, 0) + 1
+                            events["iw_write"] += 1
+                            n += 1
+                    if self._boundary is not B_NONE:
+                        self._try_finish_boundary(c, now_ps)
+                else:
+                    # ================== EXECUTE mode ==================
+                    replay = self._replay
+                    if replay is None:
+                        raise SimulationError(
+                            "EXECUTE mode without a replay")
+                    if fill._active and fill._arrived < fill._total_slots:
+                        fill.tick(c)
+                    ap = replay.alloc_ptr
+                    vc = replay.valid_count
+                    if ap < vc:
+                        # ---- replay allocation: program-order Register
+                        # Update + ROB/LSQ/pool allocation
+                        paired = replay.paired
+                        entries_of = replay.entries
+                        rt = renamer._rt
+                        srt = renamer._srt
+                        p_sizes = pools.sizes
+                        tr_run = self._trace_run
+                        div_pos = replay.div_pos
+                        tid = replay.trace.tid
+                        n = 0
+                        while ap < vc and n < issue_width:
+                            dyn = paired[ap]
+                            if len(rob_q) >= rob_cap:
+                                if tron:
+                                    emit(c, "stall", dyn.seq, "rob_full")
+                                break
+                            if (dyn.mem_addr is not None
+                                    and lsq._count >= lsq.capacity):
+                                if tron:
+                                    emit(c, "stall", dyn.seq, "lsq_full")
+                                break
+                            dest = dyn.dest
+                            if (dest is not None and dest != 0
+                                    and inflight[dest]
+                                    >= p_sizes[dest] - 1):
+                                pools.note_stall(dest)
+                                stats.rename_pool_stalls += 1
+                                if tron:
+                                    emit(c, "stall", dyn.seq, "pool_full")
+                                break
+                            renamer.updates += 1
+                            dyn.src_tags = tuple(
+                                [bases[a] + (rt[a] + l) % p_sizes[a]
+                                 for a, l in zip(dyn.srcs, dyn.src_lids)])
+                            dl = dyn.dest_lid
+                            if dl >= 0:
+                                arch = dest
+                                slot = (rt[arch] + dl) % p_sizes[arch]
+                                dyn.dest_tag = bases[arch] + slot
+                                if tr_run >= srt_trace[arch]:
+                                    srt[arch] = slot
+                                    srt_trace[arch] = tr_run
+                            else:
+                                dyn.dest_tag = -1
+                            events["update_op"] += 1
+                            if dl >= 0:
+                                # The ready bit is cleared at *issue*, not
+                                # here: units issue in order, so clearing
+                                # at allocation would let a later writer
+                                # reusing the pool slot mark it busy before
+                                # an older consumer in an earlier unit has
+                                # issued — a circular wait. Unit members
+                                # are pairwise independent, so issue-time
+                                # clearing is race-free.
+                                v = inflight[dest] + 1
+                                inflight[dest] = v
+                                if v > highwater[dest]:
+                                    highwater[dest] = v
+                            entry = RobEntry(dyn,
+                                             mispredicted=(ap == div_pos),
+                                             from_ec=True, trace_id=tid)
+                            rob_q.append(entry)
+                            rob.writes += 1
+                            entries_of[dyn.trace_pos] = entry
+                            if dyn.mem_addr is not None:
+                                lsq.insert()
+                                events["lsq_write"] += 1
+                            events["rob_write"] += 1
+                            if tron:
+                                emit(c, "dispatch", dyn.seq)
+                            ap += 1
+                            n += 1
+                        replay.alloc_ptr = ap
+                    if replay.unit_idx < replay.n_units and not (
+                            replay.div_pos >= 0 and replay.branch_resolved
+                            and replay.valid_issued >= vc):
+                        # ---- replay issue: at most one recorded Issue
+                        # Unit per fast cycle, once every valid member is
+                        # allocated and its operands are ready (after a
+                        # resolved divergence the wrong path stops here)
+                        unit = replay.trace.units[replay.unit_idx]
+                        recs = unit.instrs
+                        n_recs = len(recs)
+                        if fill._arrived - fill._consumed >= n_recs:
+                            entries_of = replay.entries
+                            if replay.div_pos < 0:
+                                valid = recs
+                            else:
+                                valid = [rec for rec in recs
+                                         if rec.pos < vc]
+                            ok = True
+                            for rec in valid:
+                                if rec.pos >= ap:
+                                    ok = False
+                                    break
+                                if rec.op is _STORE:
+                                    # store data drains from the store
+                                    # queue at commit
+                                    continue
+                                for tag in entries_of[rec.pos].dyn.src_tags:
+                                    if tag >= 0 and not ready[tag]:
+                                        ok = False
+                                        break
+                                if not ok:
+                                    break
+                            if ok and fu.try_issue_group(unit.demands, c):
+                                fill._consumed += n_recs
+                                for rec in valid:
+                                    entry = entries_of[rec.pos]
+                                    dyn = entry.dyn
+                                    lat = lat_tab[dyn.op]
+                                    if dyn.op is _LOAD:
+                                        lat += h_load(dyn.mem_addr,
+                                                      be_scale, c)
+                                        events["dcache_access"] += 1
+                                    wake = c + lat
+                                    if tron:
+                                        emit(c, "issue", dyn.seq, lat)
+                                    if dyn.dest_tag >= 0:
+                                        ready[dyn.dest_tag] = 0
+                                        wake_events.setdefault(
+                                            wake, []).append(dyn.dest_tag)
+                                    done_events.setdefault(
+                                        wake + regread, []).append(entry)
+                                replay.unit_idx += 1
+                                n_valid = len(valid)
+                                replay.valid_issued += n_valid
+                                stats.issued += n_valid
+                                events["fu_op"] += n_recs
+                                events["rf_read"] += sum(
+                                    len(r.srcs) for r in valid)
+                    self._replay_check_end(replay, c, now_ps)
+                # ---- epilogue: watchdog, governor, skip-ahead
                 committed = stats.committed
                 if committed != last_count:
                     last_count = committed
@@ -318,24 +850,151 @@ class FlywheelCore:
                     if c >= self._be_stall_until:
                         target = self._replay_idle_until(replay, c)
                         if target is not None:
-                            ticks = target - 1 - c
-                            if ticks > 0:
-                                be_dom.cycles = c + ticks
-                                be_dom.next_tick_ps += (ticks
-                                                        * be_dom.period_ps)
-                                stats.be_cycles_execute += ticks
+                            skip = target - 1 - c
+                            if skip > 0:
+                                be_dom.cycles = c + skip
+                                be_dom.next_tick_ps += skip * be_dom.period_ps
+                                stats.be_cycles_execute += skip
             elif self._fe_gated:
                 # Clock-gated front end: gating only changes on a BE tick,
                 # so every FE tick strictly before the next BE tick is
                 # provably idle — let the scheduler skip ahead in bulk.
                 now_ps = fe_dom.next_tick_ps
-                ticks = sched.drain_until(fe_dom, be_dom.next_tick_ps)
-                fe_dom.gated_cycles += ticks
-                stats.fe_cycles_gated += ticks
+                fe_ticks = sched.drain_until(fe_dom, be_dom.next_tick_ps)
+                fe_dom.gated_cycles += fe_ticks
+                stats.fe_cycles_gated += fe_ticks
             else:
-                now_ps = fe_dom.advance()
-                fe_tick(now_ps)
+                # ======================= FE tick =========================
+                now_ps = fe_dom.next_tick_ps
+                fe_dom.next_tick_ps = now_ps + fe_dom.period_ps
+                fe_dom.cycles += 1
+                stats.fe_cycles_active += 1
+                fe_c = fe_dom.cycles
+                if redirect_q:
+                    for epoch in redirect_fifo.pop_ready(now_ps):
+                        if epoch == self._block_epoch:
+                            self._fetch_blocked = False
+                if rename_out:
+                    # ---- dispatch into the dual-clock FIFO
+                    latency_ps = sync_cycles * be_dom.period_ps
+                    n = 0
+                    while rename_out and n < dispatch_width:
+                        dyn = rename_out[0]
+                        if (dyn.lat_ready > fe_c
+                                or len(dispatch_q) >= fifo_cap):
+                            break
+                        rename_out.popleft()
+                        dispatch_q.append((now_ps + latency_ps, dyn))
+                        dispatch_fifo.pushes += 1
+                        events["sync_fifo_push"] += 1
+                        n += 1
+                if decode_out and not self._applying_redist:
+                    # ---- rename phase 1 (held while pools are resized)
+                    be_c = be_dom.cycles
+                    p_sizes = pools.sizes
+                    n = 0
+                    while decode_out and n < rename_width:
+                        dyn = decode_out[0]
+                        if dyn.lat_ready > fe_c:
+                            break
+                        if dyn.trace_start:
+                            # Phase-1 state restarts with the trace
+                            # (Section 3.5).
+                            renamer.reset_lids()
+                            self._trace_pos_counter = 0
+                        dest = dyn.dest
+                        if (dest is not None and dest != 0
+                                and inflight[dest] >= p_sizes[dest] - 1):
+                            pools.note_stall(dest)
+                            stats.rename_pool_stalls += 1
+                            if tron:
+                                emit(be_c, "stall", dyn.seq, "pool_full")
+                            break
+                        decode_out.popleft()
+                        renamer.renames += 1
+                        dyn.src_lids = tuple([ren_lid[s] for s in dyn.srcs])
+                        if dest is None or dest == 0:
+                            dyn.dest_lid = -1
+                        else:
+                            lid_v = ren_lid[dest] + 1
+                            ren_lid[dest] = lid_v
+                            dyn.dest_lid = lid_v
+                            v = inflight[dest] + 1
+                            inflight[dest] = v
+                            if v > highwater[dest]:
+                                highwater[dest] = v
+                        dyn.trace_pos = self._trace_pos_counter
+                        self._trace_pos_counter += 1
+                        dyn.lat_ready = fe_c + 1
+                        rename_out.append(dyn)
+                        if tron:
+                            emit(be_c, "rename", dyn.seq)
+                        events["rename_op"] += 1
+                        n += 1
+                if fetch_out:
+                    fe_decode(fe_c)
+                if (not (self._fetch_blocked or self._applying_redist)
+                        and len(fetch_out) < fetch_cap):
+                    # ---- fetch (bounded buffering: don't run ahead)
+                    be_c = be_dom.cycles
+                    delay = 0
+                    for i in range(fetch_width):
+                        if oracle_buffer:
+                            dyn = oracle_buffer.popleft()
+                        else:
+                            dyn = next_instr()
+                        if i == 0:
+                            delay = (h_ifetch(dyn.pc, fe_scale, fe_c)
+                                     + extra_fe)
+                            events["icache_access"] += 1
+                        if self._fe_new_trace:
+                            dyn.trace_start = True
+                            self._fe_new_trace = False
+                            self._fe_trace_count = 0
+                            self._fe_gen += 1
+                        g = self._fe_gen
+                        dyn.trace_gen = g
+                        pre_update[g] = pre_update.get(g, 0) + 1
+                        dyn.lat_ready = fe_c + delay
+                        fetch_out.append(dyn)
+                        if tron:
+                            emit(be_c, "fetch", dyn.seq)
+                        stats.fetched += 1
+                        count = self._fe_trace_count + 1
+                        self._fe_trace_count = count
+                        # Natural trace end at the length cap, aligned to
+                        # a stable PC: ending exactly at the cap would
+                        # start the next trace at an arbitrary, phase-
+                        # shifting mid-loop address that never recurs.
+                        # Past the cap the trace extends to the next taken
+                        # backward branch (a loop back-edge), so its
+                        # successor starts at the loop head; twice the cap
+                        # is a hard bound.
+                        if dyn.branch_kind:
+                            stats.branches += 1
+                            events["bpred_lookup"] += 1
+                            if not bpred_predict(dyn):
+                                stats.mispredicts += 1
+                                self._begin_boundary(B_MISPREDICT, dyn)
+                                break
+                            if ec_enabled and count >= trace_cap and (
+                                    (dyn.taken and dyn.target_pc <= dyn.pc)
+                                    or count >= 2 * trace_cap):
+                                self._begin_boundary(B_NATURAL, dyn)
+                                break
+                            break  # fetch group ends at a control transfer
+                        if (ec_enabled and count >= trace_cap
+                                and count >= 2 * trace_cap):
+                            self._begin_boundary(B_NATURAL, dyn)
+                            break
+
         stats.sim_time_ps = now_ps
+        prof = self._turbo_prof
+        if prof is not None:
+            t2 = perf_counter()
+            prof.seconds["pool"] += t1 - t0
+            prof.seconds["loop"] += t2 - t1
+            prof.ticks += ticks
         return stats
 
     def _deadlock_detail(self) -> str:
@@ -400,145 +1059,7 @@ class FlywheelCore:
             return self._oracle_buffer.popleft()
         return self.stream.next_instr()
 
-    # ------------------------------------------------------------ FE domain
-
-    def _fe_tick(self, now_ps: int) -> None:
-        if self._fe_gated:
-            self.fe_dom.gated_cycles += 1
-            self.stats.fe_cycles_gated += 1
-            return
-        self.stats.fe_cycles_active += 1
-        fe_c = self.fe_dom.cycles
-        if self._redirect_q:
-            for epoch in self._redirect_fifo.pop_ready(now_ps):
-                if epoch == self._block_epoch:
-                    self._fetch_blocked = False
-        if self._rename_out:
-            self._fe_dispatch(fe_c, now_ps)
-        if self._decode_out:
-            self._fe_rename(fe_c)
-        if self._fetch_out:
-            self.fe.decode(fe_c)
-        if not (self._fetch_blocked or self._applying_redist):
-            self._fe_fetch(fe_c)
-
-    def _fe_dispatch(self, fe_c: int, now_ps: int) -> None:
-        rename_out = self._rename_out
-        fifo = self._dispatch_fifo
-        latency_ps = self.fly.sync_cycles * self.be_dom.period_ps
-        events = self._events
-        n = 0
-        while rename_out and n < self.config.dispatch_width:
-            dyn = rename_out[0]
-            if dyn.lat_ready > fe_c or fifo.full:
-                break
-            rename_out.popleft()
-            fifo.push(dyn, now_ps, latency_ps)
-            events["sync_fifo_push"] += 1
-            n += 1
-
-    def _fe_rename(self, fe_c: int) -> None:
-        if self._applying_redist:
-            return   # hold renaming while pools are being resized
-        decode_out = self._decode_out
-        rename_out = self._rename_out
-        renamer = self.renamer
-        events = self._events
-        tr = self.trace
-        be_c = self.be_dom.cycles
-        n = 0
-        while decode_out and n < self.config.rename_width:
-            dyn = decode_out[0]
-            if dyn.lat_ready > fe_c:
-                break
-            if dyn.trace_start:
-                # Phase-1 state restarts with the trace (Section 3.5).
-                renamer.reset_lids()
-                self._trace_pos_counter = 0
-                dyn.trace_start = True
-            if not renamer.can_rename_dest(dyn):
-                self.stats.rename_pool_stalls += 1
-                if tr is not None:
-                    tr.emit(be_c, "stall", dyn.seq, "pool_full")
-                break
-            decode_out.popleft()
-            renamer.rename(dyn)
-            dyn.trace_pos = self._trace_pos_counter
-            self._trace_pos_counter += 1
-            dyn.lat_ready = fe_c + 1
-            rename_out.append(dyn)
-            if tr is not None:
-                tr.emit(be_c, "rename", dyn.seq)
-            events["rename_op"] += 1
-            n += 1
-
-    def _fe_fetch(self, fe_c: int) -> None:
-        # The caller has already checked the stall/redistribution gates.
-        fe = self.fe
-        if not fe.fetch_room:
-            return
-        fetch_out = self._fetch_out
-        stats = self.stats
-        events = self._events
-        fe_scale = self._fe_scale
-        tr = self.trace
-        be_c = self.be_dom.cycles
-        delay = 0
-        for i in range(self.config.fetch_width):
-            dyn = self._next_oracle()
-            if i == 0:
-                delay = (self.hierarchy.ifetch(dyn.pc, fe_scale, fe_c)
-                         + self.config.extra_frontend_stages)
-                events["icache_access"] += 1
-            if self._fe_new_trace:
-                dyn.trace_start = True
-                self._fe_new_trace = False
-                self._fe_trace_count = 0
-                self._fe_gen += 1
-            dyn.trace_gen = self._fe_gen
-            self._pre_update[self._fe_gen] = \
-                self._pre_update.get(self._fe_gen, 0) + 1
-            dyn.lat_ready = fe_c + delay
-            fetch_out.append(dyn)
-            if tr is not None:
-                tr.emit(be_c, "fetch", dyn.seq)
-            stats.fetched += 1
-            self._fe_trace_count += 1
-            if dyn.is_branch:
-                stats.branches += 1
-                events["bpred_lookup"] += 1
-                if not self.bpred.predict(dyn):
-                    stats.mispredicts += 1
-                    self._begin_boundary(_Boundary.MISPREDICT, dyn)
-                    return
-                if self._check_natural_end(dyn):
-                    return
-                break  # fetch group ends at a control transfer
-            if self._check_natural_end(dyn):
-                return
-
-    def _check_natural_end(self, dyn: DynInstr) -> bool:
-        """End the trace at its length cap — aligned to a stable PC.
-
-        Ending exactly at the cap would start the next trace at an
-        arbitrary, phase-shifting mid-loop address that never recurs, so
-        every lookup would miss. Instead, once the cap is reached the
-        trace is extended to the next taken backward branch (a loop
-        back-edge): the successor trace then starts at the loop head, a
-        recurring address. A hard cap bounds the extension.
-        """
-        if not self.fly.ec_enabled:
-            return False
-        count = self._fe_trace_count
-        cap = self.fly.max_trace_instrs
-        if count < cap:
-            return False
-        at_backedge = (dyn.is_branch and dyn.taken
-                       and dyn.target_pc <= dyn.pc)
-        if at_backedge or count >= 2 * cap:
-            self._begin_boundary(_Boundary.NATURAL, dyn)
-            return True
-        return False
+    # ----------------------------------------------------- trace boundaries
 
     def _begin_boundary(self, kind: _Boundary, last_dyn: DynInstr) -> None:
         """Stop fetch; the BE seals the trace once it drains.
@@ -566,7 +1087,7 @@ class FlywheelCore:
         self._boundary_branch_seq = branch_seq
         self._boundary_resolved = kind is _Boundary.NATURAL
 
-    # ------------------------------------------------------------ BE domain
+    # ------------------------------------------------------- modes and clocks
 
     def _set_mode(self, mode: Mode) -> None:
         """Switch operating mode and the mode-derived DRAM scale."""
@@ -597,31 +1118,6 @@ class FlywheelCore:
             self._be_scale = self._scale_execute
             self.be_dom.set_frequency(clock.be_fast_mhz * scale, now_ps)
 
-    def _be_tick(self, now_ps: int) -> None:
-        c = self.be_dom.cycles
-        create = self.mode is Mode.CREATE
-        stats = self.stats
-        if create:
-            stats.be_cycles_create += 1
-        else:
-            stats.be_cycles_execute += 1
-        self.be.tick(c, self._be_scale)
-        if c < self._be_stall_until:
-            stats.checkpoint_stall_cycles += 1
-            return
-        if self._applying_redist:
-            # Let in-flight work drain (new renames are held in the FE),
-            # then install the new pool geometry (Section 3.5).
-            if (not len(self.rob) and not any(self.pools.inflight)
-                    and self._boundary is _Boundary.NONE
-                    and self._deferred_boundary is None):
-                self._apply_redistribution(c, now_ps)
-                return
-        if create:
-            self._be_create(c, now_ps)
-        else:
-            self._be_execute(c, now_ps)
-
     # Writeback hook: a completed entry flagged mispredicted resolves the
     # boundary branch (CREATE) or the replay's diverging branch (EXECUTE).
     def _on_branch_resolved(self, entry: RobEntry, _c: int) -> None:
@@ -631,106 +1127,7 @@ class FlywheelCore:
         elif self._replay is not None:
             self._replay.branch_resolved = True
 
-    # Retire hook: two-phase retirement plus EC residency accounting.
-    def _commit_entry(self, entry: RobEntry) -> None:
-        self.renamer.retire(entry.dyn)
-        if entry.from_ec:
-            self.stats.instrs_from_ec += 1
-
     # ----------------------------------------------------- CREATE mode (BE)
-
-    def _be_create(self, c: int, now_ps: int) -> None:
-        if self.iw._count:
-            self._create_issue(c)
-        if self._dispatch_q:
-            self._create_accept(c, now_ps)
-        if self._boundary is not _Boundary.NONE:
-            self._try_finish_boundary(c, now_ps)
-
-    def _create_issue(self, c: int) -> None:
-        selected = self.iw.select(c, self.be.fu)
-        if not selected:
-            tr = self.trace
-            if tr is not None:
-                tr.emit(c, "stall", -1,
-                        "fu_busy" if self.iw._eligible else "dep_wait")
-            return
-        be = self.be
-        rf_reads = be.schedule_group(selected, c, self._be_scale)
-        group = []
-        sealing_group = []
-        sealing_gen = self._sealing[2] if self._sealing else -1
-        outstanding = self._outstanding
-        for dyn in selected:
-            left = outstanding.get(dyn.trace_gen, 1) - 1
-            if left:
-                outstanding[dyn.trace_gen] = left
-            else:
-                outstanding.pop(dyn.trace_gen, None)
-            if dyn.trace_gen == sealing_gen:
-                sealing_group.append((dyn.trace_pos, dyn))
-            else:
-                group.append((dyn.trace_pos, dyn))
-        if sealing_group:
-            self._sealing[0].record_unit(sealing_group)
-        if self._builder_open and group:
-            self.builder.record_unit(group)
-        self._finish_sealing()
-        n = len(selected)
-        self.stats.issued += n
-        events = self._events
-        events["iw_select"] += n
-        events["rf_read"] += rf_reads
-        events["fu_op"] += n
-
-    def _create_accept(self, c: int, now_ps: int) -> None:
-        """Register Update stage: pull matured dispatches into the window."""
-        fifo = self._dispatch_fifo
-        be = self.be
-        iw = self.iw
-        ready = be.ready
-        ready_getter = be.ready_getter
-        events = self._events
-        tr = self.trace
-        n = 0
-        while n < self.config.dispatch_width:
-            dyn = fifo.peek_ready(now_ps)
-            if dyn is None:
-                break
-            if be.rob.full or iw.free_slots == 0:
-                if tr is not None:
-                    tr.emit(c, "stall", dyn.seq,
-                            "rob_full" if be.rob.full else "iw_full")
-                break
-            if dyn.mem_addr is not None and be.lsq.full:
-                if tr is not None:
-                    tr.emit(c, "stall", dyn.seq, "lsq_full")
-                break
-            if dyn.trace_start and not self._begin_trace_at_update(dyn, c):
-                self.stats.checkpoint_stall_cycles += 1
-                break
-            # Inline single-entry pop: the head was just peeked mature.
-            self._dispatch_q.popleft()
-            fifo.pops += 1
-            events["sync_fifo_pop"] += 1
-            remaining = self._pre_update.get(dyn.trace_gen, 0) - 1
-            if remaining > 0:
-                self._pre_update[dyn.trace_gen] = remaining
-            else:
-                self._pre_update.pop(dyn.trace_gen, None)
-            self.renamer.update(dyn, self._trace_run)
-            events["update_op"] += 1
-            if dyn.dest_tag >= 0:
-                ready[dyn.dest_tag] = 0
-            mispredicted = dyn.seq == self._boundary_branch_seq
-            be.admit(dyn, RobEntry(dyn, mispredicted=mispredicted))
-            iw.insert_synced(dyn, ready_getter, earliest=c + 1)
-            if tr is not None:
-                tr.emit(c, "dispatch", dyn.seq)
-            self._outstanding[dyn.trace_gen] = \
-                self._outstanding.get(dyn.trace_gen, 0) + 1
-            events["iw_write"] += 1
-            n += 1
 
     def _begin_trace_at_update(self, dyn: DynInstr, c: int) -> bool:
         """Handle the first Register Update of a new trace.
@@ -1056,7 +1453,8 @@ class FlywheelCore:
         if the next tick may act (issue, allocate, retire, count a stall,
         or distinguish an FU-reservation conflict — all vetoes).
 
-        Mirrors the stage gates of :meth:`_be_execute`: allocation blocked
+        Mirrors the stage gates of the EXECUTE-mode stages of
+        :meth:`run` (replay allocation, replay issue): allocation blocked
         on ROB/LSQ space unblocks at retirement (a scheduled done event);
         a pool-capacity block is NOT skippable because it increments the
         stall counters every cycle; issue blocked on operand readiness
@@ -1115,125 +1513,6 @@ class FlywheelCore:
         if bound is not None and bound > c + 1:
             return bound
         return None
-
-    def _be_execute(self, c: int, now_ps: int) -> None:
-        replay = self._replay
-        if replay is None:
-            raise SimulationError("EXECUTE mode without a replay")
-        self.fill.tick(c)
-        if replay.alloc_ptr < replay.valid_count:
-            self._replay_alloc(replay, c)
-        if replay.unit_idx < replay.n_units:
-            self._replay_issue(replay, c)
-        self._replay_check_end(replay, c, now_ps)
-
-    def _replay_alloc(self, replay: _Replay, c: int) -> None:
-        """Program-order Register Update + ROB/LSQ/pool allocation."""
-        be = self.be
-        events = self._events
-        tr = self.trace
-        n = 0
-        while (replay.alloc_ptr < replay.valid_count
-               and n < self.config.issue_width):
-            dyn = replay.paired[replay.alloc_ptr]
-            if be.rob.full:
-                if tr is not None:
-                    tr.emit(c, "stall", dyn.seq, "rob_full")
-                break
-            if dyn.mem_addr is not None and be.lsq.full:
-                if tr is not None:
-                    tr.emit(c, "stall", dyn.seq, "lsq_full")
-                break
-            if dyn.dest is not None and dyn.dest != 0 \
-                    and not self.pools.can_allocate(dyn.dest):
-                self.pools.note_stall(dyn.dest)
-                self.stats.rename_pool_stalls += 1
-                if tr is not None:
-                    tr.emit(c, "stall", dyn.seq, "pool_full")
-                break
-            self.renamer.update(dyn, self._trace_run)
-            events["update_op"] += 1
-            if dyn.dest_lid >= 0:
-                self.pools.allocate(dyn.dest)
-                # NOTE: the ready bit is cleared at *issue* (not here).
-                # Units issue in order, so clearing at allocation would let
-                # a later writer that reuses the same pool slot mark the
-                # slot busy before an older consumer in an earlier unit has
-                # issued — a circular wait. Unit members are pairwise
-                # independent, so issue-time clearing is race-free.
-            mispredicted = replay.alloc_ptr == replay.div_pos
-            entry = RobEntry(dyn, mispredicted=mispredicted, from_ec=True,
-                             trace_id=replay.trace.tid)
-            be.rob.insert(entry)
-            replay.entries[dyn.trace_pos] = entry
-            if dyn.mem_addr is not None:
-                be.lsq.insert()
-                events["lsq_write"] += 1
-            events["rob_write"] += 1
-            if tr is not None:
-                tr.emit(c, "dispatch", dyn.seq)
-            replay.alloc_ptr += 1
-            n += 1
-
-    def _replay_issue(self, replay: _Replay, c: int) -> None:
-        """Issue at most one recorded Issue Unit per fast cycle.
-
-        The caller has checked ``unit_idx < n_units``.
-        """
-        if (replay.div_pos >= 0 and replay.branch_resolved
-                and replay.valid_issued >= replay.valid_count):
-            return  # redirect has happened; wrong path stops here
-        unit = replay.trace.units[replay.unit_idx]
-        recs = unit.instrs
-        if not self.fill.can_consume(len(recs)):
-            return
-        be = self.be
-        ready = be.ready
-        entries = replay.entries
-        alloc_ptr = replay.alloc_ptr
-        if replay.div_pos < 0:
-            valid = recs        # no divergence: every record is valid
-        else:
-            vc = replay.valid_count
-            valid = [rec for rec in recs if rec.pos < vc]
-        for rec in valid:
-            if rec.pos >= alloc_ptr:
-                return  # allocation (program order) hasn't caught up
-            if rec.op is OpClass.STORE:
-                continue  # store data drains from the store queue at commit
-            dyn = entries[rec.pos].dyn
-            for tag in dyn.src_tags:
-                if tag >= 0 and not ready[tag]:
-                    return
-        if not be.fu.try_issue_group(unit.demands, c):
-            return
-        self.fill.consume(len(recs))
-        be_scale = self._be_scale
-        events = self._events
-        wake_events = be.wake_events
-        done_events = be.done_events
-        regread = self.config.regread_stages
-        tr = self.trace
-        for rec in valid:
-            entry = entries[rec.pos]
-            dyn = entry.dyn
-            lat = EXEC_LATENCY_TAB[dyn.op]
-            if dyn.op is OpClass.LOAD:
-                lat += self.hierarchy.load(dyn.mem_addr, be_scale, c)
-                events["dcache_access"] += 1
-            wake = c + lat
-            done = wake + regread
-            if tr is not None:
-                tr.emit(c, "issue", dyn.seq, lat)
-            if dyn.dest_tag >= 0:
-                ready[dyn.dest_tag] = 0
-                wake_events.setdefault(wake, []).append(dyn.dest_tag)
-            done_events.setdefault(done, []).append(entry)
-        replay.unit_idx += 1
-        replay.valid_issued += len(valid)
-        self.stats.issued += len(valid)
-        events["fu_op"] += len(recs)
-        events["rf_read"] += sum(len(r.srcs) for r in valid)
 
     def _replay_check_end(self, replay: _Replay, c: int,
                           now_ps: int) -> None:

@@ -7,12 +7,16 @@ read in the front-end domain while tag broadcasts happen in the back-end
 domain, a tag can arrive after the RAT read but before the entry is seen by
 Wake-Up — the race of Fig. 4.
 
-Two hardware solutions exist (Section 3.2); both are modelled:
+Section 3.2 offers two hardware solutions; the window records which one
+the machine uses, and the Flywheel's run loop applies it at insertion:
 
 * **Duplicated tag matching** (default): wake-up also matches tags
-  broadcast in the previous ``tag_window`` back-end cycles, preserving
-  back-to-back scheduling at the cost of extra match lines (the power
-  model charges ``1 + tag_window`` match energy per broadcast).
+  broadcast in the previous ``tag_window`` back-end cycles, so a raced
+  tag is caught and back-to-back scheduling is preserved. The timing
+  model needs no extra state for this (an inserted entry sees the
+  scoreboard as of its insertion cycle), and the power model does not
+  charge the extra match lines, so ``tag_window`` has no effect on any
+  simulated number.
 * **Delay network** (``delay_network=True``): entries only become
   selectable one extra back-end cycle after insertion, losing exactly the
   back-to-back capability the paper set out to preserve.
@@ -20,11 +24,7 @@ Two hardware solutions exist (Section 3.2); both are modelled:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Tuple
-
-from repro.isa import DynInstr
-from repro.issue.window import IssueWindow, IWEntry
+from repro.issue.window import IssueWindow
 
 
 class DualClockIssueWindow(IssueWindow):
@@ -36,39 +36,3 @@ class DualClockIssueWindow(IssueWindow):
         super().__init__(entries, issue_width, wakeup_extra_delay)
         self.tag_window = tag_window
         self.delay_network = delay_network
-        #: broadcasts kept for the duplicated match, as (be_cycle, tag)
-        self._recent: Deque[Tuple[int, int]] = deque()
-        #: count of dependences that the duplicated window saved from the
-        #: race (they became ready between RAT read and insertion)
-        self.caught_by_dup_match = 0
-
-    def broadcast(self, tag: int, cycle: int) -> None:
-        super().broadcast(tag, cycle)
-        self._recent.append((cycle, tag))
-        horizon = cycle - self.tag_window
-        while self._recent and self._recent[0][0] < horizon:
-            self._recent.popleft()
-
-    def broadcast_many(self, tags, cycle: int) -> None:
-        super().broadcast_many(tags, cycle)
-        recent = self._recent
-        for tag in tags:
-            recent.append((cycle, tag))
-        horizon = cycle - self.tag_window
-        while recent and recent[0][0] < horizon:
-            recent.popleft()
-
-    def insert_synced(self, dyn: DynInstr, ready: Callable[[int], bool],
-                      earliest: int, raced_tags: int = 0) -> IWEntry:
-        """Insert an instruction arriving through the sync FIFO.
-
-        ``raced_tags`` is the number of this instruction's source tags that
-        became ready between its RAT read (front-end time) and now; with
-        duplicated tag matching they are caught (no penalty), with the
-        delay network every insertion pays one extra cycle instead.
-        """
-        if self.delay_network:
-            earliest += 1
-        else:
-            self.caught_by_dup_match += raced_tags
-        return self.insert(dyn, ready, earliest)

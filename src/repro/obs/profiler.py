@@ -18,8 +18,9 @@ the engine onto the code that implements them):
 ``backend``    the engine tick: FU bookkeeping, writeback broadcast,
                in-order retire (and store D-cache traffic at commit)
 
-For the dual-clock Flywheel the domain boundary is the honest cut:
-``frontend`` is the FE-domain tick, ``backend`` the BE-domain tick.
+The Flywheel has one fused loop on both engines, so it always reports
+the turbo buckets (:data:`TURBO_PHASES`); on the legacy engine its
+``pool`` bucket covers only the functional warmup.
 
 The synchronous cores are profiled through a *mirrored* step function
 installed as an instance attribute: ``BaselineCore.run`` calls
@@ -39,17 +40,19 @@ from typing import Dict, Optional
 
 PHASES = ("frontend", "rename", "dispatch", "schedule", "backend")
 
-#: The turbo backend's buckets: it has no per-stage boundaries to clock
-#: (the whole point is one fused loop), so it reports the two phases it
-#: actually has — building/warming the instruction pool, and the loop.
+#: A fused loop's buckets (the turbo backend, and the Flywheel on either
+#: engine): it has no per-stage boundaries to clock, so it reports the
+#: two phases it actually has — building/warming the instruction pool,
+#: and the loop.
 TURBO_PHASES = ("pool", "loop")
 
 
 class PhaseProfile:
     """Accumulated wall seconds per engine phase of one run.
 
-    ``phases`` is per-instance: the legacy engines bucket by pipeline
-    stage (:data:`PHASES`), the turbo backend by :data:`TURBO_PHASES`.
+    ``phases`` is per-instance: the legacy single-clock loop buckets by
+    pipeline stage (:data:`PHASES`), every fused loop by
+    :data:`TURBO_PHASES`.
     """
 
     def __init__(self, phases=PHASES):
@@ -115,46 +118,30 @@ def _profiled_sync_step(core, prof, pc=perf_counter):
     return step
 
 
-def _wrap_domain_tick(fn, seconds, bucket, pc=perf_counter):
-    def tick(now_ps):
-        t0 = pc()
-        fn(now_ps)
-        seconds[bucket] += pc() - t0
-    return tick
-
-
 def install(core) -> PhaseProfile:
     """Attach phase timing to a core; must run before ``core.run()``.
 
-    Dispatches on the engine first: a core on the turbo engine (the
-    default, ``engine=None``) never calls ``step``/``_fe_tick``/
-    ``_be_tick`` (the whole run is one fused loop), so the profile is
-    handed to the engine entry point via ``core._turbo_prof``, which
-    stamps the ``pool``/``loop`` buckets itself.  Legacy engines
-    dispatch on the attribute contract of the built-in kinds: a
-    single-clock core exposes ``step``; a dual-clock core exposes
-    ``_fe_tick``/``_be_tick`` (rebound by its run loop from ``self``, so
-    instance-attribute shadows take effect).  Raises ``TypeError`` for
-    cores exposing neither.
+    A single-clock core on the legacy engine exposes ``step`` (called
+    by its run loop from ``self``, so an instance-attribute shadow takes
+    effect) and is profiled per stage. Every fused loop — the turbo
+    engine of any kind, and the Flywheel on either engine (a core class
+    declaring ``_turbo_prof``) — has no stage boundaries to clock: the
+    profile is handed to the loop via ``core._turbo_prof``, which stamps
+    the ``pool``/``loop`` buckets itself. Raises ``TypeError`` for a
+    legacy-engine core offering neither.
     """
     engine = getattr(getattr(core, "config", None), "engine", "legacy")
-    if engine != "legacy":
+    if engine == "legacy" and hasattr(core, "step"):
+        prof = PhaseProfile()
+        core.step = _profiled_sync_step(core, prof)
+        return prof
+    if engine != "legacy" or hasattr(core, "_turbo_prof"):
         prof = PhaseProfile(TURBO_PHASES)
         core._turbo_prof = prof
         return prof
-    prof = PhaseProfile()
-    if hasattr(core, "_fe_tick") and hasattr(core, "_be_tick"):
-        core._fe_tick = _wrap_domain_tick(core._fe_tick, prof.seconds,
-                                          "frontend")
-        core._be_tick = _wrap_domain_tick(core._be_tick, prof.seconds,
-                                          "backend")
-    elif hasattr(core, "step"):
-        core.step = _profiled_sync_step(core, prof)
-    else:
-        raise TypeError(
-            f"cannot profile {type(core).__name__}: exposes neither "
-            "step() nor _fe_tick/_be_tick")
-    return prof
+    raise TypeError(
+        f"cannot profile {type(core).__name__}: exposes neither "
+        "step() nor a fused loop's _turbo_prof hook")
 
 
 def profile_machine(kind: str, workload, config=None, fly=None, clock=None,

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.config import FlywheelConfig
+from repro.core.sim import default_config, execute_kind
 from repro.errors import SimulationError
 from repro.execute.fu import FuPool
 from repro.isa import DynInstr, OpClass
-from repro.issue.dual_clock import DualClockIssueWindow
+from repro.obs.spec import TraceSpec
 from repro.issue.window import IssueWindow
 
 
@@ -114,26 +116,29 @@ class TestIssueWindow:
 
 
 class TestDualClock:
-    def test_dup_match_counts_raced_tags(self):
-        iw = DualClockIssueWindow(16, 6, tag_window=2)
-        iw.insert_synced(_instr(0), lambda t: True, earliest=1,
-                         raced_tags=2)
-        assert iw.caught_by_dup_match == 2
+    @staticmethod
+    def _min_dispatch_issue_gap(delay_network):
+        # With the EC off the Flywheel never replays: every instruction
+        # passes Register Update into the dual-clock window (create mode),
+        # so each traced dispatch -> issue pair is one window residency.
+        config = default_config("flywheel").with_variant(
+            trace=TraceSpec(events=("dispatch", "issue")))
+        fly = FlywheelConfig(ec_enabled=False, delay_network=delay_network)
+        result = execute_kind("flywheel", "smoke", config=config, fly=fly,
+                              max_instructions=1500, warmup=500)
+        dispatched = {}
+        gaps = []
+        for cycle, kind, seq, _info in result.trace["events"]:
+            if kind == "dispatch":
+                dispatched[seq] = cycle
+            elif seq in dispatched:
+                gaps.append(cycle - dispatched.pop(seq))
+        assert len(gaps) > 1000
+        return min(gaps)
 
     def test_delay_network_adds_cycle(self):
-        iw = DualClockIssueWindow(16, 6, delay_network=True)
-        fu = _fu()
-        iw.insert_synced(_instr(0), lambda t: True, earliest=1)
-        fu.begin_cycle(1)
-        assert iw.select(1, fu) == []
-        fu.begin_cycle(2)
-        assert len(iw.select(2, fu)) == 1
-
-    def test_recent_window_pruned(self):
-        iw = DualClockIssueWindow(16, 6, tag_window=2)
-        for c in range(10):
-            iw.broadcast(c, c)
-        assert all(cycle >= 7 for cycle, _tag in iw._recent)
+        assert self._min_dispatch_issue_gap(False) == 1
+        assert self._min_dispatch_issue_gap(True) == 2
 
 
 class TestFuPool:

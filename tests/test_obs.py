@@ -18,7 +18,7 @@ from repro.obs import (
     chrome_trace,
     render_pipeview,
 )
-from repro.obs.profiler import PHASES, profile_machine
+from repro.obs.profiler import PHASES, TURBO_PHASES, profile_machine
 
 #: Tiny budgets: every simulated run in this file finishes in ~100ms.
 N, W = 1500, 500
@@ -272,17 +272,19 @@ class TestRenderers:
 
 
 class TestProfiler:
-    # The stage buckets are the legacy engine's; turbo's are below.
+    # The stage buckets are the legacy single-clock loop's; the Flywheel
+    # runs one fused loop on both engines and reports the turbo buckets.
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_report_shape(self, kind):
         report = profile_machine(
             kind, "smoke", instructions=N, warmup=W,
             config=default_config(kind).with_variant(engine="legacy"))
+        phases = TURBO_PHASES if kind == "flywheel" else PHASES
         prof = report["profile"]
-        assert set(prof["phases_s"]) == set(PHASES)
+        assert set(prof["phases_s"]) == set(phases)
         assert prof["run_s"] > 0
         assert report["cycles"] > 0
-        for phase in PHASES:
+        for phase in phases:
             assert prof["phases_s"][phase] >= 0
 
     def test_profiled_stats_match_plain_run(self):

@@ -390,6 +390,22 @@ class TestPublicSurface:
             assert [name for name in dir(module)
                     if name.endswith("_session")] == [], module.__name__
 
+    def test_flywheel_has_one_pipeline(self):
+        # The Flywheel's stages live once, inline in FlywheelCore.run; the
+        # engine axis picks only its oracle. The separate turbo loop and
+        # the per-stage method copies are gone.
+        import importlib
+
+        from repro.core.flywheel import FlywheelCore
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.engine.turbo.fly")
+        for stage in ("fe_tick", "fe_dispatch", "fe_rename", "fe_fetch",
+                      "check_natural_end", "be_tick", "be_create",
+                      "create_issue", "create_accept", "be_execute",
+                      "replay_alloc", "replay_issue"):
+            assert not hasattr(FlywheelCore, f"_{stage}"), stage
+
     def test_session_event_is_frozen(self):
         event = SessionEvent(event="plan", total=3)
         with pytest.raises(Exception):

@@ -1,9 +1,11 @@
 """Turbo-backend edge cases: skip-ahead vs. every observer.
 
-Both turbo loops bulk-advance the back-end clock across provably-idle
-spans: the Flywheel's replay skip-ahead and the single-clock loop's idle
+Two loops bulk-advance the back-end clock across provably-idle spans:
+the Flywheel's replay skip-ahead and the single-clock turbo loop's idle
 skip-ahead. Three observers make a naive jump wrong, and each gets a pin
-here against the legacy engine, once per loop:
+here against the legacy engine, once per loop. The Flywheel runs its one
+loop (``FlywheelCore.run``) on both engines, so its pins compare the
+live instruction walker against the ``PooledOracle`` feeding that loop:
 
 * the DVFS governor's interval hook must fire at exactly the cycles it
   would have fired tick-by-tick (a jumped interval shifts every later
@@ -52,7 +54,8 @@ def _pair(kind, bench, n=8000, w=3000, clock=None, **cfg_kw):
 
 
 class TestSkipAheadEdges:
-    """Observers against the skip-ahead both engines share.
+    """Observers against the Flywheel's skip-ahead, on the live walker
+    (legacy) and the pooled oracle (turbo).
 
     A skip-ahead may jump past a DVFS interval boundary or into a trace
     window; the hook then fires late and skipped spans emit no stall
@@ -88,9 +91,9 @@ class TestSkipAheadEdges:
                                              (128, "EXECUTE")))
     def test_watchdog_arms_inside_a_batch(self, window, mode):
         # window=128 elapses mid-replay (EXECUTE mode) — inside the span
-        # the turbo loop processes as a batch — so the bulk advance must
-        # stop at the trip cycle, not sail past it. Both engines must
-        # fail at the same cycle with the same structured snapshot.
+        # the loop skips as a batch — so the bulk advance must stop at
+        # the trip cycle, not sail past it. Both oracles must fail at the
+        # same cycle with the same structured snapshot.
         trips = []
         for engine in ("legacy", "turbo"):
             config = CoreConfig(engine=engine, deadlock_window=window)
