@@ -10,7 +10,7 @@ register release).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, List, Optional, Tuple, TypeVar
+from typing import Deque, Generic, List, Tuple, TypeVar
 
 from repro.errors import ConfigError
 
@@ -31,8 +31,6 @@ class SyncFifo(Generic[T]):
         self.name = name
         self.capacity = capacity
         self._queue: Deque[Tuple[int, T]] = deque()
-        self.pushes = 0
-        self.pops = 0
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -46,14 +44,7 @@ class SyncFifo(Generic[T]):
         if self.full:
             return False
         self._queue.append((now_ps + latency_ps, item))
-        self.pushes += 1
         return True
-
-    def peek_ready(self, now_ps: int) -> Optional[T]:
-        """The oldest mature entry, without removing it."""
-        if self._queue and self._queue[0][0] <= now_ps:
-            return self._queue[0][1]
-        return None
 
     def pop_ready(self, now_ps: int, limit: int = 0) -> List[T]:
         """Dequeue all (or up to ``limit``) mature entries, in FIFO order."""
@@ -62,7 +53,6 @@ class SyncFifo(Generic[T]):
             if limit and len(out) >= limit:
                 break
             out.append(self._queue.popleft()[1])
-            self.pops += 1
         return out
 
     def clear(self) -> None:

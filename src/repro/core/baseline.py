@@ -417,9 +417,8 @@ class BaselineCore:
             dyn = decode_out[0]
             if dyn.lat_ready > c:
                 break
-            # Inline R10KRenamer.can_rename + rename: this runs once per
-            # instruction and the renamer's map/free-list objects are
-            # stable.
+            # R10K rename over the renamer's map table and free list:
+            # this runs once per instruction and those objects are stable.
             dest = dyn.dest
             if dest is None or dest == 0:
                 decode_out.popleft()

@@ -191,7 +191,12 @@ class FlywheelConfig(_CacheKeyMixin):
     #: Traces are kept "as long as possible" (Section 3.3) so that the
     #: recurring post-mispredict PCs dominate trace starts; a short cap
     #: would slice loops at phase-shifting addresses and thrash the EC.
-    max_trace_units: int = 512      # safety bound on trace length
+    #: ``max_trace_units`` is part of the config (so of cache keys and
+    #: pinned payloads), but nothing reads it: it changes no simulated
+    #: number. Traces end at ``max_trace_instrs`` (fetch side); the
+    #: largest one stored in a default-budget run has 354 Issue Units
+    #: (bzip2; gcc 276).
+    max_trace_units: int = 512
     max_trace_instrs: int = 768     # natural trace-end threshold
 
     pool_regs: int = 512            # Flywheel register file entries
@@ -210,13 +215,26 @@ class FlywheelConfig(_CacheKeyMixin):
     redistribution_enabled: bool = True
 
     sync_cycles: int = 1            # mixed-clock FIFO latency (consumer cycles)
-    #: Duplicated tag-match depth (Sec. 3.2). Part of the config (so of
-    #: cache keys and pinned payloads), but neither the timing nor the
-    #: power model reads it: it changes no simulated number.
+    #: Dual Clock Issue Window (Sec. 3.2): entries are written with the
+    #: front-end clock and seen by Wake-Up/Select after a synchronization
+    #: delay in back-end cycles. The RAT is read in the front-end domain
+    #: while tags broadcast in the back-end one, so a tag can arrive after
+    #: the RAT read but before Wake-Up sees the entry (the race of Fig. 4).
+    #: The paper offers two fixes; the run loop applies the chosen one at
+    #: window insertion (``# ---- Register Update``).
+    #:
+    #: Duplicated tag matching (the default): wake-up also matches tags
+    #: broadcast in the previous ``tag_window`` back-end cycles, so a
+    #: raced tag is caught and back-to-back scheduling is kept. The timing
+    #: model needs no state for this (an inserted entry sees the
+    #: scoreboard as of its insertion cycle) and the power model does not
+    #: charge the extra match lines, so ``tag_window`` is part of the
+    #: config (so of cache keys and pinned payloads) but changes no
+    #: simulated number.
     tag_window: int = 2
-    #: Section 3.2's cheaper alternative to duplicated tag matching: delay
-    #: the wake-up match until broadcasts are seen in the other domain,
-    #: losing exactly the back-to-back capability the design preserves.
+    #: The delay network: entries become selectable one extra back-end
+    #: cycle after insertion, losing exactly the back-to-back capability
+    #: the design preserves.
     delay_network: bool = False
 
     def __post_init__(self) -> None:

@@ -60,8 +60,7 @@ from repro.errors import SimulationError
 from repro.frontend.bpred import BranchPredictor
 from repro.isa import DynInstr, OpClass
 from repro.isa.opclasses import EXEC_LATENCY_TAB, FU_KIND_TAB, UNPIPELINED_TAB
-from repro.issue.dual_clock import DualClockIssueWindow
-from repro.issue.window import IWEntry
+from repro.issue.window import IssueWindow, IWEntry
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.metrics import MetricRegistry, register_core_sources
 from repro.obs.trace import TraceRecorder
@@ -148,14 +147,12 @@ class FlywheelCore:
         self.bpred = BranchPredictor(config.bpred)
         self.pools = PoolFile(fly.pool_regs, fly.default_pool_size,
                               fly.min_pool_size, fly.max_pool_size)
-        self.renamer = TwoPhaseRenamer(self.pools)
+        self.renamer = TwoPhaseRenamer()
         self.redist = RedistributionController(
             self.pools, fly.redistribution_interval,
             fly.redistribution_penalty)
-        self.iw = DualClockIssueWindow(
-            config.iw_entries, config.issue_width,
-            config.wakeup_extra_delay, tag_window=fly.tag_window,
-            delay_network=fly.delay_network)
+        self.iw = IssueWindow(config.iw_entries, config.issue_width,
+                              config.wakeup_extra_delay)
         self.be = ExecBackend(config, self.stats, self.hierarchy,
                               fly.pool_regs)
         self.watchdog = DeadlockWatchdog(
@@ -168,7 +165,7 @@ class FlywheelCore:
         # retirement and EC residency accounting), so no commit hook.
         self.be.configure(self.iw, self._on_branch_resolved)
         self.ec = ExecutionCache(fly)
-        self.builder = TraceBuilder(fly.ec_block_slots, fly.max_trace_units)
+        self.builder = TraceBuilder(fly.ec_block_slots)
         self.fill = FillBuffer(fly.ec_block_slots, fly.ec_latency)
 
         # Clock domains: FE at its own speed; BE starts at the slow clock.
@@ -318,7 +315,7 @@ class FlywheelCore:
         iw_waiters = iw._waiters
         iw_width = iw.issue_width
         wk_delay = iw.wakeup_extra_delay
-        delay_net = iw.delay_network
+        delay_net = fly.delay_network
         fu = be.fu
         fu_counts = fu._counts
         fu_used = fu._used
@@ -612,7 +609,6 @@ class FlywheelCore:
                                 stats.checkpoint_stall_cycles += 1
                                 break
                             dispatch_q.popleft()
-                            dispatch_fifo.pops += 1
                             events["sync_fifo_pop"] += 1
                             tg = dyn.trace_gen
                             remaining = pre_update.get(tg, 0) - 1
@@ -622,7 +618,6 @@ class FlywheelCore:
                                 pre_update.pop(tg, None)
                             # The checkpoint tables rebind at trace
                             # starts, so read them per instruction.
-                            renamer.updates += 1
                             rt = renamer._rt
                             p_sizes = pools.sizes
                             tr_run = self._trace_run
@@ -721,7 +716,6 @@ class FlywheelCore:
                                 if tron:
                                     emit(c, "stall", dyn.seq, "pool_full")
                                 break
-                            renamer.updates += 1
                             dyn.src_tags = tuple(
                                 [bases[a] + (rt[a] + l) % p_sizes[a]
                                  for a, l in zip(dyn.srcs, dyn.src_lids)])
@@ -885,7 +879,6 @@ class FlywheelCore:
                             break
                         rename_out.popleft()
                         dispatch_q.append((now_ps + latency_ps, dyn))
-                        dispatch_fifo.pushes += 1
                         events["sync_fifo_push"] += 1
                         n += 1
                 if decode_out and not self._applying_redist:
@@ -911,7 +904,6 @@ class FlywheelCore:
                                 emit(be_c, "stall", dyn.seq, "pool_full")
                             break
                         decode_out.popleft()
-                        renamer.renames += 1
                         dyn.src_lids = tuple([ren_lid[s] for s in dyn.srcs])
                         if dest is None or dest == 0:
                             dyn.dest_lid = -1
@@ -1220,8 +1212,7 @@ class FlywheelCore:
             if self._builder_open and self._sealing is None:
                 self._sealing = (self.builder, self._cur_tid,
                                  self._boundary_gen, -1)
-                self.builder = TraceBuilder(self.fly.ec_block_slots,
-                                            self.fly.max_trace_units)
+                self.builder = TraceBuilder(self.fly.ec_block_slots)
                 self._builder_open = False
             elif self._builder_open:
                 return   # a previous seal is still in flight; wait

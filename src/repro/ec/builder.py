@@ -3,7 +3,11 @@
 Each back-end cycle's issued group becomes one Issue Unit; the builder
 accumulates units (conceptually through the creation-side fill buffer,
 which writes a data-array block whenever eight slots fill up) until the
-trace is sealed by a mispredict or a length limit.
+trace is sealed by a mispredict or a length limit. The program-order
+position of each instruction is assigned at rename phase 1 in
+:meth:`repro.core.flywheel.FlywheelCore.run` (``dyn.trace_pos``), and the
+trace-length limit is the fetch-side cap there, so the builder only
+records units and counts data-array block writes.
 """
 
 from __future__ import annotations
@@ -11,48 +15,22 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.ec.trace import IssueUnit, Trace, TraceInstr
-from repro.isa import DynInstr
 
 
 class TraceBuilder:
     """Accumulates issue units for the trace under construction."""
 
-    def __init__(self, block_slots: int, max_units: int):
+    def __init__(self, block_slots: int):
         self.block_slots = block_slots
-        self.max_units = max_units
         self._units: List[IssueUnit] = []
         self._start_pc: Optional[int] = None
-        self._next_pos = 0
         self._pending_slots = 0
         self.da_block_writes = 0     # power events: blocks written
-
-    @property
-    def active(self) -> bool:
-        return self._start_pc is not None
-
-    @property
-    def unit_count(self) -> int:
-        return len(self._units)
-
-    @property
-    def at_capacity(self) -> bool:
-        return len(self._units) >= self.max_units
 
     def begin(self, start_pc: int) -> None:
         self._units = []
         self._start_pc = start_pc
-        self._next_pos = 0
         self._pending_slots = 0
-
-    def assign_pos(self, dyn: DynInstr) -> int:
-        """Give the next program-order position to a renamed instruction.
-
-        Called at the (program-order) rename stage so positions reflect
-        program order even though units are recorded at issue time.
-        """
-        pos = self._next_pos
-        self._next_pos += 1
-        return pos
 
     def record_unit(self, group: List) -> None:
         """Record one cycle's issued group as an Issue Unit.
@@ -82,5 +60,4 @@ class TraceBuilder:
     def _reset(self) -> None:
         self._units = []
         self._start_pc = None
-        self._next_pos = 0
         self._pending_slots = 0

@@ -134,7 +134,3 @@ class ExecutionCache:
         self._by_pc.clear()
         self.used_blocks = 0
         self.stats.invalidations += 1
-
-    @property
-    def trace_count(self) -> int:
-        return len(self._by_pc)

@@ -10,12 +10,12 @@ block ahead of consumption (the two-block buffer bound).
 
 An Issue Unit can leave the buffer only when all its slots have arrived —
 very large units spanning a late second block stall, the corner case the
-paper notes.
+paper notes. The replay-issue stage of
+:meth:`repro.core.flywheel.FlywheelCore.run` (``# ---- replay issue``)
+checks arrivals and advances ``_consumed`` inline, one unit at a time.
 """
 
 from __future__ import annotations
-
-from repro.errors import SimulationError
 
 
 class FillBuffer:
@@ -30,11 +30,6 @@ class FillBuffer:
         self._consumed = 0
         self._arrived = 0
         self._active = False
-        self.block_reads = 0    # power events
-
-    @property
-    def active(self) -> bool:
-        return self._active
 
     def start(self, cycle: int, total_slots: int) -> None:
         """Begin streaming a trace of ``total_slots`` instruction slots."""
@@ -57,9 +52,6 @@ class FillBuffer:
         bound = min(self._total_slots, self._consumed + self.depth_slots,
                     streamed)
         if bound > self._arrived:
-            new_blocks = (-(-bound // self.block_slots)
-                          - (-(-self._arrived // self.block_slots)))
-            self.block_reads += max(0, new_blocks)
             self._arrived = bound
 
     def can_consume(self, n_slots: int) -> bool:
@@ -76,11 +68,6 @@ class FillBuffer:
             return None
         blocks = -(-target // self.block_slots)
         return self._start_cycle + self.latency + blocks - 1
-
-    def consume(self, n_slots: int) -> None:
-        if not self.can_consume(n_slots):
-            raise SimulationError("fill buffer underflow")
-        self._consumed += n_slots
 
     def stop(self) -> None:
         self._active = False

@@ -1,6 +1,11 @@
-"""Issue window substrates: unified wakeup/select and the dual-clock variant."""
+"""Issue window substrate: unified wake-up/select.
+
+The Flywheel's Dual Clock Issue Window (Section 3.2) is this window fed
+across the clock-domain boundary; the run loop of
+:class:`repro.core.flywheel.FlywheelCore` applies the synchronization
+choice at insertion (see ``FlywheelConfig.delay_network``).
+"""
 
 from repro.issue.window import IssueWindow, IWEntry
-from repro.issue.dual_clock import DualClockIssueWindow
 
-__all__ = ["IssueWindow", "IWEntry", "DualClockIssueWindow"]
+__all__ = ["IssueWindow", "IWEntry"]

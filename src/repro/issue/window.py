@@ -70,10 +70,6 @@ class IssueWindow:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - self._count
-
     def insert(self, dyn: DynInstr, ready: Callable[[int], bool],
                earliest: int) -> IWEntry:
         """Dispatch one instruction into the window.
@@ -102,31 +98,11 @@ class IssueWindow:
         self.writes += 1
         return entry
 
-    def broadcast(self, tag: int, cycle: int) -> None:
-        """Producer result tag broadcast: wake dependents.
+    def broadcast_many(self, tags, cycle: int) -> None:
+        """Broadcast a full writeback group (one call per cycle): wake
+        the dependents of each tag, in order.
 
         Dependents become selectable at ``cycle + wakeup_extra_delay``.
-        """
-        self.broadcasts += 1
-        waiters = self._waiters.pop(tag, None)
-        if not waiters:
-            return
-        ready_at = cycle + self.wakeup_extra_delay
-        for entry in waiters:
-            if entry.alive:
-                entry.not_ready -= 1
-                if ready_at > entry.earliest:
-                    entry.earliest = ready_at
-                if entry.not_ready == 0:
-                    heappush(self._future,
-                             (entry.earliest, entry.order, entry))
-                elif entry.not_ready < 0:
-                    raise SimulationError("negative wait count in issue window")
-
-    def broadcast_many(self, tags, cycle: int) -> None:
-        """Broadcast a full writeback group (one call per cycle).
-
-        Equivalent to calling :meth:`broadcast` per tag, in order.
         """
         self.broadcasts += len(tags)
         waiters_map = self._waiters

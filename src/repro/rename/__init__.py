@@ -1,11 +1,14 @@
-"""Register renaming substrates.
+"""Register renaming state.
 
-* :mod:`repro.rename.r10k` — the baseline's MIPS R10000-style renamer
-  (map table + free list over a unified physical register file).
+The per-instruction renaming is written in the cores' run loops; these
+classes hold the state it reads and writes, and the rare-path operations.
+
+* :mod:`repro.rename.r10k` — the baseline's MIPS R10000-style map table
+  and free list over a unified physical register file.
 * :mod:`repro.rename.pools` — per-architected-register pools used by the
   Flywheel's two-phase scheme.
-* :mod:`repro.rename.two_phase` — Rename (LID allocation) + Register
-  Update (RT/FRT/SRT remapping) with XOR checkpoints.
+* :mod:`repro.rename.two_phase` — the LID counters and the RT/FRT/SRT
+  remapping tables, with their checkpoints.
 * :mod:`repro.rename.redistribution` — periodic pool-size adaptation.
 """
 

@@ -11,6 +11,11 @@ at most ``S - 1`` in-flight (not yet retired) writes; allocating beyond
 that stalls Rename (trace creation) or the EC dispatch (trace execution).
 These stalls are the "limited rename capacity" cost the paper measures in
 Fig. 11, and what redistribution (Section 3.5, [12]) relieves.
+
+The per-instruction accounting (the capacity check, the in-flight count
+and high-water mark, the release at retirement and its underflow guard)
+is written inline in :meth:`repro.core.flywheel.FlywheelCore.run`; this
+class holds the geometry, the in-flight counts and the stall history.
 """
 
 from __future__ import annotations
@@ -56,29 +61,7 @@ class PoolFile:
         if base != self.total_regs:
             raise SimulationError("pool sizes no longer sum to the file size")
 
-    # ----------------------------------------------------------- mapping
-
-    def phys(self, arch: int, slot: int) -> int:
-        """Physical register index for a pool slot of ``arch``."""
-        return self.bases[arch] + slot % self.sizes[arch]
-
-    # ------------------------------------------------------ in-flight use
-
-    def can_allocate(self, arch: int) -> bool:
-        """True if another in-flight write to ``arch`` fits in its pool."""
-        return self.inflight[arch] < self.sizes[arch] - 1
-
-    def allocate(self, arch: int) -> None:
-        if not self.can_allocate(arch):
-            raise SimulationError(f"pool overflow on architected reg {arch}")
-        self.inflight[arch] += 1
-        if self.inflight[arch] > self.highwater[arch]:
-            self.highwater[arch] = self.inflight[arch]
-
-    def retire(self, arch: int) -> None:
-        if self.inflight[arch] <= 0:
-            raise SimulationError(f"pool underflow on architected reg {arch}")
-        self.inflight[arch] -= 1
+    # ----------------------------------------------------- stall history
 
     def note_stall(self, arch: int) -> None:
         self.stall_counts[arch] += 1
@@ -87,11 +70,6 @@ class PoolFile:
         want = self.sizes[arch] + 4
         if self.highwater[arch] < want:
             self.highwater[arch] = want
-
-    def drain(self) -> None:
-        """Clear all in-flight counts (full pipeline flush)."""
-        for arch in range(NUM_ARCH_REGS):
-            self.inflight[arch] = 0
 
     # --------------------------------------------------- redistribution
 

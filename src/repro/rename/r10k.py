@@ -4,6 +4,12 @@ A map table translates each architected register to a physical register;
 destinations allocate a fresh physical register from a free list; the
 previous mapping is freed when the instruction commits. Register 0 is the
 hard-wired zero: never renamed, always ready (tag 0 is reserved for it).
+
+The class holds the state (map table, free list) and the retire hook.
+The per-instruction rename step is written once per engine, in the loop
+that runs it: :meth:`repro.core.baseline.BaselineCore._do_rename` on the
+legacy engine, the precomputed ``RenamePlan`` of
+:mod:`repro.core.engine.turbo.pool` on turbo.
 """
 
 from __future__ import annotations
@@ -11,12 +17,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List
 
-from repro.errors import ConfigError, SimulationError
-from repro.isa import DynInstr
-from repro.isa.registers import NUM_ARCH_REGS, ZERO_REG
-
-#: Physical tag reserved for the architected zero register.
-ZERO_TAG = 0
+from repro.errors import ConfigError
+from repro.isa.registers import NUM_ARCH_REGS
 
 
 class R10KRenamer:
@@ -33,39 +35,10 @@ class R10KRenamer:
         self._map: List[int] = list(range(NUM_ARCH_REGS))
         self._free: Deque[int] = deque(range(NUM_ARCH_REGS, phys_regs))
 
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
-
-    def can_rename(self, needs_dest: bool) -> bool:
-        return not needs_dest or bool(self._free)
-
-    def rename(self, dyn: DynInstr) -> None:
-        """Assign source tags and allocate a destination tag in place."""
-        m = self._map
-        dyn.src_tags = tuple([m[s] for s in dyn.srcs])
-        if dyn.dest is None or dyn.dest == ZERO_REG:
-            dyn.dest_tag = -1
-            dyn.old_dest_tag = -1
-            return
-        if not self._free:
-            raise SimulationError("rename called with empty free list")
-        tag = self._free.popleft()
-        dyn.old_dest_tag = self._map[dyn.dest]
-        self._map[dyn.dest] = tag
-        dyn.dest_tag = tag
-
-    def commit(self, dyn: DynInstr) -> None:
-        """Free the previous mapping of the committed destination."""
-        if dyn.dest_tag >= 0 and dyn.old_dest_tag >= 0:
-            # The zero register's identity tag is never recycled.
-            if dyn.old_dest_tag != ZERO_TAG:
-                self._free.append(dyn.old_dest_tag)
-
     def commit_entry(self, entry) -> None:
-        """Retire hook for the engine (`entry` is a RobEntry): same as
-        :meth:`commit`, called directly to keep the per-instruction
-        retire path one call deep."""
+        """Retire hook for the engine (`entry` is a RobEntry): free the
+        previous mapping of the committed destination. The zero
+        register's identity tag 0 is never recycled."""
         dyn = entry.dyn
         if dyn.dest_tag >= 0 and dyn.old_dest_tag > 0:
             self._free.append(dyn.old_dest_tag)

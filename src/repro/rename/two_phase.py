@@ -18,22 +18,30 @@ FRT into RT at a trace change re-bases LID 0 onto the newest committed
 value. The Speculative Remapping Table (SRT) follows the Update stage
 instead and can be swapped in one cycle when the trace ends without a
 mispredict (end-of-trace seen before Register Update).
+
+This class holds the renaming state and the rare-path operations on it
+(checkpoints, the post-redistribution reset). The per-instruction steps
+are written once, inline in :meth:`repro.core.flywheel.FlywheelCore.run`,
+which reads and writes ``_lid``, ``_rt``, ``_frt``, ``_srt`` and
+``_srt_trace`` directly:
+
+* phase 1 (LIDs, pool allocation) at ``# ---- rename phase 1``;
+* phase 2 (RT remapping, SRT tracking) at ``# ---- Register Update`` for
+  trace creation and ``# ---- replay allocation`` for trace execution;
+* the FRT advance and pool release at ``# ---- retire``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
-from repro.isa import DynInstr
-from repro.isa.registers import NUM_ARCH_REGS, ZERO_REG
-from repro.rename.pools import PoolFile
+from repro.isa.registers import NUM_ARCH_REGS
 
 
 class TwoPhaseRenamer:
     """Rename (LID) + Register Update (RT/FRT/SRT) bookkeeping."""
 
-    def __init__(self, pools: PoolFile):
-        self.pools = pools
+    def __init__(self):
         # Phase 1 state: current LID per architected register.
         self._lid: List[int] = [0] * NUM_ARCH_REGS
         # Phase 2 state: slot of the last committed value at trace start.
@@ -41,71 +49,11 @@ class TwoPhaseRenamer:
         self._frt: List[int] = [0] * NUM_ARCH_REGS
         self._srt: List[int] = [0] * NUM_ARCH_REGS
         self._srt_trace: List[int] = [-1] * NUM_ARCH_REGS
-        self.renames = 0
-        self.updates = 0
-
-    # ------------------------------------------------------ phase 1: LIDs
-
-    def can_rename_dest(self, dyn: DynInstr) -> bool:
-        """Check pool capacity for the destination (stall otherwise)."""
-        if dyn.dest is None or dyn.dest == ZERO_REG:
-            return True
-        ok = self.pools.can_allocate(dyn.dest)
-        if not ok:
-            self.pools.note_stall(dyn.dest)
-        return ok
-
-    def rename(self, dyn: DynInstr) -> None:
-        """Assign LIDs in place (trace-creation front-end path)."""
-        self.renames += 1
-        lid = self._lid
-        dyn.src_lids = tuple([lid[s] for s in dyn.srcs])
-        if dyn.dest is None or dyn.dest == ZERO_REG:
-            dyn.dest_lid = -1
-            return
-        self._lid[dyn.dest] += 1
-        dyn.dest_lid = self._lid[dyn.dest]
-        self.pools.allocate(dyn.dest)
 
     def reset_lids(self) -> None:
         """Trace start: LIDs restart at zero (Section 3.5)."""
         for arch in range(NUM_ARCH_REGS):
             self._lid[arch] = 0
-
-    # ------------------------------------------------- phase 2: remapping
-
-    def update(self, dyn: DynInstr, trace_id: int) -> None:
-        """Register Update stage: compute physical tags from (arch, LID).
-
-        Also maintains the SRT with the newest mapping per destination,
-        guarded by ``trace_id`` so an older in-flight instruction cannot
-        clobber a newer one's record.
-        """
-        self.updates += 1
-        pools = self.pools
-        bases = pools.bases
-        sizes = pools.sizes
-        rt = self._rt
-        # Inlined pools.phys(): this runs per source per instruction.
-        dyn.src_tags = tuple(
-            [bases[arch] + (rt[arch] + lid) % sizes[arch]
-             for arch, lid in zip(dyn.srcs, dyn.src_lids)])
-        if dyn.dest_lid >= 0:
-            arch = dyn.dest
-            slot = (rt[arch] + dyn.dest_lid) % sizes[arch]
-            dyn.dest_tag = bases[arch] + slot
-            if trace_id >= self._srt_trace[arch]:
-                self._srt[arch] = slot
-                self._srt_trace[arch] = trace_id
-        else:
-            dyn.dest_tag = -1
-
-    def retire(self, dyn: DynInstr) -> None:
-        """Retirement: advance the FRT and release the pool slot."""
-        if dyn.dest_lid >= 0:
-            arch = dyn.dest
-            self._frt[arch] = dyn.dest_tag - self.pools.bases[arch]
-            self.pools.retire(arch)
 
     # --------------------------------------------------------- checkpoints
 
@@ -138,9 +86,3 @@ class TwoPhaseRenamer:
         self._srt = list(self._frt)
         for arch in range(NUM_ARCH_REGS):
             self._srt_trace[arch] = -1
-
-    # ------------------------------------------------------------- helpers
-
-    def committed_phys(self, arch: int) -> int:
-        """Physical register currently holding ``arch``'s committed value."""
-        return self.pools.bases[arch] + self._frt[arch]

@@ -47,14 +47,6 @@ class ReorderBuffer:
     def full(self) -> bool:
         return len(self._queue) >= self.capacity
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._queue)
-
-    @property
-    def empty(self) -> bool:
-        return not self._queue
-
     def head(self) -> Optional[RobEntry]:
         return self._queue[0] if self._queue else None
 

@@ -58,10 +58,6 @@ class BasicBlock:
             return self.instrs[-1]
         return None
 
-    def instr_pc(self, idx: int) -> int:
-        """Byte address of the ``idx``-th instruction in this block."""
-        return self.pc + idx * INSTR_BYTES
-
 
 @dataclass
 class Program:

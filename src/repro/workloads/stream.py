@@ -96,11 +96,6 @@ class InstructionStream:
 
     # ------------------------------------------------------------ internal
 
-    def _fall_pc(self, block: BasicBlock, last: bool) -> int:
-        if not last:
-            return block.instr_pc(self._idx) + INSTR_BYTES
-        return self.program.blocks[block.fall_block].pc
-
     def _enter(self, bid: int) -> None:
         self._block = self.program.blocks[bid]
         self._idx = 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
+from repro.core.config import ClockPlan, CoreConfig
 from repro.core.flywheel import FlywheelCore
 from repro.experiments import ablations
 from repro.experiments.common import ExperimentContext
@@ -22,13 +22,6 @@ class TestAblationConfigs:
                             cfg, ClockPlan(), InstructionStream(prog))
         stats = core.run(2500, warmup=500)
         assert stats.committed >= 2500, label
-
-    def test_delay_network_wired_through(self):
-        prog = generate_program(get_profile("smoke"))
-        core = FlywheelCore(CoreConfig(phys_regs=512, regread_stages=2),
-                            FlywheelConfig(delay_network=True),
-                            ClockPlan(), InstructionStream(prog))
-        assert core.iw.delay_network
 
 
 class TestAblationRun:

@@ -195,8 +195,9 @@ class TestSyncFifo:
     def test_latency_gates_visibility(self):
         fifo = SyncFifo("f")
         fifo.push("x", now_ps=0, latency_ps=100)
-        assert fifo.peek_ready(50) is None
-        assert fifo.peek_ready(100) == "x"
+        assert fifo.pop_ready(50) == []
+        assert len(fifo) == 1
+        assert fifo.pop_ready(100) == ["x"]
 
     def test_fifo_order(self):
         fifo = SyncFifo("f")
@@ -229,8 +230,8 @@ class TestSyncFifo:
         """An entry matures at exactly push_time + latency, not after."""
         fifo = SyncFifo("f")
         fifo.push("x", now_ps=1000, latency_ps=500)
-        assert fifo.peek_ready(1499) is None
-        assert fifo.peek_ready(1500) == "x"
+        assert fifo.pop_ready(1499) == []
+        assert fifo.pop_ready(1500) == ["x"]
 
     def test_cross_domain_latency_at_unequal_ratio(self):
         """Entries pushed on fast-domain ticks become visible to the slow
@@ -294,7 +295,8 @@ class TestSyncFifo:
         fifo.push("x", now_ps=1100, latency_ps=500)   # mature at 1600
         be.advance()                          # t=0
         be.advance()                          # t=1000: not mature yet
-        assert fifo.peek_ready(1000) is None
+        assert fifo.pop_ready(1000) == []
+        assert len(fifo) == 1
         t = be.advance()                      # t=2000: first tick >= 1600
         assert t == 2000
         assert fifo.pop_ready(t) == ["x"]

@@ -1,0 +1,97 @@
+"""Components keep no per-instruction method that the run loops bypass.
+
+The machine components hold state and rare-path methods; per-instruction
+logic is written once, inline in the loop that runs it (DESIGN.md §2). A
+component method that nothing in ``src/`` calls is a second copy of
+that logic, which only its own unit tests exercise and which can drift
+from the real code. This test scans the source: every public method or
+property of the classes below must be referenced (as ``.name``) somewhere
+in ``src/`` outside its own definition and outside other unreferenced
+methods. The match is by attribute name, so a common name (``insert``,
+``clear``) can hide a dead method.
+"""
+
+import ast
+import importlib
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+COMPONENTS = ("R10KRenamer", "TwoPhaseRenamer", "PoolFile", "FillBuffer",
+              "TraceBuilder", "ExecutionCache", "SyncFifo", "TickScheduler",
+              "IssueWindow", "ReorderBuffer")
+
+#: Unreferenced on purpose, with the reason.
+ALLOWED = {
+    ("TickScheduler", "next_event"):
+        "reference model: the drain_until tests step a scheduler tick by "
+        "tick against the bulk skip the Flywheel loop uses",
+    ("TickScheduler", "now_ps"):
+        "reference model: the current time of that tick-by-tick scheduler",
+}
+
+
+def _scan():
+    """(definitions, attribute references) over every module in src/."""
+    defs = {}
+    refs = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in COMPONENTS:
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        assert (node.name, item.name) not in defs
+                        defs[node.name, item.name] = (
+                            path, item.lineno, item.end_lineno)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path, node.lineno))
+    return defs, refs
+
+
+def _outside(ref, span):
+    path, line = ref
+    return not (path == span[0] and span[1] <= line <= span[2])
+
+
+@lru_cache(maxsize=None)
+def _unreferenced():
+    """Methods with no reference outside themselves and the methods
+    already found unreferenced (iterated to a fixed point)."""
+    defs, refs = _scan()
+    assert {cls for cls, _name in defs} == set(COMPONENTS)
+    dead = set()
+    while True:
+        spans = [defs[key] for key in dead]
+        now = {key for key, span in defs.items()
+               if not any(_outside(ref, span)
+                          and all(_outside(ref, s) for s in spans)
+                          for ref in refs.get(key[1], ()))}
+        if now == dead:
+            return frozenset(dead)
+        dead = now
+
+
+def test_every_component_method_has_a_caller():
+    dead = _unreferenced()
+    unexplained = sorted(f"{cls}.{name}" for cls, name in dead - set(ALLOWED))
+    assert not unexplained, (
+        "no caller in src/: delete these or add them to ALLOWED with a "
+        f"reason: {unexplained}")
+
+
+def test_allowlist_is_current():
+    stale = sorted(f"{cls}.{name}" for cls, name in set(ALLOWED)
+                   - _unreferenced())
+    assert not stale, f"now called from src/, drop from ALLOWED: {stale}"
+
+
+def test_dual_clock_window_module_is_gone():
+    # The Flywheel builds a plain IssueWindow; the run loop reads
+    # FlywheelConfig.delay_network itself.
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.issue.dual_clock")

@@ -54,7 +54,7 @@ class TestTrace:
 
 class TestBuilder:
     def test_records_and_seals(self):
-        b = TraceBuilder(block_slots=8, max_units=512)
+        b = TraceBuilder(block_slots=8)
         b.begin(0x400)
         b.record_unit([(0, _dyn(0, 0)), (1, _dyn(1, 1))])
         b.record_unit([(2, _dyn(2, 2))])
@@ -62,15 +62,15 @@ class TestBuilder:
         assert t.tid == 7
         assert t.start_pc == 0x400
         assert t.length == 3
-        assert not b.active
+        assert b.seal(8) is None    # sealing reset the builder
 
     def test_seal_empty_returns_none(self):
-        b = TraceBuilder(8, 512)
+        b = TraceBuilder(8)
         b.begin(0x400)
         assert b.seal(0) is None
 
     def test_block_write_accounting(self):
-        b = TraceBuilder(block_slots=4, max_units=512)
+        b = TraceBuilder(block_slots=4)
         b.begin(0x400)
         for u in range(3):
             b.record_unit([(3 * u + k, _dyn(3 * u + k, 3 * u + k))
@@ -125,7 +125,7 @@ class TestExecutionCache:
         ec.invalidate_all()
         assert ec.lookup(0x100) is None
         assert ec.used_blocks == 0
-        assert ec.trace_count == 0
+        assert not ec._by_pc
 
     def test_stats(self):
         ec = ExecutionCache(FlywheelConfig())
@@ -172,15 +172,20 @@ class TestFillBuffer:
         for c in range(3, 10):
             fb.tick(c)
         assert not fb.can_consume(17)   # never more than 2 blocks ahead
-        fb.consume(8)
+        fb._consumed += 8     # replay issue takes one 8-slot unit
         fb.tick(10)
         assert fb.can_consume(16)
 
     def test_underflow_guard(self):
+        """Replay issue consumes only what ``can_consume`` admits, and
+        nothing is admitted before the first block lands."""
         fb = FillBuffer(8, 3)
         fb.start(0, 8)
-        with pytest.raises(SimulationError):
-            fb.consume(1)
+        assert not fb.can_consume(1)
+        fb.tick(2)
+        assert not fb.can_consume(1)
+        fb.tick(3)
+        assert fb.can_consume(8)
 
     def test_total_slots_cap(self):
         fb = FillBuffer(8, 3)

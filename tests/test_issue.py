@@ -1,4 +1,4 @@
-"""Unit tests for the issue window (synchronous and dual-clock)."""
+"""Unit tests for the issue window and the dual-clock insertion delay."""
 
 import pytest
 
@@ -47,7 +47,7 @@ class TestIssueWindow:
         iw.insert(dep, lambda t: False, earliest=0)
         fu.begin_cycle(1)
         assert iw.select(1, fu) == []
-        iw.broadcast(7, 2)
+        iw.broadcast_many([7], 2)
         fu.begin_cycle(2)
         assert len(iw.select(2, fu)) == 1   # back-to-back: same cycle
 
@@ -56,7 +56,7 @@ class TestIssueWindow:
         fu = _fu()
         dep = _instr(0, src_tags=(7,))
         iw.insert(dep, lambda t: False, earliest=0)
-        iw.broadcast(7, 2)
+        iw.broadcast_many([7], 2)
         fu.begin_cycle(2)
         assert iw.select(2, fu) == []       # back-to-back lost
         fu.begin_cycle(3)
@@ -103,7 +103,7 @@ class TestIssueWindow:
         iw = IssueWindow(2, 6)
         iw.insert(_instr(0), lambda t: True, 0)
         iw.insert(_instr(1), lambda t: True, 0)
-        assert iw.free_slots == 0
+        assert len(iw) == iw.capacity
         with pytest.raises(SimulationError):
             iw.insert(_instr(2), lambda t: True, 0)
 
@@ -112,7 +112,7 @@ class TestIssueWindow:
         iw.insert(_instr(0, src_tags=(3,)), lambda t: False, 0)
         iw.flush()
         assert len(iw) == 0
-        iw.broadcast(3, 1)   # must not blow up on dead waiters
+        iw.broadcast_many([3], 1)   # must not blow up on dead waiters
 
 
 class TestDualClock:

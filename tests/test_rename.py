@@ -3,78 +3,80 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import ClockPlan, FlywheelConfig
+from repro.core.sim import default_config, generate_program, get_kind
 from repro.errors import ConfigError, SimulationError
-from repro.isa import DynInstr, OpClass
-from repro.isa.registers import NUM_ARCH_REGS
+from repro.isa.registers import NUM_ARCH_REGS, ZERO_REG
 from repro.rename.pools import PoolFile
 from repro.rename.r10k import R10KRenamer
 from repro.rename.redistribution import RedistributionController
 from repro.rename.two_phase import TwoPhaseRenamer
-
-
-def _instr(seq, dest=None, srcs=()):
-    return DynInstr(seq=seq, pc=seq * 4, op=OpClass.INT_ALU, dest=dest,
-                    srcs=tuple(srcs), sid=seq)
+from repro.workloads.profiles import get_profile
+from repro.workloads.stream import InstructionStream
 
 
 class TestR10K:
+    """R10K renaming happens in ``BaselineCore._do_rename``; these check
+    what a legacy baseline run committed (the ``legacy_run`` fixture)."""
+
     def test_too_small(self):
         with pytest.raises(ConfigError):
             R10KRenamer(32)
 
-    def test_rename_allocates_fresh_tag(self):
-        r = R10KRenamer(192)
-        a = _instr(0, dest=5)
-        r.rename(a)
-        b = _instr(1, dest=5, srcs=[5])
-        r.rename(b)
-        assert b.src_tags == (a.dest_tag,)
-        assert b.dest_tag != a.dest_tag
+    def test_rename_allocates_fresh_tag(self, legacy_run):
+        previous = {}
+        for dyn in legacy_run("baseline", "gcc").committed:
+            if dyn.dest is None or dyn.dest == ZERO_REG:
+                continue
+            assert dyn.dest_tag != dyn.old_dest_tag
+            if dyn.dest in previous:
+                # The displaced mapping is the previous write's tag.
+                assert dyn.old_dest_tag == previous[dyn.dest]
+            previous[dyn.dest] = dyn.dest_tag
+        assert previous
 
-    def test_zero_reg_not_renamed(self):
-        r = R10KRenamer(192)
-        a = _instr(0, dest=0)
-        r.rename(a)
-        assert a.dest_tag == -1
+    def test_zero_reg_not_renamed(self, legacy_run):
+        unrenamed = [d for d in legacy_run("baseline", "gcc").committed
+                     if d.dest is None or d.dest == ZERO_REG]
+        assert unrenamed
+        assert all(d.dest_tag == -1 and d.old_dest_tag == -1
+                   for d in unrenamed)
 
-    def test_free_list_recycles(self):
-        r = R10KRenamer(192)
-        start = r.free_count
-        instrs = []
-        for i in range(10):
-            d = _instr(i, dest=4)
-            r.rename(d)
-            instrs.append(d)
-        assert r.free_count == start - 10
-        for d in instrs:
-            r.commit(d)
-        # Every commit freed one previous mapping (including the identity
-        # tag of the first write), so the pool is back to its start size
-        # with the one live mapping occupying a former rename register.
-        assert r.free_count == start
+    @staticmethod
+    def _assert_tags_conserved(cap):
+        """Free list + map table + the previous mappings still held by
+        renamed, uncommitted instructions are every physical tag exactly
+        once: the retire hook frees each displaced tag once, leaks none,
+        and never frees the zero register's tag 0."""
+        renamer = cap.core.renamer
+        held = [d.old_dest_tag for d in cap.in_flight if d.old_dest_tag > 0]
+        assert held   # the run ends with renamed writes in flight
+        tags = list(renamer._free) + list(renamer._map) + held
+        assert sorted(tags) == list(range(renamer.phys_regs))
 
-    def test_exhaustion(self):
-        r = R10KRenamer(70)   # only 6 rename regs
-        for i in range(6):
-            assert r.can_rename(True)
-            r.rename(_instr(i, dest=1))
-        assert not r.can_rename(True)
-        assert r.can_rename(False)
+    def test_free_list_recycles(self, legacy_run):
+        for kind in ("baseline", "pipelined_wakeup"):
+            self._assert_tags_conserved(legacy_run(kind, "gcc"))
+
+    def test_exhaustion(self, legacy_run):
+        """Eight rename registers: rename stalls on the empty free list
+        (instead of failing) and the tags are still conserved."""
+        cap = legacy_run("baseline", "gcc", phys_regs=NUM_ARCH_REGS + 8)
+        roomy = legacy_run("baseline", "gcc")
+        assert cap.core.stats.committed == roomy.core.stats.committed
+        assert (cap.core.stats.total_be_cycles
+                > roomy.core.stats.total_be_cycles)
+        self._assert_tags_conserved(cap)
 
 
-@settings(max_examples=30, deadline=None)
-@given(dests=st.lists(st.integers(1, 63), min_size=1, max_size=100))
-def test_r10k_no_tag_aliasing(dests):
-    """All live (un-committed) destination tags are distinct."""
-    r = R10KRenamer(256)
-    live = []
-    for i, d in enumerate(dests):
-        if not r.can_rename(True):
-            break
-        dyn = _instr(i, dest=d)
-        r.rename(dyn)
-        live.append(dyn.dest_tag)
+def test_r10k_no_tag_aliasing(legacy_run):
+    """Renamed, uncommitted destinations hold distinct tags, none of them
+    on the free list."""
+    cap = legacy_run("baseline", "vortex")
+    live = [d.dest_tag for d in cap.in_flight if d.dest_tag >= 0]
+    assert live
     assert len(set(live)) == len(live)
+    assert not set(live) & set(cap.core.renamer._free)
 
 
 class TestPoolFile:
@@ -82,30 +84,43 @@ class TestPoolFile:
         with pytest.raises(ConfigError):
             PoolFile(500, 8)   # 500 not divisible by 64
 
-    def test_capacity_rule(self):
-        pools = PoolFile(512, 8)
-        for _ in range(7):
-            assert pools.can_allocate(5)
-            pools.allocate(5)
-        assert not pools.can_allocate(5)
-        pools.retire(5)
-        assert pools.can_allocate(5)
+    def test_capacity_rule(self, legacy_run):
+        """Pools of two: one in-flight write per register. Rename and
+        replay allocation stall (and count it) instead of overflowing."""
+        fly = FlywheelConfig(pool_regs=128, default_pool_size=2,
+                             min_pool_size=1, redistribution_enabled=False)
+        cap = legacy_run("flywheel", "gcc", fly=fly)
+        assert cap.core.stats.committed == len(cap.committed)
+        assert cap.core.stats.rename_pool_stalls > 0
+        pools = cap.core.pools
+        assert all(0 <= n <= size - 1
+                   for n, size in zip(pools.inflight, pools.sizes))
 
     def test_underflow_guard(self):
-        pools = PoolFile(512, 8)
-        with pytest.raises(SimulationError):
-            pools.retire(3)
+        """The retire stage refuses to release a write never allocated."""
+        config = default_config("flywheel").with_variant(engine="legacy")
+        stream = InstructionStream(generate_program(get_profile("smoke")))
+        core = get_kind("flywheel").core_cls(config, FlywheelConfig(),
+                                             ClockPlan(), stream)
+        core.run(500)
+        assert any(core.pools.inflight)
+        core.pools.inflight[:] = [0] * NUM_ARCH_REGS
+        with pytest.raises(SimulationError, match="pool underflow"):
+            core.run(1500)
 
     def test_phys_mapping_within_pool(self):
+        """Each register's pool is a contiguous block; the blocks tile
+        the register file in register order."""
         pools = PoolFile(512, 8)
+        end = 0
         for arch in range(NUM_ARCH_REGS):
-            for slot in range(20):
-                p = pools.phys(arch, slot)
-                assert pools.bases[arch] <= p < pools.bases[arch] + pools.sizes[arch]
+            assert pools.bases[arch] == end
+            end += pools.sizes[arch]
+        assert end == 512
 
     def test_apply_sizes_requires_drained(self):
         pools = PoolFile(512, 8)
-        pools.allocate(1)
+        pools.inflight[1] = 1    # one renamed write not yet retired
         with pytest.raises(SimulationError):
             pools.apply_sizes([8] * NUM_ARCH_REGS)
 
@@ -130,113 +145,70 @@ def test_pool_phys_disjoint_across_registers(grow):
     seen = set()
     for arch in range(NUM_ARCH_REGS):
         for slot in range(pools.sizes[arch]):
-            p = pools.phys(arch, slot)
+            p = pools.bases[arch] + slot
             assert p not in seen
             seen.add(p)
     assert len(seen) == 512
 
 
 class TestTwoPhase:
-    def test_lid_sequence(self):
-        pools = PoolFile(512, 8)
-        rn = TwoPhaseRenamer(pools)
-        a = _instr(0, dest=5)
-        rn.rename(a)
-        b = _instr(1, dest=5, srcs=[5])
-        rn.rename(b)
-        assert a.dest_lid == 1
-        assert b.src_lids == (1,)    # reads the latest write
-        assert b.dest_lid == 2
+    """The checkpoint operations on the renaming state. The per-instruction
+    phases run in ``FlywheelCore.run``; ``test_rename_invariants.py``
+    checks them on a real run."""
 
     def test_reset_lids(self):
-        pools = PoolFile(512, 8)
-        rn = TwoPhaseRenamer(pools)
-        rn.rename(_instr(0, dest=5))
+        rn = TwoPhaseRenamer()
+        rn._lid[5] = 3
+        rn._lid[9] = 1
         rn.reset_lids()
-        c = _instr(1, srcs=[5])
-        rn.rename(c)
-        assert c.src_lids == (0,)   # now refers to the committed value
+        assert rn._lid == [0] * NUM_ARCH_REGS
 
-    def test_update_maps_into_pool(self):
-        pools = PoolFile(512, 8)
-        rn = TwoPhaseRenamer(pools)
-        a = _instr(0, dest=5)
-        rn.rename(a)
-        rn.update(a, trace_id=0)
-        assert pools.bases[5] <= a.dest_tag < pools.bases[5] + pools.sizes[5]
-
-    def test_producer_consumer_same_phys(self):
-        pools = PoolFile(512, 8)
-        rn = TwoPhaseRenamer(pools)
-        a = _instr(0, dest=7)
-        rn.rename(a)
-        b = _instr(1, srcs=[7])
-        rn.rename(b)
-        rn.update(a, 0)
-        rn.update(b, 0)
-        assert b.src_tags == (a.dest_tag,)
+    def test_update_maps_into_pool(self, legacy_run):
+        """Register Update puts every source and destination tag of a
+        committed instruction inside its register's pool."""
+        cap = legacy_run("flywheel", "gcc")
+        pools = cap.core.pools
+        checked = 0
+        for dyn in cap.committed:
+            pairs = list(zip(dyn.srcs, dyn.src_tags))
+            if dyn.dest is not None and dyn.dest != ZERO_REG:
+                pairs.append((dyn.dest, dyn.dest_tag))
+            for arch, tag in pairs:
+                assert (pools.bases[arch] <= tag
+                        < pools.bases[arch] + pools.sizes[arch])
+                checked += 1
+        assert checked > len(cap.committed)
 
     def test_frt_checkpoint_rebases_lid0(self):
-        """After retirement + checkpoint, LID 0 maps to the last value."""
-        pools = PoolFile(512, 8)
-        rn = TwoPhaseRenamer(pools)
-        a = _instr(0, dest=5)
-        rn.rename(a)
-        rn.update(a, 0)
-        rn.retire(a)
+        """RT <- FRT: LID 0 now names the last retired value."""
+        rn = TwoPhaseRenamer()
+        rn._frt[5] = 3           # the retire stage advanced the FRT
         rn.checkpoint_from_frt()
-        c = _instr(1, srcs=[5])
-        rn.rename(c)
-        rn.update(c, 1)
-        assert c.src_tags == (a.dest_tag,)
+        assert rn._rt[5] == 3
+        rn._frt[5] = 4           # later retirement leaves RT alone
+        assert rn._rt[5] == 3
 
     def test_srt_checkpoint_rebases_before_retire(self):
-        """The SRT swap points LID 0 at the newest *updated* mapping."""
-        pools = PoolFile(512, 8)
-        rn = TwoPhaseRenamer(pools)
-        a = _instr(0, dest=5)
-        rn.rename(a)
-        rn.update(a, trace_id=0)
-        rn.checkpoint_from_srt()      # a has not retired yet
-        rn.reset_lids()
-        c = _instr(1, srcs=[5])
-        rn.rename(c)
-        rn.update(c, 1)
-        assert c.src_tags == (a.dest_tag,)
+        """RT <- SRT: LID 0 names the newest *updated* value, which has
+        not retired (the FRT still points at the older one)."""
+        rn = TwoPhaseRenamer()
+        rn._srt[5] = 4           # Register Update recorded slot 4
+        rn.checkpoint_from_srt()
+        assert rn._rt[5] == 4
+        assert rn._frt[5] == 0
 
     def test_srt_trace_guard(self):
-        """An older trace's instruction cannot clobber a newer SRT entry."""
-        pools = PoolFile(512, 8)
-        rn = TwoPhaseRenamer(pools)
-        new = _instr(0, dest=5)
-        rn.rename(new)
-        rn.update(new, trace_id=5)
-        old = _instr(1, dest=5)
-        old.dest_lid = 1
-        old.src_lids = ()
-        rn.update(old, trace_id=3)    # older trace
-        rn.checkpoint_from_srt()
-        probe = _instr(2, srcs=[5])
-        rn.rename(probe)
-        rn.update(probe, 6)
-        assert probe.src_tags == (new.dest_tag,)
-
-
-@settings(max_examples=20, deadline=None)
-@given(writes=st.lists(st.integers(1, 63), min_size=1, max_size=60))
-def test_two_phase_inflight_tags_distinct(writes):
-    """Distinct in-flight writes never share a physical register."""
-    pools = PoolFile(512, 8)
-    rn = TwoPhaseRenamer(pools)
-    live = []
-    for i, arch in enumerate(writes):
-        dyn = _instr(i, dest=arch)
-        if not rn.can_rename_dest(dyn):
-            continue
-        rn.rename(dyn)
-        rn.update(dyn, 0)
-        live.append(dyn.dest_tag)
-    assert len(set(live)) == len(live)
+        """After a squash the SRT restarts from the FRT with its trace
+        guard re-armed, so the next trace's Updates may write it."""
+        rn = TwoPhaseRenamer()
+        rn._frt[5] = 2
+        rn._srt[5] = 6
+        rn._srt_trace[5] = 9
+        rn.sync_srt_to_frt()
+        assert rn._srt[5] == 2
+        assert rn._srt_trace == [-1] * NUM_ARCH_REGS
+        rn._frt[5] = 3           # a copy, not an alias of the FRT
+        assert rn._srt[5] == 2
 
 
 class TestRedistribution:

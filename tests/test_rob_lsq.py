@@ -47,7 +47,7 @@ class TestRob:
         rob = ReorderBuffer(4)
         rob.insert(_entry(0))
         rob.flush()
-        assert rob.empty
+        assert len(rob) == 0
 
     def test_is_mem_flag(self):
         assert _entry(0, mem=True).is_mem
