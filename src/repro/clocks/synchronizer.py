@@ -54,7 +54,3 @@ class SyncFifo(Generic[T]):
                 break
             out.append(self._queue.popleft()[1])
         return out
-
-    def clear(self) -> None:
-        """Drop everything (pipeline flush)."""
-        self._queue.clear()

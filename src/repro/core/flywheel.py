@@ -28,8 +28,8 @@ is the one pipeline over them: a fused loop with every hot stage written
 inline (the stage-marker comments name them), on both engines; the
 engine axis selects only the oracle (the live walker, or the pooled one
 on turbo). The rare paths — trace boundaries, checkpoints,
-redistribution, trace pairing, the replay skip-ahead bound — are
-methods called from that loop.
+redistribution, trace pairing, the replay and creation-mode skip-ahead
+jumps — are methods called from that loop.
 
 Modelled simplifications, documented in DESIGN.md: wrong paths during
 creation are fetch stalls (as in the baseline); in replay, recorded
@@ -165,7 +165,7 @@ class FlywheelCore:
         # retirement and EC residency accounting), so no commit hook.
         self.be.configure(self.iw, self._on_branch_resolved)
         self.ec = ExecutionCache(fly)
-        self.builder = TraceBuilder(fly.ec_block_slots)
+        self.builder = TraceBuilder()
         self.fill = FillBuffer(fly.ec_block_slots, fly.ec_latency)
 
         # Clock domains: FE at its own speed; BE starts at the slow clock.
@@ -272,8 +272,8 @@ class FlywheelCore:
         (fetch, rename, dispatch, Register Update, wake-up/select, replay
         allocation and issue, writeback, retire) are written inline over
         bound locals; everything rare (boundary resolution, checkpoints,
-        redistribution, trace pairing, the replay skip-ahead bound) is a
-        method call. Volatile attributes (mode, scales, the open builder,
+        redistribution, trace pairing, the skip-ahead jumps) is a method
+        call. Volatile attributes (mode, scales, the open builder,
         the renamer's checkpoint tables) are re-read at stage granularity
         because those methods rebind them mid-run.
 
@@ -308,8 +308,8 @@ class FlywheelCore:
         events = stats.events
         be = self.be
         iw = self.iw
-        # Issue-window internals (heaps/waiters mutate in place, even across
-        # flush(), so one binding is safe for the whole run).
+        # Issue-window internals (heaps/waiters mutate in place and are
+        # never rebound, so one binding is safe for the whole run).
         iw_future = iw._future
         iw_eligible = iw._eligible
         iw_waiters = iw._waiters
@@ -835,20 +835,22 @@ class FlywheelCore:
                 if dvfs is not None and be_dom.cycles >= dvfs.next_check:
                     dvfs.on_interval(self, be_dom.cycles, now_ps)
                 # Replay-mode skip-ahead: with the FE clock-gated, a BE
-                # tick that can only wait for a scheduled wake/done event
-                # or a fill-buffer arrival is provably inert. Skipped
-                # ticks still count as execute cycles.
+                # tick that can only wait for a scheduled wake/done event,
+                # a fill-buffer arrival or pool capacity is provably inert.
                 replay = self._replay
                 if replay is not None and self._fe_gated:
                     c = be_dom.cycles
                     if c >= self._be_stall_until:
-                        target = self._replay_idle_until(replay, c)
-                        if target is not None:
-                            skip = target - 1 - c
-                            if skip > 0:
-                                be_dom.cycles = c + skip
-                                be_dom.next_tick_ps += skip * be_dom.period_ps
-                                stats.be_cycles_execute += skip
+                        self._replay_idle_until(replay, c,
+                                                last_cycle + window + 1)
+                elif (self.mode is MODE_CREATE and not tron
+                      and not iw_eligible
+                      and not (rob_q and rob_q[0].done)):
+                    # Creation-mode skip-ahead: both domains jump over
+                    # ticks that can only wait, behind the same cheap
+                    # vetoes as the baseline's (DESIGN.md §8).
+                    self._create_idle_until(be_dom.cycles,
+                                            last_cycle + window + 1)
             elif self._fe_gated:
                 # Clock-gated front end: gating only changes on a BE tick,
                 # so every FE tick strictly before the next BE tick is
@@ -1212,7 +1214,7 @@ class FlywheelCore:
             if self._builder_open and self._sealing is None:
                 self._sealing = (self.builder, self._cur_tid,
                                  self._boundary_gen, -1)
-                self.builder = TraceBuilder(self.fly.ec_block_slots)
+                self.builder = TraceBuilder()
                 self._builder_open = False
             elif self._builder_open:
                 return   # a previous seal is still in flight; wait
@@ -1352,6 +1354,163 @@ class FlywheelCore:
         # is quiescence-gated, so no boundary state can be disturbed here.
         self._resume_frontend(now_ps)
 
+    def _create_idle_until(self, c: int, deadline: int) -> Optional[int]:
+        """Jump both clock domains over creation-mode ticks that can only
+        wait; returns the timestamp jumped to, or None.
+
+        Called after BE tick ``c`` once the caller has vetoed eligible
+        window entries and a done ROB head. Mirrors the gates of the
+        CREATE-mode BE stages and the FE stages of :meth:`run` to find
+        the first tick of either domain that may act: a wake/done event,
+        the window's next matured entry, the dispatch-FIFO head's
+        arrival, a boundary or redistribution step, an FE redirect, an
+        FE latch's ``lat_ready``, an unblocked fetch. The span also ends
+        at the governor's ``next_check`` and at ``deadline`` (the
+        watchdog's trip cycle), so both hooks fire on their own tick.
+        A jump skips at least BE tick ``c + 1``; anything acting before
+        it returns None at once.
+
+        Every tick before that point is inert: it only counts
+        ``be_cycles_create`` (plus ``checkpoint_stall_cycles`` while
+        ``_be_stall_until`` or a trace-start checkpoint holds Register
+        Update) or ``fe_cycles_active`` (plus a pool stall while the
+        rename head waits on pool capacity), and those counts are
+        applied here in bulk. Ties between domains go to the BE, as in
+        the scheduler.
+        """
+        be_dom = self.be_dom
+        be_next = be_dom.next_tick_ps
+        be_p = be_dom.period_ps
+        horizon = be_next + (deadline - c - 1) * be_p
+        # ---- front end: the first tick that may act
+        fe_dom = self.fe_dom
+        fe_next = fe_dom.next_tick_ps
+        fe_p = fe_dom.period_ps
+        f1 = fe_dom.cycles + 1                # FE cycle of the tick at fe_next
+        if not (self._fetch_blocked or self._applying_redist
+                or len(self._fetch_out) >= self.fe._fetch_cap):
+            horizon = fe_next                 # fetch acts
+        redirect_q = self._redirect_q
+        if redirect_q and redirect_q[0][0] < horizon:
+            horizon = redirect_q[0][0]        # the redirect matures
+        dispatch_q = self._dispatch_q
+        rename_out = self._rename_out
+        if rename_out and len(dispatch_q) < self._dispatch_fifo.capacity:
+            t = fe_next + max(0, rename_out[0].lat_ready - f1) * fe_p
+            if t < horizon:
+                horizon = t
+        fetch_out = self._fetch_out
+        if fetch_out:
+            t = fe_next + max(0, fetch_out[0].lat_ready - f1) * fe_p
+            if t < horizon:
+                horizon = t
+        pool_stall = None
+        decode_out = self._decode_out
+        if decode_out and not self._applying_redist:
+            dyn = decode_out[0]
+            t = fe_next + max(0, dyn.lat_ready - f1) * fe_p
+            dest = dyn.dest
+            pools = self.pools
+            # A trace-start head resets the LIDs before its pool check,
+            # so it is not left to the jump.
+            if (t == fe_next and not dyn.trace_start and dest is not None
+                    and dest != 0
+                    and pools.inflight[dest] >= pools.sizes[dest] - 1):
+                pool_stall = dest             # counts a stall each tick
+            elif t < horizon:
+                horizon = t
+        if horizon <= be_next:
+            return None
+        # ---- back end: the first cycle after c that may act
+        stall_until = self._be_stall_until
+        su = c + 1 if stall_until <= c + 1 else stall_until
+        act = deadline
+        ckpt_from = None    # Update counts checkpoint stalls from here on
+        be = self.be
+        rob_q = be._rob_q
+        iw = self.iw
+        if (self._applying_redist and not rob_q
+                and not any(self.pools.inflight)
+                and self._boundary is _Boundary.NONE
+                and self._deferred_boundary is None):
+            act = min(act, su)                # installs the new pools
+        else:
+            if (self._boundary is not _Boundary.NONE
+                    and not self._boundary_waits()):
+                act = min(act, su)
+            future = iw._future
+            if future:
+                act = min(act, max(future[0][0], su))
+            if dispatch_q:
+                head_ps, dyn = dispatch_q[0]
+                m = c + 1
+                if head_ps > be_next:
+                    m += -((be_next - head_ps) // be_p)
+                lsq = be.lsq
+                if (len(rob_q) >= be.rob.capacity or iw._count >= iw.capacity
+                        or (dyn.mem_addr is not None
+                            and lsq._count >= lsq.capacity)):
+                    pass                      # unblocks at retire or select
+                elif dyn.trace_start and self._update_waits(dyn):
+                    ckpt_from = max(m, su)
+                else:
+                    act = min(act, max(m, su))
+        if act <= c + 1:
+            return None
+        dvfs = self.dvfs
+        if dvfs is not None and dvfs.next_check < act:
+            act = dvfs.next_check
+        ev = be.next_event_cycle()            # writeback, retire
+        if ev is not None and ev < act:
+            act = ev
+        if act <= c + 1:
+            return None
+        t = be_next + (act - c - 1) * be_p
+        if t < horizon:
+            horizon = t
+        # ---- jump: every tick strictly before the horizon is inert
+        sched = self.sched
+        n_be = sched.drain_until(be_dom, horizon)
+        n_fe = sched.drain_until(fe_dom, horizon)
+        stats = self.stats
+        stats.be_cycles_create += n_be
+        last = c + n_be
+        stalls = max(0, min(last, stall_until - 1) - c)
+        if ckpt_from is not None and ckpt_from <= last:
+            stalls += last - ckpt_from + 1
+        stats.checkpoint_stall_cycles += stalls
+        stats.fe_cycles_active += n_fe
+        if pool_stall is not None and n_fe:
+            self.pools.note_stall(pool_stall, n_fe)
+            stats.rename_pool_stalls += n_fe
+        return horizon
+
+    def _update_waits(self, dyn: DynInstr) -> bool:
+        """:meth:`_begin_trace_at_update` would return False and change
+        nothing: the previous trace is still recorded, or an FRT
+        checkpoint waits for retirement."""
+        if self._builder_open:
+            return True
+        due = [g for g in self._pending_checkpoint if g <= dyn.trace_gen]
+        return (bool(due) and len(self.rob) > 0
+                and "frt" in {self._pending_checkpoint[g] for g in due})
+
+    def _boundary_waits(self) -> bool:
+        """:meth:`_try_finish_boundary` would return and change nothing."""
+        if not self._boundary_resolved:
+            return True
+        decision = self._boundary_decision
+        if decision is None:
+            return False
+        if decision == "miss":
+            return (not self._update_drained()
+                    or (self._builder_open and self._sealing is not None))
+        if not self._issue_drained():
+            return True
+        return (not self._builder_open and len(self.rob) > 0
+                and (self._boundary is _Boundary.MISPREDICT
+                     or not self.fly.use_srt))
+
     # ---------------------------------------------------- EXECUTE mode (BE)
 
     def _enter_execute(self, trace: Trace, c: int, now_ps: int) -> None:
@@ -1439,35 +1598,46 @@ class FlywheelCore:
                     break
         return _Replay(trace, records, paired, div_pos)
 
-    def _replay_idle_until(self, replay: _Replay, c: int):
-        """Earliest future BE cycle the replay can make progress, or None
-        if the next tick may act (issue, allocate, retire, count a stall,
-        or distinguish an FU-reservation conflict — all vetoes).
+    def _replay_idle_until(self, replay: _Replay, c: int,
+                           deadline: int) -> Optional[int]:
+        """Jump the BE clock over replay ticks that can only wait; returns
+        the first cycle that may act, or None if the next tick may act
+        (issue, allocate, retire, or distinguish an FU-reservation
+        conflict — all vetoes).
 
         Mirrors the stage gates of the EXECUTE-mode stages of
         :meth:`run` (replay allocation, replay issue): allocation blocked
-        on ROB/LSQ space unblocks at retirement (a scheduled done event);
-        a pool-capacity block is NOT skippable because it increments the
-        stall counters every cycle; issue blocked on operand readiness
+        on ROB/LSQ space or pool capacity unblocks at retirement (a
+        scheduled done event); issue blocked on operand readiness
         unblocks at a wake event; issue blocked on fill-buffer arrivals
-        has a computable ready cycle. Skipped cycles touch no state.
+        has a computable ready cycle. Skipped ticks count as execute
+        cycles. A pool-capacity block also counts a rename stall per
+        tick, added here in bulk; such a span also ends at the governor's
+        ``next_check`` and at ``deadline`` (the watchdog's trip cycle),
+        and is not skipped with a flight recorder attached, whose stall
+        events it would drop. Other spans jump past both hooks, which
+        then fire late (DESIGN.md §8).
         """
         be = self.be
         rob_q = be._rob_q
         if rob_q and rob_q[0].done:
             return None                      # retirement this tick
         fill_bound = None
+        pool_stall = None
         ap = replay.alloc_ptr
         if ap < replay.valid_count:
             dyn = replay.paired[ap]
+            dest = dyn.dest
+            pools = self.pools
             if len(rob_q) >= be.rob.capacity:
                 pass                         # unblocks at retire
             elif dyn.mem_addr is not None and be.lsq.full:
                 pass                         # unblocks at retire
+            elif (dest is not None and dest != 0 and self.trace is None
+                    and pools.inflight[dest] >= pools.sizes[dest] - 1):
+                pool_stall = dest            # unblocks at retire
             else:
-                # Able to allocate — or blocked on pool capacity, which
-                # must keep counting rename_pool_stalls every cycle.
-                return None
+                return None                  # able to allocate
         if replay.unit_idx < replay.n_units and not (
                 replay.div_pos >= 0 and replay.branch_resolved
                 and replay.valid_issued >= replay.valid_count):
@@ -1501,9 +1671,24 @@ class FlywheelCore:
         bound = be.next_event_cycle()
         if fill_bound is not None and (bound is None or fill_bound < bound):
             bound = fill_bound
-        if bound is not None and bound > c + 1:
-            return bound
-        return None
+        if bound is None:
+            return None
+        if pool_stall is not None:
+            bound = min(bound, deadline)
+            if self.dvfs is not None:
+                bound = min(bound, self.dvfs.next_check)
+        skip = bound - 1 - c
+        if skip <= 0:
+            return None
+        be_dom = self.be_dom
+        be_dom.cycles = c + skip
+        be_dom.next_tick_ps += skip * be_dom.period_ps
+        stats = self.stats
+        stats.be_cycles_execute += skip
+        if pool_stall is not None:
+            pools.note_stall(pool_stall, skip)
+            stats.rename_pool_stalls += skip
+        return bound
 
     def _replay_check_end(self, replay: _Replay, c: int,
                           now_ps: int) -> None:

@@ -8,7 +8,7 @@ blocks to the execution core during replay.
 """
 
 from repro.ec.trace import TraceInstr, IssueUnit, Trace
-from repro.ec.cache import ExecutionCache, ECStats
+from repro.ec.cache import ExecutionCache
 from repro.ec.fill_buffer import FillBuffer
 from repro.ec.builder import TraceBuilder
 
@@ -17,7 +17,6 @@ __all__ = [
     "IssueUnit",
     "Trace",
     "ExecutionCache",
-    "ECStats",
     "FillBuffer",
     "TraceBuilder",
 ]

@@ -7,7 +7,8 @@ trace is sealed by a mispredict or a length limit. The program-order
 position of each instruction is assigned at rename phase 1 in
 :meth:`repro.core.flywheel.FlywheelCore.run` (``dyn.trace_pos``), and the
 trace-length limit is the fetch-side cap there, so the builder only
-records units and counts data-array block writes.
+records units. The data-array block writes are counted once per stored
+trace, as ``Trace.blocks`` (the ``ec_block_write`` event).
 """
 
 from __future__ import annotations
@@ -20,17 +21,13 @@ from repro.ec.trace import IssueUnit, Trace, TraceInstr
 class TraceBuilder:
     """Accumulates issue units for the trace under construction."""
 
-    def __init__(self, block_slots: int):
-        self.block_slots = block_slots
+    def __init__(self):
         self._units: List[IssueUnit] = []
         self._start_pc: Optional[int] = None
-        self._pending_slots = 0
-        self.da_block_writes = 0     # power events: blocks written
 
     def begin(self, start_pc: int) -> None:
         self._units = []
         self._start_pc = start_pc
-        self._pending_slots = 0
 
     def record_unit(self, group: List) -> None:
         """Record one cycle's issued group as an Issue Unit.
@@ -39,20 +36,14 @@ class TraceBuilder:
         """
         if not group:
             return
-        unit = IssueUnit([TraceInstr(pos, dyn) for pos, dyn in group])
-        self._units.append(unit)
-        self._pending_slots += len(unit)
-        while self._pending_slots >= self.block_slots:
-            self._pending_slots -= self.block_slots
-            self.da_block_writes += 1
+        self._units.append(
+            IssueUnit([TraceInstr(pos, dyn) for pos, dyn in group]))
 
     def seal(self, tid: int) -> Optional[Trace]:
         """Finish the trace; returns None if nothing was recorded."""
         if self._start_pc is None or not self._units:
             self._reset()
             return None
-        if self._pending_slots:
-            self.da_block_writes += 1   # final partial block write
         trace = Trace(tid, self._start_pc, self._units)
         self._reset()
         return trace
@@ -60,4 +51,3 @@ class TraceBuilder:
     def _reset(self) -> None:
         self._units = []
         self._start_pc = None
-        self._pending_slots = 0

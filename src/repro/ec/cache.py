@@ -10,7 +10,6 @@ equivalent to invalidating the trace anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import FlywheelConfig
@@ -20,23 +19,6 @@ from repro.errors import SimulationError
 #: Tag-array sets (the TA is small and fast; the paper sizes it to cover
 #: the DA's trace capacity comfortably).
 _TA_SETS = 512
-
-
-@dataclass
-class ECStats:
-    lookups: int = 0
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    oversized: int = 0
-    invalidations: int = 0
-    da_block_reads: int = 0
-    da_block_writes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class ExecutionCache:
@@ -49,7 +31,6 @@ class ExecutionCache:
         self._ta: List[Dict[int, Trace]] = [dict() for _ in range(_TA_SETS)]
         self._by_pc: Dict[int, Trace] = {}
         self.used_blocks = 0
-        self.stats = ECStats()
         self._clock = 0
         self._next_tid = 0
 
@@ -64,13 +45,10 @@ class ExecutionCache:
     def lookup(self, pc: int) -> Optional[Trace]:
         """TA search for a trace starting at ``pc``."""
         self._clock += 1
-        self.stats.lookups += 1
         trace = self._by_pc.get(pc)
         if trace is None or not trace.valid:
-            self.stats.misses += 1
             return None
         trace.last_use = self._clock
-        self.stats.hits += 1
         return trace
 
     def insert(self, trace: Trace) -> bool:
@@ -83,17 +61,16 @@ class ExecutionCache:
         self._clock += 1
         blocks = trace.blocks(self.block_slots)
         if blocks > self.total_blocks:
-            self.stats.oversized += 1
             return False
         ta_set = self._set_of(trace.start_pc)
         # Replace any existing trace with the same start PC.
         old = ta_set.pop(trace.start_pc, None)
         if old is not None:
-            self._drop(old, count_eviction=False)
+            self._drop(old)
         # TA way-conflict eviction.
         while len(ta_set) >= self.config.ec_ways:
             victim_pc = min(ta_set, key=lambda p: ta_set[p].last_use)
-            self._evict(ta_set.pop(victim_pc))
+            self._drop(ta_set.pop(victim_pc))
         # DA capacity eviction (global LRU over traces).
         while self.used_blocks + blocks > self.total_blocks:
             victim = min(
@@ -104,22 +81,14 @@ class ExecutionCache:
             if victim is None:
                 raise SimulationError("EC accounting out of sync")
             self._set_of(victim.start_pc).pop(victim.start_pc, None)
-            self._evict(victim)
+            self._drop(victim)
         trace.last_use = self._clock
         ta_set[trace.start_pc] = trace
         self._by_pc[trace.start_pc] = trace
         self.used_blocks += blocks
-        self.stats.insertions += 1
-        self.stats.da_block_writes += blocks
         return True
 
-    def _evict(self, trace: Trace) -> None:
-        self.stats.evictions += 1
-        self._drop(trace, count_eviction=False)
-
-    def _drop(self, trace: Trace, count_eviction: bool) -> None:
-        if count_eviction:
-            self.stats.evictions += 1
+    def _drop(self, trace: Trace) -> None:
         if trace.valid:
             trace.valid = False
             self.used_blocks -= trace.blocks(self.block_slots)
@@ -133,4 +102,3 @@ class ExecutionCache:
             trace.valid = False
         self._by_pc.clear()
         self.used_blocks = 0
-        self.stats.invalidations += 1

@@ -166,17 +166,3 @@ class IssueWindow:
         for item in blocked:
             heappush(eligible, item)
         return selected
-
-    def flush(self) -> None:
-        """Drop all entries (used on mode switches / full squash)."""
-        for _order, entry in self._eligible:
-            entry.alive = False
-        for _earliest, _order, entry in self._future:
-            entry.alive = False
-        for waiters in self._waiters.values():
-            for entry in waiters:
-                entry.alive = False
-        self._eligible.clear()
-        self._future.clear()
-        self._waiters.clear()
-        self._count = 0

@@ -9,7 +9,8 @@
 ``metrics``
     Run one machine and print the MetricRegistry snapshot.
 ``profile``
-    Self-profile the simulator: wall seconds per engine phase.
+    Self-profile the simulator: wall seconds per engine phase, and the
+    loop ticks it executed against the cycles it simulated.
 
 Every command takes the same machine axes (``--kind``, ``--bench``,
 ``--instructions``, ``--warmup``, ``--seed``); budgets default to the

@@ -198,6 +198,10 @@ def profile_machine(kind: str, workload, config=None, fly=None, clock=None,
         "instructions": instructions,
         "warmup": warmup,
         "cycles": cycles,
+        # The front-end domain's simulated cycles on a dual-clock core (0
+        # on one clock): the loop's ``ticks`` count both domains' ticks.
+        "fe_cycles": (stats.fe_cycles_active + stats.fe_cycles_gated
+                      if info.dual_clock else 0),
         "cycles_per_sec": round(cycles / prof.run_s, 1) if prof.run_s else 0.0,
         "profile": prof.to_dict(),
     }
@@ -227,4 +231,10 @@ def format_profile(report: Dict[str, object]) -> str:
         bar = "#" * int(round(frac * 40))
         lines.append(f"  {ph:<9} {s:8.3f}s  {frac:6.1%}  {bar}")
     lines.append(f"  {'other':<9} {prof['other_s']:8.3f}s")
+    # Executed loop ticks against simulated cycles: the gap is what the
+    # skip-aheads elided.
+    simulated = report["cycles"] + report["fe_cycles"]
+    lines.append(f"  ticks     {prof['ticks']} executed for {simulated} "
+                 f"simulated cycles "
+                 f"({prof['ticks'] / max(1, simulated):.1%})")
     return "\n".join(lines)

@@ -63,8 +63,9 @@ class PoolFile:
 
     # ----------------------------------------------------- stall history
 
-    def note_stall(self, arch: int) -> None:
-        self.stall_counts[arch] += 1
+    def note_stall(self, arch: int, n: int = 1) -> None:
+        """Count ``n`` rename stalls (one per stalled cycle) on ``arch``."""
+        self.stall_counts[arch] += n
         # Demand provably exceeds the pool; push the mark past it so the
         # redistribution sizes from actual need, not the current ceiling.
         want = self.sizes[arch] + 4

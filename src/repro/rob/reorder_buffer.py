@@ -2,8 +2,9 @@
 
 Entries are appended at dispatch and retired in order once done. Because
 the cores model wrong paths as fetch stalls (no wrong-path instructions
-enter the machine), the ROB never squashes mid-flight instructions in the
-baseline; the Flywheel flushes it wholesale on trace aborts.
+enter the machine), the ROB never squashes in-flight instructions: a
+diverging trace replay drains it instead. The run loops append to
+``_queue`` inline, after checking ``capacity`` themselves.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.errors import SimulationError
 from repro.isa import DynInstr
 
 
@@ -43,18 +43,8 @@ class ReorderBuffer:
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
     def head(self) -> Optional[RobEntry]:
         return self._queue[0] if self._queue else None
-
-    def insert(self, entry: RobEntry) -> None:
-        if self.full:
-            raise SimulationError("ROB overflow")
-        self._queue.append(entry)
-        self.writes += 1
 
     def retire_ready(self, width: int) -> List[RobEntry]:
         """Pop up to ``width`` consecutive done entries from the head."""
@@ -62,6 +52,3 @@ class ReorderBuffer:
         while self._queue and len(out) < width and self._queue[0].done:
             out.append(self._queue.popleft())
         return out
-
-    def flush(self) -> None:
-        self._queue.clear()

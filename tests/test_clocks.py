@@ -220,12 +220,6 @@ class TestSyncFifo:
         assert fifo.pop_ready(0, limit=2) == [0, 1]
         assert len(fifo) == 3
 
-    def test_clear(self):
-        fifo = SyncFifo("f")
-        fifo.push(1, 0, 0)
-        fifo.clear()
-        assert fifo.pop_ready(10) == []
-
     def test_exact_boundary_is_mature(self):
         """An entry matures at exactly push_time + latency, not after."""
         fifo = SyncFifo("f")

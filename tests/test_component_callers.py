@@ -7,8 +7,16 @@ that logic, which only its own unit tests exercise and which can drift
 from the real code. This test scans the source: every public method or
 property of the classes below must be referenced (as ``.name``) somewhere
 in ``src/`` outside its own definition and outside other unreferenced
-methods. The match is by attribute name, so a common name (``insert``,
-``clear``) can hide a dead method.
+methods.
+
+A reference counts only when its receiver can be an instance of that
+class, so a same-named method elsewhere (a file handle's ``flush()``,
+``Cache.flush``, ``StoreIndex.flush``, ``dict.clear()``) hides nothing.
+The receiver is typed by its last name (``self.rob`` and ``rob`` both by
+``rob``): ``self`` inside the class itself, or a name that ``src/``
+binds to a component, by construction (``self.rob = ReorderBuffer(...)``),
+by a parameter annotation (``pools: PoolFile``), or by aliasing such a
+name (``rob = be.rob``). Any other receiver is not a caller.
 """
 
 import ast
@@ -34,13 +42,65 @@ ALLOWED = {
 }
 
 
+def _name(expr):
+    """The last name of ``a.b.c`` or ``c``; None for other expressions."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
+
+def _walk(node, cls=None):
+    """Every node below ``node``, with the name of its enclosing class."""
+    for child in ast.iter_child_nodes(node):
+        yield child, cls
+        yield from _walk(child, child.name
+                         if isinstance(child, ast.ClassDef) else cls)
+
+
+def _receiver_types(trees):
+    """Name -> component classes an object under that name can be."""
+    types = {}
+    aliases = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg) and node.annotation is not None:
+                for sub in ast.walk(node.annotation):
+                    if _name(sub) in COMPONENTS:
+                        types.setdefault(node.arg, set()).add(_name(sub))
+            elif (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and node.value is not None):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                value = node.value
+                made = (_name(value.func) if isinstance(value, ast.Call)
+                        else None)
+                for target in targets:
+                    if made in COMPONENTS:
+                        types.setdefault(_name(target), set()).add(made)
+                    elif _name(value) is not None:
+                        aliases.append((_name(target), _name(value)))
+    changed = True
+    while changed:
+        changed = False
+        for target, source in aliases:
+            new = types.get(source, set()) - types.get(target, set())
+            if new:
+                types.setdefault(target, set()).update(new)
+                changed = True
+    return types
+
+
 def _scan():
-    """(definitions, attribute references) over every module in src/."""
+    """(definitions, typed references) over every module in src/."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    types = _receiver_types(trees.values())
     defs = {}
     refs = {}
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
+    for path, tree in trees.items():
+        for node, cls in _walk(tree):
             if isinstance(node, ast.ClassDef) and node.name in COMPONENTS:
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
@@ -49,7 +109,11 @@ def _scan():
                         defs[node.name, item.name] = (
                             path, item.lineno, item.end_lineno)
             elif isinstance(node, ast.Attribute):
-                refs.setdefault(node.attr, []).append((path, node.lineno))
+                receiver = _name(node.value)
+                for owner in ({cls} if receiver == "self"
+                              else types.get(receiver, ())):
+                    refs.setdefault((owner, node.attr), []).append(
+                        (path, node.lineno))
     return defs, refs
 
 
@@ -70,7 +134,7 @@ def _unreferenced():
         now = {key for key, span in defs.items()
                if not any(_outside(ref, span)
                           and all(_outside(ref, s) for s in spans)
-                          for ref in refs.get(key[1], ()))}
+                          for ref in refs.get(key, ()))}
         if now == dead:
             return frozenset(dead)
         dead = now

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FlywheelConfig
+from repro.core.sim import execute_kind
 from repro.ec.builder import TraceBuilder
 from repro.ec.cache import ExecutionCache
 from repro.ec.fill_buffer import FillBuffer
@@ -54,7 +55,7 @@ class TestTrace:
 
 class TestBuilder:
     def test_records_and_seals(self):
-        b = TraceBuilder(block_slots=8)
+        b = TraceBuilder()
         b.begin(0x400)
         b.record_unit([(0, _dyn(0, 0)), (1, _dyn(1, 1))])
         b.record_unit([(2, _dyn(2, 2))])
@@ -65,20 +66,32 @@ class TestBuilder:
         assert b.seal(8) is None    # sealing reset the builder
 
     def test_seal_empty_returns_none(self):
-        b = TraceBuilder(8)
+        b = TraceBuilder()
         b.begin(0x400)
         assert b.seal(0) is None
 
-    def test_block_write_accounting(self):
-        b = TraceBuilder(block_slots=4)
+    def test_block_write_accounting(self, monkeypatch):
+        b = TraceBuilder()
         b.begin(0x400)
         for u in range(3):
             b.record_unit([(3 * u + k, _dyn(3 * u + k, 3 * u + k))
-                           for k in range(3)])   # 9 slots -> 2 full blocks
-        before = b.da_block_writes
-        assert before == 2
-        b.seal(0)
-        assert b.da_block_writes == 3   # final partial block
+                           for k in range(3)])
+        # 9 slots in 4-slot blocks: two full blocks plus a partial one.
+        assert b.seal(0).blocks(4) == 3
+        # A real run writes each stored trace's blocks once, as the
+        # ``ec_block_write`` event.
+        stored = []
+        insert = ExecutionCache.insert
+
+        def record(ec, trace):
+            stored.append(trace.blocks(ec.block_slots))
+            return insert(ec, trace)
+
+        monkeypatch.setattr(ExecutionCache, "insert", record)
+        stats = execute_kind("flywheel", "gcc", max_instructions=4000,
+                             warmup=2000).stats
+        assert len(stored) == stats.traces_built > 0
+        assert stats.events["ec_block_write"] == sum(stored)
 
 
 class TestExecutionCache:
@@ -117,7 +130,7 @@ class TestExecutionCache:
         ec = ExecutionCache(cfg)
         assert not ec.insert(_trace(0, 0x100, 1000))
         assert ec.used_blocks == 0
-        assert ec.stats.oversized == 1
+        assert not ec._by_pc
 
     def test_invalidate_all(self):
         ec = ExecutionCache(FlywheelConfig())
@@ -128,13 +141,18 @@ class TestExecutionCache:
         assert not ec._by_pc
 
     def test_stats(self):
-        ec = ExecutionCache(FlywheelConfig())
-        ec.insert(_trace(0, 0x100, 8))
-        ec.lookup(0x100)
-        ec.lookup(0x999)
-        assert ec.stats.hits == 1
-        assert ec.stats.misses == 1
-        assert ec.stats.hit_rate == pytest.approx(0.5)
+        # Hits and misses are counted by the core, once per tag-array
+        # lookup at most: a hit whose trace is evicted before it can
+        # replay counts as a miss, a stale pairing as neither.
+        on = execute_kind("flywheel", "gcc", max_instructions=4000,
+                          warmup=2000).stats
+        assert on.trace_hits > 0 and on.trace_misses > 0
+        assert on.trace_hits + on.trace_misses <= on.events["ec_ta_lookup"]
+        off = execute_kind("flywheel", "gcc", max_instructions=4000,
+                           warmup=2000,
+                           fly=FlywheelConfig(ec_enabled=False)).stats
+        assert off.trace_hits == off.trace_misses == 0
+        assert off.events["ec_block_write"] == 0
 
 
 @settings(max_examples=25, deadline=None)

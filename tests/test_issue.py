@@ -107,13 +107,6 @@ class TestIssueWindow:
         with pytest.raises(SimulationError):
             iw.insert(_instr(2), lambda t: True, 0)
 
-    def test_flush(self):
-        iw = IssueWindow(16, 6)
-        iw.insert(_instr(0, src_tags=(3,)), lambda t: False, 0)
-        iw.flush()
-        assert len(iw) == 0
-        iw.broadcast_many([3], 1)   # must not blow up on dead waiters
-
 
 class TestDualClock:
     @staticmethod

@@ -18,7 +18,8 @@ from repro.obs import (
     chrome_trace,
     render_pipeview,
 )
-from repro.obs.profiler import PHASES, TURBO_PHASES, profile_machine
+from repro.obs.profiler import (PHASES, TURBO_PHASES, format_profile,
+                                profile_machine)
 
 #: Tiny budgets: every simulated run in this file finishes in ~100ms.
 N, W = 1500, 500
@@ -286,6 +287,12 @@ class TestProfiler:
         assert report["cycles"] > 0
         for phase in phases:
             assert prof["phases_s"][phase] >= 0
+        # Only the dual-clock core has a second domain's cycles; the
+        # table puts the executed ticks next to the simulated cycles.
+        assert (report["fe_cycles"] > 0) == (kind == "flywheel")
+        simulated = report["cycles"] + report["fe_cycles"]
+        assert (f"  ticks     {prof['ticks']} executed for {simulated} "
+                "simulated cycles") in format_profile(report)
 
     def test_profiled_stats_match_plain_run(self):
         # The wrapped step must be behaviourally identical: same cycles,

@@ -1,19 +1,26 @@
 """Turbo-backend edge cases: skip-ahead vs. every observer.
 
-Two loops bulk-advance the back-end clock across provably-idle spans:
-the Flywheel's replay skip-ahead and the single-clock turbo loop's idle
-skip-ahead. Three observers make a naive jump wrong, and each gets a pin
-here against the legacy engine, once per loop. The Flywheel runs its one
-loop (``FlywheelCore.run``) on both engines, so its pins compare the
-live instruction walker against the ``PooledOracle`` feeding that loop:
+Three skips bulk-advance the clocks across provably-idle spans: the
+single-clock turbo loop's idle skip-ahead, and the Flywheel's replay and
+creation-mode skip-aheads. Three observers make a naive jump wrong. For
+the first two skips each observer gets a pin here against the legacy
+engine, once per loop. The Flywheel runs its one loop
+(``FlywheelCore.run``) on both engines, so its pins compare the live
+instruction walker against the ``PooledOracle`` feeding that loop:
 
-* the DVFS governor's interval hook must fire at exactly the cycles it
-  would have fired tick-by-tick (a jumped interval shifts every later
-  freq-trace point);
+* the DVFS governor's interval hook must fire on the same cycles on
+  both engines (these two skips fire it late, after the jump; a hook
+  shifted on one engine shifts every later freq-trace point);
 * a flight-recorder window whose ``start`` falls inside a jumped span
   must open at the same event as under the legacy engine;
 * the deadlock watchdog must trip at the same cycle with the same
   snapshot even when the no-commit window elapses inside a batch.
+
+The creation-mode skip must be invisible to all three, so its pins
+(``TestCreateSkipAhead``) compare a live run against the tick-by-tick
+loop, with ``FlywheelCore._create_idle_until`` stubbed out, over
+benches x machines x memory systems x governors, and count the loop
+ticks it saves.
 
 Engine selection comes next: ``None`` (the default engine) runs turbo,
 unknown names are a ConfigError, and the default engine imports nothing
@@ -33,12 +40,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import ClockPlan, CoreConfig
+from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.engine.turbo.pool import _POOL_CACHE, StreamPool, get_pool
+from repro.core.flywheel import FlywheelCore
 from repro.core.sim import execute_kind
 from repro.dvfs import GovernorConfig
 from repro.errors import ConfigError, DeadlockError
 from repro.frontend.bpred import BPredConfig
+from repro.mem.spec import MemorySpec
+from repro.obs.profiler import profile_machine
 from repro.obs.spec import TraceSpec
 from repro.session import MachineSpec, Session
 from repro.workloads import generate_program, get_profile
@@ -146,6 +156,194 @@ class TestSyncSkipAheadEdges:
                              max_instructions=8000, warmup=3000)
             trips.append((str(err.value), err.value.snapshot))
         assert trips[0] == trips[1]
+
+
+# --------------------------------------------------------------------------
+# The Flywheel's creation-mode skip-ahead, against a tick-by-tick loop.
+
+_SKIP_N, _SKIP_W = 1200, 1000
+
+_SKIP_MACHINES = {
+    "ec_off": (FlywheelConfig(ec_enabled=False), {}),
+    "default": (None, {}),
+    "fe100_be50": (None, {"fe_speedup": 1.0, "be_speedup": 0.5}),
+}
+_SKIP_MEMS = {
+    "default": None,
+    "mshr1": MemorySpec(mshrs=1),
+    "mshr8+nl": MemorySpec(mshrs=8, prefetch="next_line"),
+}
+_SKIP_GOVS = {
+    "none": None,
+    "occupancy@200": GovernorConfig(name="occupancy", interval=200),
+}
+#: One in-flight write per register: rename and replay allocation wait
+#: on pool capacity most of the time.
+_TWO_ENTRY_POOLS = FlywheelConfig(pool_regs=128, default_pool_size=2,
+                                  min_pool_size=2)
+_FE100_BE50 = ClockPlan(fe_speedup=1.0, be_speedup=0.5)
+
+
+_REPLAY_JUMP = FlywheelCore._replay_idle_until
+
+
+def _no_jump(self, *args):
+    return None
+
+
+def _tick_pool_waits(self, replay, c, deadline):
+    """``_replay_idle_until`` that runs replay ticks waiting on pool
+    capacity one by one, as the loop did before it counted their stalls
+    in bulk."""
+    ap = replay.alloc_ptr
+    if ap < replay.valid_count:
+        dyn = replay.paired[ap]
+        be = self.be
+        dest = dyn.dest
+        if not (len(be._rob_q) >= be.rob.capacity
+                or (dyn.mem_addr is not None and be.lsq.full)
+                or not dest
+                or self.pools.inflight[dest] < self.pools.sizes[dest] - 1):
+            return None
+    return _REPLAY_JUMP(self, replay, c, deadline)
+
+
+def _skip_pair(monkeypatch, bench, create=_no_jump, replay=None, fly=None,
+               clock=None, **cfg_kw):
+    """(live, reference) results of one Flywheel machine.
+
+    The reference swaps ``create``/``replay`` in for the two skip
+    methods (None keeps one). By default it stubs the creation-mode
+    jump out, so its loop runs every creation tick, and keeps the replay
+    skip-ahead.
+    """
+    def run():
+        return execute_kind("flywheel", bench, config=CoreConfig(**cfg_kw),
+                            fly=fly, clock=clock,
+                            max_instructions=_SKIP_N, warmup=_SKIP_W)
+
+    live = run()
+    with monkeypatch.context() as m:
+        if create is not None:
+            m.setattr(FlywheelCore, "_create_idle_until", create)
+        if replay is not None:
+            m.setattr(FlywheelCore, "_replay_idle_until", replay)
+        reference = run()
+    return live, reference
+
+
+class TestCreateSkipAhead:
+    """``FlywheelCore._create_idle_until`` jumps both clock domains over
+    creation-mode ticks that can only wait. It must be invisible: the
+    stats, cache stats, metric snapshots and trace ring of a live run
+    equal those of the tick-by-tick loop, governor hooks and the
+    watchdog included (DESIGN.md §8)."""
+
+    @pytest.mark.parametrize("gov", _SKIP_GOVS)
+    @pytest.mark.parametrize("mem", _SKIP_MEMS)
+    @pytest.mark.parametrize("machine", _SKIP_MACHINES)
+    @pytest.mark.parametrize("bench", ("gcc", "vortex", "pointer_chase",
+                                       "stream_copy"))
+    def test_matches_tick_by_tick(self, monkeypatch, bench, machine, mem,
+                                  gov):
+        fly, speedups = _SKIP_MACHINES[machine]
+        clock = ClockPlan(governor=_SKIP_GOVS[gov], **speedups)
+        live, ref = _skip_pair(monkeypatch, bench, fly=fly, clock=clock,
+                               mem=_SKIP_MEMS[mem])
+        assert live.to_dict() == ref.to_dict()
+        assert live.trace == ref.trace
+
+    def test_pool_pressure_and_redistribution(self, monkeypatch):
+        # 4-entry pools that redistribution trims toward the 2-entry
+        # minimum: rename stalls on pool capacity for long inert spans,
+        # and the stall counts the jump adds in bulk feed each check.
+        fly = FlywheelConfig(pool_regs=256, default_pool_size=4,
+                             min_pool_size=2, redistribution_interval=300)
+        live, ref = _skip_pair(monkeypatch, "pointer_chase", fly=fly)
+        assert live.stats.redistributions >= 2
+        assert 2 in live.core.pools.sizes
+        assert live.stats.rename_pool_stalls > 1000
+        assert live.to_dict() == ref.to_dict()
+
+    def test_two_entry_pools_match_tick_by_tick(self, monkeypatch):
+        # With one in-flight write per register, rename (creation mode)
+        # and replay allocation wait on pool capacity for thousands of
+        # ticks; both jumps count those stalls in bulk. Without a
+        # governor, recorder or watchdog trip the replay jump is exact
+        # too, so the reference stubs both skips out.
+        live, ref = _skip_pair(monkeypatch, "gcc", replay=_no_jump,
+                               fly=_TWO_ENTRY_POOLS, clock=_FE100_BE50)
+        assert live.stats.trace_hits > 0
+        assert live.stats.rename_pool_stalls > 5000
+        assert live.to_dict() == ref.to_dict()
+
+    def test_replay_pool_waits_keep_governor_hooks_on_time(
+            self, monkeypatch):
+        # Replay ticks waiting on pool capacity used to run one by one,
+        # so their governor hooks fired on time; the replay jump over
+        # them must stop at next_check to keep every retune where it
+        # was. ipc_ladder keeps retuning, so a late hook shows.
+        gov = GovernorConfig(name="ipc_ladder", interval=200)
+        clock = ClockPlan(fe_speedup=1.0, be_speedup=0.5, governor=gov)
+        live, ref = _skip_pair(monkeypatch, "gcc", create=None,
+                               replay=_tick_pool_waits,
+                               fly=_TWO_ENTRY_POOLS, clock=clock)
+        assert live.stats.dvfs_retunes > 0
+        assert live.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("case", ("create", "replay_pool_wait"))
+    def test_watchdog_trips_inside_an_inert_span(self, monkeypatch, case):
+        # A blocking cache stalls creation mode for hundreds of cycles
+        # per miss, and two-entry pools stall replay allocation, so each
+        # window elapses inside a span a jump would cross: the trip must
+        # land on the same cycle, with the same snapshot, as tick by
+        # tick.
+        if case == "create":
+            bench, mode, window = "pointer_chase", "CREATE", 100
+            fly = FlywheelConfig(ec_enabled=False)
+            clock, mem = None, MemorySpec(mshrs=1)
+        else:
+            bench, mode, window = "gcc", "EXECUTE", 130
+            fly, clock, mem = _TWO_ENTRY_POOLS, _FE100_BE50, None
+        trips = []
+        for stub in (False, True):
+            with monkeypatch.context() as m:
+                if stub:
+                    m.setattr(FlywheelCore, "_create_idle_until", _no_jump)
+                    m.setattr(FlywheelCore, "_replay_idle_until",
+                              _tick_pool_waits)
+                config = CoreConfig(mem=mem, deadlock_window=window)
+                with pytest.raises(DeadlockError) as err:
+                    execute_kind("flywheel", bench, config=config, fly=fly,
+                                 clock=clock, max_instructions=_SKIP_N,
+                                 warmup=_SKIP_W)
+            assert mode in str(err.value)
+            trips.append((str(err.value), err.value.snapshot))
+        assert trips[0] == trips[1]
+
+    def test_traced_run_matches(self, monkeypatch):
+        # Waiting ticks emit stall events (``dep_wait``, ``pool_full``,
+        # ...), so with a recorder attached no creation-mode jump and no
+        # replay jump over a pool-capacity wait is taken: the ring is the
+        # one of a loop that runs those ticks one by one. Two-entry pools
+        # make both kinds of wait common.
+        live, ref = _skip_pair(monkeypatch, "gcc", replay=_tick_pool_waits,
+                               fly=_TWO_ENTRY_POOLS,
+                               trace=TraceSpec(buffer=1 << 16))
+        assert live.stats.trace_hits > 0
+        assert live.trace["emitted"] > 0
+        assert live.trace == ref.trace
+        assert live.to_dict() == ref.to_dict()
+
+    def test_jump_fires_on_memory_bound_code(self):
+        # pointer_chase behind one MSHR waits in creation mode for most
+        # of its cycles; the loop must execute under a quarter of the
+        # BE+FE ticks it simulates.
+        report = profile_machine("flywheel", "pointer_chase",
+                                 config=CoreConfig(mem=MemorySpec(mshrs=1)),
+                                 instructions=_SKIP_N, warmup=_SKIP_W)
+        simulated = report["cycles"] + report["fe_cycles"]
+        assert report["profile"]["ticks"] < simulated / 4
 
 
 class TestEngineSelection:
