@@ -4,11 +4,42 @@ Pipeline (Section 3.1): Fetch (two-cycle I-cache) -> Decode -> Rename ->
 Dispatch -> Issue (monolithic 128-entry window, single-cycle Wake-Up/
 Select) -> Register Read -> Execute -> Write Back -> Retire.
 
-The back end — issue bookkeeping, FuPool/LSQ execution, writeback, ROB
-retire, deadlock watchdog — is the shared :mod:`repro.core.engine`; this
-module keeps only the synchronous machine's policy: single-clock ticking,
-R10000 renaming, and fetch that stalls on a mispredict until the branch
-resolves.
+:meth:`BaselineCore.run` is the one synchronous pipeline: a fused loop
+with every stage written inline (the stage-marker comments name them),
+over primitive ints and dicts instead of per-instruction objects:
+
+* the instruction oracle is a :class:`StreamPool`, the stream walk and
+  the branch predictor run ahead in program order into seq-indexed
+  columns (op, pc, address, predicted-correct flag, latency/unit
+  gathers); the engine axis selects only where it comes from: turbo
+  shares :func:`get_pool`'s cached pool per benchmark, ``"legacy"``
+  walks the program afresh into a private one;
+* rename is the pool's :class:`RenamePlan` (R10K tags, whose values are
+  program-order deterministic) plus one ``free_count`` integer, their
+  run-time availability (a renamed destination recycles exactly one tag
+  at commit);
+* latches are deques of ``seq`` ints plus a ``lat_ready`` dict;
+* the issue window is ``not_ready``/``earliest`` dicts, a ``waiters``
+  tag index, and two heaps keyed ``(earliest, seq)`` / ``seq``: entries
+  are allocated in program order, so ``seq`` is the age priority;
+* the ROB is ``be.rob``'s deque holding seq ints, so its length stays
+  live for DVFS telemetry and metrics, plus a ``done`` bytearray indexed
+  ``seq - r0``;
+* a mispredicted branch is resolved by checking ``seq == mispred_seq``
+  at completion: the blocking seq can only change via that branch's own
+  resolution.
+
+Architectural counters accumulate in locals and are flushed by absolute
+assignment at every observation point: each DVFS interval hook
+(governors read stats, occupancies and the power-event counter), a
+watchdog trip, and end of run. A counter key exists iff the stage that
+counts it has acted, so ``dict(stats.events)`` and the metrics snapshot
+are fixed by the pins in tests/test_golden_stats.py.
+
+The memory hierarchy, trace recorder, DVFS controller and watchdog are
+the real objects, driven in stage order; the back-end structures (ROB,
+LSQ, FU pools, scoreboard, wake/done queues) are the shared
+:class:`ExecBackend`'s.
 
 Modelling decisions (documented in DESIGN.md):
 
@@ -24,27 +55,38 @@ Modelling decisions (documented in DESIGN.md):
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
+from heapq import heappop, heappush
+from time import perf_counter
 from typing import Optional
 
 from repro.core.config import ClockPlan, CoreConfig
-from repro.core.engine import DeadlockWatchdog, ExecBackend, FrontEndFeed
+from repro.core.engine import DeadlockWatchdog, ExecBackend
+from repro.core.engine.frontend import FETCH_BUFFER_GROUPS
+from repro.core.engine.turbo.pool import StreamPool, get_pool
 from repro.core.stats import SimStats
-from repro.frontend.bpred import BranchPredictor
-from repro.isa import DynInstr, OpClass
+from repro.errors import SimulationError
+from repro.isa.registers import NUM_ARCH_REGS
 from repro.issue.window import IssueWindow
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.metrics import MetricRegistry, register_core_sources
 from repro.obs.trace import TraceRecorder
-from repro.rename.r10k import R10KRenamer
-from repro.rob.reorder_buffer import RobEntry
 from repro.workloads.stream import InstructionStream
 
 #: Kind-specific default for ``CoreConfig.deadlock_window == 0``.
 _DEADLOCK_WINDOW = 20_000
 
+#: extra ``done`` slots past ``max_instructions``: in-flight dispatches are
+#: bounded by the ROB, which no config exceeds by this margin.
+_DONE_SLACK = 4096
+
 
 class BaselineCore:
     """Cycle-level model of the paper's reference superscalar processor."""
+
+    #: Phase profile the run loop stamps, or None; attached by
+    #: :func:`repro.obs.profiler.install`.
+    _prof = None
 
     def __init__(self, config: CoreConfig, stream: InstructionStream,
                  mem_scale: float = 1.0,
@@ -55,18 +97,20 @@ class BaselineCore:
         self.mem_scale = mem_scale
         self.clock = clock
         self.stats = SimStats()
-        self._events = self.stats.events
 
         self.hierarchy = hierarchy or MemoryHierarchy(config.memory,
                                                       spec=config.mem)
-        self.bpred = BranchPredictor(config.bpred)
-        self.renamer = R10KRenamer(config.phys_regs)
+        # The oracle. ``stream`` itself is never advanced: the pool walks
+        # its own copy of the program from seq 0.
+        if config.engine == "legacy":
+            self.pool = StreamPool(stream.program, stream.seed,
+                                   config.bpred)
+        else:
+            self.pool = get_pool(stream.program, stream.seed, config.bpred)
+        self._seq = stream._seq        # next seq to warm up or fetch
         self.iw = IssueWindow(config.iw_entries, config.issue_width,
                               config.wakeup_extra_delay)
-        self.fe = FrontEndFeed(config.fetch_width, config.decode_width,
-                               self.stats)
-        self.be = ExecBackend(config, self.stats, self.hierarchy,
-                              config.phys_regs)
+        self.be = ExecBackend(config, config.phys_regs)
         self.watchdog = DeadlockWatchdog(
             config.deadlock_window or _DEADLOCK_WINDOW)
 
@@ -74,8 +118,6 @@ class BaselineCore:
         # a TraceSpec; otherwise every emission site is a dead branch.
         if config.trace is not None:
             self.trace = TraceRecorder(config.trace)
-            self.be.attach_trace(self.trace)
-            self.fe.trace = self.trace
             self.hierarchy.trace = self.trace
         else:
             self.trace = None
@@ -86,28 +128,9 @@ class BaselineCore:
         self.rob = self.be.rob
         self.lsq = self.be.lsq
         self.fu = self.be.fu
-        self.be.configure(self.iw, self._on_branch_resolved,
-                          self.renamer.commit_entry)
-
-        # Hot-path bindings: per-cycle code reads these instead of
-        # chasing attribute chains (the objects never change identity).
-        self._fetch_out = self.fe.fetch_out
-        self._decode_out = self.fe.decode_out
-        self._rename_out = self.fe.rename_out
-        self._dispatch_width = config.dispatch_width
-        self._rename_width = config.rename_width
-        self._fetch_width = config.fetch_width
-        self._fetch_cap = self.fe._fetch_cap
-        self._extra_fe_stages = config.extra_frontend_stages
-        self._wakeup_gate = config.wakeup_extra_delay
-        self._next_instr = stream.next_instr
-        self._ifetch = self.hierarchy.ifetch
-        self._predict = self.bpred.predict
 
         self.cycle = 0
         self._fetch_blocked = False
-        self._mispredict_seq = -1      # seq of the blocking branch
-        self._fetch_resume_cycle = 0
 
         # Adaptive clocking: a governor in the plan attaches a controller
         # that owns the piecewise time sum and retunes mem_scale. Deferred
@@ -125,140 +148,719 @@ class BaselineCore:
     def run(self, max_instructions: int, warmup: int = 0) -> SimStats:
         """Simulate until ``max_instructions`` commit after warmup.
 
-        ``warmup`` instructions are first streamed through the caches and
-        branch predictor functionally (no timing), mirroring the paper's
-        fast-forward before detailed simulation.
+        ``warmup`` instructions are first streamed through the caches
+        functionally (no timing), mirroring the paper's fast-forward
+        before detailed simulation. ``self._prof``, when set
+        (:func:`repro.obs.profiler.install`), accumulates wall seconds
+        into its ``pool`` (functional warmup and rename plan) and
+        ``loop`` buckets and counts executed cycles in ``ticks``.
         """
-        if self.config.engine != "legacy":
-            from repro.core.engine.turbo.sync import run_turbo_sync
-
-            return run_turbo_sync(self, max_instructions, warmup,
-                                  prof=getattr(self, "_turbo_prof", None))
+        if self.cycle:
+            # The loop's latches, window and done flags are its locals.
+            raise SimulationError("a BaselineCore runs once; build a new "
+                                  "core for another run")
+        t0 = perf_counter()
+        config = self.config
+        pool = self.pool
         if warmup:
             self._functional_warmup(warmup)
             if self.dvfs is not None:
                 self.dvfs.reset_baseline(self)
+
+        r0 = self._seq                     # first timed seq
+        plan = pool.plan(r0, config.phys_regs)
+        plan.ensure(r0 + plan.CHUNK)
+
+        # ---- pool columns (absolute seq index; stable list identities) ----
+        p_pc = pool.pc
+        p_addr = pool.mem_addr
+        p_nsrcs = pool.n_srcs
+        p_bkind = pool.bkind
+        p_correct = pool.correct
+        p_isld = pool.is_load
+        p_isst = pool.is_store
+        p_lat = pool.lat0
+        p_fu = pool.fu_kind
+        p_unp = pool.unpip
+        # ---- plan columns (index with seq - r0) ----
+        p_dtag = plan.dest_tag
+        p_stags = plan.src_tags
+        p_needs = plan.needs_tag
+        plan_n = plan.n
+
+        # ---- machine bindings ----
         stats = self.stats
-        watchdog = self.watchdog
-        window = watchdog.window
-        last_cycle = 0
-        last_count = -1
+        events = stats.events
+        be = self.be
         iw = self.iw
-        rob_q = self.be._rob_q
+        hierarchy = self.hierarchy
+        h_ifetch = hierarchy.ifetch
+        h_load = hierarchy.load
+        h_store = hierarchy.store
+        rob_q = be._rob_q                  # live deque; holds seq ints here
+        ready_sb = be.ready                # physical-register scoreboard
+        # cycle -> [tag] / cycle -> [seq].  Promoted to
+        # defaultdicts so the hot scheduling path is one indexed append; a
+        # key still exists iff something was scheduled at that cycle.
+        if type(be.wake_events) is dict:
+            be.wake_events = defaultdict(list, be.wake_events)
+        if type(be.done_events) is dict:
+            be.done_events = defaultdict(list, be.done_events)
+        wake_events = be.wake_events
+        done_events = be.done_events
+        fu = be.fu
+        f_counts = fu._counts
+        f_used = fu._used
+        f_res = fu._reserved
+        f_dirty = fu._dirty
+        f_nres = fu._n_reserved
+        f_zeros = fu._zeros
+        tr = self.trace
+        tron = tr is not None
+        emit = tr.emit if tron else None
         dvfs = self.dvfs
         dvfs_next = dvfs.next_check if dvfs is not None else None
-        while stats.committed < max_instructions:
-            self.step()
-            c = self.cycle
-            committed = stats.committed
+        mem_scale = self.mem_scale
+        watchdog = self.watchdog
+        window = watchdog.window
+
+        # Simple-spec memory fast path: replicate the three-probe chains of
+        # ``MemoryHierarchy._ifetch_fast``/``_load_fast``/``_store_fast``
+        # (and ``Cache.access``) inline, with per-cache clocks and counters
+        # held in locals and flushed at every observation point.  General
+        # specs (MSHRs, prefetch, deep chains, write-back) keep the bound
+        # method calls — their miss handling is stateful beyond a probe.
+        fastmem = h_load.__func__ is MemoryHierarchy._load_fast
+        if fastmem:
+            l1i_c = hierarchy.l1i
+            l1d_c = hierarchy.l1d
+            l2_c = hierarchy.l2
+            i_sets = l1i_c._sets
+            i_lsh = l1i_c._line_shift
+            i_sm = l1i_c._set_mask
+            i_ts = l1i_c._tag_shift
+            i_ways = l1i_c.ways
+            d_sets = l1d_c._sets
+            d_lsh = l1d_c._line_shift
+            d_sm = l1d_c._set_mask
+            d_ts = l1d_c._tag_shift
+            d_ways = l1d_c.ways
+            l2_sets = l2_c._sets
+            l2_lsh = l2_c._line_shift
+            l2_sm = l2_c._set_mask
+            l2_ts = l2_c._tag_shift
+            l2_ways = l2_c.ways
+            i_clk = l1i_c._clock
+            i_acc = l1i_c.stats.accesses
+            i_hit = l1i_c.stats.hits
+            i_miss = l1i_c.stats.misses
+            i_ev = l1i_c.stats.evictions
+            d_clk = l1d_c._clock
+            d_acc = l1d_c.stats.accesses
+            d_hit = l1d_c.stats.hits
+            d_miss = l1d_c.stats.misses
+            d_ev = l1d_c.stats.evictions
+            d_wr = l1d_c.stats.writes
+            l2_clk = l2_c._clock
+            l2_acc = l2_c.stats.accesses
+            l2_hit = l2_c.stats.hits
+            l2_miss = l2_c.stats.misses
+            l2_ev = l2_c.stats.evictions
+            l2_wr = l2_c.stats.writes
+            l1_lat = hierarchy._l1_lat
+            l12_lat = hierarchy._l12_lat
+            l1i_lat = hierarchy._l1i_lat
+            l1i2_lat = hierarchy._l1i2_lat
+            dram_lat = hierarchy._dram_lat
+            dram_cost = max(1, round(dram_lat * mem_scale))
+
+        # ---- config scalars ----
+        fetch_width = config.fetch_width
+        decode_width = config.decode_width
+        rename_width = config.rename_width
+        dispatch_width = config.dispatch_width
+        issue_width = config.issue_width
+        commit_width = config.commit_width
+        fetch_cap = FETCH_BUFFER_GROUPS * fetch_width
+        extra_fe = config.extra_frontend_stages
+        wk_gate = config.wakeup_extra_delay
+        regread = config.regread_stages
+        rob_cap = be.rob.capacity
+        iw_cap = iw.capacity
+        lsq_cap = be.lsq.capacity
+
+        # ---- loop-local machine state ----
+        fetch_out = deque()                # seqs, fetch -> decode latch
+        decode_out = deque()               # seqs, decode -> rename latch
+        rename_out = deque()               # seqs, rename -> dispatch latch
+        lready = {}                        # seq -> latch maturity cycle
+        waiters = {}                       # tag -> [seq] (window wake-up index)
+        not_ready = {}                     # seq -> unready source count (alive)
+        earliest = {}                      # seq -> earliest selection cycle
+        future = []                        # heap of (earliest, seq): wake path
+        fdq = deque()                      # FIFO of (earliest, seq): dispatch
+        #                                    path — (c+1, seq) is monotone, so
+        #                                    arrival order IS maturity order
+        eligible = []                      # heap of seq (selectable now)
+        blocked = []                       # per-cycle scratch for select
+        done = bytearray(max_instructions + _DONE_SLACK)   # index seq - r0
+        self._r0 = r0                      # read by the deadlock snapshot
+        self._done = done
+        free_count = config.phys_regs - NUM_ARCH_REGS
+        fs = r0                            # fetch cursor (next seq to fetch)
+        rob_len = len(rob_q)
+        fetch_len = 0                      # len(fetch_out), tracked as an int
+
+        # ---- counters (absolute values; flushed by assignment) ----
+        committed = stats.committed
+        fetched = stats.fetched
+        issued = stats.issued
+        branches = stats.branches
+        mispredicts = stats.mispredicts
+        iw_count = iw._count
+        lsq_count = be.lsq._count
+        e_ic = events["icache_access"]
+        e_bp = events["bpred_lookup"]
+        e_dec = events["decode_op"]
+        e_ren = events["rename_op"]
+        e_iww = events["iw_write"]
+        e_robw = events["rob_write"]
+        e_lsqw = events["lsq_write"]
+        e_iws = events["iw_select"]
+        e_rfr = events["rf_read"]
+        e_fuo = events["fu_op"]
+        e_dca = events["dcache_access"]
+        e_iwb = events["iw_broadcast"]
+        e_rfw = events["rf_write"]
+        e_robr = events["rob_read"]
+        rf_touched = False                 # rf_read exists once a group issued
+        # Structure counters that shadow an event 1:1 are reconstructed at
+        # flush time from the event local plus a constant offset.
+        offs = (iw.writes - e_iww, iw.broadcasts - e_iwb,
+                be.rob.writes - e_robw, be.lsq.inserts - e_lsqw,
+                fu.ops - e_fuo)
+
+        fetch_blocked = self._fetch_blocked
+        mispred_seq = -1                   # seq of the blocking branch
+        fetch_resume = 0
+        c = self.cycle
+        last_cycle = 0
+        last_count = -1
+        ticks = 0
+
+        t1 = perf_counter()
+
+        while committed < max_instructions:
+            ticks += 1
+            # ------------------------------------------------ be.tick: FU reset
+            if f_dirty:
+                f_used[:] = f_zeros
+                f_dirty = False
+            if f_nres:
+                remaining = 0
+                for res in f_res:
+                    if res:
+                        res[:] = [t for t in res if t > c]
+                        remaining += len(res)
+                f_nres = remaining
+            # ---------------------------------------------- be.tick: writeback
+            wakes = wake_events.pop(c, None)
+            if wakes is not None:
+                for tag in wakes:
+                    ready_sb[tag] = 1
+                n = len(wakes)
+                e_iwb += n
+                e_rfw += n
+                if wk_gate:
+                    ready_at = c + wk_gate
+                    for tag in wakes:
+                        lst = waiters.pop(tag, None)
+                        if not lst:
+                            continue
+                        for s in lst:
+                            nr = not_ready.get(s)
+                            if nr is None:
+                                continue   # selected already (flush-only path)
+                            nr -= 1
+                            not_ready[s] = nr
+                            er = earliest[s]
+                            if ready_at > er:
+                                er = earliest[s] = ready_at
+                            if nr == 0:
+                                heappush(future, (er, s))
+                            elif nr < 0:
+                                raise SimulationError(
+                                    "negative wait count in issue window")
+                else:
+                    # Zero wake delay: a waiter was dispatched on an earlier
+                    # cycle, so its earliest-selection bound is <= c and the
+                    # select drain would move it to ``eligible`` this very
+                    # cycle — push it there directly and skip the heap.
+                    for tag in wakes:
+                        lst = waiters.pop(tag, None)
+                        if not lst:
+                            continue
+                        for s in lst:
+                            nr = not_ready.get(s)
+                            if nr is None:
+                                continue   # selected already (flush-only path)
+                            nr -= 1
+                            not_ready[s] = nr
+                            if nr == 0:
+                                heappush(eligible, s)
+                            elif nr < 0:
+                                raise SimulationError(
+                                    "negative wait count in issue window")
+            dones = done_events.pop(c, None)
+            if dones is not None:
+                for s in dones:
+                    done[s - r0] = 1
+                    if s == mispred_seq:   # the blocking branch resolved
+                        mispred_seq = -1
+                        fetch_blocked = False
+                        fetch_resume = c + 1
+                if tron:
+                    for s in dones:
+                        emit(c, "complete", s)
+            # ------------------------------------------------- be.tick: retire
+            if rob_q and done[rob_q[0] - r0]:
+                nret = 0
+                while rob_q and nret < commit_width and done[rob_q[0] - r0]:
+                    s = rob_q.popleft()
+                    rob_len -= 1
+                    addr = p_addr[s]
+                    if addr is not None:
+                        if p_isst[s]:
+                            e_dca += 1
+                            if fastmem:
+                                d_clk += 1
+                                d_acc += 1
+                                d_wr += 1
+                                line = addr >> d_lsh
+                                cset = d_sets[line & d_sm]
+                                ctag = line >> d_ts
+                                if ctag in cset:
+                                    cset[ctag] = d_clk
+                                    d_hit += 1
+                                else:
+                                    d_miss += 1
+                                    if len(cset) >= d_ways:
+                                        victim = min(cset, key=cset.get)
+                                        del cset[victim]
+                                        d_ev += 1
+                                    cset[ctag] = d_clk
+                                    l2_clk += 1
+                                    l2_acc += 1
+                                    l2_wr += 1
+                                    line = addr >> l2_lsh
+                                    cset = l2_sets[line & l2_sm]
+                                    ctag = line >> l2_ts
+                                    if ctag in cset:
+                                        cset[ctag] = l2_clk
+                                        l2_hit += 1
+                                    else:
+                                        l2_miss += 1
+                                        if len(cset) >= l2_ways:
+                                            victim = min(cset, key=cset.get)
+                                            del cset[victim]
+                                            l2_ev += 1
+                                        cset[ctag] = l2_clk
+                            else:
+                                h_store(addr, mem_scale, c)
+                        lsq_count -= 1
+                    if p_needs[s - r0]:
+                        free_count += 1
+                    committed += 1
+                    nret += 1
+                    if tron:
+                        blocked.append(s)  # scratch doubles as retire list
+                e_robr += nret
+                if tron:
+                    for s in blocked:
+                        emit(c, "retire", s)
+                    blocked.clear()
+            # ------------------------------------------------------------ issue
+            if iw_count and not (wk_gate and c & 1):
+                while fdq and fdq[0][0] <= c:
+                    heappush(eligible, fdq.popleft()[1])
+                while future and future[0][0] <= c:
+                    heappush(eligible, heappop(future)[1])
+                if eligible:
+                    nsel = 0
+                    while eligible:
+                        s = eligible[0]
+                        if nsel >= issue_width:
+                            break
+                        heappop(eligible)
+                        k = p_fu[s]
+                        if f_counts[k] - f_used[k] - len(f_res[k]) > 0:
+                            f_used[k] += 1
+                            f_dirty = True
+                            if p_unp[s]:
+                                f_res[k].append(c + p_lat[s])
+                                f_nres += 1
+                            del not_ready[s]
+                            del earliest[s]
+                            iw_count -= 1
+                            # schedule: wake and done events, in order
+                            lat = p_lat[s]
+                            if p_isld[s]:
+                                e_dca += 1
+                                if fastmem:
+                                    addr = p_addr[s]
+                                    d_clk += 1
+                                    d_acc += 1
+                                    line = addr >> d_lsh
+                                    cset = d_sets[line & d_sm]
+                                    ctag = line >> d_ts
+                                    if ctag in cset:
+                                        cset[ctag] = d_clk
+                                        d_hit += 1
+                                        lat += l1_lat
+                                    else:
+                                        d_miss += 1
+                                        if len(cset) >= d_ways:
+                                            victim = min(cset, key=cset.get)
+                                            del cset[victim]
+                                            d_ev += 1
+                                        cset[ctag] = d_clk
+                                        l2_clk += 1
+                                        l2_acc += 1
+                                        line = addr >> l2_lsh
+                                        cset = l2_sets[line & l2_sm]
+                                        ctag = line >> l2_ts
+                                        if ctag in cset:
+                                            cset[ctag] = l2_clk
+                                            l2_hit += 1
+                                            lat += l12_lat
+                                        else:
+                                            l2_miss += 1
+                                            if len(cset) >= l2_ways:
+                                                victim = min(cset, key=cset.get)
+                                                del cset[victim]
+                                                l2_ev += 1
+                                            cset[ctag] = l2_clk
+                                            lat += l12_lat + dram_cost
+                                else:
+                                    lat += h_load(p_addr[s], mem_scale, c)
+                            if tron:
+                                emit(c, "issue", s, lat)
+                            wake = c + lat
+                            tag = p_dtag[s - r0]
+                            if tag >= 0:
+                                wake_events[wake].append(tag)
+                            done_events[wake + regread].append(s)
+                            e_rfr += p_nsrcs[s]
+                            nsel += 1
+                        else:
+                            blocked.append(s)
+                    for s in blocked:
+                        heappush(eligible, s)
+                    blocked.clear()
+                    if nsel:
+                        issued += nsel
+                        e_iws += nsel
+                        e_fuo += nsel
+                        rf_touched = True
+                    elif tron:
+                        emit(c, "stall", -1, "fu_busy")
+                elif tron:
+                    emit(c, "stall", -1, "dep_wait")
+            # --------------------------------------------------------- dispatch
+            if rename_out:
+                n = 0
+                while rename_out and n < dispatch_width:
+                    s = rename_out[0]
+                    if lready[s] > c:
+                        break
+                    if rob_len >= rob_cap or iw_count >= iw_cap:
+                        if tron:
+                            emit(c, "stall", s,
+                                 "rob_full" if rob_len >= rob_cap else "iw_full")
+                        break
+                    addr = p_addr[s]
+                    if addr is not None and lsq_count >= lsq_cap:
+                        if tron:
+                            emit(c, "stall", s, "lsq_full")
+                        break
+                    rename_out.popleft()
+                    del lready[s]
+                    rob_q.append(s)
+                    rob_len += 1
+                    if addr is not None:
+                        lsq_count += 1
+                        e_lsqw += 1
+                    e_robw += 1
+                    # window insert: stores never wait on operands
+                    nr = 0
+                    if not p_isst[s]:
+                        for tag in p_stags[s - r0]:
+                            if not ready_sb[tag]:
+                                wl = waiters.get(tag)
+                                if wl is None:
+                                    waiters[tag] = [s]
+                                else:
+                                    wl.append(s)
+                                nr += 1
+                    not_ready[s] = nr
+                    earliest[s] = c + 1
+                    if not nr:
+                        fdq.append((c + 1, s))
+                    iw_count += 1
+                    e_iww += 1
+                    if tron:
+                        emit(c, "dispatch", s)
+                    n += 1
+            # ----------------------------------------------------------- rename
+            if decode_out:
+                n = 0
+                while decode_out and n < rename_width:
+                    s = decode_out[0]
+                    if lready[s] > c:
+                        break
+                    i = s - r0
+                    if p_needs[i]:
+                        if not free_count:
+                            break
+                        free_count -= 1
+                        ready_sb[p_dtag[i]] = 0
+                    decode_out.popleft()
+                    lready[s] = c + 1
+                    rename_out.append(s)
+                    e_ren += 1
+                    if tron:
+                        emit(c, "rename", s)
+                    n += 1
+            # ----------------------------------------------------------- decode
+            if fetch_out:
+                n = 0
+                while fetch_out and n < decode_width:
+                    s = fetch_out[0]
+                    if lready[s] > c:
+                        break
+                    fetch_out.popleft()
+                    lready[s] = c + 1
+                    decode_out.append(s)
+                    if tron:
+                        emit(c, "decode", s)
+                    n += 1
+                if n:
+                    e_dec += n
+                    fetch_len -= n
+            # ------------------------------------------------------------ fetch
+            if not fetch_blocked and c >= fetch_resume:
+                if fetch_len < fetch_cap:
+                    if fs + fetch_width > plan_n:
+                        plan.ensure(fs + plan.CHUNK)
+                        plan_n = plan.n
+                    rdy = 0
+                    n = 0
+                    while n < fetch_width:
+                        s = fs + n
+                        if not n:
+                            e_ic += 1
+                            if fastmem:
+                                pc = p_pc[s]
+                                i_clk += 1
+                                i_acc += 1
+                                line = pc >> i_lsh
+                                cset = i_sets[line & i_sm]
+                                ctag = line >> i_ts
+                                if ctag in cset:
+                                    cset[ctag] = i_clk
+                                    i_hit += 1
+                                    rdy = c + l1i_lat + extra_fe
+                                else:
+                                    i_miss += 1
+                                    if len(cset) >= i_ways:
+                                        victim = min(cset, key=cset.get)
+                                        del cset[victim]
+                                        i_ev += 1
+                                    cset[ctag] = i_clk
+                                    l2_clk += 1
+                                    l2_acc += 1
+                                    line = pc >> l2_lsh
+                                    cset = l2_sets[line & l2_sm]
+                                    ctag = line >> l2_ts
+                                    if ctag in cset:
+                                        cset[ctag] = l2_clk
+                                        l2_hit += 1
+                                        rdy = c + l1i2_lat + extra_fe
+                                    else:
+                                        l2_miss += 1
+                                        if len(cset) >= l2_ways:
+                                            victim = min(cset, key=cset.get)
+                                            del cset[victim]
+                                            l2_ev += 1
+                                        cset[ctag] = l2_clk
+                                        rdy = c + l1i2_lat + dram_cost + extra_fe
+                            else:
+                                rdy = (c + h_ifetch(p_pc[s], mem_scale, c)
+                                       + extra_fe)
+                        lready[s] = rdy
+                        fetch_out.append(s)
+                        if tron:
+                            emit(c, "fetch", s)
+                        n += 1
+                        if p_bkind[s]:
+                            branches += 1
+                            e_bp += 1
+                            if not p_correct[s]:
+                                mispredicts += 1
+                                fetch_blocked = True
+                                mispred_seq = s
+                            break          # fetch group ends at a branch
+                    fs += n
+                    fetched += n
+                    fetch_len += n
+            # --------------------------------------------- cycle advance + run
+            c += 1
             if committed != last_count:
                 last_count = committed
                 last_cycle = c
                 if committed >= max_instructions:
-                    break   # don't skip past the final commit's cycle
+                    break
             elif c - last_cycle > window:
-                watchdog.trip(c, committed,
-                              snapshot=self._deadlock_snapshot)
-            # Governor interval boundary. A skip-ahead below may jump past
-            # the boundary; the hook then fires here on the next simulated
-            # cycle with a correspondingly longer interval (DESIGN.md §4).
+                _flush(self, c, committed, fetched, issued, branches,
+                       mispredicts, iw_count, lsq_count, e_ic, e_bp, e_dec,
+                       e_ren, e_iww, e_robw, e_lsqw, e_iws, e_rfr, e_fuo,
+                       e_dca, e_iwb, e_rfw, e_robr, rf_touched, offs)
+                if fastmem:
+                    _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
+                               d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
+                               l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr)
+                self._fetch_blocked = fetch_blocked
+                watchdog.trip(c, committed, snapshot=self._deadlock_snapshot)
             if dvfs_next is not None and c >= dvfs_next:
+                _flush(self, c, committed, fetched, issued, branches,
+                       mispredicts, iw_count, lsq_count, e_ic, e_bp, e_dec,
+                       e_ren, e_iww, e_robw, e_lsqw, e_iws, e_rfr, e_fuo,
+                       e_dca, e_iwb, e_rfw, e_robr, rf_touched, offs)
+                if fastmem:
+                    _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
+                               d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
+                               l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr)
                 dvfs_next = dvfs.on_interval(self, c)
-            # Skip ahead over provably idle cycles (mispredict stalls,
-            # long-latency load shadows with the machine backed up). The
-            # two cheap vetoes cover most busy cycles; the full stall
-            # analysis runs only behind them.
-            if iw._eligible or (rob_q and rob_q[0].done):
+                mem_scale = self.mem_scale     # the governor may retune it
+                if fastmem:
+                    dram_cost = max(1, round(dram_lat * mem_scale))
+            # ------------------------------------------------- idle skip-ahead
+            if eligible or (rob_q and done[rob_q[0] - r0]):
                 continue
-            target = self._idle_until(c)
-            if target is not None:
-                self.cycle = target
-        self._finalize_stats()
+            bound = None
+            if not fetch_blocked:
+                if c >= fetch_resume:
+                    if fetch_len < fetch_cap:
+                        continue           # fetch can act
+                else:
+                    bound = fetch_resume
+            if fetch_out:
+                rc = lready[fetch_out[0]]
+                if rc <= c:
+                    continue               # decode moves this cycle
+                if bound is None or rc < bound:
+                    bound = rc
+            if decode_out:
+                s = decode_out[0]
+                rc = lready[s]
+                if rc <= c:
+                    if not (p_needs[s - r0] and not free_count):
+                        continue           # rename moves this cycle
+                elif bound is None or rc < bound:
+                    bound = rc
+            if rename_out:
+                s = rename_out[0]
+                rc = lready[s]
+                if rc <= c:
+                    if not (rob_len >= rob_cap or iw_count >= iw_cap
+                            or (p_addr[s] is not None
+                                and lsq_count >= lsq_cap)):
+                        continue           # dispatch moves this cycle
+                elif bound is None or rc < bound:
+                    bound = rc
+            if fdq:
+                fmin = fdq[0][0]
+                if bound is None or fmin < bound:
+                    bound = fmin
+            if future:
+                fmin = future[0][0]
+                if bound is None or fmin < bound:
+                    bound = fmin
+            if wake_events:
+                ev = min(wake_events)
+                if bound is None or ev < bound:
+                    bound = ev
+            if done_events:
+                ev = min(done_events)
+                if bound is None or ev < bound:
+                    bound = ev
+            if bound is not None and bound > c:
+                c = bound
+
+        # -------------------------------------------------------------- finish
+        _flush(self, c, committed, fetched, issued, branches, mispredicts,
+               iw_count, lsq_count, e_ic, e_bp, e_dec, e_ren, e_iww, e_robw,
+               e_lsqw, e_iws, e_rfr, e_fuo, e_dca, e_iwb, e_rfw, e_robr,
+               rf_touched, offs)
+        if fastmem:
+            _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
+                       d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
+                       l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr)
+        fu._dirty = f_dirty
+        fu._n_reserved = f_nres
+        self._fetch_blocked = fetch_blocked
+        stats.be_cycles_create = c
+        stats.fe_cycles_active = c
+
+        prof = self._prof
+        if prof is not None:
+            t2 = perf_counter()
+            prof.seconds["pool"] += t1 - t0
+            prof.seconds["loop"] += t2 - t1
+            prof.ticks += ticks
         return stats
 
-    def _idle_until(self, c: int):
-        """Earliest future cycle anything can happen, or None if the
-        machine can act at cycle ``c``.
+    def _functional_warmup(self, count: int) -> None:
+        """Prime caches without timing: the next ``count`` pool rows.
 
-        Every stage is checked for actionability *now*; a stage blocked
-        on a latch timestamp bounds the skip by that timestamp, a stage
-        blocked on a structural resource (ROB/IW/LSQ full, empty free
-        list) unblocks only through a scheduled wake/done event, which
-        bounds the skip through the event queues. Skipped cycles touch
-        no state and no counters (the caller has already vetoed issue
-        and retire work).
+        Goes through the hierarchy's ``warm_*`` entry points: contents
+        and counters update exactly as a timed access would, but the
+        MSHR timeline is never touched (a warmup burst at cycle 0 must
+        not pre-occupy the miss-overlap budget of the timed run). The
+        predictor trains inside the pool as it extends across these
+        rows, every branch once, in program order.
         """
-        be = self.be
-        bound = None
-        # Fetch: able to act unless stalled, delayed, or out of room.
-        if not self._fetch_blocked:
-            if c >= self._fetch_resume_cycle:
-                if len(self._fetch_out) < self._fetch_cap:
-                    return None
-            else:
-                bound = self._fetch_resume_cycle
-        fetch_out = self._fetch_out
-        if fetch_out:
-            rc = fetch_out[0].lat_ready
-            if rc <= c:
-                return None          # decode moves this cycle
-            if bound is None or rc < bound:
-                bound = rc
-        decode_out = self._decode_out
-        if decode_out:
-            dyn = decode_out[0]
-            rc = dyn.lat_ready
-            if rc <= c:
-                # Rename acts unless the head needs a tag and none free.
-                dest = dyn.dest
-                if not (dest is not None and dest != 0
-                        and not self.renamer._free):
-                    return None
-            elif bound is None or rc < bound:
-                bound = rc
-        rename_out = self._rename_out
-        if rename_out:
-            dyn = rename_out[0]
-            rc = dyn.lat_ready
-            if rc <= c:
-                iw = self.iw
-                if not (len(be._rob_q) >= be.rob.capacity
-                        or iw._count >= iw.capacity
-                        or (dyn.mem_addr is not None and be.lsq.full)):
-                    return None      # dispatch moves this cycle
-            elif bound is None or rc < bound:
-                bound = rc
-        future = self.iw._future
-        if future:
-            fmin = future[0][0]
-            if bound is None or fmin < bound:
-                bound = fmin
-        ev = be.next_event_cycle()
-        if ev is not None and (bound is None or ev < bound):
-            bound = ev
-        if bound is not None and bound > c:
-            return bound
-        return None
-
-    def _finalize_stats(self) -> None:
-        self.stats.be_cycles_create = self.cycle
-        self.stats.fe_cycles_active = self.cycle
-
-    #: Set by the turbo loop, whose ROB holds seq ints rather than
-    #: RobEntry objects: maps the head seq to the snapshot's ``oldest``.
-    _turbo_oldest = None
+        pool = self.pool
+        s0 = self._seq
+        pool.ensure(s0 + count)
+        w_ifetch = self.hierarchy.warm_ifetch
+        w_load = self.hierarchy.warm_load
+        w_store = self.hierarchy.warm_store
+        wp_pc = pool.pc
+        wp_addr = pool.mem_addr
+        wp_isld = pool.is_load
+        for s in range(s0, s0 + count):
+            if not s & 3:                  # one I-cache probe per 4 instrs
+                w_ifetch(wp_pc[s])
+            addr = wp_addr[s]
+            if addr is not None:
+                if wp_isld[s]:
+                    w_load(addr)
+                else:
+                    w_store(addr)
+        self._seq = s0 + count
 
     def _deadlock_snapshot(self):
         """Structured machine state for the watchdog's DeadlockError."""
         be = self.be
-        head = be.rob.head()
+        head = be.rob.head()               # a seq: the ROB holds seqs
         oldest = None
-        if head is not None and self._turbo_oldest is not None:
-            oldest = self._turbo_oldest(head)
-        elif head is not None:
-            dyn = head.dyn
-            oldest = {"seq": dyn.seq, "pc": dyn.pc, "op": dyn.op.name,
-                      "done": head.done, "is_mem": head.is_mem}
+        if head is not None:
+            pool = self.pool
+            oldest = {"seq": head, "pc": pool.pc[head],
+                      "op": pool.op[head].name,
+                      "done": bool(self._done[head - self._r0]),
+                      "is_mem": pool.mem_addr[head] is not None}
         snap = {
             "core": type(self).__name__,
             "cycle": self.cycle,
@@ -276,201 +878,78 @@ class BaselineCore:
                                     for ev in self.trace.window(256)]
         return snap
 
-    def _functional_warmup(self, count: int) -> None:
-        """Prime caches and predictor without timing.
 
-        Goes through the hierarchy's ``warm_*`` entry points: contents
-        and counters update exactly as a timed access would, but the
-        MSHR timeline is never touched (a warmup burst at cycle 0 must
-        not pre-occupy the miss-overlap budget of the timed run).
-        """
-        next_instr = self._next_instr
-        ifetch = self.hierarchy.warm_ifetch
-        load = self.hierarchy.warm_load
-        store = self.hierarchy.warm_store
-        predict = self._predict
-        for _ in range(count):
-            dyn = next_instr()
-            if dyn.seq % 4 == 0:
-                ifetch(dyn.pc)
-            addr = dyn.mem_addr
-            if addr is not None:
-                if dyn.op is OpClass.LOAD:
-                    load(addr)
-                else:
-                    store(addr)
-            if dyn.branch_kind:
-                predict(dyn)
+def _flush(core, c, committed, fetched, issued, branches, mispredicts,
+           iw_count, lsq_count, e_ic, e_bp, e_dec, e_ren, e_iww, e_robw,
+           e_lsqw, e_iws, e_rfr, e_fuo, e_dca, e_iwb, e_rfw, e_robr,
+           rf_touched, offs):
+    """Publish the loop's local counters to the live machine objects.
 
-    # -------------------------------------------------------------- cycle
+    A module-level function (not a closure) so the run loop's hot locals
+    never become cell variables.  Events are assigned only when they
+    changed — so a key exists afterwards iff its stage has counted —
+    except ``rf_read``, which exists from the first issued group on,
+    even when that group reads zero registers.
+    """
+    stats = core.stats
+    stats.committed = committed
+    stats.fetched = fetched
+    stats.issued = issued
+    stats.branches = branches
+    stats.mispredicts = mispredicts
+    core.cycle = c
+    ev = stats.events
+    for key, val in (("icache_access", e_ic), ("bpred_lookup", e_bp),
+                     ("decode_op", e_dec), ("rename_op", e_ren),
+                     ("iw_write", e_iww), ("rob_write", e_robw),
+                     ("lsq_write", e_lsqw), ("iw_select", e_iws),
+                     ("fu_op", e_fuo), ("dcache_access", e_dca),
+                     ("iw_broadcast", e_iwb), ("rf_write", e_rfw),
+                     ("rob_read", e_robr)):
+        if val != ev[key]:
+            ev[key] = val
+    if rf_touched:
+        ev["rf_read"] = e_rfr
+    iw = core.iw
+    iw._count = iw_count
+    iw.writes = e_iww + offs[0]
+    iw.broadcasts = e_iwb + offs[1]
+    be = core.be
+    be.rob.writes = e_robw + offs[2]
+    be.lsq._count = lsq_count
+    be.lsq.inserts = e_lsqw + offs[3]
+    be.fu.ops = e_fuo + offs[4]
 
-    def step(self) -> None:
-        """Advance one clock cycle (the engine tick contract, single
-        domain: writeback -> commit -> issue -> dispatch -> rename ->
-        decode -> fetch, then the cycle counter advances). Stages with
-        provably no work this cycle are skipped up front."""
-        c = self.cycle
-        self.be.tick(c, self.mem_scale)
-        if self.iw._count and not (self._wakeup_gate and (c & 1)):
-            self._do_issue(c)
-        if self._rename_out:
-            self._do_dispatch(c)
-        if self._decode_out:
-            self._do_rename(c)
-        if self._fetch_out:
-            self.fe.decode(c)
-        if not self._fetch_blocked and c >= self._fetch_resume_cycle:
-            self._do_fetch(c)
-        self.cycle = c + 1
 
-    # Writeback hook: the blocking branch resolved — restart fetch.
-    def _on_branch_resolved(self, entry: RobEntry, c: int) -> None:
-        if entry.dyn.seq == self._mispredict_seq:
-            self._mispredict_seq = -1
-            self._fetch_blocked = False
-            self._fetch_resume_cycle = c + 1
+def _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
+               d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
+               l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr):
+    """Publish the inlined fast-path cache counters to the live caches.
 
-    def _do_issue(self, c: int) -> None:
-        # The caller applies the Fig. 2 selection gate: pipelining the
-        # Wake-Up/Select loop without speculative wakeup both delays
-        # dependents by a cycle (handled in the window) and lets a
-        # selection round complete only every other cycle — the previous
-        # round's grants are not visible to the arbiter until the loop
-        # closes.
-        be = self.be
-        selected = self.iw.select(c, be.fu)
-        if not selected:
-            tr = self.trace
-            if tr is not None:
-                # The caller gated on window occupancy: an empty grant
-                # means every occupant waits on operands (dep_wait)
-                # unless ready entries were passed over for units.
-                tr.emit(c, "stall", -1,
-                        "fu_busy" if self.iw._eligible else "dep_wait")
-            return
-        rf_reads = be.schedule_group(selected, c, self.mem_scale)
-        n = len(selected)
-        self.stats.issued += n
-        events = self._events
-        events["iw_select"] += n
-        events["rf_read"] += rf_reads
-        events["fu_op"] += n
-
-    def _do_dispatch(self, c: int) -> None:
-        rename_out = self._rename_out
-        be = self.be
-        iw = self.iw
-        rob = be.rob
-        lsq = be.lsq
-        rob_q = be._rob_q
-        rob_cap = rob.capacity
-        iw_cap = iw.capacity
-        pending = be.pending
-        ready = be.ready_getter
-        events = self._events
-        tr = self.trace
-        earliest = c + 1
-        n = 0
-        while rename_out and n < self._dispatch_width:
-            dyn = rename_out[0]
-            if dyn.lat_ready > c:
-                break
-            if len(rob_q) >= rob_cap or iw._count >= iw_cap:
-                if tr is not None:
-                    tr.emit(c, "stall", dyn.seq,
-                            "rob_full" if len(rob_q) >= rob_cap
-                            else "iw_full")
-                break
-            if dyn.mem_addr is not None and lsq.full:
-                if tr is not None:
-                    tr.emit(c, "stall", dyn.seq, "lsq_full")
-                break
-            rename_out.popleft()
-            entry = RobEntry(dyn,
-                             mispredicted=dyn.seq == self._mispredict_seq)
-            # Inline ExecBackend.admit (capacity checked above); this is
-            # the hottest per-instruction loop in the synchronous cores.
-            rob_q.append(entry)
-            rob.writes += 1
-            pending[dyn.seq] = entry
-            if entry.is_mem:
-                lsq.insert()
-                events["lsq_write"] += 1
-            events["rob_write"] += 1
-            iw.insert(dyn, ready, earliest)
-            events["iw_write"] += 1
-            if tr is not None:
-                tr.emit(c, "dispatch", dyn.seq)
-            n += 1
-
-    def _do_rename(self, c: int) -> None:
-        decode_out = self._decode_out
-        rename_out = self._rename_out
-        renamer = self.renamer
-        free_tags = renamer._free
-        ready = self.be.ready
-        events = self._events
-        reg_map = renamer._map
-        tr = self.trace
-        n = 0
-        while decode_out and n < self._rename_width:
-            dyn = decode_out[0]
-            if dyn.lat_ready > c:
-                break
-            # R10K rename over the renamer's map table and free list:
-            # this runs once per instruction and those objects are stable.
-            dest = dyn.dest
-            if dest is None or dest == 0:
-                decode_out.popleft()
-                dyn.src_tags = tuple([reg_map[s] for s in dyn.srcs])
-                dyn.dest_tag = -1
-                dyn.old_dest_tag = -1
-            else:
-                if not free_tags:
-                    break
-                decode_out.popleft()
-                dyn.src_tags = tuple([reg_map[s] for s in dyn.srcs])
-                tag = free_tags.popleft()
-                dyn.old_dest_tag = reg_map[dest]
-                reg_map[dest] = tag
-                dyn.dest_tag = tag
-                ready[tag] = 0
-            dyn.lat_ready = c + 1
-            rename_out.append(dyn)
-            events["rename_op"] += 1
-            if tr is not None:
-                tr.emit(c, "rename", dyn.seq)
-            n += 1
-
-    def _do_fetch(self, c: int) -> None:
-        # The caller has already checked the stall/resume gates.
-        fetch_out = self._fetch_out
-        if len(fetch_out) >= self._fetch_cap:
-            return
-        stats = self.stats
-        events = self._events
-        next_instr = self._next_instr
-        tr = self.trace
-        delay = 0
-        n = 0
-        for _ in range(self._fetch_width):
-            dyn = next_instr()
-            if not n:
-                delay = (self._ifetch(dyn.pc, self.mem_scale, c)
-                         + self._extra_fe_stages)
-                events["icache_access"] += 1
-            dyn.lat_ready = c + delay
-            fetch_out.append(dyn)
-            if tr is not None:
-                tr.emit(c, "fetch", dyn.seq)
-            n += 1
-            if dyn.branch_kind:
-                stats.branches += 1
-                events["bpred_lookup"] += 1
-                correct = self._predict(dyn)
-                if not correct:
-                    stats.mispredicts += 1
-                    self._fetch_blocked = True
-                    self._mispredict_seq = dyn.seq
-                break  # fetch group ends at a control transfer
-        stats.fetched += n
+    Only called when the run loop took the inline memory path; absolute
+    assignment, so repeated flushes are idempotent.  ``prefetches`` and
+    ``writebacks`` never move on the fast path.
+    """
+    cache = hierarchy.l1i
+    cache._clock = i_clk
+    st = cache.stats
+    st.accesses = i_acc
+    st.hits = i_hit
+    st.misses = i_miss
+    st.evictions = i_ev
+    cache = hierarchy.l1d
+    cache._clock = d_clk
+    st = cache.stats
+    st.accesses = d_acc
+    st.hits = d_hit
+    st.misses = d_miss
+    st.evictions = d_ev
+    st.writes = d_wr
+    cache = hierarchy.l2
+    cache._clock = l2_clk
+    st = cache.stats
+    st.accesses = l2_acc
+    st.hits = l2_hit
+    st.misses = l2_miss
+    st.evictions = l2_ev
+    st.writes = l2_wr

@@ -19,6 +19,7 @@ from repro.frontend.bpred import BPredConfig
 from repro.mem.hierarchy import MemoryConfig
 from repro.mem.spec import MemorySpec
 from repro.obs.spec import TraceSpec
+from repro.rename.pools import check_min_pool_size
 
 
 def _canonical(value: object) -> object:
@@ -131,13 +132,12 @@ class CoreConfig(_CacheKeyMixin):
     #: untouched (DESIGN.md §7).
     trace: Optional[TraceSpec] = None
 
-    #: Execution-engine backend: ``None`` (the default engine, which is
-    #: ``"turbo"``, the batched struct-of-arrays engine in
-    #: ``repro.core.engine.turbo``), ``"turbo"`` or ``"legacy"``, the
-    #: per-object tick loop every golden number was pinned on. Both
-    #: backends are required to be bit-identical on every counter — the
-    #: engine axis picks an implementation, never a machine (DESIGN.md
-    #: §8) — so the key never enters a spec's content address.
+    #: Instruction oracle of the one run loop per kind: ``None`` (the
+    #: default engine, which is ``"turbo"``: the cached instruction pool
+    #: of ``repro.core.engine.turbo``) or ``"legacy"`` (the program walked
+    #: afresh for the run). Both are required to be bit-identical on every
+    #: counter — the engine axis picks an implementation, never a machine
+    #: (DESIGN.md §8) — so the key never enters a spec's content address.
     engine: Optional[str] = None
 
     @property
@@ -244,6 +244,8 @@ class FlywheelConfig(_CacheKeyMixin):
         for name in ("ec_enabled", "use_srt", "redistribution_enabled",
                      "delay_network"):
             object.__setattr__(self, name, bool(getattr(self, name)))
+        # Checked here too, so a bad sweep fails before any run.
+        check_min_pool_size(self.min_pool_size)
 
     @property
     def ec_blocks(self) -> int:

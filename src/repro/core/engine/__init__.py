@@ -1,21 +1,20 @@
-"""Shared cycle-level pipeline engine.
+"""Shared cycle-level pipeline state.
 
 Every simulated machine in this repository is a composition of the same
-back-end mechanics — an issue window feeding FuPool + LSQ execution, wake
-/done event queues, an in-order ROB retire — behind a per-cycle ``tick``
-contract (see :mod:`repro.core.engine.backend` for the stage order). The
-engine package factors those mechanics out of the cores:
+structures — an issue window feeding FuPool + LSQ execution, wake/done
+event queues, an in-order ROB — ticked in one order (DESIGN.md §2). The
+engine package holds the state the cores share; the per-cycle mechanics
+over it are written once per core, inline in its run loop
+(``BaselineCore.run``, ``FlywheelCore.run``):
 
-* :class:`FrontEndFeed` — fetch/decode/rename latches + the Decode stage.
-* :class:`ExecBackend`  — scoreboard, ROB/LSQ/FU structures, writeback,
-  execution scheduling and retire, with policy hooks.
+* :class:`FrontEndFeed` — the Flywheel's fetch/decode/rename latches and
+  its Decode stage.
+* :class:`ExecBackend`  — scoreboard, ROB/LSQ/FU structures and the
+  wake/done event queues.
 * :class:`DeadlockWatchdog` — the forward-progress abort, configured via
   ``CoreConfig.deadlock_window``.
-
-Cores (``BaselineCore``, ``FlywheelCore``, ``PipelinedWakeupCore``) keep
-only their policy: fetch/trace boundaries, renaming scheme, issue timing,
-clocking. The engine is timing-transparent — composing a core from it
-must not change a single stat (pinned by tests/test_golden_stats.py).
+* :mod:`repro.core.engine.turbo` — the instruction pools the loops read
+  the program from.
 
 Hot-loop discipline: stage code uses the op-indexed tables from
 :mod:`repro.isa.opclasses` (no per-cycle dict lookups on enum keys),

@@ -1,10 +1,11 @@
 """Front-end feed stage: the fetch/decode/rename latch chain.
 
-The feed owns the inter-stage latches every core kind threads instructions
-through before they reach the back end, plus the Decode stage itself,
-which is identical across kinds. Fetch *policy* (when to stop a fetch
-group, trace bookkeeping, oracle pushback) and Rename differ per machine
-and live in the cores; they operate on these latches.
+The feed owns the Flywheel's inter-stage latches, which its front end
+threads instructions through before they reach the back end, plus the
+Decode stage itself. Fetch *policy* (when to stop a fetch group, trace
+bookkeeping, oracle pushback) and Rename live in the core; they operate
+on these latches. ``BaselineCore.run`` keeps its latches as loop-local
+deques of ``seq`` ints and reads only :data:`FETCH_BUFFER_GROUPS` here.
 
 Latches hold bare :class:`DynInstr` objects; the maturity timestamp (in
 the owning clock domain's cycle numbers) lives on ``dyn.lat_ready``,
@@ -29,7 +30,7 @@ class FrontEndFeed:
     """Fetch-out / decode-out / rename-out latches plus the Decode stage."""
 
     __slots__ = ("decode_width", "_fetch_cap", "fetch_out", "decode_out",
-                 "rename_out", "_events", "trace")
+                 "rename_out", "_events")
 
     def __init__(self, fetch_width: int, decode_width: int,
                  stats: SimStats):
@@ -39,10 +40,6 @@ class FrontEndFeed:
         self.decode_out: Deque[DynInstr] = deque()
         self.rename_out: Deque[DynInstr] = deque()
         self._events = stats.events
-        #: Flight recorder, or None. Only set by single-clock cores:
-        #: decode events are stamped with the cycle passed to
-        #: :meth:`decode`, which must be on the back-end cycle axis.
-        self.trace = None
 
     def decode(self, c: int) -> None:
         """Move up to ``decode_width`` matured instructions to rename."""
@@ -50,7 +47,6 @@ class FrontEndFeed:
         if not fetch_out:
             return
         decode_out = self.decode_out
-        tr = self.trace
         n = 0
         while fetch_out and n < self.decode_width:
             dyn = fetch_out[0]
@@ -59,8 +55,6 @@ class FrontEndFeed:
             fetch_out.popleft()
             dyn.lat_ready = c + 1
             decode_out.append(dyn)
-            if tr is not None:
-                tr.emit(c, "decode", dyn.seq)
             n += 1
         if n:
             self._events["decode_op"] += n

@@ -1,24 +1,20 @@
-"""Turbo engine backend: batched struct-of-arrays execution.
+"""Instruction pools: the program-order oracle the run loops read.
 
-The legacy engine walks one Python object per instruction per stage per
-cycle; at ~100k simulated cycles/sec the interpreter overhead — not any
-single hot function — is the bottleneck (BENCH_core.json, DESIGN.md §8).
-The turbo backend is a second *implementation* of the same machines: it
-precomputes everything that is program-order deterministic (the stream
-walk, rename tags, branch-predictor outcomes, fetch-group boundaries,
-op-indexed latency/FU tables) into parallel list-backed pools, then
-runs a fused tick loop over plain lists with batched counter flushes
-and event-compiled skip-ahead. That is the single-clock kinds' turbo
-loop (:mod:`.sync`). The Flywheel has one fused loop for both engines
-(``FlywheelCore.run``); for it, turbo only swaps the live instruction
-walker for a :class:`~.pool.PooledOracle` over the same columns.
+Everything the stream walk produces is program-order deterministic (the
+walker never sees timing; the predictor is consulted once per branch in
+program order; rename tags pop from a FIFO free list refilled in commit
+order, which is program order again). :mod:`.pool` runs it ahead of time
+into list-backed, seq-indexed columns (:class:`~.pool.StreamPool`) and
+per-run R10K rename tags (:class:`~.pool.RenamePlan`).
 
-Selection rides ``CoreConfig.engine``: turbo is the default engine
-(``None``) and ``"legacy"`` selects the reference implementation. The
-golden rule for any engine backend is bit-identity: every counter,
-event, freq-trace point, cache stat and metric snapshot must match the
-legacy engine exactly, or the backend is wrong — there is no "close
-enough" for an implementation axis (tests/test_golden_stats.py enforces
-this for the turbo backend). Like the rest of ``repro`` it needs only
-the standard library.
+``BaselineCore.run`` — the one synchronous pipeline — reads the columns
+directly. ``FlywheelCore.run`` reads them through a
+:class:`~.pool.PooledOracle` on the turbo engine and walks the live
+stream on ``"legacy"``. ``CoreConfig.engine`` selects only this oracle:
+turbo (the default, ``None``) shares :func:`~.pool.get_pool`'s cached
+pool per benchmark; ``"legacy"`` walks the program afresh for every run
+(a private pool for the baseline kinds). The golden rule for the axis is
+bit-identity: every counter, event, freq-trace point, cache stat and
+metric snapshot must match across engines (tests/test_golden_stats.py).
+Like the rest of ``repro`` it needs only the standard library.
 """

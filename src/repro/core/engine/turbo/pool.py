@@ -1,6 +1,6 @@
-"""Struct-of-arrays instruction pools for the turbo engine backend.
+"""Struct-of-arrays instruction pools: the run loops' oracle.
 
-The legacy engine pays the stream walk (block/loop bookkeeping, RNG
+A live walker pays the stream walk (block/loop bookkeeping, RNG
 draws, branch prediction, one ``DynInstr`` allocation) once per dynamic
 instruction *inside* the timed loop.  Everything in that walk is
 program-order deterministic: the walker never sees timing, the
@@ -16,8 +16,8 @@ branch kind, predicted-correct flag — plus per-chunk gathers of the
 op-indexed tables (``EXEC_LATENCY_TAB``/``FU_KIND_TAB``/
 ``UNPIPELINED_TAB``) so per-instruction latency/unit lookups become
 plain list reads.  Reusing the real walker/predictor makes the pool
-correct by construction; the speedup comes from the fused tick loop in
-:mod:`repro.core.engine.turbo.sync` never touching objects at all.
+correct by construction; the speed comes from the fused tick loop of
+``BaselineCore.run`` never touching objects at all.
 
 Pools grow in chunks on demand and are cached across runs keyed by
 (program identity, stream seed, predictor config): a best-of-N

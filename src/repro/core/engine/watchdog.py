@@ -15,38 +15,26 @@ from repro.errors import DeadlockError, SimulationError
 class DeadlockWatchdog:
     """Abort the run when no instruction commits for ``window`` cycles.
 
-    ``poll`` is called once per cycle (or per back-end tick) with the
-    current cycle number and committed-instruction count; ``describe``
-    supplies the core-specific context appended to the error message and
-    ``snapshot`` a structured machine-state dict attached to the raised
-    :class:`DeadlockError` (both are callables so the happy path never
-    pays for building them).
+    The run loops inline the cheap per-cycle check (cycles since the
+    last commit against ``window``) and call :meth:`trip` when it fails;
+    ``describe`` supplies the core-specific context appended to the
+    error message and ``snapshot`` a structured machine-state dict
+    attached to the raised :class:`DeadlockError` (both are callables so
+    the happy path never pays for building them).
     """
 
-    __slots__ = ("window", "_last_cycle", "_last_count")
+    __slots__ = ("window",)
 
     def __init__(self, window: int):
         if window < 1:
             raise SimulationError(f"deadlock window must be >= 1: {window}")
         self.window = window
-        self._last_cycle = 0
-        self._last_count = -1
-
-    def poll(self, cycle: int, committed: int,
-             describe: Optional[Callable[[], str]] = None,
-             snapshot: Optional[Callable[[], Dict[str, object]]] = None,
-             ) -> None:
-        if committed != self._last_count:
-            self._last_count = committed
-            self._last_cycle = cycle
-        elif cycle - self._last_cycle > self.window:
-            self.trip(cycle, committed, describe, snapshot)
 
     def trip(self, cycle: int, committed: int,
              describe: Optional[Callable[[], str]] = None,
              snapshot: Optional[Callable[[], Dict[str, object]]] = None,
              ) -> None:
-        """Raise the deadlock error (run loops inline the cheap check)."""
+        """Raise the deadlock error."""
         detail = describe() if describe is not None else (
             f" at cycle {cycle} (committed={committed})")
         data = snapshot() if snapshot is not None else {}

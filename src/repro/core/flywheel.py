@@ -126,7 +126,7 @@ class FlywheelCore:
 
     #: Phase profile the run loop stamps, or None; attached by
     #: :func:`repro.obs.profiler.install`.
-    _turbo_prof = None
+    _prof = None
 
     def __init__(self, config: CoreConfig, fly: FlywheelConfig,
                  clock: ClockPlan, stream: InstructionStream,
@@ -153,17 +153,13 @@ class FlywheelCore:
             fly.redistribution_penalty)
         self.iw = IssueWindow(config.iw_entries, config.issue_width,
                               config.wakeup_extra_delay)
-        self.be = ExecBackend(config, self.stats, self.hierarchy,
-                              fly.pool_regs)
+        self.be = ExecBackend(config, fly.pool_regs)
         self.watchdog = DeadlockWatchdog(
             config.deadlock_window or _DEADLOCK_WINDOW)
         # Engine structures, re-exposed under their historical names.
         self.rob = self.be.rob
         self.lsq = self.be.lsq
         self.fu = self.be.fu
-        # The run loop inlines the backend's retire stage (two-phase
-        # retirement and EC residency accounting), so no commit hook.
-        self.be.configure(self.iw, self._on_branch_resolved)
         self.ec = ExecutionCache(fly)
         self.builder = TraceBuilder()
         self.fill = FillBuffer(fly.ec_block_slots, fly.ec_latency)
@@ -252,11 +248,10 @@ class FlywheelCore:
         # Flight recorder (repro.obs): all lifecycle events are stamped
         # on the *back-end* cycle axis — FE events read ``be_dom.cycles``
         # at emission time — so the pipeview timeline is monotone across
-        # the two domains. ``fe.trace`` is deliberately left None: decode
-        # happens on the FE grid and has no BE-axis cycle to stamp.
+        # the two domains. Decode emits nothing: it happens on the FE grid
+        # and has no BE-axis cycle to stamp.
         if config.trace is not None:
             self.trace = TraceRecorder(config.trace)
-            self.be.attach_trace(self.trace)
             self.hierarchy.trace = self.trace
         else:
             self.trace = None
@@ -280,7 +275,7 @@ class FlywheelCore:
         The engine axis selects only the oracle: ``"legacy"`` keeps the
         live :class:`InstructionStream`, any other engine swaps in a
         :class:`PooledOracle` over the shared :class:`StreamPool`, so the
-        program walk runs once per benchmark. ``self._turbo_prof``, when
+        program walk runs once per benchmark. ``self._prof``, when
         set (:func:`repro.obs.profiler.install`), accumulates wall seconds
         into its ``pool`` (pool build + functional warmup) and ``loop``
         buckets and counts scheduler pops in ``ticks``.
@@ -331,7 +326,7 @@ class FlywheelCore:
         ready = be.ready
         wake_events = be.wake_events
         done_events = be.done_events
-        on_resolved = be._on_resolved
+        on_resolved = self._on_branch_resolved
         hierarchy = self.hierarchy
         h_load = hierarchy.load
         h_store = hierarchy.store
@@ -412,7 +407,6 @@ class FlywheelCore:
                     stats.be_cycles_execute += 1
                 be_scale = self._be_scale
                 # ---- engine tick: FU bookkeeping, writeback, retire
-                fu._cycle = c
                 if fu._dirty:
                     fu._used[:] = fu._zeros
                     fu._dirty = False
@@ -983,7 +977,7 @@ class FlywheelCore:
                             break
 
         stats.sim_time_ps = now_ps
-        prof = self._turbo_prof
+        prof = self._prof
         if prof is not None:
             t2 = perf_counter()
             prof.seconds["pool"] += t1 - t0

@@ -19,8 +19,8 @@ from repro.isa.opclasses import FuKind, N_FU_KINDS
 class FuPool:
     """Per-kind availability tracking for one clock domain."""
 
-    __slots__ = ("_counts", "_used", "_reserved", "_n_reserved", "_cycle",
-                 "ops", "_zeros", "_dirty")
+    __slots__ = ("_counts", "_used", "_reserved", "_n_reserved", "ops",
+                 "_zeros", "_dirty")
 
     def __init__(self, int_alus: int, int_muldivs: int, mem_ports: int,
                  fp_adders: int, fp_muldivs: int):
@@ -35,42 +35,13 @@ class FuPool:
         #: per-kind lists of cycle numbers until which a unit stays busy
         self._reserved: List[List[int]] = [[] for _ in range(N_FU_KINDS)]
         self._n_reserved = 0
-        self._cycle = -1
         self.ops = 0  # total operations started (power events)
         self._zeros = (0,) * N_FU_KINDS
         self._dirty = False
 
-    def begin_cycle(self, cycle: int) -> None:
-        """Reset per-cycle issue slots and expire long reservations."""
-        self._cycle = cycle
-        if self._dirty:
-            self._used[:] = self._zeros
-            self._dirty = False
-        if self._n_reserved:
-            remaining = 0
-            for res in self._reserved:
-                if res:
-                    res[:] = [t for t in res if t > cycle]
-                    remaining += len(res)
-            self._n_reserved = remaining
-
     def available(self, kind: int) -> int:
         return (self._counts[kind] - self._used[kind]
                 - len(self._reserved[kind]))
-
-    def try_issue(self, kind: int, cycle: int, latency: int,
-                  unpipelined: bool = False) -> bool:
-        """Claim an issue slot on a unit of ``kind``; False if none free."""
-        if (self._counts[kind] - self._used[kind]
-                - len(self._reserved[kind])) <= 0:
-            return False
-        self._used[kind] += 1
-        self._dirty = True
-        if unpipelined:
-            self._reserved[kind].append(cycle + latency)
-            self._n_reserved += 1
-        self.ops += 1
-        return True
 
     def try_issue_group(self, demands, cycle: int = None) -> bool:
         """Atomically claim units for a whole issue group (VLIW replay).
@@ -98,11 +69,3 @@ class FuPool:
         self._dirty = True
         self.ops += len(demands)
         return True
-
-    def flush(self) -> None:
-        """Release all reservations (pipeline squash)."""
-        for kind in range(N_FU_KINDS):
-            self._reserved[kind].clear()
-            self._used[kind] = 0
-        self._n_reserved = 0
-        self._dirty = False

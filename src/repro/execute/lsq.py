@@ -36,6 +36,3 @@ class LoadStoreQueue:
         if self._count <= 0:
             raise SimulationError("LSQ underflow")
         self._count -= 1
-
-    def flush(self) -> None:
-        self._count = 0

@@ -411,14 +411,3 @@ class MemoryHierarchy:
                                   if allocs else 0.0),
             }
         return out
-
-    def flush(self) -> None:
-        """Invalidate all contents and miss-handling state (stats kept)."""
-        self.l1i.flush()
-        for lvl in self._dchain:
-            lvl.cache.flush()
-            if lvl.dirty is not None:
-                lvl.dirty.clear()
-        self._mshr_table.clear()
-        self._pf_last_line = -1
-        self._pf_last_stride = 0

@@ -155,8 +155,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_machine_args(profile)
     profile.add_argument("--engine", choices=("legacy", "turbo"),
                          default="legacy",
-                         help="execution backend to profile (turbo "
-                              "buckets are pool/loop)")
+                         help="instruction oracle of the profiled run "
+                              "(either reports pool/loop buckets)")
     profile.add_argument("--out", default="",
                          help="also write the JSON report here")
     profile.set_defaults(fn=_cmd_profile)

@@ -7,29 +7,19 @@ for the ROADMAP's compiled-hot-loop work, written next to
 ``BENCH_core.json`` by ``bench_sim_speed --profile`` and by
 ``python -m repro.obs profile``.
 
-Phase buckets (mapping the frontend/schedule/exec/mem/retire phases of
-the engine onto the code that implements them):
+Every core kind runs one fused loop (``BaselineCore.run``,
+``FlywheelCore.run``) on either engine. A fused loop has no per-stage
+boundaries to clock, so it reports the two phases it actually has
+(:data:`PHASES`):
 
-``frontend``   fetch + decode (I-cache model, branch prediction)
-``rename``     register renaming
-``dispatch``   ROB/LSQ/window admission
-``schedule``   wake-up/select plus execution scheduling — includes the
-               D-cache/MSHR model, which is invoked at load scheduling
-``backend``    the engine tick: FU bookkeeping, writeback broadcast,
-               in-order retire (and store D-cache traffic at commit)
+``pool``   the instruction pool and rename plan the loop reads, plus a
+           functional warmup done inside ``run`` (:func:`profile_machine`
+           times the warmup on its own)
+``loop``   the loop itself
 
-The Flywheel has one fused loop on both engines, so it always reports
-the turbo buckets (:data:`TURBO_PHASES`); on the legacy engine its
-``pool`` bucket covers only the functional warmup.
-
-The synchronous cores are profiled through a *mirrored* step function
-installed as an instance attribute: ``BaselineCore.run`` calls
-``self.step()``, so the shadow takes over without touching the hot
-loop for unprofiled runs.  The mirror must stay in lockstep with
-``BaselineCore.step`` — ``tests/test_obs.py`` pins equal stats from a
-profiled and an unprofiled run.  Anything left of the run loop that no
-bucket claims (skip-ahead analysis, watchdog polling, the loop itself)
-shows up as ``other``, which is itself a useful number.
+and counts its executed ticks, which the report sets against the
+simulated cycles: the gap is what the skip-aheads elided. Anything else
+in the run (``other``) is setup outside both buckets.
 """
 
 from __future__ import annotations
@@ -38,34 +28,24 @@ import json
 from time import perf_counter
 from typing import Dict, Optional
 
-PHASES = ("frontend", "rename", "dispatch", "schedule", "backend")
-
-#: A fused loop's buckets (the turbo backend, and the Flywheel on either
-#: engine): it has no per-stage boundaries to clock, so it reports the
-#: two phases it actually has — building/warming the instruction pool,
-#: and the loop.
-TURBO_PHASES = ("pool", "loop")
+#: The buckets a fused loop stamps: building/warming the instruction
+#: pool, and the loop.
+PHASES = ("pool", "loop")
 
 
 class PhaseProfile:
-    """Accumulated wall seconds per engine phase of one run.
+    """Accumulated wall seconds per :data:`PHASES` bucket of one run."""
 
-    ``phases`` is per-instance: the legacy single-clock loop buckets by
-    pipeline stage (:data:`PHASES`), every fused loop by
-    :data:`TURBO_PHASES`.
-    """
-
-    def __init__(self, phases=PHASES):
-        self.phases = tuple(phases)
-        self.seconds: Dict[str, float] = {ph: 0.0 for ph in self.phases}
+    def __init__(self):
+        self.seconds: Dict[str, float] = {ph: 0.0 for ph in PHASES}
         self.ticks = 0
         self.warmup_s = 0.0
         self.run_s = 0.0
 
     @property
     def other_s(self) -> float:
-        """Run-loop time outside every phase bucket (skip-ahead
-        analysis, watchdog polling, loop overhead)."""
+        """Run time outside every phase bucket (setup before the
+        loop's first timestamp)."""
         return max(0.0, self.run_s - sum(self.seconds.values()))
 
     def to_dict(self) -> Dict[str, object]:
@@ -81,67 +61,20 @@ class PhaseProfile:
         }
 
 
-def _profiled_sync_step(core, prof, pc=perf_counter):
-    """Mirror of :meth:`BaselineCore.step` with per-phase timestamps.
-
-    Must perform exactly the same stage calls under exactly the same
-    guards; the stats-equivalence test in tests/test_obs.py enforces it.
-    """
-    seconds = prof.seconds
-
-    def step():
-        c = core.cycle
-        t0 = pc()
-        core.be.tick(c, core.mem_scale)
-        t1 = pc()
-        seconds["backend"] += t1 - t0
-        if core.iw._count and not (core._wakeup_gate and (c & 1)):
-            core._do_issue(c)
-        t2 = pc()
-        seconds["schedule"] += t2 - t1
-        if core._rename_out:
-            core._do_dispatch(c)
-        t3 = pc()
-        seconds["dispatch"] += t3 - t2
-        if core._decode_out:
-            core._do_rename(c)
-        t4 = pc()
-        seconds["rename"] += t4 - t3
-        if core._fetch_out:
-            core.fe.decode(c)
-        if not core._fetch_blocked and c >= core._fetch_resume_cycle:
-            core._do_fetch(c)
-        seconds["frontend"] += pc() - t4
-        core.cycle = c + 1
-        prof.ticks += 1
-
-    return step
-
-
 def install(core) -> PhaseProfile:
     """Attach phase timing to a core; must run before ``core.run()``.
 
-    A single-clock core on the legacy engine exposes ``step`` (called
-    by its run loop from ``self``, so an instance-attribute shadow takes
-    effect) and is profiled per stage. Every fused loop — the turbo
-    engine of any kind, and the Flywheel on either engine (a core class
-    declaring ``_turbo_prof``) — has no stage boundaries to clock: the
-    profile is handed to the loop via ``core._turbo_prof``, which stamps
-    the ``pool``/``loop`` buckets itself. Raises ``TypeError`` for a
-    legacy-engine core offering neither.
+    The profile is handed to the core's fused loop via ``core._prof``
+    (a class attribute of every core kind), which stamps the
+    ``pool``/``loop`` buckets itself. Raises ``TypeError`` for a core
+    without that hook.
     """
-    engine = getattr(getattr(core, "config", None), "engine", "legacy")
-    if engine == "legacy" and hasattr(core, "step"):
-        prof = PhaseProfile()
-        core.step = _profiled_sync_step(core, prof)
-        return prof
-    if engine != "legacy" or hasattr(core, "_turbo_prof"):
-        prof = PhaseProfile(TURBO_PHASES)
-        core._turbo_prof = prof
-        return prof
-    raise TypeError(
-        f"cannot profile {type(core).__name__}: exposes neither "
-        "step() nor a fused loop's _turbo_prof hook")
+    if not hasattr(core, "_prof"):
+        raise TypeError(f"cannot profile {type(core).__name__}: "
+                        "it has no fused loop's _prof hook")
+    prof = PhaseProfile()
+    core._prof = prof
+    return prof
 
 
 def profile_machine(kind: str, workload, config=None, fly=None, clock=None,
@@ -223,8 +156,7 @@ def format_profile(report: Dict[str, object]) -> str:
         f"({report['cycles_per_sec']:.0f} cyc/s)",
         f"  warmup: {prof['warmup_s']:.3f}s",
     ]
-    # Iterate the report's own buckets (legacy stage phases or the turbo
-    # backend's pool/loop), not the module-level tuple.
+    # Iterate the report's own buckets, not the module-level tuple.
     for ph in prof["phases_s"]:
         s = prof["phases_s"][ph]
         frac = prof["phase_frac"][ph]

@@ -26,6 +26,19 @@ from repro.errors import ConfigError, SimulationError
 from repro.isa.registers import NUM_ARCH_REGS
 
 
+def check_min_pool_size(min_pool_size: int) -> None:
+    """Reject pools that redistribution could shrink below two entries.
+
+    By the capacity rule a one-entry pool holds only the last committed
+    value, so its register could never be written again: the run would
+    stall until the deadlock watchdog fires.
+    """
+    if min_pool_size < 2:
+        raise ConfigError(
+            f"min_pool_size must be >= 2, got {min_pool_size}: a one-entry "
+            "pool admits no in-flight write to its register")
+
+
 class PoolFile:
     """Pool geometry + in-flight accounting for the Flywheel register file."""
 
@@ -36,7 +49,8 @@ class PoolFile:
                 f"{total_regs} physical registers do not divide evenly into "
                 f"{NUM_ARCH_REGS} pools of {default_pool_size}"
             )
-        if not 1 <= min_pool_size <= default_pool_size <= max_pool_size:
+        check_min_pool_size(min_pool_size)
+        if not min_pool_size <= default_pool_size <= max_pool_size:
             raise ConfigError("pool size bounds are inconsistent")
         self.total_regs = total_regs
         self.min_pool_size = min_pool_size

@@ -4,13 +4,16 @@ Entries are appended at dispatch and retired in order once done. Because
 the cores model wrong paths as fetch stalls (no wrong-path instructions
 enter the machine), the ROB never squashes in-flight instructions: a
 diverging trace replay drains it instead. The run loops append to
-``_queue`` inline, after checking ``capacity`` themselves.
+``_queue`` and retire from its head inline, after checking ``capacity``
+and the head's done flag themselves. ``FlywheelCore.run`` queues
+:class:`RobEntry` objects; ``BaselineCore.run`` queues ``seq`` ints and
+keeps the done flags in its own bytearray.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from repro.isa import DynInstr
 
@@ -33,7 +36,7 @@ class RobEntry:
 
 
 class ReorderBuffer:
-    """Bounded FIFO of :class:`RobEntry`."""
+    """Bounded FIFO of in-flight instructions."""
 
     def __init__(self, entries: int):
         self.capacity = entries
@@ -45,10 +48,3 @@ class ReorderBuffer:
 
     def head(self) -> Optional[RobEntry]:
         return self._queue[0] if self._queue else None
-
-    def retire_ready(self, width: int) -> List[RobEntry]:
-        """Pop up to ``width`` consecutive done entries from the head."""
-        out: List[RobEntry] = []
-        while self._queue and len(out) < width and self._queue[0].done:
-            out.append(self._queue.popleft())
-        return out

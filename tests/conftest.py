@@ -1,11 +1,13 @@
 """Shared fixtures."""
 
+from collections import namedtuple
 from functools import lru_cache
 
 import pytest
 
 from repro.core.config import ClockPlan, FlywheelConfig
 from repro.core.sim import default_config, generate_program, get_kind
+from repro.obs.spec import TraceSpec
 from repro.workloads.profiles import get_profile
 from repro.workloads.stream import InstructionStream
 
@@ -14,22 +16,63 @@ LEGACY_RUN_INSTRUCTIONS = 6000
 LEGACY_RUN_WARMUP = 2000
 LEGACY_RUN_SEED = 1
 
+#: What a synchronous run renamed, read from the pool and rename-plan
+#: columns the loop took it from.
+RenamedInstr = namedtuple("RenamedInstr",
+                          "seq dest srcs dest_tag src_tags")
+
 
 class CapturedRun:
     """A finished ``engine="legacy"`` run: its core, the instructions it
-    committed, and the ones the stream emitted after them (fetched and
-    possibly renamed, not committed)."""
+    committed, and the ones renamed after them, not committed.
 
-    def __init__(self, core, committed, in_flight):
+    On the synchronous kinds ``events`` is the loop's ``(kind, seq)``
+    stream of ``rename`` and ``retire`` events, in emission order (the
+    Flywheel's is empty, and its ``in_flight`` holds every instruction
+    the walker emitted past the committed ones)."""
+
+    def __init__(self, core, committed, in_flight, events=()):
         self.core = core
         self.committed = committed
         self.in_flight = in_flight
+        self.events = events
 
 
 @lru_cache(maxsize=None)
 def _legacy_run(kind, bench, fly=None, **core_fields):
     stream = InstructionStream(generate_program(get_profile(bench),
                                                 seed=LEGACY_RUN_SEED))
+    warmup = LEGACY_RUN_WARMUP
+    if kind == "flywheel":
+        return _flywheel_run(stream, warmup, fly, core_fields)
+    # The one synchronous loop renames from its rename plan and emits a
+    # rename and a retire event per instruction, in stage order.
+    config = default_config(kind).with_variant(
+        engine="legacy", trace=TraceSpec(buffer=1 << 16,
+                                         events=("rename", "retire")),
+        **core_fields)
+    core = get_kind(kind).core_cls(config, stream, clock=ClockPlan())
+    stats = core.run(LEGACY_RUN_INSTRUCTIONS, warmup=warmup)
+    assert core.trace.dropped == 0
+    events = [(kind, seq) for _c, kind, seq, _i in core.trace.events]
+    retired = [seq for kind, seq in events if kind == "retire"]
+    assert retired == list(range(warmup, warmup + stats.committed))
+    renamed = [seq for kind, seq in events if kind == "rename"]
+    assert renamed[:len(retired)] == retired
+
+    pool = core.pool
+    plan = pool.plan(warmup, config.phys_regs)
+
+    def record(seq):
+        i = seq - warmup
+        return RenamedInstr(seq, pool.dest[seq], pool.srcs[seq],
+                            plan.dest_tag[i], plan.src_tags[i])
+
+    return CapturedRun(core, [record(s) for s in retired],
+                       [record(s) for s in renamed[len(retired):]], events)
+
+
+def _flywheel_run(stream, warmup, fly, core_fields):
     emitted = []
     live_next = stream.next_instr
 
@@ -38,20 +81,13 @@ def _legacy_run(kind, bench, fly=None, **core_fields):
         emitted.append(dyn)
         return dyn
 
-    # Installed before the core exists: the synchronous cores bind the
-    # stream's next_instr at construction.
     stream.next_instr = next_instr
-    config = default_config(kind).with_variant(engine="legacy",
-                                               **core_fields)
-    core_cls = get_kind(kind).core_cls
-    if kind == "flywheel":
-        fly = fly or FlywheelConfig(redistribution_enabled=False)
-        core = core_cls(config, fly, ClockPlan(), stream)
-    else:
-        core = core_cls(config, stream, clock=ClockPlan())
-    warmup = LEGACY_RUN_WARMUP
+    config = default_config("flywheel").with_variant(engine="legacy",
+                                                     **core_fields)
+    fly = fly or FlywheelConfig(redistribution_enabled=False)
+    core = get_kind("flywheel").core_cls(config, fly, ClockPlan(), stream)
     stats = core.run(LEGACY_RUN_INSTRUCTIONS, warmup=warmup)
-    # No wrong-path instruction enters either machine, so the committed
+    # No wrong-path instruction enters the machine, so the committed
     # instructions are exactly the first ``committed`` ones emitted after
     # the functional warmup.
     end = warmup + stats.committed
@@ -66,8 +102,10 @@ def legacy_run():
     the legacy engine (seed 1, 6000 measured after 2000 warmup) and
     returns a :class:`CapturedRun`, memoized per argument set.
 
-    The stream's ``next_instr`` is wrapped to record every instruction
-    the run emits. A Flywheel runs with redistribution off unless ``fly``
-    says otherwise; ``core_fields`` override ``CoreConfig`` fields.
+    A synchronous kind runs traced (``rename``/``retire`` events only) and
+    its records come from the pool and plan columns of the timed region;
+    a Flywheel's ``next_instr`` is wrapped to record every instruction
+    the walker emits, and it runs with redistribution off unless ``fly``
+    says otherwise. ``core_fields`` override ``CoreConfig`` fields.
     """
     return _legacy_run

@@ -12,32 +12,31 @@ from hypothesis import given, settings, strategies as st
 from repro.core.baseline import BaselineCore
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.flywheel import FlywheelCore
+from repro.obs.spec import TraceSpec
 from repro.workloads import InstructionStream, generate_program, get_profile
+
+#: The retire stages emit one event per committed instruction.
+_RETIRES = TraceSpec(buffer=1 << 16, events=("retire",))
 
 
 def _committed_seqs(core, n, warmup=0):
-    """Run a core, recording the seq of every committed instruction."""
-    seqs = []
-    orig = core.rob.retire_ready
-
-    def spy(width):
-        entries = orig(width)
-        seqs.extend(e.dyn.seq for e in entries)
-        return entries
-
-    core.rob.retire_ready = spy
-    core.run(n, warmup=warmup)
+    """Run a traced core: the seq of every committed instruction."""
+    stats = core.run(n, warmup=warmup)
+    assert core.trace.dropped == 0
+    seqs = [seq for _cycle, _kind, seq, _info in core.trace.events]
+    assert len(seqs) == stats.committed
     return seqs
 
 
 def _baseline(name, seed=None):
     prog = generate_program(get_profile(name), seed=seed)
-    return BaselineCore(CoreConfig(), InstructionStream(prog))
+    return BaselineCore(CoreConfig(trace=_RETIRES), InstructionStream(prog))
 
 
 def _flywheel(name, seed=None, clock=None):
     prog = generate_program(get_profile(name), seed=seed)
-    return FlywheelCore(CoreConfig(phys_regs=512, regread_stages=2),
+    return FlywheelCore(CoreConfig(phys_regs=512, regread_stages=2,
+                                   trace=_RETIRES),
                         FlywheelConfig(), clock or ClockPlan(),
                         InstructionStream(prog))
 

@@ -1,34 +1,43 @@
 """Tests for the shared pipeline engine and the pipelined-wakeup kind."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import CoreConfig
 from repro.core.engine import DeadlockWatchdog
 from repro.core.pipelined import PipelinedWakeupCore
-from repro.core.sim import KIND_PIPELINED_WAKEUP
+from repro.core.sim import KIND_PIPELINED_WAKEUP, default_config
 from repro.errors import CampaignError, ConfigError, SimulationError
 from repro.session import Session
 from repro.workloads import InstructionStream, generate_program, get_profile
 
 
 class TestDeadlockWatchdog:
+    # The run loops inline the per-cycle check and call ``trip``; these
+    # run the loops (the exact trip cycle is pinned in
+    # tests/test_turbo_engine.py::TestSyncSkipAheadEdges).
     def test_progress_resets_window(self):
-        wd = DeadlockWatchdog(100)
-        for cycle in range(0, 1000, 50):
-            wd.poll(cycle, committed=cycle)   # always making progress
+        # Far more cycles than the window: every commit restarts it.
+        for kind in ("baseline", "flywheel"):
+            result = Session().run_workload(
+                kind, "smoke", max_instructions=3000, warmup=500,
+                config=default_config(kind).with_variant(
+                    deadlock_window=400))
+            assert result.stats.total_be_cycles > 4 * 400
 
     def test_trips_after_window(self):
-        wd = DeadlockWatchdog(100)
-        wd.poll(0, committed=5)
-        wd.poll(100, committed=5)
-        with pytest.raises(SimulationError, match="no commit for 100"):
-            wd.poll(101, committed=5)
+        config = CoreConfig(deadlock_window=10)
+        with pytest.raises(SimulationError, match="no commit for 10 "):
+            Session().run_workload("baseline", "pointer_chase",
+                                   config=config, max_instructions=3000,
+                                   warmup=1000)
 
     def test_describe_suffix(self):
         wd = DeadlockWatchdog(10)
-        wd.poll(0, committed=0)
         with pytest.raises(SimulationError, match="custom-detail"):
-            wd.poll(11, committed=0, describe=lambda: " custom-detail")
+            wd.trip(11, 0, describe=lambda: " custom-detail")
 
     def test_rejects_bad_window(self):
         with pytest.raises(SimulationError):
@@ -131,6 +140,32 @@ class TestEngineComposition:
         assert core.rob is core.be.rob
         assert core.lsq is core.be.lsq
         assert core.fu is core.be.fu
+
+    def test_finished_core_is_freed_without_the_cycle_collector(self):
+        # No structure refers back to its core, so a finished core and
+        # its caches go as soon as its result does, not at the next
+        # cyclic collection.
+        for kind in ("baseline", "pipelined_wakeup", "flywheel"):
+            result = Session().run_workload(kind, "smoke",
+                                            max_instructions=500, warmup=200)
+            core = weakref.ref(result.core)
+            gc.disable()
+            try:
+                del result
+                assert core() is None, kind
+            finally:
+                gc.enable()
+
+    def test_second_run_is_refused(self):
+        """The loop state lives in ``run``: a second call on one core
+        fails at once instead of deadlocking on the first run's ROB."""
+        from repro.core.baseline import BaselineCore
+
+        prog = generate_program(get_profile("smoke"))
+        core = BaselineCore(CoreConfig(), InstructionStream(prog))
+        core.run(500)
+        with pytest.raises(SimulationError, match="runs once"):
+            core.run(1500)
 
     def test_backend_events_drain(self):
         """After a run stops, no wake/done event is stranded in the past."""

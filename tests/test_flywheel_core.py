@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.flywheel import FlywheelCore
 from repro.core.sim import default_config
+from repro.obs.spec import TraceSpec
 from repro.session import Session
 from repro.workloads import InstructionStream, generate_program, get_profile
 
@@ -36,16 +37,18 @@ class TestFlywheelProgress:
 
     def test_architectural_equivalence_with_baseline(self):
         """Both cores must commit the exact same instruction stream."""
-        # Legacy engine: the turbo loops never advance the live walker.
-        rb = Session().run_workload(
-            "baseline", "smoke", max_instructions=4000, warmup=0,
-            config=CoreConfig(engine="legacy"))
-        rf = Session().run_workload(
-            "flywheel", "smoke", max_instructions=4000, warmup=0,
-            config=default_config("flywheel").with_variant(engine="legacy"))
-        # Same workload seed => same dynamic stream => same final walker
-        # position modulo pipeline drain differences.
-        assert abs(rb.core.stream.emitted - rf.core.stream.emitted) < 3000
+        retired = []
+        for kind in ("baseline", "flywheel"):
+            config = default_config(kind).with_variant(
+                engine="legacy",
+                trace=TraceSpec(buffer=1 << 14, events=("retire",)))
+            result = Session().run_workload(kind, "smoke", config=config,
+                                            max_instructions=4000, warmup=0)
+            retired.append([seq for _c, _k, seq, _i
+                            in result.trace["events"]])
+        n = min(map(len, retired))
+        assert n >= 4000
+        assert retired[0][:n] == retired[1][:n] == list(range(n))
 
 
 class TestTraceMachinery:

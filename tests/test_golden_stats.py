@@ -146,10 +146,12 @@ def test_static_governor_is_timing_transparent(key):
 # Engine-backend golden equivalence (legacy vs turbo). An engine backend
 # is an implementation of the same machine, never a different machine:
 # every observable — SimStats, the cache hierarchy's counters, the full
-# metric registry snapshot — must be byte-identical across engines. For
-# the single-clock kinds the engines are two loops; the Flywheel has one
-# loop (FlywheelCore.run) on both, so its pairs compare the live
-# instruction walker (legacy) against the PooledOracle (turbo). The
+# metric registry snapshot — must be byte-identical across engines.
+# Every kind has one loop on both engines (BaselineCore.run,
+# FlywheelCore.run), so a pair compares the two oracles feeding it: a
+# private pool walked afresh (baseline kinds) or the live instruction
+# walker (the Flywheel) on legacy, against the cached pool on turbo. The
+# golden pins above stay the independent reference. The
 # engine is not part of the content address, so a memoizing Session
 # would serve one engine's result for the other: every test below
 # simulates each engine it names and asserts that it did.

@@ -221,11 +221,9 @@ class TestHierarchy:
         assert lat == h2.config.l1_latency + h2.config.l2_latency
 
     def test_mem_scale_inflates_dram(self):
-        h = MemoryHierarchy(MemoryConfig())
-        slow = h.load(0x999000, mem_scale=1.0)
-        h.flush()
-        fast = h.load(0x999000, mem_scale=1.5)
-        assert fast == slow + round(0.5 * h.config.dram_latency)
+        slow = MemoryHierarchy(MemoryConfig()).load(0x999000, mem_scale=1.0)
+        fast = MemoryHierarchy(MemoryConfig()).load(0x999000, mem_scale=1.5)
+        assert fast == slow + round(0.5 * MemoryConfig().dram_latency)
 
     def test_ifetch_separate_from_data(self):
         h = MemoryHierarchy(MemoryConfig())

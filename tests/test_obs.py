@@ -18,7 +18,7 @@ from repro.obs import (
     chrome_trace,
     render_pipeview,
 )
-from repro.obs.profiler import (PHASES, TURBO_PHASES, format_profile,
+from repro.obs.profiler import (PHASES, format_profile, install,
                                 profile_machine)
 
 #: Tiny budgets: every simulated run in this file finishes in ~100ms.
@@ -273,19 +273,24 @@ class TestRenderers:
 
 
 class TestProfiler:
-    # The stage buckets are the legacy single-clock loop's; the Flywheel
-    # runs one fused loop on both engines and reports the turbo buckets.
+    # Every kind runs one fused loop on both engines, which stamps the
+    # pool/loop buckets itself.
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_report_shape(self, kind):
-        report = profile_machine(
-            kind, "smoke", instructions=N, warmup=W,
-            config=default_config(kind).with_variant(engine="legacy"))
-        phases = TURBO_PHASES if kind == "flywheel" else PHASES
+        for engine in ("legacy", "turbo"):
+            self._check_report_shape(kind, profile_machine(
+                kind, "smoke", instructions=N, warmup=W,
+                config=default_config(kind).with_variant(engine=engine)))
+
+    @staticmethod
+    def _check_report_shape(kind, report):
         prof = report["profile"]
-        assert set(prof["phases_s"]) == set(phases)
+        assert set(prof["phases_s"]) == set(PHASES)
         assert prof["run_s"] > 0
+        assert prof["phases_s"]["loop"] > 0
+        assert prof["ticks"] > 0
         assert report["cycles"] > 0
-        for phase in phases:
+        for phase in PHASES:
             assert prof["phases_s"][phase] >= 0
         # Only the dual-clock core has a second domain's cycles; the
         # table puts the executed ticks next to the simulated cycles.
@@ -295,36 +300,49 @@ class TestProfiler:
                 "simulated cycles") in format_profile(report)
 
     def test_profiled_stats_match_plain_run(self):
-        # The wrapped step must be behaviourally identical: same cycles,
-        # same committed count, same issue totals as an unwrapped run.
-        legacy = CoreConfig(engine="legacy")
-        plain = execute_kind("baseline", "smoke", config=legacy,
+        # The loop stamps its buckets around unchanged code: a profiled
+        # run is the unprofiled machine, counter for counter.
+        for engine in ("legacy", "turbo"):
+            self._check_profiled_stats(engine)
+
+    @staticmethod
+    def _check_profiled_stats(engine):
+        from repro.core.baseline import BaselineCore
+        from repro.workloads import InstructionStream, generate_program, \
+            get_profile
+
+        config = CoreConfig(engine=engine)
+        plain = execute_kind("baseline", "smoke", config=config,
                              max_instructions=N, warmup=W)
-        report = profile_machine("baseline", "smoke", config=legacy,
+        core = BaselineCore(config, InstructionStream(
+            generate_program(get_profile("smoke"))))
+        prof = install(core)
+        stats = core.run(N, warmup=W)
+        assert prof.seconds["loop"] > 0
+        # What the runner adds after the run, from the same objects.
+        stats.cache_stats = core.hierarchy.stats_dict()
+        stats.metrics = core.metrics.snapshot()
+        stats.sim_time_ps = plain.stats.sim_time_ps
+        assert stats.to_dict() == plain.stats.to_dict()
+        report = profile_machine("baseline", "smoke", config=config,
                                  instructions=N, warmup=W)
         assert report["cycles"] == plain.stats.total_be_cycles
         assert report["instructions"] == N
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_turbo_engine_buckets(self, kind):
-        # The turbo backend has no stage ticks to wrap; its profile must
-        # report the pool/loop buckets with real (non-zero) loop time,
-        # not a legacy-shaped report of silent zeros.
-        from repro.core.sim import default_config
-        from repro.obs.profiler import TURBO_PHASES
-
+        # The profile must report the pool/loop buckets with real
+        # (non-zero) loop time, not a report of silent zeros.
         config = default_config(kind).with_variant(engine="turbo")
         report = profile_machine(kind, "smoke", config=config,
                                  instructions=N, warmup=W)
         prof = report["profile"]
-        assert set(prof["phases_s"]) == set(TURBO_PHASES)
+        assert set(prof["phases_s"]) == set(PHASES)
         assert prof["phases_s"]["loop"] > 0
         assert prof["ticks"] > 0
         assert report["cycles"] > 0
 
     def test_profile_turbo_matches_plain_turbo_run(self):
-        from repro.core.sim import default_config
-
         config = default_config("baseline").with_variant(engine="turbo")
         plain = execute_kind("baseline", "smoke", config=config,
                              max_instructions=N, warmup=W)

@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import ClockPlan, FlywheelConfig
+from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.sim import default_config, generate_program, get_kind
+from repro.campaign.spec import RunSpec
 from repro.errors import ConfigError, SimulationError
 from repro.isa.registers import NUM_ARCH_REGS, ZERO_REG
 from repro.rename.pools import PoolFile
-from repro.rename.r10k import R10KRenamer
 from repro.rename.redistribution import RedistributionController
 from repro.rename.two_phase import TwoPhaseRenamer
 from repro.workloads.profiles import get_profile
@@ -16,67 +16,90 @@ from repro.workloads.stream import InstructionStream
 
 
 class TestR10K:
-    """R10K renaming happens in ``BaselineCore._do_rename``; these check
-    what a legacy baseline run committed (the ``legacy_run`` fixture)."""
+    """R10K renaming in ``BaselineCore.run`` is the rename plan's tags
+    plus the loop's ``free_count`` stall. These check what a traced
+    baseline run renamed and committed (the ``legacy_run`` fixture)."""
 
     def test_too_small(self):
         with pytest.raises(ConfigError):
-            R10KRenamer(32)
+            CoreConfig(phys_regs=NUM_ARCH_REGS)
 
     def test_rename_allocates_fresh_tag(self, legacy_run):
-        previous = {}
+        """Sources read the current mapping; a renamed write takes a tag
+        no register maps to. True by construction of the plan (its map
+        table and FIFO free list); ``test_free_list_recycles`` checks
+        the run-time half, that the tag is free when the loop takes it."""
+        reg_map = list(range(NUM_ARCH_REGS))
+        renamed = 0
         for dyn in legacy_run("baseline", "gcc").committed:
+            assert dyn.src_tags == tuple(reg_map[s] for s in dyn.srcs)
             if dyn.dest is None or dyn.dest == ZERO_REG:
                 continue
-            assert dyn.dest_tag != dyn.old_dest_tag
-            if dyn.dest in previous:
-                # The displaced mapping is the previous write's tag.
-                assert dyn.old_dest_tag == previous[dyn.dest]
-            previous[dyn.dest] = dyn.dest_tag
-        assert previous
+            assert dyn.dest_tag not in reg_map
+            reg_map[dyn.dest] = dyn.dest_tag
+            renamed += 1
+        assert renamed
 
     def test_zero_reg_not_renamed(self, legacy_run):
         unrenamed = [d for d in legacy_run("baseline", "gcc").committed
                      if d.dest is None or d.dest == ZERO_REG]
         assert unrenamed
-        assert all(d.dest_tag == -1 and d.old_dest_tag == -1
-                   for d in unrenamed)
+        assert all(d.dest_tag == -1 for d in unrenamed)
 
     @staticmethod
-    def _assert_tags_conserved(cap):
-        """Free list + map table + the previous mappings still held by
-        renamed, uncommitted instructions are every physical tag exactly
-        once: the retire hook frees each displaced tag once, leaks none,
-        and never frees the zero register's tag 0."""
-        renamer = cap.core.renamer
-        held = [d.old_dest_tag for d in cap.in_flight if d.old_dest_tag > 0]
-        assert held   # the run ends with renamed writes in flight
-        tags = list(renamer._free) + list(renamer._map) + held
-        assert sorted(tags) == list(range(renamer.phys_regs))
+    def _replay_tags(cap):
+        """Replay the loop's rename/retire events: every tag the loop
+        takes is free at that moment, so every physical tag is held at
+        most once, by the retirement map or a renamed write in flight.
+        Returns the most renamed writes ever in flight at once and the
+        tags still in flight at the end."""
+        records = {d.seq: d for d in cap.committed + cap.in_flight}
+        retired = list(range(NUM_ARCH_REGS))    # the retirement map
+        live = set()
+        peak = 0
+        for kind, seq in cap.events:
+            dyn = records[seq]
+            if dyn.dest_tag < 0:
+                continue
+            if kind == "rename":
+                assert dyn.dest_tag not in live
+                assert dyn.dest_tag not in retired
+                live.add(dyn.dest_tag)
+                peak = max(peak, len(live))
+            else:
+                live.remove(dyn.dest_tag)
+                retired[dyn.dest] = dyn.dest_tag
+        assert len(live) + NUM_ARCH_REGS <= cap.core.config.phys_regs
+        return peak, live
 
     def test_free_list_recycles(self, legacy_run):
         for kind in ("baseline", "pipelined_wakeup"):
-            self._assert_tags_conserved(legacy_run(kind, "gcc"))
+            _peak, live = self._replay_tags(legacy_run(kind, "gcc"))
+            assert live   # the run ends with renamed writes in flight
 
     def test_exhaustion(self, legacy_run):
         """Eight rename registers: rename stalls on the empty free list
-        (instead of failing) and the tags are still conserved."""
+        (instead of failing), holds exactly eight writes in flight at
+        its peak, and every tag it takes is still free."""
         cap = legacy_run("baseline", "gcc", phys_regs=NUM_ARCH_REGS + 8)
         roomy = legacy_run("baseline", "gcc")
         assert cap.core.stats.committed == roomy.core.stats.committed
         assert (cap.core.stats.total_be_cycles
                 > roomy.core.stats.total_be_cycles)
-        self._assert_tags_conserved(cap)
+        peak, _live = self._replay_tags(cap)
+        assert peak == 8
 
 
 def test_r10k_no_tag_aliasing(legacy_run):
     """Renamed, uncommitted destinations hold distinct tags, none of them
-    on the free list."""
+    mapped by the retirement map (checked at every rename by
+    ``TestR10K._replay_tags``; here, the end state)."""
     cap = legacy_run("baseline", "vortex")
-    live = [d.dest_tag for d in cap.in_flight if d.dest_tag >= 0]
-    assert live
-    assert len(set(live)) == len(live)
-    assert not set(live) & set(cap.core.renamer._free)
+    _peak, live = TestR10K._replay_tags(cap)
+    in_flight = [d.dest_tag for d in cap.in_flight if d.dest_tag >= 0]
+    assert in_flight
+    assert len(set(in_flight)) == len(in_flight)
+    assert set(in_flight) == live
 
 
 class TestPoolFile:
@@ -88,13 +111,27 @@ class TestPoolFile:
         """Pools of two: one in-flight write per register. Rename and
         replay allocation stall (and count it) instead of overflowing."""
         fly = FlywheelConfig(pool_regs=128, default_pool_size=2,
-                             min_pool_size=1, redistribution_enabled=False)
+                             min_pool_size=2, redistribution_enabled=False)
         cap = legacy_run("flywheel", "gcc", fly=fly)
         assert cap.core.stats.committed == len(cap.committed)
         assert cap.core.stats.rename_pool_stalls > 0
         pools = cap.core.pools
         assert all(0 <= n <= size - 1
                    for n, size in zip(pools.inflight, pools.sizes))
+
+    @pytest.mark.parametrize("size", (0, 1))
+    def test_pool_below_two_rejected(self, size):
+        """A one-entry pool admits no in-flight write, so redistribution
+        must never trim a pool that far: a config allowing it fails
+        before any run (also when a JSON spec carries it), and so does
+        the pool file."""
+        with pytest.raises(ConfigError, match="min_pool_size"):
+            FlywheelConfig(min_pool_size=size)
+        with pytest.raises(ConfigError, match="min_pool_size"):
+            PoolFile(512, 8, min_pool_size=size)
+        with pytest.raises(ConfigError, match="min_pool_size"):
+            RunSpec.from_dict({"kind": "flywheel", "bench": "gcc",
+                               "fly": {"min_pool_size": size}})
 
     def test_underflow_guard(self):
         """The retire stage refuses to release a write never allocated."""

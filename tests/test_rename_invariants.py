@@ -1,11 +1,12 @@
 """Renaming properties checked on the loops that do the renaming.
 
 The per-instruction renaming of every core is written once, inline in
-its run loop: ``BaselineCore._do_rename`` for the synchronous kinds on
-the legacy engine, and the ``# ---- rename phase 1``, ``# ---- Register
-Update``, ``# ---- replay allocation`` and ``# ---- retire`` stages of
-``FlywheelCore.run``. So these properties are checked on what a real
-``engine="legacy"`` run committed (the ``legacy_run`` fixture):
+its run loop: ``BaselineCore.run`` for the synchronous kinds (the tags
+of its ``RenamePlan``, taken when its ``free_count`` allows), and the
+``# ---- rename phase 1``, ``# ---- Register Update``, ``# ---- replay
+allocation`` and ``# ---- retire`` stages of ``FlywheelCore.run``. So
+these properties are checked on what a real ``engine="legacy"`` run
+committed (the ``legacy_run`` fixture):
 
 * P1: every source operand reads the ``dest_tag`` of its latest
   committed producer;
@@ -16,7 +17,11 @@ Update``, ``# ---- replay allocation`` and ``# ---- retire`` stages of
   to its register in the trace, a destination the number including
   itself).
 
-P1 holds on the synchronous kinds, which shows the harness sound. On the
+P1 holds on the synchronous kinds, which shows the harness sound. There
+it is true by construction of the plan, which replays the map table in
+program order; the run-time half, that the loop takes each tag only
+while it is free, is ``test_rename.py::TestR10K`` (every rename of a
+traced run, and the ``free_count`` stall under ``phys_regs=72``). On the
 Flywheel all three fail today: the FRT/SRT checkpoints restart the LIDs
 (``TwoPhaseRenamer.checkpoint_from_frt/_srt`` call ``reset_lids``) at the
 Register Update of a trace's first instruction, after the front end has

@@ -1,16 +1,17 @@
 """Unit tests for the reorder buffer and load/store queue."""
 
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
 from repro.core.config import CoreConfig
-from repro.core.sim import execute_kind
+from repro.core.sim import default_config, execute_kind
 from repro.errors import SimulationError
 from repro.execute.lsq import LoadStoreQueue
 from repro.isa import DynInstr, OpClass
+from repro.obs.spec import TraceSpec
 from repro.rob import reorder_buffer
-from repro.rob.reorder_buffer import ReorderBuffer, RobEntry
+from repro.rob.reorder_buffer import RobEntry
 
 
 def _entry(seq, mem=False):
@@ -20,26 +21,31 @@ def _entry(seq, mem=False):
     return RobEntry(dyn)
 
 
+def _retires(kind, **core_fields):
+    """(cycle, seq) of every retire event of a traced run."""
+    config = default_config(kind).with_variant(
+        trace=TraceSpec(buffer=1 << 15, events=("retire",)), **core_fields)
+    result = execute_kind(kind, "gcc", config=config, max_instructions=3000,
+                          warmup=1000)
+    assert result.trace["dropped"] == 0
+    return [(cycle, seq) for cycle, _k, seq, _i in result.trace["events"]]
+
+
 class TestRob:
-    # The run loops append to ``_queue`` themselves (after their own
-    # capacity check); ``retire_ready`` is the legacy retire stage's pop.
+    # The run loops append to ``_queue`` and retire from its head
+    # themselves, after their own capacity and done checks.
     def test_in_order_retirement(self):
-        rob = ReorderBuffer(8)
-        a, b = _entry(0), _entry(1)
-        rob._queue.extend((a, b))
-        b.done = True
-        assert rob.retire_ready(4) == []    # head not done
-        a.done = True
-        assert rob.retire_ready(4) == [a, b]
+        for kind in ("baseline", "flywheel"):
+            seqs = [seq for _cycle, seq in _retires(kind)]
+            assert seqs == list(range(1000, 1000 + len(seqs))), kind
 
     def test_width_limit(self):
-        rob = ReorderBuffer(8)
-        entries = [_entry(i) for i in range(6)]
-        for e in entries:
-            rob._queue.append(e)
-            e.done = True
-        assert len(rob.retire_ready(4)) == 4
-        assert len(rob.retire_ready(4)) == 2
+        # A narrower commit stage: at most two retire a cycle, and the
+        # loops reach that width.
+        for kind in ("baseline", "flywheel"):
+            per_cycle = Counter(cycle for cycle, _seq in
+                                _retires(kind, commit_width=2))
+            assert max(per_cycle.values()) == 2, kind
 
     def test_overflow(self, monkeypatch):
         # Every loop fills a small ROB to capacity and never past it.
@@ -81,8 +87,3 @@ class TestLsq:
         with pytest.raises(SimulationError):
             lsq.release()
 
-    def test_flush(self):
-        lsq = LoadStoreQueue(4)
-        lsq.insert()
-        lsq.flush()
-        assert len(lsq) == 0

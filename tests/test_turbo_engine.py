@@ -1,18 +1,19 @@
 """Turbo-backend edge cases: skip-ahead vs. every observer.
 
 Three skips bulk-advance the clocks across provably-idle spans: the
-single-clock turbo loop's idle skip-ahead, and the Flywheel's replay and
+synchronous loop's idle skip-ahead, and the Flywheel's replay and
 creation-mode skip-aheads. Three observers make a naive jump wrong. For
-the first two skips each observer gets a pin here against the legacy
-engine, once per loop. The Flywheel runs its one loop
-(``FlywheelCore.run``) on both engines, so its pins compare the live
-instruction walker against the ``PooledOracle`` feeding that loop:
+the first two skips each observer gets a pin here, once per loop. Every
+kind runs one loop on both engines. The synchronous pins are values
+recorded when a second synchronous loop still existed and both agreed;
+the Flywheel's compare the live instruction walker against the
+``PooledOracle`` feeding its loop:
 
-* the DVFS governor's interval hook must fire on the same cycles on
-  both engines (these two skips fire it late, after the jump; a hook
-  shifted on one engine shifts every later freq-trace point);
+* the DVFS governor's interval hook must fire on the same cycles
+  (these two skips fire it late, after the jump; a shifted hook shifts
+  every later freq-trace point);
 * a flight-recorder window whose ``start`` falls inside a jumped span
-  must open at the same event as under the legacy engine;
+  must open at the same event;
 * the deadlock watchdog must trip at the same cycle with the same
   snapshot even when the no-commit window elapses inside a batch.
 
@@ -40,7 +41,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
+from repro.core.config import (ClockPlan, CoreConfig, FlywheelConfig,
+                               stable_hash)
 from repro.core.engine.turbo.pool import _POOL_CACHE, StreamPool, get_pool
 from repro.core.flywheel import FlywheelCore
 from repro.core.sim import execute_kind
@@ -115,47 +117,91 @@ class TestSkipAheadEdges:
         assert trips[0] == trips[1]
 
 
+#: Recorded on the tree that still had a second synchronous loop, where
+#: both engines produced them: both engines now run ``BaselineCore.run``,
+#: so comparing them would compare the loop with itself. Keyed by case:
+#: (freq-trace points, first retune, retunes, stable_hash(freq_trace),
+#: stable_hash(stats.to_dict())) / (events emitted, stable_hash(trace
+#: ring), stable_hash(stats.to_dict())) / the trip message and snapshot.
+_SYNC_DVFS_PINS = {
+    "occupancy": (28, [871, 855.0], 27, "42371b743df15bd3",
+                  "3e1ac55167f8737f"),
+    "ipc_ladder": (45, [200, 855.0], 44, "4edbfa5d9223933d",
+                   "361af4493d8acbee"),
+}
+_SYNC_TRACE_PINS = {
+    2500: (6389, "e8a0c7d0f55909e2", "c7f924a090a6ef44"),
+    5001: (6588, "a91e11d9a2fb4ac7", "381e4a9c0cddfebe"),
+    9000: (10356, "a352fac57ad1685b", "13bf562a22af390f"),
+}
+
+
+def _sync_trip_pin(window, fetch_blocked, rob, lsq, iw):
+    cycle = window + 2
+    return (f"no commit for {window} cycles at cycle {cycle} (committed=0)",
+            {"core": "BaselineCore", "cycle": cycle, "committed": 0,
+             "rob": {"occupancy": rob, "capacity": 160},
+             "lsq": {"occupancy": lsq, "capacity": 64},
+             "iw": {"occupancy": iw, "capacity": 128},
+             "fetch_blocked": fetch_blocked, "next_event_cycle": cycle,
+             "oldest": {"seq": 3000, "pc": 4560, "op": "LOAD",
+                        "done": False, "is_mem": True},
+             "mshr": None})
+
+
+_SYNC_TRIP_PINS = {10: _sync_trip_pin(10, True, 26, 19, 19),
+                   24: _sync_trip_pin(24, False, 54, 38, 37)}
+
+
 class TestSyncSkipAheadEdges:
-    """The same three observers against the single-clock turbo loop."""
+    """The same three observers against the synchronous loop's idle
+    skip-ahead, on both oracles, pinned to recorded values."""
 
     @pytest.mark.parametrize("gov", ("occupancy", "ipc_ladder"))
     def test_jump_never_crosses_a_dvfs_interval(self, gov):
         # interval=200 is far shorter than the idle spans the loop
-        # elides, so many jumps pass a boundary. Turbo must fire the
-        # hook on the same late cycle as legacy: on baseline/gcc the
-        # first retune lands at BE cycle 871, where a tick-by-tick run
-        # retunes at 800.
+        # elides, so many jumps pass a boundary; the hook fires on the
+        # first simulated cycle after the jump: on baseline/gcc the first
+        # occupancy retune lands at BE cycle 871, where a tick-by-tick
+        # run retunes at 800.
         clock = ClockPlan(governor=GovernorConfig(name=gov, interval=200))
-        legacy, turbo = _pair("baseline", "gcc", clock=clock)
-        assert legacy.stats.freq_trace == turbo.stats.freq_trace
-        assert legacy.stats.dvfs_retunes == turbo.stats.dvfs_retunes
-        assert legacy.stats.to_dict() == turbo.stats.to_dict()
+        points, first, retunes, trace_hash, stats_hash = _SYNC_DVFS_PINS[gov]
+        for result in _pair("baseline", "gcc", clock=clock):
+            freq_trace = result.stats.freq_trace
+            assert len(freq_trace) == points
+            assert list(freq_trace[1]) == first
+            assert result.stats.dvfs_retunes == retunes
+            assert stable_hash(freq_trace) == trace_hash
+            assert stable_hash(result.stats.to_dict()) == stats_hash
 
     @pytest.mark.parametrize("start", (2500, 5001, 9000))
     def test_trace_window_opening_mid_jump(self, start):
         # With the recorder armed every stall and completion emission
-        # must land on the same cycle as on legacy: the serialized ring
-        # must be byte-identical, including drop counts. Both engines
-        # emit no stall events inside a skipped span, so the ring is not
-        # what a tick-by-tick run records.
+        # lands on its recorded cycle: the serialized ring is pinned,
+        # including drop counts. No stall event is emitted inside a
+        # skipped span, so the ring is not what a tick-by-tick run
+        # records.
         spec = TraceSpec(buffer=1 << 16, start=start, stop=start + 1500)
-        legacy, turbo = _pair("baseline", "gcc", trace=spec)
-        assert legacy.trace == turbo.trace
-        assert legacy.stats.to_dict() == turbo.stats.to_dict()
+        emitted, ring_hash, stats_hash = _SYNC_TRACE_PINS[start]
+        for result in _pair("baseline", "gcc", trace=spec):
+            assert result.trace["emitted"] == emitted
+            assert result.trace["dropped"] == 0
+            assert stable_hash(result.trace) == ring_hash
+            assert stable_hash(result.stats.to_dict()) == stats_hash
 
     @pytest.mark.parametrize("window", (10, 24))
     def test_watchdog_trips_on_the_same_cycle(self, window):
         # pointer_chase stalls the back end long enough to elapse tiny
         # windows mid-run. The trip snapshot reads per-entry done flags,
         # so they must match the exact per-cycle truth at the trip point.
-        trips = []
+        message, snapshot = _SYNC_TRIP_PINS[window]
         for engine in ("legacy", "turbo"):
             config = CoreConfig(engine=engine, deadlock_window=window)
             with pytest.raises(DeadlockError) as err:
                 execute_kind("baseline", "pointer_chase", config=config,
                              max_instructions=8000, warmup=3000)
-            trips.append((str(err.value), err.value.snapshot))
-        assert trips[0] == trips[1]
+            assert str(err.value) == message
+            assert err.value.snapshot == snapshot
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +405,7 @@ class TestEngineSelection:
         assert config.engine is None
         assert config.resolved_engine == "turbo"
         assert CoreConfig(engine="legacy").resolved_engine == "legacy"
-        # The turbo loop leaves the legacy walker untouched.
+        # The loop reads the pool, which walks its own copy of the stream.
         result = execute_kind("baseline", "smoke", max_instructions=500,
                               warmup=0)
         assert result.core.stream.emitted == 0
