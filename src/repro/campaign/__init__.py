@@ -11,9 +11,8 @@ Pieces:
   ``jobs`` worker processes, per-job timeout and progress reporting;
   the first failed job raises.
 * :class:`ResultStore` (``store.py``) — sharded on-disk JSON memo table
-  keyed by cache key with an advisory SQLite selector index
-  (``index.py``), so repeated and overlapping campaigns are
-  near-instant and filtered listings never scan every shard.
+  keyed by cache key, so repeated and overlapping campaigns are
+  near-instant; listings scan the shards newest first.
 * :class:`CampaignRun` (``journal.py``) + :class:`CampaignScheduler`
   (``scheduler.py``) — the resumable serving-stack executor: an
   append-only per-campaign journal, per-job timeout, bounded retry with

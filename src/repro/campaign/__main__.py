@@ -30,7 +30,8 @@ import time
 
 from repro.campaign.executor import print_progress
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import ResultStore, default_store_root
+from repro.campaign.store import (ResultStore, default_store_root,
+                                  mem_label)
 from repro.core.stats import SimStats
 from repro.errors import ReproError
 
@@ -45,19 +46,6 @@ def _spec_variant(spec_payload) -> str:
     except Exception:
         return ""
     return ";".join(f"{k}={v}" for k, v in variant.items())
-
-
-def _spec_mem_label(spec_payload) -> str:
-    """Compact MemorySpec tag of a stored spec, or '' (default memory)."""
-    from repro.mem.spec import MemorySpec
-
-    mem = (spec_payload.get("config") or {}).get("mem")
-    if not mem:
-        return ""
-    try:
-        return MemorySpec.from_dict(mem).label
-    except Exception:
-        return "?"
 
 
 def _cache_rate(stats_payload, level: str):
@@ -153,7 +141,7 @@ def _ls_summary(record) -> dict:
         "fe_speedup": clock.get("fe_speedup"),
         "be_speedup": clock.get("be_speedup"),
         "governor": governor.get("name"),
-        "mem": _spec_mem_label(spec),
+        "mem": mem_label(spec),
         "variant": _spec_variant(spec),
         "committed": stats.committed,
         "cycles": stats.total_be_cycles,
@@ -195,9 +183,7 @@ def _cmd_ls(args) -> int:
     shown = 0
     summaries = []
     # One parse path for both output modes: damaged records stay visible
-    # (and the counts honest) in JSON too. With --kind/--bench the
-    # selector index picks the matching shards: only those records are
-    # read, however large the store is.
+    # (and the counts honest) in JSON too.
     for record in store.records(kind=args.kind, bench=args.bench,
                                 limit=args.limit):
         try:
@@ -267,8 +253,8 @@ def _cmd_resume(args) -> int:
 def _cmd_migrate(args) -> int:
     store = _store(args)
     moved = store.migrate()
-    print(f"migrated {moved} record(s) to the sharded layout; "
-          f"index rebuilt ({len(store)} record(s) in {store.root})")
+    print(f"migrated {moved} record(s) to the sharded layout "
+          f"({len(store)} record(s) in {store.root})")
     return 0
 
 
@@ -323,7 +309,7 @@ def _cmd_export(args) -> int:
                        or (spec.get("config") or {}).get("engine",
                                                          "legacy")]
                 row += [spec.get(c, "") for c in _EXPORT_SPEC]
-                row += [_spec_variant(spec), _spec_mem_label(spec)]
+                row += [_spec_variant(spec), mem_label(spec)]
                 row += [spec.get("clock", {}).get(c, "")
                         for c in _EXPORT_CLOCK]
                 row += [stats.get(c, "") for c in _EXPORT_STATS]
@@ -409,11 +395,9 @@ def main(argv=None) -> int:
     p_ls.add_argument("--limit", type=int, default=40,
                       help="max records to print (0 = all)")
     p_ls.add_argument("--kind", default=None,
-                      help="only records of this simulator kind "
-                           "(answered from the selector index)")
+                      help="only records of this simulator kind")
     p_ls.add_argument("--bench", default=None,
-                      help="only records of this benchmark "
-                           "(answered from the selector index)")
+                      help="only records of this benchmark")
     p_ls.add_argument("--json", action="store_true",
                       help="emit a JSON array of record summaries "
                            "instead of the human-readable listing")
@@ -461,7 +445,7 @@ def main(argv=None) -> int:
 
     p_migrate = sub.add_parser(
         "migrate", help="relocate flat-layout records into the sharded "
-                        "layout and rebuild the index")
+                        "layout")
     _add_store_flag(p_migrate)
 
     p_clean = sub.add_parser("clean", help="delete stored results")

@@ -137,16 +137,12 @@ def run_campaign(specs: Iterable[RunSpec],
 
     # A timeout can only be enforced from outside the job, so any
     # timeout_s takes the worker path even for a single serial miss.
-    try:
-        if (jobs > 1 and len(misses) > 1) or timeout_s is not None:
-            run_workers([Job(spec) for spec in misses], jobs, timeout_s,
-                        on_done=finish, on_failed=_raise_failure)
-        else:
-            for spec in misses:
-                finish(Job(spec), *_execute(spec))
-    finally:
-        if store is not None:
-            store.index.flush()
+    if (jobs > 1 and len(misses) > 1) or timeout_s is not None:
+        run_workers([Job(spec) for spec in misses], jobs, timeout_s,
+                    on_done=finish, on_failed=_raise_failure)
+    else:
+        for spec in misses:
+            finish(Job(spec), *_execute(spec))
 
     report.elapsed_s = time.monotonic() - t0
     return report

@@ -237,14 +237,11 @@ class CampaignScheduler:
         # A scheduler fault (crash injection, ^C) propagates after the
         # loop has reaped its workers: their journal entries stay
         # "running" and fold back to pending on the next load.
-        try:
-            run_workers([Job(self._spec_of(job), job, job.attempts + 1)
-                         for job in misses],
-                        self.jobs, self.timeout_s, on_done=finished,
-                        on_failed=failed, hook=self.worker_hook,
-                        on_dispatch=dispatch)
-        finally:
-            self.store.index.flush()
+        run_workers([Job(self._spec_of(job), job, job.attempts + 1)
+                     for job in misses],
+                    self.jobs, self.timeout_s, on_done=finished,
+                    on_failed=failed, hook=self.worker_hook,
+                    on_dispatch=dispatch)
         return done
 
 

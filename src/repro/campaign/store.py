@@ -9,13 +9,11 @@ exact (config, workload, budgets, code) tuple or it does not.
 Layout under the store root::
 
     <root>/objects/<key[:2]>/<key[2:4]>/<key>.json    # sharded records
-    <root>/index.sqlite                               # advisory index
     <root>/campaigns/<id>.jsonl                       # CampaignRun journals
 
-The two-level fan-out keeps directories small as the store grows into
-the millions of records. Reads, listings and ``clean`` see only this
-layout. Stores written before the fan-out (one level,
-``objects/ab/<key>.json``) are moved into it by one
+The two-level fan-out keeps each directory small. Reads, listings and
+``clean`` see only this layout. Stores written before the fan-out (one
+level, ``objects/ab/<key>.json``) are moved into it by one
 :meth:`ResultStore.migrate` (``campaign migrate``), the only code that
 knows the old layout.
 
@@ -23,13 +21,15 @@ Each record carries the spec payload (for ``ls``/``export``), the
 serialized result, the code fingerprint and a creation timestamp. Writes
 are atomic (temp file + ``os.replace``) so concurrent campaigns sharing a
 store never observe torn records; corrupt or unreadable records are
-treated as misses and re-simulated. An optional SQLite index
-(:mod:`repro.campaign.index`) caches the selector columns so filtered
-listings do not read every shard; it is advisory — rebuilt lazily and
-incrementally, and any failure degrades to the full-scan path. A write
-only queues its index row: a campaign writes the queue in one
-transaction when it ends (``store.index.flush()``), and every indexed
-read flushes it first.
+treated as misses and re-simulated.
+
+Listings (:meth:`ResultStore.query`, :meth:`ResultStore.records`) scan
+the shards: they stat every record file, order the files newest first
+(ties by key), and read them lazily in that order, filtering on the
+selector columns of :func:`record_row`. The all-experiments campaign
+writes 330 records, which a filtered listing scans in tens of
+milliseconds. The selector-index file that older versions kept at the
+store root is ignored.
 
 The default root is ``~/.cache/repro-campaign``, overridable with the
 ``REPRO_CAMPAIGN_DIR`` environment variable or the CLI ``--store`` flag.
@@ -41,12 +41,13 @@ import json
 import os
 import tempfile
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.campaign.index import StoreIndex
 from repro.campaign.spec import RunSpec, code_fingerprint
 from repro.core.sim import SimResult
+from repro.errors import CampaignError
 
 #: Bumped when the record layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -55,8 +56,49 @@ _ENV_VAR = "REPRO_CAMPAIGN_DIR"
 _DEFAULT_ROOT = "~/.cache/repro-campaign"
 
 
+#: The selector columns of :func:`record_row`, which
+#: :meth:`ResultStore.query` filters on and returns.
+QUERY_COLUMNS = ("key", "kind", "bench", "code", "engine", "gov", "mem",
+                 "elapsed_s", "created")
+
+
 def default_store_root() -> Path:
     return Path(os.environ.get(_ENV_VAR, _DEFAULT_ROOT)).expanduser()
+
+
+def mem_label(spec: Dict[str, object]) -> str:
+    """Compact MemorySpec tag of a stored spec payload ('' = default)."""
+    mem = (spec.get("config") or {}).get("mem")
+    if not mem:
+        return ""
+    try:
+        from repro.mem.spec import MemorySpec
+
+        return MemorySpec.from_dict(mem).label
+    except Exception:
+        return "?"
+
+
+def record_row(record: Dict[str, object]) -> Dict[str, object]:
+    """The selector columns of one record (damage-tolerant)."""
+    spec = record.get("spec") or {}
+    if not isinstance(spec, dict):
+        spec = {}
+    clock = spec.get("clock") or {}
+    governor = (clock.get("governor") or {}) if isinstance(clock, dict) \
+        else {}
+    return {
+        "key": record.get("key", ""),
+        "kind": spec.get("kind", ""),
+        "bench": spec.get("bench", ""),
+        "code": record.get("code", ""),
+        "engine": record.get("engine")
+                  or (spec.get("config") or {}).get("engine", "legacy"),
+        "gov": governor.get("name") or "",
+        "mem": mem_label(spec),
+        "elapsed_s": record.get("elapsed_s"),
+        "created": record.get("created", 0.0),
+    }
 
 
 class ResultStore:
@@ -72,7 +114,6 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.puts = 0
-        self.index = StoreIndex(self.root)
 
     # ------------------------------------------------------------ lookup
 
@@ -105,7 +146,7 @@ class ResultStore:
         The single chokepoint for record reads: a file deleted between
         listing and read (``clean`` in another process) is simply a
         miss here, never an exception, and tests count calls to this
-        method to prove indexed queries do not scan the whole store.
+        method to prove a limited listing reads only its page.
         """
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
@@ -134,15 +175,10 @@ class ResultStore:
 
         Concurrent writers are safe: the temp file + ``os.replace``
         makes the record visible atomically (last writer wins for the
-        same key), and the queued index upsert is a row-level
-        last-writer-wins too.
+        same key).
         """
         path = self._path(key)
-        try:
-            dir_before: Optional[int] = path.parent.stat().st_mtime_ns
-        except OSError:
-            dir_before = None
-            path.parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         record = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -167,35 +203,24 @@ class ResultStore:
                 pass
             raise
         self.puts += 1
-        self.index.note_put(key, path, record, dir_before)
 
-    # -------------------------------------------------------- management
-
-    def refresh_index(self, force: bool = False) -> bool:
-        """Bring the SQLite index up to date; True if it is usable."""
-        return self.index.refresh(self._read_path, force=force)
+    # ----------------------------------------------------------- listing
 
     def query(self, limit: int = 0,
               **filters) -> List[Dict[str, object]]:
-        """Selector rows (key/kind/bench/code/engine/gov/mem/elapsed_s/
-        created) newest-first from the index — **no record reads**.
+        """Selector rows (:data:`QUERY_COLUMNS`) of the readable records
+        matching the equality ``filters``, newest first.
 
-        Falls back to a full scan when the index is unusable, so the
-        answer is always correct, just not always cheap.
+        A filter set to None is ignored; an unknown filter name raises
+        :class:`~repro.errors.CampaignError`.
         """
-        if self.refresh_index():
-            try:
-                return self.index.query(filters, limit=limit)
-            except Exception:
-                self.index.disabled = True
-        from repro.campaign.index import record_row
-
-        rows = []
-        for record in self._scan_records(filters):
-            rows.append(record_row(record))
-            if limit and len(rows) >= limit:
-                break
-        return rows
+        unknown = sorted(set(filters) - set(QUERY_COLUMNS))
+        if unknown:
+            raise CampaignError(
+                f"unknown store filter(s) {', '.join(unknown)}; "
+                f"expected one of {', '.join(QUERY_COLUMNS)}")
+        return [record_row(record) for record in
+                islice(self._scan_records(filters), limit or None)]
 
     def records(self,
                 kind: Optional[str] = None,
@@ -204,68 +229,43 @@ class ResultStore:
         """Lazily yield readable records (newest first), optionally
         filtered by spec ``kind``/``bench``.
 
-        With a usable index only matching records are opened; records
-        deleted between the index lookup and the read are skipped (and
-        dropped from the index). Without the index this degrades to the
-        full shard scan with in-Python filtering.
+        A record is read only when the iteration reaches it, so a
+        ``limit`` stops the reads there; a record deleted between the
+        listing and its read is skipped.
         """
-        filters = {"kind": kind, "bench": bench}
-        if self.refresh_index():
-            try:
-                rows = self.index.query(filters)
-            except Exception:
-                self.index.disabled = True
-            else:
-                yielded = 0
-                vanished: List[str] = []
-                for row in rows:
-                    record = self._read(row["key"])
-                    if record is None:        # deleted/torn since indexed
-                        vanished.append(row["key"])
-                        continue
-                    yield record
-                    yielded += 1
-                    if limit and yielded >= limit:
-                        break
-                self.index.note_removed(vanished)
-                return
-        yielded = 0
-        for record in self._scan_records(filters):
-            yield record
-            yielded += 1
-            if limit and yielded >= limit:
-                break
+        yield from islice(self._scan_records({"kind": kind, "bench": bench}),
+                          limit or None)
 
     def _record_paths(self) -> List[Path]:
-        """Every record path, newest first (stat only)."""
+        """Every record path, newest first and ties by key (stat only)."""
         objects = self.root / "objects"
         if not objects.is_dir():
             return []
-        def mtime(path: Path) -> float:
+        def order(path: Path):
             try:
-                return path.stat().st_mtime
+                mtime = path.stat().st_mtime_ns
             except OSError:       # concurrently clean()ed — sort it last,
-                return 0.0        # _read_path then skips the vanished file
+                mtime = 0         # _read_path then skips the vanished file
+            return -mtime, path.stem
         paths = list(objects.glob("*/*/*.json"))
-        paths.sort(key=mtime, reverse=True)
+        paths.sort(key=order)
         return paths
 
     def _scan_records(self, filters: Dict[str, object]) \
             -> Iterator[Dict[str, object]]:
-        """Index-free fallback: read every shard, filter in Python."""
-        from repro.campaign.index import record_row
-
-        wanted = {k: v for k, v in (filters or {}).items()
-                  if v is not None}
+        """Read the records in listing order, filtering in Python."""
+        wanted = {k: v for k, v in filters.items() if v is not None}
         for path in self._record_paths():
             record = self._read_path(path)
             if record is None:
                 continue
             if wanted:
                 row = record_row(record)
-                if any(row.get(k) != v for k, v in wanted.items()):
+                if any(row[k] != v for k, v in wanted.items()):
                     continue
             yield record
+
+    # -------------------------------------------------------- management
 
     def __len__(self) -> int:
         objects = self.root / "objects"
@@ -280,8 +280,7 @@ class ResultStore:
         Safe to re-run (no-op on an already-migrated store) and safe
         under concurrent readers: every move is an ``os.replace`` into
         the path ``get()`` reads, so a record is a miss until the moment
-        it lands there and a hit after. Finishes by force-refreshing the
-        index so it lists the moved records.
+        it lands there and a hit after.
         """
         objects = self.root / "objects"
         moved = 0
@@ -297,15 +296,12 @@ class ResultStore:
                     moved += 1
                 except OSError:
                     continue      # racing migrator/cleaner took it first
-        self.refresh_index(force=True)
         return moved
 
     def clean(self, stale_only: bool = False) -> int:
         """Delete records; with ``stale_only`` keep current-code ones.
 
-        Returns the number of records removed. The index is dropped
-        wholesale (a full clean) or force-refreshed (stale clean) —
-        never left pointing at deleted shards.
+        Returns the number of records removed.
         """
         removed = 0
         objects = self.root / "objects"
@@ -328,8 +324,4 @@ class ResultStore:
                 removed += 1
             except OSError:
                 pass
-        if stale_only:
-            self.refresh_index(force=True)
-        else:
-            self.index.drop()
         return removed

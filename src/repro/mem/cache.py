@@ -174,7 +174,3 @@ class Cache:
         tag = line >> self._tag_shift
         cset = self._sets.get(set_idx)     # never allocates a set
         return cset is not None and tag in cset
-
-    def flush(self) -> None:
-        """Invalidate all contents (stats are preserved)."""
-        self._sets.clear()

@@ -16,7 +16,7 @@ Endpoints (JSON unless noted):
 ``GET  /campaigns/<id>``    one campaign's journal status
 ``GET  /campaigns/<id>/events``  ``text/event-stream`` of the campaign's
                             plan/result/quarantine/summary events
-``GET  /results``           indexed store query; ``?kind=&bench=&gov=``
+``GET  /results``           store query; ``?kind=&bench=&gov=``
                             ``&engine=&code=&limit=`` all optional
 ==========================  =============================================
 

@@ -11,7 +11,7 @@ methods.
 
 A reference counts only when its receiver can be an instance of that
 class, so a same-named method elsewhere (a file handle's ``flush()``,
-``Cache.flush``, ``StoreIndex.flush``, ``dict.clear()``) hides nothing.
+``dict.clear()``) hides nothing.
 The receiver is typed by its last name (``self.rob`` and ``rob`` both by
 ``rob``): ``self`` inside the class itself, or a name that ``src/``
 binds to a component, by construction (``self.rob = ReorderBuffer(...)``),
@@ -31,7 +31,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 COMPONENTS = ("TwoPhaseRenamer", "PoolFile", "FillBuffer", "TraceBuilder",
               "ExecutionCache", "SyncFifo", "TickScheduler", "IssueWindow",
               "ReorderBuffer", "ExecBackend", "FrontEndFeed", "FuPool",
-              "LoadStoreQueue", "DeadlockWatchdog", "MemoryHierarchy")
+              "LoadStoreQueue", "DeadlockWatchdog", "MemoryHierarchy",
+              "Cache")
 
 #: Unreferenced on purpose, with the reason.
 ALLOWED = {

@@ -47,12 +47,6 @@ class TestCacheBehaviour:
         assert cache.access(0x0)
         assert not cache.access(0x1000)
 
-    def test_flush(self):
-        cache = Cache("c", 1024, 2)
-        cache.access(0x40)
-        cache.flush()
-        assert not cache.probe(0x40)
-
     def test_probe_does_not_count(self):
         cache = Cache("c", 1024, 2)
         cache.access(0x40)
@@ -94,14 +88,6 @@ class TestCacheBehaviour:
         assert not cache.probe(0x40)                # the LRU alias left
         assert cache.probe(0x40 + span)
         assert cache.probe(0x40 + 2 * span)
-
-    def test_flush_preserves_stats_and_resets_contents(self):
-        cache = Cache("c", 1024, 2)
-        cache.access(0x40)
-        cache.access(0x40)
-        cache.flush()
-        assert cache.stats.accesses == 2 and cache.stats.hits == 1
-        assert not cache.access(0x40)               # compulsory again
 
     def test_install_does_not_count_demand_accesses(self):
         cache = Cache("c", 1024, 2)
@@ -149,14 +135,6 @@ class TestLazySets:
         for addr in (0x0, 0x20, 0x200, 0x1000):    # sets 0, 1, 0, 0
             cache.install(addr)
         assert sorted(cache._sets) == [0, 1]
-
-    def test_flush_empties_the_cache(self):
-        cache = Cache("c", 1024, 2)
-        for addr in range(0, 4096, 32):
-            cache.access(addr)
-        cache.flush()
-        assert len(cache._sets) == 0
-        assert not any(cache.probe(a) for a in range(0, 4096, 32))
 
 
 @settings(max_examples=40, deadline=None)
@@ -454,10 +432,12 @@ class TestDeepAndShallowChains:
         h = MemoryHierarchy(spec=spec)
         cold = h.load(0x100_0000)
         assert cold == 2 + 10 + 24 + spec.dram_latency
-        h.l1d.flush()
-        h.l2.flush()
+        # A fresh hierarchy holding the line in L3 only.
+        h = MemoryHierarchy(spec=spec)
+        name, l3 = h.named_caches()[-1]
+        assert name == "l3"
+        l3.install(0x100_0000)
         assert h.load(0x100_0000) == 2 + 10 + 24    # L3 hit
-        assert h.named_caches()[-1][0] == "l3"
 
     def test_single_level_chain_exposes_empty_l2_tap(self):
         from repro.mem import CacheLevelSpec

@@ -8,6 +8,7 @@ import urllib.request
 import pytest
 
 from repro.campaign import ResultStore, RunSpec
+from repro.campaign.store import QUERY_COLUMNS
 from repro.errors import CampaignError
 from repro.serve import ServeApp, ServeClient, make_server
 from repro.serve.payload import event_payload, specs_from_payload
@@ -109,7 +110,7 @@ class TestService:
         summary = events[-1][1]
         assert summary["executed"] == 4 and summary["quarantined"] == 0
 
-        # Indexed /results answers filters without a full listing.
+        # /results answers filters.
         rows = client.results(kind="flywheel")
         assert len(rows) == 2
         assert {row["kind"] for row in rows} == {"flywheel"}
@@ -119,6 +120,20 @@ class TestService:
         assert status["complete"] is True
         assert status["states"]["done"] == 4
         assert [c["campaign"] for c in client.campaigns()] == [cid]
+
+    def test_results_rows_carry_the_same_columns(self, service):
+        app, client = service
+        for kind in ("baseline", "flywheel"):
+            spec = RunSpec(kind=kind, bench="smoke", instructions=N,
+                           warmup=W)
+            app.store.put(spec.cache_key(), spec, spec.execute(),
+                          elapsed_s=0.5)
+        for query in ({}, {"kind": "flywheel"}, {"limit": 1},
+                      {"bench": "smoke", "engine": "turbo"}):
+            rows = client.results(**query)
+            assert rows, query
+            assert all(sorted(row) == sorted(QUERY_COLUMNS)
+                       for row in rows), query
 
     def test_warm_resubmission_is_all_hits(self, service):
         _, client = service

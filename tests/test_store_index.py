@@ -1,4 +1,4 @@
-"""Sharded store layout, migration, the SQLite selector index, and
+"""Sharded store layout, migration, listings by shard scan, and
 concurrent-writer / TOCTOU safety."""
 
 import hashlib
@@ -9,8 +9,8 @@ import os
 import pytest
 
 from repro.campaign import ResultStore, RunSpec
-from repro.campaign.index import StoreIndex, record_row
-from repro.campaign.store import SCHEMA_VERSION
+from repro.campaign.store import SCHEMA_VERSION, record_row
+from repro.errors import CampaignError
 
 #: Tiny budgets: every simulated spec in this file finishes in ~50ms.
 N, W = 1200, 2500
@@ -66,7 +66,6 @@ class TestShardedLayout:
         s = spec()
         key = s.cache_key()
         writer.put(key, s, s.execute())
-        writer.index.flush()
         writer._path(key).rename(flat_path(writer, key))
         write_fake_record(writer, 1, legacy=True)
 
@@ -101,7 +100,7 @@ class TestShardedLayout:
         assert len(store) == 6
         # Idempotent: nothing left to move.
         assert store.migrate() == 0
-        # Index was force-rebuilt over the new layout.
+        # Listings see the moved records.
         assert len(store.query()) == 6
 
     def test_len_counts_only_the_sharded_layout(self, tmp_path):
@@ -121,6 +120,8 @@ class TestShardedLayout:
 
 
 class TestIndex:
+    """Filtered, ordered listings over the shard scan."""
+
     def test_query_filters_and_orders(self, tmp_path):
         store = ResultStore(tmp_path)
         for i in range(6):
@@ -136,42 +137,49 @@ class TestIndex:
         assert store.query(kind="nope") == []
 
     def test_query_matches_full_scan_fallback(self, tmp_path):
+        # query() rows and records() list the same records, in order.
         store = ResultStore(tmp_path)
         for i in range(8):
             write_fake_record(store, i,
                               kind="baseline" if i % 2 else "flywheel")
-        indexed = store.query(kind="baseline")
-        store.index.disabled = True
-        scanned = store.query(kind="baseline")
-        assert ({r["key"] for r in indexed}
-                == {r["key"] for r in scanned})
+        assert ([r["key"] for r in store.query(kind="baseline")]
+                == [r["key"] for r in store.records(kind="baseline")])
 
     def test_index_survives_corruption(self, tmp_path):
+        # Older versions kept a SQLite selector index at the store root;
+        # a garbage one must not stop reads, listings or writes.
+        (tmp_path / "index.sqlite").write_bytes(b"not a sqlite file")
         store = ResultStore(tmp_path)
-        keys = {write_fake_record(store, i) for i in range(4)}
-        store.refresh_index(force=True)
-        store.index.path.write_bytes(b"this is not a sqlite file")
-        fresh = ResultStore(tmp_path)   # new connection sees the garbage
-        assert {r["key"] for r in fresh.query()} == keys
-
-    def test_incremental_refresh_sees_out_of_band_writes(self, tmp_path):
-        store = ResultStore(tmp_path)
-        write_fake_record(store, 1)
-        store.refresh_index(force=True)
-        # A second writer (no note_put through *this* index object).
-        other = ResultStore(tmp_path)
-        write_fake_record(other, 2, kind="flywheel")
-        assert len(store.query()) == 2
-        assert len(store.query(kind="flywheel")) == 1
-
-    def test_note_put_keeps_index_current_without_rescan(self, tmp_path):
-        store = ResultStore(tmp_path)
+        planted = write_fake_record(store, 1)
         s = spec()
         store.put(s.cache_key(), s, s.execute(), elapsed_s=1.5)
-        row = store.query(kind="baseline")[0]
+        assert store.get(s.cache_key()) is not None
+        assert len(store) == 2
+        assert ({r["key"] for r in store.records()}
+                == {planted, s.cache_key()})
+        [row] = store.query(elapsed_s=1.5)
         assert row["key"] == s.cache_key()
         assert row["elapsed_s"] == 1.5
         assert row["engine"] == "turbo"      # the default engine
+
+    def test_mtime_ties_list_by_key(self, tmp_path):
+        store = ResultStore(tmp_path)
+        tied = [write_fake_record(store, i) for i in range(6)]
+        for key in tied:
+            os.utime(store._path(key), ns=(10**18, 10**18))
+        newest = write_fake_record(store, 99)
+        os.utime(store._path(newest), ns=(2 * 10**18, 2 * 10**18))
+        expected = [newest] + sorted(tied)
+        assert [r["key"] for r in store.query()] == expected
+        assert [r["key"] for r in store.records()] == expected
+
+    def test_unknown_filter_is_rejected(self, tmp_path):
+        store = ResultStore(tmp_path)
+        write_fake_record(store, 1)
+        with pytest.raises(CampaignError,
+                           match="knd; expected one of key, kind, bench"):
+            store.query(knd="baseline")
+        assert len(store.query()) == 1
 
     def test_record_row_damage_tolerant(self):
         assert record_row({"key": "abc"})["kind"] == ""
@@ -181,48 +189,14 @@ class TestIndex:
 
 
 class TestIndexedReadAvoidance:
-    """The acceptance check: filtered queries over a big store must not
-    read every shard."""
+    """A limited listing over a big store reads only its page."""
 
-    @pytest.fixture(scope="class")
-    def big_store(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("big-store")
-        store = ResultStore(root)
+    def test_limited_listing_reads_only_the_page(self, tmp_path,
+                                                 monkeypatch):
+        store = ResultStore(tmp_path)
         for i in range(5000):
-            write_fake_record(store, i,
-                              kind="flywheel" if i % 100 == 0
-                              else "baseline")
-        assert store.refresh_index(force=True)
-        return root
-
-    def _counting(self, root, monkeypatch):
-        store = ResultStore(root)
-        reads = []
-        original = ResultStore._read_path
-
-        def counted(self, path):
-            reads.append(path)
-            return original(self, path)
-
-        monkeypatch.setattr(ResultStore, "_read_path", counted)
-        return store, reads
-
-    def test_query_reads_no_records(self, big_store, monkeypatch):
-        store, reads = self._counting(big_store, monkeypatch)
-        rows = store.query(kind="flywheel")
-        assert len(rows) == 50
-        assert reads == []
-
-    def test_filtered_records_reads_only_matches(self, big_store,
-                                                 monkeypatch):
-        store, reads = self._counting(big_store, monkeypatch)
-        out = list(store.records(kind="flywheel"))
-        assert len(out) == 50
-        assert len(reads) == 50        # not 5000: the index picked them
-
-    def test_limited_listing_reads_only_the_page(self, big_store,
-                                                 monkeypatch):
-        store, reads = self._counting(big_store, monkeypatch)
+            write_fake_record(store, i)
+        reads = _count_reads(monkeypatch)
         out = list(store.records(limit=10))
         assert len(out) == 10
         assert len(reads) == 10
@@ -233,15 +207,7 @@ class TestRecordsStreaming:
         store = ResultStore(tmp_path)
         for i in range(20):
             write_fake_record(store, i)
-        store.refresh_index(force=True)
-        reads = []
-        original = ResultStore._read_path
-
-        def counted(self, path):
-            reads.append(path)
-            return original(self, path)
-
-        monkeypatch.setattr(ResultStore, "_read_path", counted)
+        reads = _count_reads(monkeypatch)
         iterator = store.records()
         next(iterator)
         assert len(reads) == 1         # nothing pre-materialized
@@ -249,7 +215,6 @@ class TestRecordsStreaming:
     def test_records_tolerates_deletion_mid_iteration(self, tmp_path):
         store = ResultStore(tmp_path)
         keys = [write_fake_record(store, i) for i in range(10)]
-        store.refresh_index(force=True)
         iterator = store.records()
         first = next(iterator)
         # A concurrent `clean` takes everything else out from under us.
@@ -258,15 +223,12 @@ class TestRecordsStreaming:
                 os.unlink(store._path(key))
         rest = list(iterator)          # no exception, just fewer records
         assert rest == []
-        # The vanished rows were dropped from the index as a side effect.
-        assert {r["key"] for r in store.index.query({})} == {first["key"]}
 
     def test_scan_fallback_filters_without_index(self, tmp_path):
         store = ResultStore(tmp_path)
         for i in range(6):
             write_fake_record(store, i,
                               kind="baseline" if i % 2 else "flywheel")
-        store.index.disabled = True
         out = list(store.records(kind="flywheel"))
         assert len(out) == 3
         assert all(r["spec"]["kind"] == "flywheel" for r in out)
@@ -309,9 +271,8 @@ class TestConcurrentWriters:
         # exactly one file); everything else keeps its own key.
         own = sum(1 for i in range(100) if i % 7)
         assert len(store) == own + 1
-        # The index agrees with the filesystem (row-level last-writer-
-        # wins for the contended key: one row, not one per attempt).
-        store.refresh_index(force=True)
+        # Listings agree with the filesystem (last-writer-wins for the
+        # contended key: one row, not one per attempt).
         assert {r["key"] for r in store.query()} == {p.stem for p in paths}
         assert sum(1 for r in store.query() if r["key"] == shared) == 1
 
@@ -330,34 +291,7 @@ def _count_reads(monkeypatch):
 
 
 class TestBatchedIndexWrites:
-    """A campaign writes its index rows in one transaction when it ends,
-    and the index is complete when the campaign returns or raises."""
-
-    def test_campaign_index_is_complete_on_return(self, tmp_path,
-                                                  monkeypatch):
-        from repro.campaign import run_campaign
-
-        connects = []
-        original = StoreIndex._connect
-
-        def counted(self):
-            connects.append(self.path)
-            return original(self)
-
-        monkeypatch.setattr(StoreIndex, "_connect", counted)
-        specs = [spec(seed=i) for i in range(1, 7)]
-        store = ResultStore(tmp_path)
-        report = run_campaign(specs, store, jobs=2)
-        assert report.executed == len(specs)
-        assert len(connects) <= 2
-        # Another process-level view of the same file: rows were written,
-        # not just queued.
-        assert StoreIndex(tmp_path).count() == len(specs)
-        reads = _count_reads(monkeypatch)
-        assert store.refresh_index()
-        assert reads == []          # every shard dir was stamped
-        assert ({r["key"] for r in store.query()}
-                == {s.cache_key() for s in specs})
+    """A campaign's records are listed when it returns or raises."""
 
     def test_failed_campaign_indexes_what_landed(self, tmp_path,
                                                  monkeypatch):
@@ -378,25 +312,8 @@ class TestBatchedIndexWrites:
             run_campaign(specs, store, jobs=2)
         landed = {p.stem for p in store._record_paths()}
         assert landed and specs[3].cache_key() not in landed
-        assert ({r["key"] for r in StoreIndex(tmp_path).query({})}
-                == landed)
-
-    def test_rows_lost_before_a_flush_come_back(self, tmp_path):
-        s = spec()
-        result = s.execute()
-        shared = "abcd" + fake_key(1)[4:]       # same shard dir as ...
-        beside = "abcd" + fake_key(2)[4:]       # ... this one
-        alone = fake_key(3)
-        crashed = ResultStore(tmp_path)
-        crashed.put(shared, s, result)
-        crashed.put(alone, s, result)
-        crashed.index._pending.clear()          # died before flushing
-        survivor = ResultStore(tmp_path)
-        survivor.put(beside, s, result)
-        survivor.index.flush()
-        # The survivor's write must not stamp over the lost row.
         assert ({r["key"] for r in ResultStore(tmp_path).query()}
-                == {shared, beside, alone})
+                == landed)
 
     def test_garbage_index_does_not_fail_a_campaign(self, tmp_path):
         from repro.campaign import run_campaign
@@ -407,5 +324,4 @@ class TestBatchedIndexWrites:
         assert run_campaign(specs, store, jobs=2).executed == len(specs)
         fresh = ResultStore(tmp_path)
         rows = fresh.query()
-        assert fresh.index.disabled            # answered by the scan
         assert {r["key"] for r in rows} == {s.cache_key() for s in specs}
