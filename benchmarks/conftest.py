@@ -2,8 +2,8 @@
 
 Each ``bench_*`` module regenerates one table or figure of the paper at a
 reduced instruction budget (pytest-benchmark measures the harness; the
-figures' full-budget numbers live in EXPERIMENTS.md and are produced by
-``python -m repro.experiments all``).
+figures' full-budget numbers are produced by
+``python -m repro.campaign run --experiments all``).
 """
 
 import pytest

@@ -1,5 +1,5 @@
-"""Markdown rendering of experiment rows (used to build EXPERIMENTS.md),
-per-interval frequency-trace rendering for governed (DVFS) runs, and
+"""Markdown rendering of experiment rows (the ``run(ctx)`` rows behind
+``python -m repro.campaign run --experiments all``), per-interval frequency-trace rendering for governed (DVFS) runs, and
 memory-system (per-level cache / MSHR) summaries."""
 
 from __future__ import annotations

@@ -37,7 +37,8 @@ Example::
     print(report.summary())
 
 ``presets.py`` (imported lazily to avoid a cycle with the experiment
-modules) enumerates the job lists behind the paper's figures.
+modules) expands the job lists behind the paper's figures from each
+experiment's ``legs(ctx)``, the one place an experiment names its runs.
 """
 
 from repro._lazy import lazy_exports

@@ -31,7 +31,7 @@ import time
 from repro.campaign.executor import print_progress
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import (ResultStore, default_store_root,
-                                  mem_label)
+                                  mem_label, record_engine)
 from repro.core.stats import SimStats
 from repro.errors import ReproError
 
@@ -74,7 +74,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.campaign.presets import experiment_specs
+    from repro.campaign.presets import experiment_legs
     from repro.experiments.__main__ import (
         ALL_ORDER,
         build_context,
@@ -82,16 +82,14 @@ def _cmd_run(args) -> int:
         warm_experiments,
     )
 
-    # Unknown names raise CampaignError from experiment_specs (inside
+    # Unknown names raise CampaignError from experiment_legs (inside
     # warm_experiments too) and are reported by main()'s handler.
     names = (list(ALL_ORDER) if args.experiments == "all"
              else [n.strip() for n in args.experiments.split(",") if n.strip()])
     args.store = args.store or str(default_store_root())
     ctx = build_context(args)
     if args.dry_run:
-        specs = experiment_specs(names, benchmarks=ctx.benchmarks,
-                                 instructions=ctx.instructions,
-                                 warmup=ctx.warmup, seed=ctx.seed)
+        specs = experiment_legs(ctx, names)
         hits = 0
         for spec in specs:
             key = spec.cache_key()
@@ -127,10 +125,7 @@ def _ls_summary(record) -> dict:
         "key": record.get("key", ""),
         "created": record.get("created", 0),
         "code": record.get("code", ""),
-        # Top-level store metadata since the perf-history PR; derived
-        # from the spec payload for records written before it.
-        "engine": record.get("engine")
-                  or (spec.get("config") or {}).get("engine", "legacy"),
+        "engine": record_engine(record),
         "kind": spec.get("kind", ""),
         "bench": spec.get("bench", ""),
         "seed": spec.get("seed"),
@@ -304,10 +299,7 @@ def _cmd_export(args) -> int:
                 # .get with blank cells: records written by other code
                 # versions may lack columns added since (or vice versa).
                 row = [record.get("key", ""), record.get("created", ""),
-                       record.get("code", ""),
-                       record.get("engine")
-                       or (spec.get("config") or {}).get("engine",
-                                                         "legacy")]
+                       record.get("code", ""), record_engine(record)]
                 row += [spec.get(c, "") for c in _EXPORT_SPEC]
                 row += [_spec_variant(spec), mem_label(spec)]
                 row += [spec.get("clock", {}).get(c, "")
@@ -353,11 +345,8 @@ def _export_json(store, path: str) -> int:
         out.write("[")
         for record in store.records():
             out.write(",\n" if rows else "\n")
-            if "engine" not in record:
-                record = dict(record)
-                record["engine"] = ((record.get("spec") or {})
-                                    .get("config") or {}).get("engine",
-                                                              "legacy")
+            if not record.get("engine"):
+                record = {**record, "engine": record_engine(record)}
             json.dump(record, out, sort_keys=True)
             rows += 1
         out.write("\n]\n" if rows else "]\n")

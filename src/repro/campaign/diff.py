@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.store import ResultStore, mem_label, record_engine
 from repro.core.config import stable_hash
 from repro.core.sim import SimResult
 from repro.core.stats import SimStats
@@ -110,7 +111,6 @@ def record_axes(record: dict) -> Dict[str, object]:
     """Flat axis values of one store record (for filtering/grouping)."""
     spec = record.get("spec") or {}
     clock = spec.get("clock") or {}
-    config = spec.get("config") or {}
     gov = (clock.get("governor") or {}).get("name") or ""
     base = clock.get("base_mhz")
     label = f"{base:g}MHz" if isinstance(base, (int, float)) else ""
@@ -118,21 +118,13 @@ def record_axes(record: dict) -> Dict[str, object]:
                       (clock.get("be_speedup"), "be")):
         if part:
             label += f"+{tag}{part:.0%}"
-    mem = ""
-    if config.get("mem"):
-        try:
-            from repro.mem.spec import MemorySpec
-
-            mem = MemorySpec.from_dict(config["mem"]).label
-        except Exception:
-            mem = "?"
     return {
         "code": record.get("code", ""),
         "kind": spec.get("kind", ""),
         "bench": spec.get("bench", ""),
-        "engine": record.get("engine") or config.get("engine", "legacy"),
+        "engine": record_engine(record),
         "gov": gov,
-        "mem": mem,
+        "mem": mem_label(spec),
         "clock": label,
         "base_mhz": base,
         "seed": spec.get("seed"),
@@ -433,8 +425,6 @@ def print_report(report: Dict[str, object], limit: int = 0,
 
 def cmd_diff(args) -> int:
     """``python -m repro.campaign diff`` entry point."""
-    from repro.campaign.store import ResultStore
-
     store = ResultStore(args.store) if args.store else ResultStore()
     records = list(store.records())
     if not records:

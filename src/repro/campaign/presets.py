@@ -1,12 +1,11 @@
 """Campaign presets: the job lists behind the paper's experiments.
 
-Each enumerator mirrors the runs an experiment module's ``run()`` makes
-through :class:`ExperimentContext`, built from the *same* sweep constants
-the experiment itself uses (``fig12_performance.SWEEP``,
-``ablations.ABLATIONS``, ...), so the two cannot drift silently: a spec
-missed here is still simulated on demand by the context (correct, just
-serial), and the campaign tests assert the warmed context executes zero
-extra runs.
+An experiment that simulates names its runs once, in its module's
+``legs(ctx)`` (see :mod:`repro.experiments.common`); its ``run(ctx)``
+reads every result through those legs. The presets only expand them, so
+a job list and the table it feeds cannot drift apart: a campaign warmed
+with :func:`experiment_legs` leaves the tables nothing to simulate, and
+the CLIs report any run they do make.
 
 This module imports the experiment modules, which import
 ``repro.campaign.spec`` — keep it out of ``repro.campaign.__init__`` to
@@ -18,22 +17,42 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.campaign.spec import RunSpec, dedup
-from repro.core.config import ClockPlan, CoreConfig
-from repro.core.sim import (
-    KIND_BASELINE,
-    KIND_FLYWHEEL,
-    KIND_PIPELINED_WAKEUP,
-)
 from repro.errors import CampaignError
-from repro.experiments.common import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
+from repro.experiments.common import (
+    DEFAULT_INSTRUCTIONS,
+    DEFAULT_WARMUP,
+    ExperimentContext,
+)
 from repro.experiments.__main__ import EXPERIMENTS
+from repro.session import MachineSpec
 from repro.workloads.profiles import SPEC_NAMES
 
 #: Derived from the experiments CLI's registry — the single source of
 #: truth — so a newly registered experiment is automatically accepted
-#: here. One without an ``_ENUMERATORS`` entry (below) simply has no
-#: presets: it still runs, simulating on demand through the context.
+#: here.
 ALL_EXPERIMENTS = tuple(EXPERIMENTS)
+
+#: Experiments that run simulations (the rest are analytical).
+SIM_EXPERIMENTS = tuple(name for name in ALL_EXPERIMENTS
+                        if hasattr(EXPERIMENTS[name], "legs"))
+
+
+def experiment_legs(ctx: ExperimentContext,
+                    names: Iterable[str]) -> List[MachineSpec]:
+    """Deduplicated union of the named experiments' legs on ``ctx``.
+
+    Built through ``ctx.spec``, so the tables later read the very same
+    spec objects (and their memoized cache keys).
+    """
+    specs: List[MachineSpec] = []
+    for name in names:
+        if name not in ALL_EXPERIMENTS:
+            raise CampaignError(
+                f"unknown experiment {name!r}; known: "
+                f"{', '.join(ALL_EXPERIMENTS)}")
+        if name in SIM_EXPERIMENTS:
+            specs.extend(EXPERIMENTS[name].legs(ctx).values())
+    return dedup(specs)
 
 
 def experiment_specs(names: Iterable[str],
@@ -42,130 +61,6 @@ def experiment_specs(names: Iterable[str],
                      warmup: int = DEFAULT_WARMUP,
                      seed: Optional[int] = None) -> List[RunSpec]:
     """Deduplicated union of the specs the named experiments will run."""
-    specs: List[RunSpec] = []
-    for name in names:
-        if name not in ALL_EXPERIMENTS:
-            raise CampaignError(
-                f"unknown experiment {name!r}; known: "
-                f"{', '.join(ALL_EXPERIMENTS)}")
-        enumerator = _ENUMERATORS.get(name)
-        if enumerator is None:
-            continue  # analytical experiment, no simulations
-        for bench in benchmarks:
-            specs.extend(enumerator(bench, instructions, warmup, seed))
-    return dedup(specs)
-
-
-def _base(bench, instructions, warmup, seed, clock=None, config=None,
-          **kw) -> RunSpec:
-    return RunSpec(kind=KIND_BASELINE, bench=bench, clock=clock,
-                   config=config, seed=seed, instructions=instructions,
-                   warmup=warmup, **kw)
-
-
-def _fly(bench, instructions, warmup, seed, clock=None, fly=None,
-         **kw) -> RunSpec:
-    return RunSpec(kind=KIND_FLYWHEEL, bench=bench, clock=clock, fly=fly,
-                   seed=seed, instructions=instructions, warmup=warmup, **kw)
-
-
-def _fig2(bench, n, w, seed):
-    return [
-        _base(bench, n, w, seed),
-        _base(bench, n, w, seed, config=CoreConfig(extra_frontend_stages=1)),
-        RunSpec(kind=KIND_PIPELINED_WAKEUP, bench=bench, seed=seed,
-                instructions=n, warmup=w),
-    ]
-
-
-def _fig11(bench, n, w, seed):
-    from repro.experiments.fig11_same_clock import _EQUAL
-    from repro.core.config import FlywheelConfig
-
-    return [
-        _base(bench, n, w, seed),
-        _fly(bench, n, w, seed, clock=_EQUAL,
-             fly=FlywheelConfig(ec_enabled=False)),
-        _fly(bench, n, w, seed, clock=_EQUAL),
-    ]
-
-
-def _fig12(bench, n, w, seed):
-    from repro.experiments.fig12_performance import SWEEP
-
-    specs = [_base(bench, n, w, seed)]
-    for _label, clock in SWEEP:
-        specs.append(_fly(bench, n, w, seed, clock=clock))
-    return specs
-
-
-def _fig15(bench, n, w, seed):
-    from repro.experiments.fig15_technology import NODES
-    from repro.timing.frequency import module_frequencies_mhz
-
-    specs = []
-    for _tech, node in NODES:
-        base_mhz = module_frequencies_mhz(node)["iw_single_cycle"]
-        specs.append(_base(bench, n, w, seed,
-                           clock=ClockPlan(base_mhz=base_mhz)))
-        specs.append(_fly(bench, n, w, seed,
-                          clock=ClockPlan(base_mhz=base_mhz,
-                                          fe_speedup=1.0, be_speedup=0.5)))
-    return specs
-
-
-def _residency(bench, n, w, seed):
-    from repro.experiments.residency import _EQUAL
-
-    return [_fly(bench, n, w, seed, clock=_EQUAL)]
-
-
-def _ablations(bench, n, w, seed):
-    from repro.experiments.ablations import ABLATIONS, _CLOCK
-
-    specs = [_base(bench, n, w, seed)]
-    for _label, fly in ABLATIONS:
-        specs.append(_fly(bench, n, w, seed, clock=_CLOCK, fly=fly))
-    return specs
-
-
-def _sensitivity(bench, n, w, seed):
-    from repro.experiments.sensitivity import IW_POINTS
-
-    return [_base(bench, n, w, seed,
-                  config=CoreConfig(iw_entries=entries, issue_width=width))
-            for entries, width in IW_POINTS]
-
-
-def _dvfs(bench, n, w, seed):
-    from repro.experiments.dvfs_sweep import sweep_points
-
-    return [_fly(bench, n, w, seed, clock=clock)
-            for _label, clock in sweep_points()]
-
-
-def _mem(bench, n, w, seed):
-    # The memory sweep measures its own memory-bound workloads, not the
-    # CLI's benchmark subset; enumerate the full fixed grid (dedup
-    # collapses the per-bench repeats).
-    from repro.experiments.mem_sweep import sweep_specs
-
-    return [spec.run_spec() for spec in sweep_specs(n, w, seed)]
-
-
-_ENUMERATORS = {
-    "fig2": _fig2,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig12,       # figs 13/14 evaluate power over fig 12's runs
-    "fig14": _fig12,
-    "fig15": _fig15,
-    "residency": _residency,
-    "ablations": _ablations,
-    "sensitivity": _sensitivity,
-    "dvfs": _dvfs,
-    "mem": _mem,
-}
-
-#: Experiments that run simulations (the rest are analytical).
-SIM_EXPERIMENTS = tuple(n for n in ALL_EXPERIMENTS if n in _ENUMERATORS)
+    ctx = ExperimentContext(instructions=instructions, warmup=warmup,
+                            benchmarks=tuple(benchmarks), seed=seed)
+    return [spec.run_spec() for spec in experiment_legs(ctx, names)]

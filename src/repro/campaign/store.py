@@ -79,6 +79,18 @@ def mem_label(spec: Dict[str, object]) -> str:
         return "?"
 
 
+def record_engine(record: Dict[str, object]) -> str:
+    """The engine that produced a record.
+
+    Top-level metadata since the perf-history change; records written
+    before it fall back to the spec config's ``engine``, and to
+    ``"legacy"``, the only engine of that time, when it names none.
+    """
+    spec = record.get("spec")
+    config = (spec.get("config") if isinstance(spec, dict) else None) or {}
+    return record.get("engine") or config.get("engine") or "legacy"
+
+
 def record_row(record: Dict[str, object]) -> Dict[str, object]:
     """The selector columns of one record (damage-tolerant)."""
     spec = record.get("spec") or {}
@@ -92,8 +104,7 @@ def record_row(record: Dict[str, object]) -> Dict[str, object]:
         "kind": spec.get("kind", ""),
         "bench": spec.get("bench", ""),
         "code": record.get("code", ""),
-        "engine": record.get("engine")
-                  or (spec.get("config") or {}).get("engine", "legacy"),
+        "engine": record_engine(record),
         "gov": governor.get("name") or "",
         "mem": mem_label(spec),
         "elapsed_s": record.get("elapsed_s"),

@@ -2,6 +2,8 @@
 
 Every experiment exposes ``run(ctx) -> rows`` returning a list of dicts
 (one per table row / plotted point) and ``main()`` that prints the table.
+One that simulates also exposes ``legs(ctx)``, the specs of every run
+its table reads; the campaign presets expand the same function.
 ``ExperimentContext`` caches simulation runs so figures that share a sweep
 (12/13/14) pay for it once.
 """

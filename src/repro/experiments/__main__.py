@@ -105,14 +105,12 @@ def build_context(args) -> ExperimentContext:
 
 def warm_experiments(ctx: ExperimentContext, names, jobs=1, timeout=None,
                      progress=print_progress):
-    """Fan the named experiments' simulations out through the campaign
-    engine into ``ctx``'s cache; shared by both CLI entry points."""
-    from repro.campaign.presets import experiment_specs
+    """Fan the named experiments' legs out through the campaign engine
+    into ``ctx``'s cache; shared by both CLI entry points."""
+    from repro.campaign.presets import experiment_legs
 
-    specs = experiment_specs(names, benchmarks=ctx.benchmarks,
-                             instructions=ctx.instructions,
-                             warmup=ctx.warmup, seed=ctx.seed)
-    return ctx.warm(specs, jobs=jobs, timeout_s=timeout, progress=progress)
+    return ctx.warm(experiment_legs(ctx, names), jobs=jobs,
+                    timeout_s=timeout, progress=progress)
 
 
 def print_experiments(ctx: ExperimentContext, names) -> None:

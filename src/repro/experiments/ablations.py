@@ -19,11 +19,16 @@ quantify each one by knocking it out:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List
 
 from repro.core.config import ClockPlan, FlywheelConfig
-from repro.experiments.common import ExperimentContext, geomean, print_table
+from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL
+from repro.experiments.common import (
+    ExperimentContext,
+    Legs,
+    geomean,
+    print_table,
+)
 
 #: Clock plan used for all ablations (the paper's headline point).
 _CLOCK = ClockPlan(fe_speedup=0.5, be_speedup=0.5)
@@ -40,13 +45,25 @@ ABLATIONS = (
 )
 
 
+def legs(ctx: ExperimentContext) -> Legs:
+    """Per benchmark: the baseline and each ablated Flywheel."""
+    specs = {}
+    for bench in ctx.benchmarks:
+        specs[bench, "base"] = ctx.spec(KIND_BASELINE, bench)
+        for label, fly in ABLATIONS:
+            specs[bench, label] = ctx.spec(KIND_FLYWHEEL, bench,
+                                           clock=_CLOCK, fly=fly)
+    return specs
+
+
 def run(ctx: ExperimentContext) -> List[dict]:
+    specs = legs(ctx)
     rows = []
     for bench in ctx.benchmarks:
-        base = ctx.baseline(bench, ClockPlan())
+        base = ctx.session.run(specs[bench, "base"])
         row = {"benchmark": bench}
-        for label, fly in ABLATIONS:
-            res = ctx.flywheel(bench, _CLOCK, fly=fly)
+        for label, _fly in ABLATIONS:
+            res = ctx.session.run(specs[bench, label])
             row[label] = base.stats.sim_time_ps / max(1, res.stats.sim_time_ps)
         rows.append(row)
     avg = {"benchmark": "geomean"}

@@ -1,12 +1,18 @@
 """Shared experiment plumbing: cached runs, normalization, table printing.
 
+Each simulating experiment names its runs once, in ``legs(ctx)``: a
+dict of :class:`~repro.session.MachineSpec` s built with
+:meth:`ExperimentContext.spec`, keyed the way its table reads them
+(``(bench, column)``). Its ``run(ctx)`` reads every result through those
+legs, and the campaign presets expand the same ``legs`` into job lists,
+so the runs an experiment needs are written down in one place.
+
 ``ExperimentContext`` is a thin experiment-facing veneer over the
-:class:`repro.Session` front door: every ``baseline()``/``flywheel()``
-call is materialized as a :class:`~repro.session.MachineSpec` and
-executed through the session, memoized under its content hash. That
-keying covers the *entire* run configuration — benchmark, clock plan,
-core/flywheel config overrides, seed, budgets and memory scale — so two
-calls that differ only in ``config=``/``fly=`` can never alias.
+:class:`repro.Session` front door: every leg executes through the
+session, memoized under its content hash. That keying covers the
+*entire* run configuration — benchmark, clock plan, core/flywheel
+config overrides, seed, budgets and memory scale — so two legs that
+differ only in ``config=``/``fly=`` can never alias.
 
 Attach a :class:`~repro.campaign.store.ResultStore` (or pass a
 ready-made :class:`~repro.session.Session`) to make the cache
@@ -18,17 +24,11 @@ experiment code reads the results back.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.campaign.executor import CampaignReport, ProgressFn
 from repro.campaign.store import ResultStore
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
-from repro.core.sim import (
-    KIND_BASELINE,
-    KIND_FLYWHEEL,
-    KIND_PIPELINED_WAKEUP,
-    SimResult,
-)
 from repro.errors import ConfigError
 from repro.session import MachineSpec, Session, SpecLike
 from repro.workloads.profiles import SPEC_NAMES
@@ -38,6 +38,9 @@ from repro.workloads.profiles import SPEC_NAMES
 #: which is enough for the normalized ratios these experiments report.
 DEFAULT_INSTRUCTIONS = 30_000
 DEFAULT_WARMUP = 60_000
+
+#: An experiment's runs: each leg's spec under the key its table reads.
+Legs = Dict[Hashable, MachineSpec]
 
 
 class ExperimentContext:
@@ -80,8 +83,8 @@ class ExperimentContext:
         """Simulations run *on demand* by this context — outside
         :meth:`warm` and after construction.
 
-        Zero after a fully warmed experiment pass; the CLIs report a
-        positive value as presets drifting from the experiment code.
+        Zero after a pass warmed with the experiments' legs; the CLIs
+        report a positive value as a table reading a run outside them.
         """
         return (self.session.executed - self._executed_before
                 - self._warm_executed)
@@ -107,38 +110,6 @@ class ExperimentContext:
                 seed=self.seed, instructions=self.instructions,
                 warmup=self.warmup, mem_scale=mem_scale)
         return spec
-
-    def run_spec(self, spec: SpecLike) -> SimResult:
-        """Memoized execution: memory cache, then store, then simulate."""
-        return self.session.run(spec)
-
-    def baseline(self, bench: str, clock: Optional[ClockPlan] = None,
-                 config: Optional[CoreConfig] = None,
-                 mem_scale: float = 1.0) -> SimResult:
-        return self.run_spec(self.spec(KIND_BASELINE, bench, clock=clock,
-                                       config=config, mem_scale=mem_scale))
-
-    def flywheel(self, bench: str, clock: Optional[ClockPlan] = None,
-                 fly: Optional[FlywheelConfig] = None,
-                 mem_scale: float = 1.0) -> SimResult:
-        return self.run_spec(self.spec(KIND_FLYWHEEL, bench, clock=clock,
-                                       fly=fly, mem_scale=mem_scale))
-
-    def pipelined_wakeup(self, bench: str,
-                         clock: Optional[ClockPlan] = None,
-                         config: Optional[CoreConfig] = None,
-                         mem_scale: float = 1.0) -> SimResult:
-        """The Fig. 2 pipelined Wake-Up/Select machine (its own kind)."""
-        return self.run_spec(self.spec(KIND_PIPELINED_WAKEUP, bench,
-                                       clock=clock, config=config,
-                                       mem_scale=mem_scale))
-
-    def speedup(self, bench: str, clock: ClockPlan,
-                fly: Optional[FlywheelConfig] = None) -> float:
-        """Baseline time / Flywheel time (>1 means the Flywheel wins)."""
-        base = self.baseline(bench, ClockPlan(base_mhz=clock.base_mhz))
-        flyr = self.flywheel(bench, clock, fly=fly)
-        return base.stats.sim_time_ps / max(1, flyr.stats.sim_time_ps)
 
     # --------------------------------------------------------- campaigns
 

@@ -23,10 +23,10 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.report import format_freq_trace
 from repro.core.config import ClockPlan
+from repro.core.sim import KIND_FLYWHEEL
 from repro.dvfs import GovernorConfig
-from repro.experiments.common import ExperimentContext, print_table
+from repro.experiments.common import ExperimentContext, Legs, print_table
 from repro.power import TECH_130, energy_report
-from repro.session import MachineSpec
 
 #: The nominal plan every governor modulates: the paper's headline
 #: configuration (front end +100%, trace-execution back end +50%).
@@ -75,26 +75,19 @@ def sweep_points() -> List[Tuple[str, ClockPlan]]:
     return list(STATIC_POINTS) + governor_points()
 
 
-def _spec(ctx: ExperimentContext, bench: str, clock: ClockPlan) -> MachineSpec:
-    """One sweep point as a declarative spec (the session dedups these)."""
-    return ctx.spec("flywheel", bench, clock=clock)
+def legs(ctx: ExperimentContext) -> Legs:
+    """Per benchmark: the Flywheel at every sweep point."""
+    return {(bench, label): ctx.spec(KIND_FLYWHEEL, bench, clock=clock)
+            for bench in ctx.benchmarks for label, clock in sweep_points()}
 
 
-def warm_sweep(ctx: ExperimentContext) -> None:
-    """Batch the whole sweep through ``Session.map`` before the serial
-    table code reads results back (parallel when the session has
-    ``jobs > 1``; a no-op on a warmed store)."""
-    ctx.session.map([_spec(ctx, bench, clock)
-                     for bench in ctx.benchmarks
-                     for _label, clock in sweep_points()])
-
-
-def evaluate(ctx: ExperimentContext, bench: str,
+def evaluate(ctx: ExperimentContext, specs: Legs, bench: str,
              tech=TECH_130) -> List[Dict]:
-    """Absolute time/energy/EDP for every sweep point on one benchmark."""
+    """Absolute time/energy/EDP for every sweep point on one benchmark
+    (``specs`` are this context's :func:`legs`)."""
     points = []
     for label, clock in sweep_points():
-        result = ctx.session.run(_spec(ctx, bench, clock))
+        result = ctx.session.run(specs[bench, label])
         rep = energy_report(result, tech)
         points.append({
             "label": label,
@@ -117,10 +110,13 @@ def run(ctx: ExperimentContext, tech=TECH_130) -> List[dict]:
     ``adaptive_wins`` (True when some governor beats *every* static
     point on EDP for that benchmark).
     """
-    warm_sweep(ctx)
+    specs = legs(ctx)
+    # One batch first: parallel when the session has ``jobs > 1``, and
+    # a no-op on a warmed session.
+    ctx.session.map(list(specs.values()))
     rows = []
     for bench in ctx.benchmarks:
-        points = evaluate(ctx, bench, tech)
+        points = evaluate(ctx, specs, bench, tech)
         base_edp = points[0]["edp"]
         row = {"benchmark": bench}
         for p in points:
@@ -151,7 +147,7 @@ def main(ctx: ExperimentContext = None) -> List[dict]:
               "(workloads too uniform at this budget)")
     # Show one frequency trajectory so the mechanism is visible.
     sample_bench = winners[0] if winners else rows[0]["benchmark"]
-    for p in evaluate(ctx, sample_bench):
+    for p in evaluate(ctx, legs(ctx), sample_bench):
         if p["adaptive"]:
             print(f"{sample_bench} {p['label']}: "
                   f"{format_freq_trace(p['stats'])}")

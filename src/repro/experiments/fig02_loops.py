@@ -12,16 +12,28 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.config import CoreConfig
-from repro.experiments.common import ExperimentContext, geomean, print_table
+from repro.core.sim import KIND_BASELINE, KIND_PIPELINED_WAKEUP
+from repro.experiments.common import ExperimentContext, Legs, print_table
+
+
+def legs(ctx: ExperimentContext) -> Legs:
+    """Per benchmark: the baseline, one extra front-end stage, and the
+    pipelined Wake-Up/Select machine."""
+    specs = {}
+    for bench in ctx.benchmarks:
+        specs[bench, "base"] = ctx.spec(KIND_BASELINE, bench)
+        specs[bench, "fe"] = ctx.spec(
+            KIND_BASELINE, bench, config=CoreConfig(extra_frontend_stages=1))
+        specs[bench, "ws"] = ctx.spec(KIND_PIPELINED_WAKEUP, bench)
+    return specs
 
 
 def run(ctx: ExperimentContext) -> List[dict]:
+    specs = legs(ctx)
     rows = []
     for bench in ctx.benchmarks:
-        base = ctx.baseline(bench)
-        fe = ctx.baseline(
-            bench, config=CoreConfig(extra_frontend_stages=1))
-        ws = ctx.pipelined_wakeup(bench)
+        base, fe, ws = (ctx.session.run(specs[bench, leg])
+                        for leg in ("base", "fe", "ws"))
         base_ipc = base.stats.ipc
         rows.append({
             "benchmark": bench,

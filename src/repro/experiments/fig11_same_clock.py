@@ -13,22 +13,40 @@ execution time (higher = faster):
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List
 
 from repro.core.config import ClockPlan, FlywheelConfig
-from repro.experiments.common import ExperimentContext, geomean, print_table
+from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL
+from repro.experiments.common import (
+    ExperimentContext,
+    Legs,
+    geomean,
+    print_table,
+)
 
 _EQUAL = ClockPlan(fe_speedup=0.0, be_speedup=0.0)
 
 
-def run(ctx: ExperimentContext) -> List[dict]:
-    rows = []
-    no_ec = FlywheelConfig(ec_enabled=False)
+def legs(ctx: ExperimentContext) -> Legs:
+    """Per benchmark: the baseline, and the Flywheel at the baseline
+    clock without and with the Execution Cache."""
+    specs = {}
     for bench in ctx.benchmarks:
-        base = ctx.baseline(bench, ClockPlan())
-        ra = ctx.flywheel(bench, _EQUAL, fly=no_ec)
-        fw = ctx.flywheel(bench, _EQUAL)
+        specs[bench, "base"] = ctx.spec(KIND_BASELINE, bench)
+        specs[bench, "register_allocation"] = ctx.spec(
+            KIND_FLYWHEEL, bench, clock=_EQUAL,
+            fly=FlywheelConfig(ec_enabled=False))
+        specs[bench, "flywheel"] = ctx.spec(KIND_FLYWHEEL, bench,
+                                            clock=_EQUAL)
+    return specs
+
+
+def run(ctx: ExperimentContext) -> List[dict]:
+    specs = legs(ctx)
+    rows = []
+    for bench in ctx.benchmarks:
+        base, ra, fw = (ctx.session.run(specs[bench, leg]) for leg in
+                        ("base", "register_allocation", "flywheel"))
         rows.append({
             "benchmark": bench,
             "register_allocation": base.stats.sim_time_ps / max(1, ra.stats.sim_time_ps),

@@ -13,7 +13,13 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.config import ClockPlan
-from repro.experiments.common import ExperimentContext, geomean, print_table
+from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL
+from repro.experiments.common import (
+    ExperimentContext,
+    Legs,
+    geomean,
+    print_table,
+)
 
 #: (front-end speedup, back-end speedup) pairs, as in the paper.
 SWEEP = (
@@ -25,12 +31,26 @@ SWEEP = (
 )
 
 
+def legs(ctx: ExperimentContext) -> Legs:
+    """Per benchmark: the baseline and the Flywheel at each SWEEP pair
+    (Figs. 13 and 14 evaluate power over the same runs)."""
+    specs = {}
+    for bench in ctx.benchmarks:
+        specs[bench, "base"] = ctx.spec(KIND_BASELINE, bench)
+        for label, clock in SWEEP:
+            specs[bench, label] = ctx.spec(KIND_FLYWHEEL, bench, clock=clock)
+    return specs
+
+
 def run(ctx: ExperimentContext) -> List[dict]:
+    specs = legs(ctx)
     rows = []
     for bench in ctx.benchmarks:
+        base = ctx.session.run(specs[bench, "base"])
         row = {"benchmark": bench}
-        for label, clock in SWEEP:
-            row[label] = ctx.speedup(bench, clock)
+        for label, _clock in SWEEP:
+            fly = ctx.session.run(specs[bench, label])
+            row[label] = base.stats.sim_time_ps / max(1, fly.stats.sim_time_ps)
         rows.append(row)
     avg = {"benchmark": "geomean"}
     for label, _clock in SWEEP:

@@ -11,19 +11,20 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.config import ClockPlan
 from repro.experiments.common import ExperimentContext, geomean, print_table
-from repro.experiments.fig12_performance import SWEEP
+# Fig. 12's runs are this figure's legs too.
+from repro.experiments.fig12_performance import SWEEP, legs
 from repro.power import TECH_130, energy_report
 
 
 def run(ctx: ExperimentContext, tech=TECH_130) -> List[dict]:
+    specs = legs(ctx)
     rows = []
     for bench in ctx.benchmarks:
-        base = energy_report(ctx.baseline(bench, ClockPlan()), tech)
+        base = energy_report(ctx.session.run(specs[bench, "base"]), tech)
         row = {"benchmark": bench}
-        for label, clock in SWEEP:
-            fly = energy_report(ctx.flywheel(bench, clock), tech)
+        for label, _clock in SWEEP:
+            fly = energy_report(ctx.session.run(specs[bench, label]), tech)
             row[label] = fly.total_pj / base.total_pj
         rows.append(row)
     avg = {"benchmark": "geomean"}

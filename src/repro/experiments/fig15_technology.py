@@ -12,24 +12,45 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.config import ClockPlan
-from repro.experiments.common import ExperimentContext, geomean, print_table
+from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL
+from repro.experiments.common import (
+    ExperimentContext,
+    Legs,
+    geomean,
+    print_table,
+)
 from repro.power import TECH_130, TECH_60, TECH_90, energy_report
 from repro.timing.frequency import module_frequencies_mhz
 
 NODES = ((TECH_130, 0.13), (TECH_90, 0.09), (TECH_60, 0.06))
 
 
+def legs(ctx: ExperimentContext) -> Legs:
+    """Per benchmark and node: the baseline and the (FE100%, BE50%)
+    Flywheel at that node's issue-window clock."""
+    specs = {}
+    for bench in ctx.benchmarks:
+        for tech, node in NODES:
+            base_mhz = module_frequencies_mhz(node)["iw_single_cycle"]
+            specs[bench, tech.name, "base"] = ctx.spec(
+                KIND_BASELINE, bench, clock=ClockPlan(base_mhz=base_mhz))
+            specs[bench, tech.name, "fly"] = ctx.spec(
+                KIND_FLYWHEEL, bench,
+                clock=ClockPlan(base_mhz=base_mhz, fe_speedup=1.0,
+                                be_speedup=0.5))
+    return specs
+
+
 def run(ctx: ExperimentContext) -> List[dict]:
+    specs = legs(ctx)
     rows = []
     for bench in ctx.benchmarks:
         row = {"benchmark": bench}
-        for tech, node in NODES:
-            base_mhz = module_frequencies_mhz(node)["iw_single_cycle"]
-            bclock = ClockPlan(base_mhz=base_mhz)
-            fclock = ClockPlan(base_mhz=base_mhz, fe_speedup=1.0,
-                               be_speedup=0.5)
-            base = energy_report(ctx.baseline(bench, bclock), tech)
-            fly = energy_report(ctx.flywheel(bench, fclock), tech)
+        for tech, _node in NODES:
+            base = energy_report(
+                ctx.session.run(specs[bench, tech.name, "base"]), tech)
+            fly = energy_report(
+                ctx.session.run(specs[bench, tech.name, "fly"]), tech)
             row[tech.name] = fly.total_pj / base.total_pj
         rows.append(row)
     avg = {"benchmark": "geomean"}

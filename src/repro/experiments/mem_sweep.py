@@ -26,16 +26,14 @@ blocking on IPC) is this PR's acceptance gate.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.analysis.report import cache_stats_rows, format_cache_stats
 from repro.core.config import ClockPlan
 from repro.core.registry import get_kind
 from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL
-from repro.experiments.common import ExperimentContext, print_table
+from repro.experiments.common import ExperimentContext, Legs, print_table
 from repro.mem import MemorySpec
-from repro.session import MachineSpec
 
 #: The memory-bound workloads this sweep measures (its own set — the
 #: SPEC-like profiles are cache-resident by design and barely move).
@@ -57,31 +55,24 @@ POINTS: Tuple[Tuple[str, object], ...] = (
 )
 
 
-def sweep_specs(instructions: int, warmup: int,
-                seed=None) -> List[MachineSpec]:
-    """Every (kind, bench, point) spec of the sweep, for warming.
+def legs(ctx: ExperimentContext) -> Legs:
+    """Every (bench, kind, point) run of the sweep.
 
-    Takes plain budgets (not a context) so the campaign presets can
-    enumerate the exact same grid without building a session.
+    The sweep measures its own :data:`MEM_BENCHMARKS`, whatever
+    ``ctx.benchmarks`` says.
     """
-    return [_spec(kind, bench, mem, instructions, warmup, seed)
-            for kind in KINDS
-            for bench in MEM_BENCHMARKS
-            for _label, mem in POINTS]
-
-
-@lru_cache(maxsize=1024)
-def _spec(kind: str, bench: str, mem, instructions: int, warmup: int,
-          seed) -> MachineSpec:
-    # One spec object per point: the presets, the batch and the table
-    # all read the same one, with its memoized cache key.
-    config = None
-    if mem is not None:
-        config = get_kind(kind).default_config().with_variant(mem=mem)
-    clock = _FLY_CLOCK if kind == KIND_FLYWHEEL else None
-    return MachineSpec(kind, bench, config=config, clock=clock,
-                       seed=seed, instructions=instructions,
-                       warmup=warmup)
+    specs = {}
+    for kind in KINDS:
+        clock = _FLY_CLOCK if kind == KIND_FLYWHEEL else None
+        for bench in MEM_BENCHMARKS:
+            for label, mem in POINTS:
+                config = None
+                if mem is not None:
+                    config = get_kind(kind).default_config().with_variant(
+                        mem=mem)
+                specs[bench, kind, label] = ctx.spec(
+                    kind, bench, clock=clock, config=config)
+    return specs
 
 
 def run(ctx: ExperimentContext) -> List[Dict]:
@@ -91,16 +82,15 @@ def run(ctx: ExperimentContext) -> List[Dict]:
     point beats ``blocking`` on IPC — the memory-level parallelism the
     blocking hierarchy hides.
     """
-    ctx.session.map(sweep_specs(ctx.instructions, ctx.warmup, ctx.seed))
+    specs = legs(ctx)
+    ctx.session.map(list(specs.values()))
     rows: List[Dict] = []
     for bench in MEM_BENCHMARKS:
         for kind in KINDS:
             row: Dict = {"benchmark": bench, "kind": kind}
             ipcs = {}
-            for label, mem in POINTS:
-                result = ctx.session.run(
-                    _spec(kind, bench, mem, ctx.instructions, ctx.warmup,
-                          ctx.seed))
+            for label, _mem in POINTS:
+                result = ctx.session.run(specs[bench, kind, label])
                 ipcs[label] = result.stats.ipc
                 row[label] = result.stats.ipc
             row["nonblocking_wins"] = ipcs["mshr4"] > ipcs["blocking"]
@@ -124,9 +114,8 @@ def main(ctx: ExperimentContext = None) -> List[Dict]:
         print("\nno configuration saw non-blocking beat blocking "
               "(workloads not memory-bound at this budget)")
     # Show one per-level breakdown so the mechanism is visible.
-    sample = ctx.session.run(_spec(KIND_BASELINE, "stream_copy",
-                                   dict(POINTS)["mshr8+nl"],
-                                   ctx.instructions, ctx.warmup, ctx.seed))
+    sample = ctx.session.run(
+        legs(ctx)["stream_copy", KIND_BASELINE, "mshr8+nl"])
     level_rows = [{"level": r["level"], "accesses": r["accesses"],
                    "hit_rate": r["hit_rate"],
                    "prefetch": r.get("prefetches", ""),

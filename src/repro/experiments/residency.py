@@ -10,15 +10,23 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.config import ClockPlan
-from repro.experiments.common import ExperimentContext, print_table
+from repro.core.sim import KIND_FLYWHEEL
+from repro.experiments.common import ExperimentContext, Legs, print_table
 
 _EQUAL = ClockPlan(fe_speedup=0.0, be_speedup=0.0)
 
 
+def legs(ctx: ExperimentContext) -> Legs:
+    """Per benchmark: the Flywheel at the baseline clock."""
+    return {bench: ctx.spec(KIND_FLYWHEEL, bench, clock=_EQUAL)
+            for bench in ctx.benchmarks}
+
+
 def run(ctx: ExperimentContext) -> List[dict]:
+    specs = legs(ctx)
     rows = []
     for bench in ctx.benchmarks:
-        res = ctx.flywheel(bench, _EQUAL)
+        res = ctx.session.run(specs[bench])
         stats = res.stats
         rows.append({
             "benchmark": bench,

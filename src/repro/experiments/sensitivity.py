@@ -17,7 +17,13 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.config import CoreConfig
-from repro.experiments.common import ExperimentContext, geomean, print_table
+from repro.core.sim import KIND_BASELINE
+from repro.experiments.common import (
+    ExperimentContext,
+    Legs,
+    geomean,
+    print_table,
+)
 from repro.timing.structures import iw_latency_ps
 
 #: (entries, issue width) points; 128/6 is the paper's baseline.
@@ -25,19 +31,23 @@ IW_POINTS = ((32, 4), (64, 4), (128, 6), (256, 8))
 _NODE_UM = 0.13
 
 
+def legs(ctx: ExperimentContext) -> Legs:
+    """Per benchmark: the baseline at each (entries, width) point."""
+    return {(bench, entries): ctx.spec(
+                KIND_BASELINE, bench,
+                config=CoreConfig(iw_entries=entries, issue_width=width))
+            for bench in ctx.benchmarks for entries, width in IW_POINTS}
+
+
 def run(ctx: ExperimentContext) -> List[dict]:
+    specs = legs(ctx)
     rows = []
     freqs = {pt: 1e6 / iw_latency_ps(_NODE_UM, *pt) for pt in IW_POINTS}
     base_freq = freqs[(128, 6)]
     for bench in ctx.benchmarks:
         row = {"benchmark": bench}
-        ref_ipc = None
         for entries, width in IW_POINTS:
-            cfg = CoreConfig(iw_entries=entries, issue_width=width)
-            res = ctx.baseline(bench, config=cfg)
-            ipc = res.stats.ipc
-            if (entries, width) == (128, 6):
-                ref_ipc = ipc
+            ipc = ctx.session.run(specs[bench, entries]).stats.ipc
             row[f"ipc_{entries}"] = ipc
             # Delivered performance if this window set the clock.
             row[f"perf_{entries}"] = ipc * freqs[(entries, width)] / base_freq

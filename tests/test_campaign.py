@@ -14,10 +14,16 @@ from repro.campaign import ResultStore, RunSpec, Sweep, dedup, run_campaign
 from repro.campaign.spec import code_fingerprint
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.errors import CampaignError, WorkloadError
+from repro.campaign.presets import SIM_EXPERIMENTS
 from repro.session import MachineSpec, Session
+from repro.workloads.profiles import SPEC_NAMES
 
 #: Tiny budgets: every simulated spec in this file finishes in ~50ms.
 N, W = 1200, 2500
+
+#: Tinier still for the per-experiment drift checks, which simulate
+#: every experiment's legs (the memory sweep's 20 included).
+DRIFT_N, DRIFT_W = 500, 300
 
 
 def spec(kind="baseline", bench="smoke", **kw):
@@ -427,30 +433,62 @@ class TestExperimentContext:
 
         ctx = ExperimentContext(instructions=N, warmup=W,
                                 benchmarks=("smoke",))
-        default = ctx.baseline("smoke")
-        shrunk = ctx.baseline("smoke", config=CoreConfig(iw_entries=8,
-                                                         issue_width=2))
+
+        def run(kind, **kw):
+            return ctx.session.run(ctx.spec(kind, "smoke", **kw))
+
+        default = run("baseline")
+        shrunk = run("baseline", config=CoreConfig(iw_entries=8,
+                                                   issue_width=2))
         assert shrunk is not default
         assert shrunk.stats.to_dict() != default.stats.to_dict()
         # Same for a flywheel fly= override.
-        full = ctx.flywheel("smoke")
-        tiny = ctx.flywheel("smoke", fly=FlywheelConfig(ec_kb=4))
+        full = run("flywheel")
+        tiny = run("flywheel", fly=FlywheelConfig(ec_kb=4))
         assert tiny is not full
 
-    def test_warmed_context_executes_nothing(self, tmp_path):
+    @pytest.mark.parametrize("name", SIM_EXPERIMENTS)
+    def test_warmed_context_executes_nothing(self, name, tmp_path):
+        """Each simulating experiment's table reads only the runs its
+        presets list, so a warmed context simulates nothing more."""
         from repro.campaign.presets import experiment_specs
-        from repro.experiments import fig11_same_clock, residency
+        from repro.experiments.__main__ import EXPERIMENTS
         from repro.experiments.common import ExperimentContext
 
         benches = ("smoke",)
-        ctx = ExperimentContext(instructions=N, warmup=W, benchmarks=benches,
+        ctx = ExperimentContext(instructions=DRIFT_N, warmup=DRIFT_W,
+                                benchmarks=benches,
                                 store=ResultStore(tmp_path))
-        specs = experiment_specs(("fig11", "residency"), benchmarks=benches,
-                                 instructions=N, warmup=W)
-        ctx.warm(specs, jobs=2)
-        fig11_same_clock.run(ctx)
-        residency.run(ctx)
+        ctx.warm(experiment_specs((name,), benchmarks=benches,
+                                  instructions=DRIFT_N, warmup=DRIFT_W),
+                 jobs=2)
+        EXPERIMENTS[name].run(ctx)
         assert ctx.executed == 0
+
+    @pytest.mark.parametrize("benches, n, w, jobs, kinds, digest", [
+        (SPEC_NAMES, 30_000, 60_000, 330,
+         {"flywheel": 230, "baseline": 90, "pipelined_wakeup": 10},
+         "1ed7250b77aaad0358c02a69cdfeea6a58aa489c26ee84848f109ae38fddb7eb"),
+        (("gcc", "ijpeg"), 1000, 2000, 82,
+         {"flywheel": 54, "baseline": 26, "pipelined_wakeup": 2},
+         "84483d1dd48a57a8ed693e23d4615e18a2129675516cea170b8b1030008e3495"),
+    ], ids=["spec-30k", "gcc-ijpeg-1k"])
+    def test_campaign_job_list_is_pinned(self, benches, n, w, jobs, kinds,
+                                         digest):
+        """The all-experiments job list, order included: the order is
+        the campaign's dispatch order."""
+        import hashlib
+        from collections import Counter
+
+        from repro.campaign.presets import experiment_specs
+        from repro.experiments.__main__ import ALL_ORDER
+
+        specs = experiment_specs(ALL_ORDER, benchmarks=benches,
+                                 instructions=n, warmup=w)
+        assert len(specs) == jobs
+        assert Counter(s.kind for s in specs) == kinds
+        text = json.dumps([s.to_dict() for s in specs])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_campaign_tables_match_serial_path(self, tmp_path):
         """The acceptance check in miniature: rows computed from a
@@ -476,10 +514,10 @@ class TestExperimentContext:
     def test_seed_threads_into_runs(self):
         from repro.experiments.common import ExperimentContext
 
-        a = ExperimentContext(instructions=N, warmup=W, seed=1)
-        b = ExperimentContext(instructions=N, warmup=W, seed=2)
-        assert (a.baseline("smoke").stats.to_dict()
-                != b.baseline("smoke").stats.to_dict())
+        a, b = (ExperimentContext(instructions=N, warmup=W, seed=seed)
+                for seed in (1, 2))
+        assert (a.session.run(a.spec("baseline", "smoke")).stats.to_dict()
+                != b.session.run(b.spec("baseline", "smoke")).stats.to_dict())
 
 
 class TestMemScaleSymmetry:
@@ -501,8 +539,8 @@ class TestMemScaleSymmetry:
         from repro.experiments.common import ExperimentContext
 
         ctx = ExperimentContext(instructions=N, warmup=W)
-        near = ctx.flywheel("smoke")
-        far = ctx.flywheel("smoke", mem_scale=8.0)
+        near = ctx.session.run(ctx.spec("flywheel", "smoke"))
+        far = ctx.session.run(ctx.spec("flywheel", "smoke", mem_scale=8.0))
         assert far is not near
         assert far.stats.total_be_cycles > near.stats.total_be_cycles
 
@@ -708,6 +746,39 @@ class TestStoreEngineMetadata:
         del record["engine"]
         path.write_text(json.dumps(record))
         assert _ls_summary(next(store.records()))["engine"] == "legacy"
+
+    @pytest.mark.parametrize("spec_engine, shown",
+                             ((None, "legacy"), ("turbo", "turbo")))
+    def test_engineless_record_shows_one_engine_everywhere(
+            self, tmp_path, capsys, spec_engine, shown):
+        """A record written before the engine metadata names the same
+        engine in ``ls --json``, both exports and a ``diff`` row."""
+        import csv
+        import io
+
+        from repro.campaign.__main__ import main as campaign_main
+
+        store = ResultStore(tmp_path)
+        s = spec()
+        store.put(s.cache_key(), s, s.execute())
+        path = store._path(s.cache_key())
+        record = json.loads(path.read_text())
+        del record["engine"]
+        if spec_engine is not None:
+            record["spec"]["config"]["engine"] = spec_engine
+        path.write_text(json.dumps(record))
+
+        def cli(*argv):
+            assert campaign_main([*argv, "--store", str(tmp_path)]) == 0
+            return capsys.readouterr().out
+
+        (listed,) = json.loads(cli("ls", "--json"))
+        (row,) = csv.DictReader(io.StringIO(cli("export", "--csv", "-")))
+        (exported,) = json.loads(cli("export", "--json", "-"))
+        (pair,) = json.loads(cli("diff", "kind=baseline", "kind=baseline",
+                                 "--json"))["pairs"]
+        assert [listed["engine"], row["engine"], exported["engine"],
+                pair["axes"]["engine"]] == [shown] * 4
 
     @pytest.mark.parametrize("first", ("default", "legacy"))
     def test_engines_share_a_key_and_record_the_one_that_ran(

@@ -64,8 +64,8 @@ class TestHelpers:
         assert geomean([]) == 0.0
 
     def test_context_caches_runs(self, ctx):
-        r1 = ctx.baseline("ijpeg")
-        r2 = ctx.baseline("ijpeg")
+        r1 = ctx.session.run(ctx.spec("baseline", "ijpeg"))
+        r2 = ctx.session.run(ctx.spec("baseline", "ijpeg"))
         assert r1 is r2
 
 

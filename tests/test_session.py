@@ -344,7 +344,7 @@ class TestExperimentContextOnSession:
 
         session = Session()
         first = ExperimentContext(instructions=N, warmup=W, session=session)
-        first.baseline("smoke")
+        first.session.run(first.spec("baseline", "smoke"))
         assert first.executed == 1
         # A second context on the same (already-used) session starts
         # from zero, and warmed batches stay excluded.
@@ -353,7 +353,7 @@ class TestExperimentContextOnSession:
         assert second.executed == 0
         second.warm([ms(seed=5)])
         assert second.executed == 0
-        second.baseline("ijpeg")
+        second.session.run(second.spec("baseline", "ijpeg"))
         assert second.executed == 1
 
     def test_warm_defaults_to_session_jobs(self):
