@@ -61,7 +61,7 @@ from repro.errors import (
 #: first) loads no simulator module until one is used.
 _EXPORTS = {
     "repro.campaign.store": ("ResultStore",),
-    "repro.campaign.spec": ("RunSpec", "Sweep"),
+    "repro.campaign.spec": ("MachineSpec", "RunSpec", "Sweep"),
     "repro.campaign.executor": ("run_campaign",),
     "repro.core.baseline": ("BaselineCore",),
     "repro.core.config": ("ClockPlan", "CoreConfig", "FlywheelConfig"),
@@ -77,7 +77,7 @@ _EXPORTS = {
     "repro.obs.trace": ("TraceRecorder",),
     "repro.obs.spec": ("TraceSpec",),
     "repro.power.accounting": ("energy_report",),
-    "repro.session": ("MachineSpec", "Session", "SessionEvent"),
+    "repro.session": ("Session", "SessionEvent"),
     "repro.workloads.profiles": (
         "PROFILES", "SPEC_NAMES", "WorkloadProfile", "get_profile"),
     "repro.workloads.generator": ("generate_program",),

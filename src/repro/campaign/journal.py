@@ -75,6 +75,12 @@ class JobEntry:
         return RunSpec.from_dict(self.payload)
 
 
+class _UnreadableJournal(CampaignError):
+    """A journal file that is missing, torn or from another schema —
+    :func:`list_campaigns` skips it; a journal whose header reads but
+    whose job payloads do not is an error everywhere."""
+
+
 class CampaignRun:
     """One campaign's persisted journal: header + replayed job states."""
 
@@ -139,7 +145,7 @@ class CampaignRun:
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
         except OSError:
-            raise CampaignError(
+            raise _UnreadableJournal(
                 f"no campaign {campaign_id!r} under "
                 f"{campaigns_dir(store_root)}") from None
         header = None
@@ -151,14 +157,17 @@ class CampaignRun:
         if (not isinstance(header, dict)
                 or header.get("journal") != JOURNAL_SCHEMA
                 or not isinstance(header.get("specs"), list)):
-            raise CampaignError(
+            raise _UnreadableJournal(
                 f"campaign journal {path} is unreadable or from a "
                 "different schema")
         keys = header.get("keys") or []
-        jobs = [JobEntry(index=i, payload=payload,
-                         key=(keys[i] if i < len(keys) else
-                              RunSpec.from_dict(payload).cache_key()))
-                for i, payload in enumerate(header["specs"])]
+        try:
+            jobs = [JobEntry(index=i, payload=payload,
+                             key=(keys[i] if i < len(keys) else
+                                  RunSpec.from_dict(payload).cache_key()))
+                    for i, payload in enumerate(header["specs"])]
+        except CampaignError as exc:
+            raise CampaignError(f"campaign journal {path}: {exc}") from None
         run = cls(path, header.get("campaign", campaign_id), jobs,
                   header.get("created", 0.0), header.get("options"))
         for line in lines[1:]:
@@ -263,8 +272,8 @@ def list_campaigns(store_root: Union[str, Path]) -> List[Dict[str, object]]:
     for path in directory.glob("*.jsonl"):
         try:
             run = CampaignRun.load(store_root, path.stem)
-        except CampaignError:
-            continue
+        except _UnreadableJournal:
+            continue      # torn by a crash mid-create, or not a journal
         out.append(run.status())
     out.sort(key=lambda status: status["created"], reverse=True)
     return out

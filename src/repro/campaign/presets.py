@@ -24,7 +24,6 @@ from repro.experiments.common import (
     ExperimentContext,
 )
 from repro.experiments.__main__ import EXPERIMENTS
-from repro.session import MachineSpec
 from repro.workloads.profiles import SPEC_NAMES
 
 #: Derived from the experiments CLI's registry — the single source of
@@ -38,13 +37,13 @@ SIM_EXPERIMENTS = tuple(name for name in ALL_EXPERIMENTS
 
 
 def experiment_legs(ctx: ExperimentContext,
-                    names: Iterable[str]) -> List[MachineSpec]:
+                    names: Iterable[str]) -> List[RunSpec]:
     """Deduplicated union of the named experiments' legs on ``ctx``.
 
     Built through ``ctx.spec``, so the tables later read the very same
     spec objects (and their memoized cache keys).
     """
-    specs: List[MachineSpec] = []
+    specs: List[RunSpec] = []
     for name in names:
         if name not in ALL_EXPERIMENTS:
             raise CampaignError(
@@ -63,4 +62,4 @@ def experiment_specs(names: Iterable[str],
     """Deduplicated union of the specs the named experiments will run."""
     ctx = ExperimentContext(instructions=instructions, warmup=warmup,
                             benchmarks=tuple(benchmarks), seed=seed)
-    return [spec.run_spec() for spec in experiment_legs(ctx, names)]
+    return experiment_legs(ctx, names)

@@ -5,10 +5,9 @@ clock plan, config overrides, seed, instruction budgets and memory scale.
 Specs are frozen, hashable and normalized (``None`` configs are resolved
 to the defaults the runners would substitute), so two ways of writing the
 same run produce the same spec — and the same :meth:`RunSpec.cache_key`.
-It is the campaign projection of the public
-:class:`~repro.session.MachineSpec` (which delegates its validation,
-normalization and content addressing here), and kinds resolve through
-the pluggable registry in :mod:`repro.core.registry`.
+It is the one spec class: the public front door exports it as
+:class:`~repro.session.MachineSpec`, and kinds resolve through the
+pluggable registry in :mod:`repro.core.registry`.
 
 The cache key is a content hash over the full spec payload *plus a code
 fingerprint* of the installed ``repro`` sources, so results memoized by
@@ -22,9 +21,10 @@ single job).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -102,7 +102,14 @@ def code_fingerprint() -> str:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One fully specified simulation job."""
+    """Frozen, declarative description of one machine + run.
+
+    Construction validates the kind (against the core-kind registry),
+    the benchmark name and the budgets, and *normalizes* the axes —
+    ``None`` config/fly/clock resolve to the kind's defaults, synchronous
+    kinds drop the clock speedup axes — so two ways of writing the same
+    run compare, hash and cache identically.
+    """
 
     kind: str
     bench: str
@@ -113,8 +120,14 @@ class RunSpec:
     instructions: int = DEFAULT_INSTRUCTIONS
     warmup: int = DEFAULT_WARMUP
     mem_scale: float = 1.0
+    #: Constructor sugar for the engine-backend axis: ``engine="turbo"``
+    #: folds into ``config.engine`` (overriding any value the config
+    #: carries). It is not a field, so ``RunSpec("baseline", "gcc",
+    #: engine="turbo")`` and the spelled-out
+    #: ``config=CoreConfig(engine="turbo")`` are the same frozen spec.
+    engine: InitVar[Optional[str]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, engine: Optional[str]) -> None:
         info = _kind_info(self.kind)
         get_profile(self.bench)  # raises WorkloadError for unknown names
         if not info.dual_clock and self.fly is not None:
@@ -138,6 +151,8 @@ class RunSpec:
                               governor=clock.governor)
         object.__setattr__(self, "clock", clock)
         config = self.config or info.default_config()
+        if engine is not None and engine != config.engine:
+            config = config.with_variant(engine=engine)
         if info.normalize_config is not None:
             # e.g. pipelined_wakeup forces wakeup_extra_delay >= 1; the
             # spec's payload/cache key/variant() must describe the
@@ -146,6 +161,26 @@ class RunSpec:
         object.__setattr__(self, "config", config)
         if info.dual_clock:
             object.__setattr__(self, "fly", self.fly or FlywheelConfig())
+
+    @classmethod
+    def from_run_spec(cls, spec: "RunSpec") -> "RunSpec":
+        """``spec`` itself, kept for callers written when
+        ``MachineSpec`` was a separate class (``perfbench/shim.py``)."""
+        return spec
+
+    def replace(self, **overrides) -> "RunSpec":
+        """A copy with the given axes overridden (re-validated).
+
+        Changing ``kind`` resets ``config``/``fly`` to the new kind's
+        defaults unless they are overridden in the same call: the
+        current values were normalized *for this spec's kind* (e.g. the
+        flywheel's register-file sizing), and carrying them across
+        would silently describe a machine nobody asked for.
+        """
+        if overrides.get("kind", self.kind) != self.kind:
+            overrides.setdefault("config", None)
+            overrides.setdefault("fly", None)
+        return dataclasses.replace(self, **overrides)
 
     # ----------------------------------------------------------- identity
 
@@ -249,26 +284,67 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunSpec":
+        """The spec a :meth:`to_dict` payload describes.
+
+        Payloads come from outside (journals, store records, ``POST
+        /campaigns``), so a malformed one raises :class:`CampaignError`
+        naming the problem.
+        """
+        if not isinstance(data, dict):
+            raise CampaignError(
+                f"spec payload must be an object, got {data!r}")
+        missing = [name for name in ("kind", "bench") if name not in data]
+        if missing:
+            raise CampaignError(
+                f"spec payload lacks {' and '.join(map(repr, missing))}: "
+                f"{data!r}")
         config = data.get("config")
         if config is not None:
-            config = dict(config)
-            config["bpred"] = BPredConfig(**config["bpred"])
-            config["memory"] = MemoryConfig(**config["memory"])
-            config = CoreConfig(**config)
+            config = _member(dict, "config", config)
+            for name, part in (("bpred", BPredConfig),
+                               ("memory", MemoryConfig)):
+                if name in config:
+                    config[name] = _member(part, f"config.{name}",
+                                           config[name])
+            config = _member(CoreConfig, "config", config)
+        clock = data.get("clock")
+        clock = _member(ClockPlan, "clock", clock) if clock else None
         fly = data.get("fly")
         if fly is not None:
-            fly = FlywheelConfig(**fly)
-        return cls(
-            kind=data["kind"],
-            bench=data["bench"],
-            clock=ClockPlan(**data["clock"]) if data.get("clock") else None,
-            config=config,
-            fly=fly,
-            seed=data.get("seed"),
-            instructions=data.get("instructions", DEFAULT_INSTRUCTIONS),
-            warmup=data.get("warmup", DEFAULT_WARMUP),
-            mem_scale=data.get("mem_scale", 1.0),
-        )
+            fly = _member(FlywheelConfig, "fly", fly)
+        try:
+            return cls(
+                kind=data["kind"],
+                bench=data["bench"],
+                clock=clock,
+                config=config,
+                fly=fly,
+                seed=data.get("seed"),
+                instructions=data.get("instructions", DEFAULT_INSTRUCTIONS),
+                warmup=data.get("warmup", DEFAULT_WARMUP),
+                mem_scale=data.get("mem_scale", 1.0),
+            )
+        except (TypeError, ValueError) as exc:
+            raise CampaignError(f"malformed spec payload: {exc}") from None
+
+
+#: The spec class's public name, which ``repro`` and ``repro.session``
+#: export.
+MachineSpec = RunSpec
+
+
+def _member(cls, name: str, value):
+    """``cls(**value)`` for the spec payload member ``name``, or a
+    :class:`CampaignError` naming it."""
+    if not isinstance(value, dict):
+        raise CampaignError(
+            f"spec payload member {name!r} must be an object, "
+            f"got {value!r}")
+    try:
+        return cls(**value)
+    except (TypeError, ValueError) as exc:
+        raise CampaignError(
+            f"spec payload member {name!r}: {exc}") from None
 
 
 @lru_cache(maxsize=4096)

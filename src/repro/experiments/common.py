@@ -30,7 +30,7 @@ from repro.campaign.executor import CampaignReport, ProgressFn
 from repro.campaign.store import ResultStore
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.errors import ConfigError
-from repro.session import MachineSpec, Session, SpecLike
+from repro.session import MachineSpec, Session
 from repro.workloads.profiles import SPEC_NAMES
 
 #: Default measurement budgets. The paper fast-forwards 500M instructions
@@ -113,7 +113,7 @@ class ExperimentContext:
 
     # --------------------------------------------------------- campaigns
 
-    def warm(self, specs: Iterable[SpecLike], jobs: Optional[int] = None,
+    def warm(self, specs: Iterable[MachineSpec], jobs: Optional[int] = None,
              timeout_s: Optional[float] = None,
              progress: Optional[ProgressFn] = None) -> CampaignReport:
         """Pre-execute a job list (parallel) into the session's cache.

@@ -1,13 +1,12 @@
 """One front door for execution: :class:`MachineSpec` + :class:`Session`.
 
-``MachineSpec`` is a frozen, declarative description of one machine+run
-— kind, ``CoreConfig``/``FlywheelConfig`` overrides, ``ClockPlan``
-(including an optional DVFS governor), benchmark, seed, instruction
-budgets and memory scale. It validates and normalizes exactly like the
-campaign layer's :class:`~repro.campaign.spec.RunSpec` — because its
-:meth:`MachineSpec.run_spec` *is* that projection — so its
-:meth:`cache_key` is byte-compatible with every record the
-:class:`~repro.campaign.store.ResultStore` has ever written.
+``MachineSpec`` is the public name of :class:`~repro.campaign.spec.RunSpec`,
+the one frozen, declarative description of a machine+run — kind,
+``CoreConfig``/``FlywheelConfig`` overrides, ``ClockPlan`` (including an
+optional DVFS governor), benchmark, seed, instruction budgets and memory
+scale. Construction validates and normalizes the axes, and its
+:meth:`~repro.campaign.spec.RunSpec.cache_key` is the content address
+every :class:`~repro.campaign.store.ResultStore` record is filed under.
 
 ``Session`` executes specs::
 
@@ -34,7 +33,6 @@ ad-hoc profile or program uncached and keeps the live core.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -48,7 +46,7 @@ from typing import (
 )
 
 from repro.campaign.executor import CampaignReport, ProgressFn, run_campaign
-from repro.campaign.spec import RunSpec
+from repro.campaign.spec import MachineSpec, RunSpec
 from repro.campaign.store import ResultStore
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.sim import (
@@ -65,114 +63,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MachineSpec:
-    """Frozen, declarative description of one machine + run.
-
-    Construction validates the kind (against the core-kind registry),
-    the benchmark name and the budgets, and *normalizes* the axes the
-    same way the campaign layer does — ``None`` config/fly/clock
-    resolve to the kind's defaults, synchronous kinds drop the clock
-    speedup axes — so two ways of writing the same run compare, hash
-    and cache identically.
-    """
-
-    kind: str
-    bench: str
-    config: Optional[CoreConfig] = None
-    fly: Optional[FlywheelConfig] = None
-    clock: Optional[ClockPlan] = None
-    seed: Optional[int] = None
-    instructions: int = DEFAULT_INSTRUCTIONS
-    warmup: int = DEFAULT_WARMUP
-    mem_scale: float = 1.0
-    #: Constructor sugar for the engine-backend axis: ``engine="turbo"``
-    #: folds into ``config.engine`` during normalization (overriding any
-    #: value the config carries) and resets to ``None``, so
-    #: ``MachineSpec("baseline", "gcc", engine="turbo")`` and the
-    #: spelled-out ``config=CoreConfig(engine="turbo")`` are the same
-    #: frozen spec — same equality, same cache key.
-    engine: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        # RunSpec owns validation + normalization; copy the normalized
-        # axes back so MachineSpec equality/dedup sees through None, and
-        # keep the projection (specs are frozen, so it can never drift).
-        run = RunSpec(kind=self.kind, bench=self.bench, clock=self.clock,
-                      config=self.config, fly=self.fly, seed=self.seed,
-                      instructions=self.instructions, warmup=self.warmup,
-                      mem_scale=self.mem_scale)
-        if self.engine is not None and self.engine != run.config.engine:
-            run = RunSpec(kind=self.kind, bench=self.bench, clock=self.clock,
-                          config=run.config.with_variant(engine=self.engine),
-                          fly=self.fly, seed=self.seed,
-                          instructions=self.instructions, warmup=self.warmup,
-                          mem_scale=self.mem_scale)
-        object.__setattr__(self, "engine", None)
-        for axis in ("clock", "config", "fly", "mem_scale"):
-            object.__setattr__(self, axis, getattr(run, axis))
-        object.__setattr__(self, "_run", run)
-
-    # ------------------------------------------------------- projection
-
-    def run_spec(self) -> RunSpec:
-        """The campaign projection of this spec (same axes, same key)."""
-        return self._run
-
-    @classmethod
-    def from_run_spec(cls, spec: RunSpec) -> "MachineSpec":
-        """The MachineSpec whose projection is ``spec`` itself.
-
-        ``spec`` is already validated and normalized, so it is adopted
-        as is (with its memoized cache key) instead of being rebuilt.
-        """
-        machine = cls.__new__(cls)
-        for axis in dataclasses.fields(RunSpec):
-            object.__setattr__(machine, axis.name, getattr(spec, axis.name))
-        object.__setattr__(machine, "engine", None)
-        object.__setattr__(machine, "_run", spec)
-        return machine
-
-    def cache_key(self) -> str:
-        """Content address, byte-compatible with stored campaign records."""
-        return self.run_spec().cache_key()
-
-    @property
-    def label(self) -> str:
-        return self.run_spec().label
-
-    def replace(self, **overrides) -> "MachineSpec":
-        """A copy with the given axes overridden (re-validated).
-
-        Changing ``kind`` resets ``config``/``fly`` to the new kind's
-        defaults unless they are overridden in the same call: the
-        current values were normalized *for this spec's kind* (e.g. the
-        flywheel's register-file sizing), and carrying them across
-        would silently describe a machine nobody asked for.
-        """
-        if overrides.get("kind", self.kind) != self.kind:
-            overrides.setdefault("config", None)
-            overrides.setdefault("fly", None)
-        return dataclasses.replace(self, **overrides)
-
-    def to_dict(self) -> Dict[str, object]:
-        return self.run_spec().to_dict()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MachineSpec":
-        return cls.from_run_spec(RunSpec.from_dict(data))
-
-
-#: Anything a Session accepts where a spec is expected.
-SpecLike = Union[MachineSpec, RunSpec]
-
-
-def _as_run_spec(spec: SpecLike) -> RunSpec:
-    if isinstance(spec, MachineSpec):
-        return spec.run_spec()
-    if isinstance(spec, RunSpec):
-        return spec
-    raise TypeError(f"expected MachineSpec or RunSpec, got {type(spec)!r}")
+def _checked(spec: RunSpec) -> RunSpec:
+    if not isinstance(spec, RunSpec):
+        raise TypeError(f"expected a MachineSpec, got {type(spec)!r}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -265,9 +159,9 @@ class Session:
 
     # ------------------------------------------------------ single runs
 
-    def run(self, spec: SpecLike) -> SimResult:
+    def run(self, spec: RunSpec) -> SimResult:
         """Execute one spec, memoized: memory, then store, then simulate."""
-        run = _as_run_spec(spec)
+        run = _checked(spec)
         key = run.cache_key()
         hit = self._cache.get(key)
         if hit is not None:
@@ -312,7 +206,7 @@ class Session:
         self.executed += 1
         return result
 
-    def profile(self, spec: SpecLike,
+    def profile(self, spec: RunSpec,
                 out: Optional[str] = None) -> Dict[str, object]:
         """Self-profile one spec: wall time bucketed per engine phase.
 
@@ -323,7 +217,7 @@ class Session:
         """
         from repro.obs.profiler import profile_machine, write_profile
 
-        run = _as_run_spec(spec)
+        run = _checked(spec)
         report = profile_machine(
             run.kind, run.bench, config=run.config, fly=run.fly,
             clock=run.clock, instructions=run.instructions,
@@ -335,7 +229,7 @@ class Session:
 
     # ----------------------------------------------------------- batches
 
-    def warm(self, specs: Iterable[SpecLike],
+    def warm(self, specs: Iterable[RunSpec],
              jobs: Optional[int] = None,
              timeout_s: Optional[float] = None,
              progress: Optional[ProgressFn] = None) -> CampaignReport:
@@ -349,7 +243,7 @@ class Session:
         """
         seen = set()
         misses: List[RunSpec] = []
-        for run in (_as_run_spec(s) for s in specs):
+        for run in (_checked(s) for s in specs):
             key = run.cache_key()
             if key in seen:
                 continue
@@ -370,17 +264,17 @@ class Session:
         self.executed += report.executed
         return report
 
-    def map(self, specs: Sequence[SpecLike],
+    def map(self, specs: Sequence[RunSpec],
             jobs: Optional[int] = None,
             timeout_s: Optional[float] = None,
             progress: Optional[ProgressFn] = None) -> List[SimResult]:
         """Execute a batch (deduplicated, parallel) and return results
         in input order — duplicates map to the same result object."""
-        runs = [_as_run_spec(s) for s in specs]
+        runs = list(specs)
         self.warm(runs, jobs=jobs, timeout_s=timeout_s, progress=progress)
         return [self._cache[r.cache_key()] for r in runs]
 
-    def stream(self, specs: Iterable[SpecLike],
+    def stream(self, specs: Iterable[RunSpec],
                jobs: Optional[int] = None,
                timeout_s: Optional[float] = None) -> Iterator[SessionEvent]:
         """Execute a batch, yielding structured events as jobs finish.
@@ -401,7 +295,7 @@ class Session:
         """
         from repro.campaign.spec import dedup
 
-        runs = dedup(_as_run_spec(s) for s in specs)
+        runs = dedup(_checked(s) for s in specs)
         total = len(runs)
         yield SessionEvent(event="plan", total=total)
 

@@ -118,6 +118,35 @@ class TestRunSpec:
         assert again == s
         assert again.cache_key() == s.cache_key()
 
+    @pytest.mark.parametrize("payload, names", [
+        (["baseline", "smoke"], "must be an object"),
+        ({"kind": "baseline"}, "'bench'"),
+        ({"bench": "smoke"}, "'kind'"),
+        ({"kind": "baseline", "bench": "smoke", "config": {"iw": 64}},
+         "'config'.*'iw'"),
+        ({"kind": "baseline", "bench": "smoke", "config": "big"},
+         "'config' must be an object"),
+        ({"kind": "baseline", "bench": "smoke",
+          "config": {"bpred": {"ghr": 12}}}, "'config.bpred'.*'ghr'"),
+        ({"kind": "baseline", "bench": "smoke", "config": {"memory": 64}},
+         "'config.memory' must be an object"),
+        ({"kind": "flywheel", "bench": "smoke", "fly": {"ec": 64}},
+         "'fly'.*'ec'"),
+        ({"kind": "flywheel", "bench": "smoke", "fly": [64]},
+         "'fly' must be an object"),
+        ({"kind": "baseline", "bench": "smoke", "clock": {"mhz": 950}},
+         "'clock'.*'mhz'"),
+        ({"kind": "baseline", "bench": "smoke", "clock": 950},
+         "'clock' must be an object"),
+        ({"kind": "baseline", "bench": "smoke", "instructions": "many"},
+         "malformed spec payload"),
+    ], ids=["not-a-dict", "no-bench", "no-kind", "config-key",
+            "config-type", "bpred-key", "memory-type", "fly-key",
+            "fly-type", "clock-key", "clock-type", "budget-type"])
+    def test_malformed_payload_names_the_problem(self, payload, names):
+        with pytest.raises(CampaignError, match=names):
+            RunSpec.from_dict(payload)
+
 
 class TestSweep:
     def test_cross_product_counts(self):
@@ -465,18 +494,21 @@ class TestExperimentContext:
         EXPERIMENTS[name].run(ctx)
         assert ctx.executed == 0
 
-    @pytest.mark.parametrize("benches, n, w, jobs, kinds, digest", [
+    @pytest.mark.parametrize("benches, n, w, jobs, kinds, digest, labels", [
         (SPEC_NAMES, 30_000, 60_000, 330,
          {"flywheel": 230, "baseline": 90, "pipelined_wakeup": 10},
-         "1ed7250b77aaad0358c02a69cdfeea6a58aa489c26ee84848f109ae38fddb7eb"),
+         "1ed7250b77aaad0358c02a69cdfeea6a58aa489c26ee84848f109ae38fddb7eb",
+         "5ec1a053d670145bb3befa4320c8d0405f7dcadd36ddd4bd106913d434e1b629"),
         (("gcc", "ijpeg"), 1000, 2000, 82,
          {"flywheel": 54, "baseline": 26, "pipelined_wakeup": 2},
-         "84483d1dd48a57a8ed693e23d4615e18a2129675516cea170b8b1030008e3495"),
+         "84483d1dd48a57a8ed693e23d4615e18a2129675516cea170b8b1030008e3495",
+         "a2c625999c89bce5e601c3283c1dd9070917491e10e60ea81c6e3000d61dbe28"),
     ], ids=["spec-30k", "gcc-ijpeg-1k"])
     def test_campaign_job_list_is_pinned(self, benches, n, w, jobs, kinds,
-                                         digest):
-        """The all-experiments job list, order included: the order is
-        the campaign's dispatch order."""
+                                         digest, labels):
+        """The all-experiments job list, order included (the order is
+        the campaign's dispatch order), and the jobs' labels, which the
+        benchmark's result digests hash."""
         import hashlib
         from collections import Counter
 
@@ -489,6 +521,26 @@ class TestExperimentContext:
         assert Counter(s.kind for s in specs) == kinds
         text = json.dumps([s.to_dict() for s in specs])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        text = json.dumps([s.label for s in specs])
+        assert hashlib.sha256(text.encode()).hexdigest() == labels
+
+    def test_turbo_labels_are_pinned(self):
+        """The labels of the benchmark's ``flywheel-turbo`` legs, which
+        carry ``engine=turbo``."""
+        import hashlib
+
+        from repro.campaign.presets import experiment_specs
+
+        labels = [MachineSpec.from_run_spec(s).replace(engine="turbo").label
+                  for s in experiment_specs(SIM_EXPERIMENTS,
+                                            benchmarks=("gcc",),
+                                            instructions=1000, warmup=2000,
+                                            seed=7)
+                  if s.kind == "flywheel"]
+        assert len(labels) == 32
+        assert labels[1] == "flywheel/gcc engine=turbo seed=7"
+        assert (hashlib.sha256(json.dumps(labels).encode()).hexdigest()
+                == "b5e993872ccc10f876ff8500ed05a712179f532ef0e4c5df2e099d5dec238a50")
 
     def test_campaign_tables_match_serial_path(self, tmp_path):
         """The acceptance check in miniature: rows computed from a

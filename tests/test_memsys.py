@@ -111,21 +111,21 @@ class TestSpecThreading:
     def test_default_payload_has_no_mem_key(self):
         # The pre-MemorySpec payload shape (and the PR 4 pinned hashes)
         # survive: a default config serializes without a "mem" key.
-        payload = ms().run_spec().payload()
+        payload = ms().payload()
         assert "mem" not in payload["config"]
 
     def test_non_default_spec_changes_key_and_round_trips(self):
         spec = ms(config=CoreConfig(mem=MemorySpec(mshrs=4)))
         assert spec.cache_key() != ms().cache_key()
-        payload = spec.run_spec().payload()
+        payload = spec.payload()
         assert payload["config"]["mem"]["mshrs"] == 4
         again = RunSpec.from_dict(json.loads(json.dumps(payload)))
-        assert again == spec.run_spec()
+        assert again == spec
         assert again.cache_key() == spec.cache_key()
 
     def test_label_and_variant(self):
         run = ms(config=CoreConfig(mem=MemorySpec(
-            mshrs=4, prefetch="next_line"))).run_spec()
+            mshrs=4, prefetch="next_line")))
         assert "mem=mshr4+nl" in run.label
         assert "mem" not in run.variant()   # rendered via label, not k=v
 
@@ -232,18 +232,6 @@ class TestMemSweepExperiment:
         gate = by_key[("stream_copy", "baseline")]
         assert gate["nonblocking_wins"]
         assert gate["mshr4"] > gate["blocking"]
-
-    def test_presets_cover_the_experiment(self):
-        from repro.campaign.presets import experiment_specs
-        from repro.experiments.common import ExperimentContext
-        from repro.experiments.mem_sweep import run
-
-        ctx = ExperimentContext(instructions=1500, warmup=1000)
-        specs = experiment_specs(("mem",), benchmarks=("gcc",),
-                                 instructions=1500, warmup=1000)
-        ctx.warm(specs)
-        run(ctx)
-        assert ctx.executed == 0            # presets covered everything
 
 
 # ---------------------------------------------------------- dvfs coupling

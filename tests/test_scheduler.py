@@ -292,6 +292,26 @@ class TestJournal:
         with pytest.raises(CampaignError):
             CampaignRun.load(tmp_path, "missing")
 
+    def test_malformed_spec_payload_fails_both_resume_forms(self, tmp_path,
+                                                           capsys):
+        from repro.campaign.__main__ import main
+
+        journal = tmp_path / "campaigns" / "bad.jsonl"
+        journal.parent.mkdir()
+        journal.write_text(json.dumps(
+            {"journal": 1, "campaign": "bad", "specs": [{"kind": "baseline"}],
+             "keys": []}) + "\n")
+        for argv in (["resume"], ["resume", "bad"]):
+            assert main([*argv, "--store", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "'bench'" in err
+            assert "bad.jsonl" in err
+
+    def test_listing_skips_a_torn_header(self, tmp_path):
+        CampaignRun.create(tmp_path, specs(1), campaign_id="good")
+        (tmp_path / "campaigns" / "torn.jsonl").write_text('{"journal": 1, "sp')
+        assert [s["campaign"] for s in list_campaigns(tmp_path)] == ["good"]
+
     def test_status_and_listing(self, tmp_path):
         first = CampaignRun.create(tmp_path, specs(2), campaign_id="one")
         first.record(0, "done", source="run")

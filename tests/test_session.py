@@ -1,6 +1,8 @@
 """Tests for the MachineSpec + Session front door and the core-kind
 registry (PR 4 API redesign)."""
 
+import dataclasses
+
 import pytest
 
 import repro
@@ -48,19 +50,18 @@ class TestMachineSpec:
         with pytest.raises(CampaignError):
             ms(kind="baseline", fly=FlywheelConfig())
 
-    def test_round_trip_with_run_spec_keeps_cache_key(self):
+    def test_round_trip_keeps_cache_key(self):
         for spec in (
             ms(),
             ms(kind="flywheel", clock=ClockPlan(fe_speedup=0.25),
                fly=FlywheelConfig(ec_kb=64), seed=9, mem_scale=1.5),
             ms(kind="pipelined_wakeup", seed=3),
+            ms(engine="turbo"),
         ):
-            run = spec.run_spec()
-            assert isinstance(run, RunSpec)
-            back = MachineSpec.from_run_spec(run)
+            back = MachineSpec.from_dict(spec.to_dict())
             assert back == spec
-            assert (spec.cache_key() == run.cache_key()
-                    == back.cache_key())
+            assert back.cache_key() == spec.cache_key()
+            assert MachineSpec.from_run_spec(spec) is spec
 
     def test_payload_hashes_pinned_against_pr3(self):
         """The projection did not change the content-address function.
@@ -92,8 +93,7 @@ class TestMachineSpec:
                 "68631c2dec990d0347b8a5d264bf5d47978cc697",
         }
         for spec, expected in pins.items():
-            assert stable_hash(spec.run_spec().payload(),
-                               length=40) == expected
+            assert stable_hash(spec.payload(), length=40) == expected
 
     def test_replace_and_serialization(self):
         spec = ms(kind="flywheel", seed=1)
@@ -116,10 +116,19 @@ class TestMachineSpec:
                                                 iw_entries=64))
         assert custom.config.iw_entries == 64
 
-    def test_label_delegates_to_run_spec(self):
-        spec = ms(kind="flywheel", clock=ClockPlan(fe_speedup=0.5,
-                                                   be_speedup=0.5))
-        assert spec.label == spec.run_spec().label
+    def test_machine_spec_is_run_spec(self):
+        assert MachineSpec is RunSpec
+        assert repro.MachineSpec is repro.RunSpec
+
+    def test_engine_sugar_is_not_a_field(self):
+        spec = ms(engine="turbo")
+        assert spec == ms(config=CoreConfig(engine="turbo"))
+        assert spec.cache_key() == ms().cache_key()
+        assert spec.payload() == ms().payload()
+        assert "engine" not in {f.name for f in dataclasses.fields(spec)}
+        # dataclasses.replace passes the InitVar through __init__.
+        assert dataclasses.replace(ms(), engine="turbo") == spec
+        assert spec.replace(engine="legacy").config.engine == "legacy"
 
 
 # ----------------------------------------------------------------- Session
@@ -145,7 +154,7 @@ class TestSessionRun:
     def test_store_warmed_by_legacy_runspec_path_hits(self, tmp_path):
         """Records written through the campaign layer (the on-disk format
         since PR 3) must satisfy the Session/MachineSpec path."""
-        run = ms().run_spec()
+        run = ms()
         store = ResultStore(tmp_path)
         store.put(run.cache_key(), run, run.execute())
         session = Session(store=ResultStore(tmp_path))
@@ -154,9 +163,14 @@ class TestSessionRun:
 
     def test_accepts_run_spec_directly(self):
         session = Session()
-        result = session.run(ms().run_spec())
+        result = session.run(RunSpec("baseline", "smoke", instructions=N,
+                                     warmup=W))
         assert result.stats.committed >= N
         assert session.run(ms()) is result   # same key either way
+        with pytest.raises(TypeError):
+            session.run({"kind": "baseline", "bench": "smoke"})
+        with pytest.raises(TypeError):
+            session.map([ms(), "baseline/smoke"])
 
     def test_run_workload_is_uncached_and_live(self):
         session = Session()
@@ -303,7 +317,8 @@ class TestRegistry:
         # replace=True is the explicit override path.
         info = get_kind("baseline")
         register_kind("baseline", info.core, info.runner,
-                      default_config=info.default_config, replace=True)
+                      default_config=info.default_config,
+                      normalize_config=info.normalize_config, replace=True)
         assert get_kind("baseline").runner is info.runner
 
     def test_third_party_kind_plugs_into_specs_and_session(self):
