@@ -75,10 +75,11 @@ class JobEntry:
         return RunSpec.from_dict(self.payload)
 
 
-class _UnreadableJournal(CampaignError):
+class UnreadableJournal(CampaignError):
     """A journal file that is missing, torn or from another schema —
-    :func:`list_campaigns` skips it; a journal whose header reads but
-    whose job payloads do not is an error everywhere."""
+    :func:`list_campaigns` skips it and the HTTP service answers 404; a
+    journal whose header reads but whose job payloads do not is an error
+    everywhere (HTTP 500)."""
 
 
 class CampaignRun:
@@ -145,7 +146,7 @@ class CampaignRun:
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
         except OSError:
-            raise _UnreadableJournal(
+            raise UnreadableJournal(
                 f"no campaign {campaign_id!r} under "
                 f"{campaigns_dir(store_root)}") from None
         header = None
@@ -157,7 +158,7 @@ class CampaignRun:
         if (not isinstance(header, dict)
                 or header.get("journal") != JOURNAL_SCHEMA
                 or not isinstance(header.get("specs"), list)):
-            raise _UnreadableJournal(
+            raise UnreadableJournal(
                 f"campaign journal {path} is unreadable or from a "
                 "different schema")
         keys = header.get("keys") or []
@@ -272,7 +273,7 @@ def list_campaigns(store_root: Union[str, Path]) -> List[Dict[str, object]]:
     for path in directory.glob("*.jsonl"):
         try:
             run = CampaignRun.load(store_root, path.stem)
-        except _UnreadableJournal:
+        except UnreadableJournal:
             continue      # torn by a crash mid-create, or not a journal
         out.append(run.status())
     out.sort(key=lambda status: status["created"], reverse=True)

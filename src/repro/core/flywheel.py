@@ -120,6 +120,36 @@ class _Replay:
     def all_valid_issued(self) -> bool:
         return self.valid_issued >= self.valid_count
 
+    # Replay-issue gates, shared by the stage and the replay skip-ahead.
+    def next_unit(self):
+        """The Issue Unit up next, or None: all issued, or a resolved
+        divergence stops the wrong path once every valid one issued."""
+        if self.unit_idx >= self.n_units or (
+                self.div_pos >= 0 and self.branch_resolved
+                and self.valid_issued >= self.valid_count):
+            return None
+        return self.trace.units[self.unit_idx]
+
+    def ready_members(self, unit, ready) -> Optional[List[TraceInstr]]:
+        """The valid (pre-divergence) records of ``unit`` if each one is
+        allocated and its sources are ready in ``ready``, else None."""
+        recs = unit.instrs
+        if self.div_pos >= 0:
+            vc = self.valid_count
+            recs = [rec for rec in recs if rec.pos < vc]
+        ap = self.alloc_ptr
+        entries = self.entries
+        for rec in recs:
+            if rec.pos >= ap:
+                return None
+            if rec.op is _STORE:
+                # store data drains from the store queue at commit
+                continue
+            for tag in entries[rec.pos].dyn.src_tags:
+                if tag >= 0 and not ready[tag]:
+                    return None
+        return recs
+
 
 class FlywheelCore:
     """Cycle-level model of the proposed microarchitecture."""
@@ -320,8 +350,6 @@ class FlywheelCore:
         lsq = be.lsq
         rob = be.rob
         rob_q = be._rob_q
-        rob_cap = rob.capacity
-        iw_cap = iw.capacity
         pending = be.pending
         ready = be.ready
         wake_events = be.wake_events
@@ -334,13 +362,11 @@ class FlywheelCore:
         fill = self.fill
         fe = self.fe
         fe_decode = fe.decode
-        fetch_cap = fe._fetch_cap
         fetch_out = self._fetch_out
         decode_out = self._decode_out
         rename_out = self._rename_out
         dispatch_fifo = self._dispatch_fifo
         dispatch_q = self._dispatch_q
-        fifo_cap = dispatch_fifo.capacity
         redirect_fifo = self._redirect_fifo
         redirect_q = self._redirect_q
         renamer = self.renamer
@@ -351,12 +377,17 @@ class FlywheelCore:
         bases = pools.bases             # recomputed in place
         inflight = pools.inflight
         highwater = pools.highwater
+        pool_full = pools.full
+        # Stage gates, each one function that the skip-aheads call too.
+        update_blocked = self._update_blocked
+        alloc_blocked = self._alloc_blocked
+        redist_installable = self._redist_installable
+        fetch_open = self._fetch_open
         oracle_buffer = self._oracle_buffer
         next_instr = self.stream.next_instr
         bpred_predict = self.bpred.predict
         outstanding = self._outstanding
         pre_update = self._pre_update
-        entries_of = None               # replay.entries, rebound per replay
         tr = self.trace
         tron = tr is not None
         emit = tr.emit if tron else None
@@ -481,10 +512,7 @@ class FlywheelCore:
                 # ---- policy stages
                 if c < self._be_stall_until:
                     stats.checkpoint_stall_cycles += 1
-                elif (self._applying_redist and not rob_q
-                      and not any(inflight)
-                      and self._boundary is B_NONE
-                      and self._deferred_boundary is None):
+                elif redist_installable():
                     # In-flight work has drained (new renames are held in
                     # the FE): install the new pool geometry (Sec. 3.5).
                     self._apply_redistribution(c, now_ps)
@@ -585,17 +613,10 @@ class FlywheelCore:
                             if not dispatch_q or dispatch_q[0][0] > now_ps:
                                 break
                             dyn = dispatch_q[0][1]
-                            if len(rob_q) >= rob_cap or iw._count >= iw_cap:
+                            why = update_blocked(dyn)
+                            if why is not None:
                                 if tron:
-                                    emit(c, "stall", dyn.seq,
-                                         "rob_full"
-                                         if len(rob_q) >= rob_cap
-                                         else "iw_full")
-                                break
-                            if (dyn.mem_addr is not None
-                                    and lsq._count >= lsq.capacity):
-                                if tron:
-                                    emit(c, "stall", dyn.seq, "lsq_full")
+                                    emit(c, "stall", dyn.seq, why)
                                 break
                             if (dyn.trace_start
                                     and not self._begin_trace_at_update(
@@ -674,6 +695,7 @@ class FlywheelCore:
                     if replay is None:
                         raise SimulationError(
                             "EXECUTE mode without a replay")
+                    entries_of = replay.entries
                     if fill._active and fill._arrived < fill._total_slots:
                         fill.tick(c)
                     ap = replay.alloc_ptr
@@ -682,7 +704,6 @@ class FlywheelCore:
                         # ---- replay allocation: program-order Register
                         # Update + ROB/LSQ/pool allocation
                         paired = replay.paired
-                        entries_of = replay.entries
                         rt = renamer._rt
                         srt = renamer._srt
                         p_sizes = pools.sizes
@@ -692,24 +713,15 @@ class FlywheelCore:
                         n = 0
                         while ap < vc and n < issue_width:
                             dyn = paired[ap]
-                            if len(rob_q) >= rob_cap:
+                            why = alloc_blocked(dyn)
+                            if why is not None:
+                                if why == "pool_full":
+                                    pools.note_stall(dyn.dest)
+                                    stats.rename_pool_stalls += 1
                                 if tron:
-                                    emit(c, "stall", dyn.seq, "rob_full")
-                                break
-                            if (dyn.mem_addr is not None
-                                    and lsq._count >= lsq.capacity):
-                                if tron:
-                                    emit(c, "stall", dyn.seq, "lsq_full")
+                                    emit(c, "stall", dyn.seq, why)
                                 break
                             dest = dyn.dest
-                            if (dest is not None and dest != 0
-                                    and inflight[dest]
-                                    >= p_sizes[dest] - 1):
-                                pools.note_stall(dest)
-                                stats.rename_pool_stalls += 1
-                                if tron:
-                                    emit(c, "stall", dyn.seq, "pool_full")
-                                break
                             dyn.src_tags = tuple(
                                 [bases[a] + (rt[a] + l) % p_sizes[a]
                                  for a, l in zip(dyn.srcs, dyn.src_lids)])
@@ -752,39 +764,17 @@ class FlywheelCore:
                             ap += 1
                             n += 1
                         replay.alloc_ptr = ap
-                    if replay.unit_idx < replay.n_units and not (
-                            replay.div_pos >= 0 and replay.branch_resolved
-                            and replay.valid_issued >= vc):
+                    unit = replay.next_unit()
+                    if unit is not None:
                         # ---- replay issue: at most one recorded Issue
                         # Unit per fast cycle, once every valid member is
                         # allocated and its operands are ready (after a
                         # resolved divergence the wrong path stops here)
-                        unit = replay.trace.units[replay.unit_idx]
-                        recs = unit.instrs
-                        n_recs = len(recs)
-                        if fill._arrived - fill._consumed >= n_recs:
-                            entries_of = replay.entries
-                            if replay.div_pos < 0:
-                                valid = recs
-                            else:
-                                valid = [rec for rec in recs
-                                         if rec.pos < vc]
-                            ok = True
-                            for rec in valid:
-                                if rec.pos >= ap:
-                                    ok = False
-                                    break
-                                if rec.op is _STORE:
-                                    # store data drains from the store
-                                    # queue at commit
-                                    continue
-                                for tag in entries_of[rec.pos].dyn.src_tags:
-                                    if tag >= 0 and not ready[tag]:
-                                        ok = False
-                                        break
-                                if not ok:
-                                    break
-                            if ok and fu.try_issue_group(unit.demands, c):
+                        n_recs = len(unit.instrs)
+                        if fill.can_consume(n_recs):
+                            valid = replay.ready_members(unit, ready)
+                            if (valid is not None
+                                    and fu.try_issue_group(unit.demands, c)):
                                 fill._consumed += n_recs
                                 for rec in valid:
                                     entry = entries_of[rec.pos]
@@ -831,15 +821,17 @@ class FlywheelCore:
                 # Replay-mode skip-ahead: with the FE clock-gated, a BE
                 # tick that can only wait for a scheduled wake/done event,
                 # a fill-buffer arrival or pool capacity is provably inert.
+                # A done ROB head retires next tick: no skip.
                 replay = self._replay
-                if replay is not None and self._fe_gated:
+                if rob_q and rob_q[0].done:
+                    pass
+                elif replay is not None and self._fe_gated:
                     c = be_dom.cycles
                     if c >= self._be_stall_until:
                         self._replay_idle_until(replay, c,
                                                 last_cycle + window + 1)
                 elif (self.mode is MODE_CREATE and not tron
-                      and not iw_eligible
-                      and not (rob_q and rob_q[0].done)):
+                      and not iw_eligible):
                     # Creation-mode skip-ahead: both domains jump over
                     # ticks that can only wait, behind the same cheap
                     # vetoes as the baseline's (DESIGN.md §8).
@@ -870,8 +862,7 @@ class FlywheelCore:
                     n = 0
                     while rename_out and n < dispatch_width:
                         dyn = rename_out[0]
-                        if (dyn.lat_ready > fe_c
-                                or len(dispatch_q) >= fifo_cap):
+                        if dyn.lat_ready > fe_c or dispatch_fifo.full:
                             break
                         rename_out.popleft()
                         dispatch_q.append((now_ps + latency_ps, dyn))
@@ -880,7 +871,6 @@ class FlywheelCore:
                 if decode_out and not self._applying_redist:
                     # ---- rename phase 1 (held while pools are resized)
                     be_c = be_dom.cycles
-                    p_sizes = pools.sizes
                     n = 0
                     while decode_out and n < rename_width:
                         dyn = decode_out[0]
@@ -892,8 +882,7 @@ class FlywheelCore:
                             renamer.reset_lids()
                             self._trace_pos_counter = 0
                         dest = dyn.dest
-                        if (dest is not None and dest != 0
-                                and inflight[dest] >= p_sizes[dest] - 1):
+                        if pool_full(dest):
                             pools.note_stall(dest)
                             stats.rename_pool_stalls += 1
                             if tron:
@@ -921,8 +910,7 @@ class FlywheelCore:
                         n += 1
                 if fetch_out:
                     fe_decode(fe_c)
-                if (not (self._fetch_blocked or self._applying_redist)
-                        and len(fetch_out) < fetch_cap):
+                if fetch_open():
                     # ---- fetch (bounded buffering: don't run ahead)
                     be_c = be_dom.cycles
                     delay = 0
@@ -1124,17 +1112,13 @@ class FlywheelCore:
         the previous trace retires; SRT: one-cycle swap) and opens the
         trace builder. Returns False while the Update must still wait.
         """
-        if self._builder_open:
-            return False    # previous trace is still being recorded
+        if self._update_waits(dyn):
+            return False
         due = [g for g in self._pending_checkpoint if g <= dyn.trace_gen]
         if due:
-            kinds = {self._pending_checkpoint[g] for g in due}
-            if "frt" in kinds:
-                if len(self.rob):
-                    return False
-                self.renamer.checkpoint_from_frt()
-                self.renamer.sync_srt_to_frt()
-                self.stats.count("checkpoint")
+            if "frt" in {self._pending_checkpoint[g] for g in due}:
+                # the ROB has drained (_update_waits)
+                self._checkpoint_frt_now()
                 for g in due:
                     del self._pending_checkpoint[g]
             else:
@@ -1195,30 +1179,26 @@ class FlywheelCore:
         sealed in the background. On a hit the machine drains fully, the
         checkpoint runs, and trace execution begins.
         """
-        if not self._boundary_resolved:
-            return
         if self._boundary_decision is None:
-            self._decide_boundary(now_ps)
-        if self._boundary_decision == "miss":
-            if not self._update_drained():
+            if not self._boundary_resolved:
                 return
-            # All sealing-trace instructions have passed Update: hand the
-            # open builder to the background sealer so the next trace's
-            # Updates (and the front-end refill) overlap the issue drain.
-            if self._builder_open and self._sealing is None:
+            self._decide_boundary(now_ps)
+        if self._boundary_waits():
+            return
+        if self._boundary_decision == "miss":
+            # All sealing-trace instructions have passed Update and no
+            # seal is in flight: hand the open builder to the background
+            # sealer so the next trace's Updates overlap the issue drain.
+            if self._builder_open:
                 self._sealing = (self.builder, self._cur_tid,
                                  self._boundary_gen, -1)
                 self.builder = TraceBuilder()
                 self._builder_open = False
-            elif self._builder_open:
-                return   # a previous seal is still in flight; wait
             self._close_boundary()
             if self._poll_redistribution(c):
                 self._applying_redist = True
             return
         # Hit: full drain, checkpoint, then switch to trace execution.
-        if not self._issue_drained():
-            return
         self._seal_boundary_trace()
         hit = self._boundary_hit
         needs_frt = (self._boundary is _Boundary.MISPREDICT
@@ -1239,9 +1219,7 @@ class FlywheelCore:
             self._resume_frontend(now_ps)
             return
         if needs_frt:
-            self.renamer.checkpoint_from_frt()
-            self.renamer.sync_srt_to_frt()
-            self.stats.count("checkpoint")
+            self._checkpoint_frt_now()
         else:
             self._checkpoint_srt_now(c)
         self._trace_run += 1
@@ -1294,6 +1272,11 @@ class FlywheelCore:
         if self._deferred_boundary is not None:
             self._install_boundary(*self._deferred_boundary)
             self._deferred_boundary = None
+
+    def _checkpoint_frt_now(self) -> None:
+        self.renamer.checkpoint_from_frt()
+        self.renamer.sync_srt_to_frt()
+        self.stats.count("checkpoint")
 
     def _checkpoint_srt_now(self, c: int) -> None:
         self.renamer.checkpoint_from_srt()
@@ -1353,9 +1336,9 @@ class FlywheelCore:
         wait; returns the timestamp jumped to, or None.
 
         Called after BE tick ``c`` once the caller has vetoed eligible
-        window entries and a done ROB head. Mirrors the gates of the
-        CREATE-mode BE stages and the FE stages of :meth:`run` to find
-        the first tick of either domain that may act: a wake/done event,
+        window entries and a done ROB head. Asks the stage gates of the
+        CREATE-mode BE stages and the FE stages of :meth:`run` for the
+        first tick of either domain that may act: a wake/done event,
         the window's next matured entry, the dispatch-FIFO head's
         arrival, a boundary or redistribution step, an FE redirect, an
         FE latch's ``lat_ready``, an unblocked fetch. The span also ends
@@ -1381,15 +1364,14 @@ class FlywheelCore:
         fe_next = fe_dom.next_tick_ps
         fe_p = fe_dom.period_ps
         f1 = fe_dom.cycles + 1                # FE cycle of the tick at fe_next
-        if not (self._fetch_blocked or self._applying_redist
-                or len(self._fetch_out) >= self.fe._fetch_cap):
+        if self._fetch_open():
             horizon = fe_next                 # fetch acts
         redirect_q = self._redirect_q
         if redirect_q and redirect_q[0][0] < horizon:
             horizon = redirect_q[0][0]        # the redirect matures
         dispatch_q = self._dispatch_q
         rename_out = self._rename_out
-        if rename_out and len(dispatch_q) < self._dispatch_fifo.capacity:
+        if rename_out and not self._dispatch_fifo.full:
             t = fe_next + max(0, rename_out[0].lat_ready - f1) * fe_p
             if t < horizon:
                 horizon = t
@@ -1403,14 +1385,11 @@ class FlywheelCore:
         if decode_out and not self._applying_redist:
             dyn = decode_out[0]
             t = fe_next + max(0, dyn.lat_ready - f1) * fe_p
-            dest = dyn.dest
-            pools = self.pools
             # A trace-start head resets the LIDs before its pool check,
             # so it is not left to the jump.
-            if (t == fe_next and not dyn.trace_start and dest is not None
-                    and dest != 0
-                    and pools.inflight[dest] >= pools.sizes[dest] - 1):
-                pool_stall = dest             # counts a stall each tick
+            if (t == fe_next and not dyn.trace_start
+                    and self.pools.full(dyn.dest)):
+                pool_stall = dyn.dest         # counts a stall each tick
             elif t < horizon:
                 horizon = t
         if horizon <= be_next:
@@ -1421,18 +1400,13 @@ class FlywheelCore:
         act = deadline
         ckpt_from = None    # Update counts checkpoint stalls from here on
         be = self.be
-        rob_q = be._rob_q
-        iw = self.iw
-        if (self._applying_redist and not rob_q
-                and not any(self.pools.inflight)
-                and self._boundary is _Boundary.NONE
-                and self._deferred_boundary is None):
+        if self._redist_installable():
             act = min(act, su)                # installs the new pools
         else:
             if (self._boundary is not _Boundary.NONE
                     and not self._boundary_waits()):
                 act = min(act, su)
-            future = iw._future
+            future = self.iw._future
             if future:
                 act = min(act, max(future[0][0], su))
             if dispatch_q:
@@ -1440,10 +1414,7 @@ class FlywheelCore:
                 m = c + 1
                 if head_ps > be_next:
                     m += -((be_next - head_ps) // be_p)
-                lsq = be.lsq
-                if (len(rob_q) >= be.rob.capacity or iw._count >= iw.capacity
-                        or (dyn.mem_addr is not None
-                            and lsq._count >= lsq.capacity)):
+                if self._update_blocked(dyn):
                     pass                      # unblocks at retire or select
                 elif dyn.trace_start and self._update_waits(dyn):
                     ckpt_from = max(m, su)
@@ -1478,6 +1449,46 @@ class FlywheelCore:
             self.pools.note_stall(pool_stall, n_fe)
             stats.rename_pool_stalls += n_fe
         return horizon
+
+    # ------------------------------------------------------------ stage gates
+    # Its stage in :meth:`run` and a skip-ahead both call each gate; a gate
+    # of a stall-emitting stage returns the stall reason the stage emits.
+
+    def _update_blocked(self, dyn: DynInstr) -> Optional[str]:
+        """Why Register Update cannot admit ``dyn`` now, or None; each
+        reason unblocks at a retirement or a select."""
+        if len(self.be._rob_q) >= self.rob.capacity:
+            return "rob_full"
+        if self.iw._count >= self.iw.capacity:
+            return "iw_full"
+        if dyn.mem_addr is not None and self.lsq.full:
+            return "lsq_full"
+        return None
+
+    def _alloc_blocked(self, dyn: DynInstr) -> Optional[str]:
+        """Why replay allocation cannot allocate ``dyn`` now, or None;
+        each reason unblocks at a retirement."""
+        if len(self.be._rob_q) >= self.rob.capacity:
+            return "rob_full"
+        if dyn.mem_addr is not None and self.lsq.full:
+            return "lsq_full"
+        if self.pools.full(dyn.dest):
+            return "pool_full"
+        return None
+
+    def _fetch_open(self) -> bool:
+        """Fetch may run: no boundary or redistribution holds it, and the
+        fetch latch has room (bounded buffering: don't run ahead)."""
+        return (not (self._fetch_blocked or self._applying_redist)
+                and len(self._fetch_out) < self.fe._fetch_cap)
+
+    def _redist_installable(self) -> bool:
+        """A redistribution is owed and the machine has drained for it:
+        no ROB entry, in-flight write, or open or parked boundary."""
+        return (self._applying_redist and not self.be._rob_q
+                and not any(self.pools.inflight)
+                and self._boundary is _Boundary.NONE
+                and self._deferred_boundary is None)
 
     def _update_waits(self, dyn: DynInstr) -> bool:
         """:meth:`_begin_trace_at_update` would return False and change
@@ -1533,9 +1544,7 @@ class FlywheelCore:
             # Fetch restarts through the redirect FIFO; the applying flag
             # holds it until the new geometry is installed.
             self._applying_redist = True
-            self._set_mode(Mode.CREATE)
-            self.be_dom.set_frequency(self.clock.be_mhz, now_ps)
-            self.stats.count("mode_switch")
+            self._to_create_mode(now_ps)
             self._resume_frontend(now_ps)
             return
         hit = self.ec.lookup(next_pc)
@@ -1549,11 +1558,8 @@ class FlywheelCore:
                 self.fill.start(c + 1, hit.slots)
                 return
         self.stats.trace_misses += 1
-        self._set_mode(Mode.CREATE)
-        self._fe_gated = False
-        self.be_dom.set_frequency(self.clock.be_mhz, now_ps)
+        self._to_create_mode(now_ps)
         self._resume_frontend(now_ps)
-        self.stats.count("mode_switch")
 
     def _pair_trace(self, trace: Trace) -> Optional[_Replay]:
         """Pair a trace's records with fresh dynamic instances.
@@ -1596,15 +1602,16 @@ class FlywheelCore:
                            deadline: int) -> Optional[int]:
         """Jump the BE clock over replay ticks that can only wait; returns
         the first cycle that may act, or None if the next tick may act
-        (issue, allocate, retire, or distinguish an FU-reservation
-        conflict — all vetoes).
+        (issue, allocate, or distinguish an FU-reservation conflict —
+        all vetoes). Called once the caller has vetoed a done ROB head.
 
-        Mirrors the stage gates of the EXECUTE-mode stages of
-        :meth:`run` (replay allocation, replay issue): allocation blocked
-        on ROB/LSQ space or pool capacity unblocks at retirement (a
-        scheduled done event); issue blocked on operand readiness
-        unblocks at a wake event; issue blocked on fill-buffer arrivals
-        has a computable ready cycle. Skipped ticks count as execute
+        Asks the gates of the EXECUTE-mode stages of :meth:`run`
+        (:meth:`_alloc_blocked`, :meth:`_Replay.next_unit`,
+        :meth:`_Replay.ready_members`, ``FillBuffer.can_consume``):
+        allocation blocked on ROB/LSQ space or pool capacity unblocks at
+        retirement (a scheduled done event); issue blocked on operand
+        readiness unblocks at a wake event; issue blocked on fill-buffer
+        arrivals has a computable ready cycle. Skipped ticks count as execute
         cycles. A pool-capacity block also counts a rename stall per
         tick, added here in bulk; such a span also ends at the governor's
         ``next_check`` and at ``deadline`` (the watchdog's trip cycle),
@@ -1613,55 +1620,29 @@ class FlywheelCore:
         then fire late (DESIGN.md §8).
         """
         be = self.be
-        rob_q = be._rob_q
-        if rob_q and rob_q[0].done:
-            return None                      # retirement this tick
         fill_bound = None
         pool_stall = None
-        ap = replay.alloc_ptr
-        if ap < replay.valid_count:
-            dyn = replay.paired[ap]
-            dest = dyn.dest
-            pools = self.pools
-            if len(rob_q) >= be.rob.capacity:
-                pass                         # unblocks at retire
-            elif dyn.mem_addr is not None and be.lsq.full:
-                pass                         # unblocks at retire
-            elif (dest is not None and dest != 0 and self.trace is None
-                    and pools.inflight[dest] >= pools.sizes[dest] - 1):
-                pool_stall = dest            # unblocks at retire
-            else:
+        if replay.alloc_ptr < replay.valid_count:
+            dyn = replay.paired[replay.alloc_ptr]
+            why = self._alloc_blocked(dyn)   # each unblocks at retire
+            if why is None:
                 return None                  # able to allocate
-        if replay.unit_idx < replay.n_units and not (
-                replay.div_pos >= 0 and replay.branch_resolved
-                and replay.valid_issued >= replay.valid_count):
-            recs = replay.trace.units[replay.unit_idx].instrs
-            if not self.fill.can_consume(len(recs)):
-                fill_bound = self.fill.cycle_ready_for(len(recs))
+            if why == "pool_full":
+                if self.trace is not None:
+                    return None              # each tick emits a stall
+                pool_stall = dyn.dest
+        unit = replay.next_unit()
+        if unit is not None:
+            n_recs = len(unit.instrs)
+            if not self.fill.can_consume(n_recs):
+                fill_bound = self.fill.cycle_ready_for(n_recs)
                 if fill_bound is None:
                     return None
-            else:
-                ready = be.ready
-                entries = replay.entries
-                blocked = False
-                for rec in recs:
-                    if rec.pos >= replay.valid_count:
-                        continue
-                    if rec.pos >= ap:
-                        blocked = True       # waits on allocation
-                        break
-                    if rec.op is OpClass.STORE:
-                        continue
-                    for tag in entries[rec.pos].dyn.src_tags:
-                        if tag >= 0 and not ready[tag]:
-                            blocked = True   # waits on a wake event
-                            break
-                    if blocked:
-                        break
-                if not blocked:
-                    # Fully ready: either it issues next tick or an FU
-                    # reservation is in the way — don't try to model that.
-                    return None
+            elif replay.ready_members(unit, be.ready) is not None:
+                # Fully ready: either it issues next tick or an FU
+                # reservation is in the way — don't try to model that.
+                # Otherwise it waits on allocation or a wake event.
+                return None
         bound = be.next_event_cycle()
         if fill_bound is not None and (bound is None or fill_bound < bound):
             bound = fill_bound
@@ -1680,7 +1661,7 @@ class FlywheelCore:
         stats = self.stats
         stats.be_cycles_execute += skip
         if pool_stall is not None:
-            pools.note_stall(pool_stall, skip)
+            self.pools.note_stall(pool_stall, skip)
             stats.rename_pool_stalls += skip
         return bound
 
@@ -1697,9 +1678,7 @@ class FlywheelCore:
             elif len(self.rob):
                 return
             else:
-                self.renamer.checkpoint_from_frt()
-                self.renamer.sync_srt_to_frt()
-                self.stats.count("checkpoint")
+                self._checkpoint_frt_now()
             self._leave_execute(c, now_ps, replay.next_pc)
 
     def _replay_abort_step(self, replay: _Replay, c: int,
@@ -1736,9 +1715,7 @@ class FlywheelCore:
                 self._applying_redist = True
             return
         # Hit path: checkpoint through the FRT now that everything retired.
-        self.renamer.checkpoint_from_frt()
-        self.renamer.sync_srt_to_frt()
-        self.stats.count("checkpoint")
+        self._checkpoint_frt_now()
         if self._poll_redistribution(c):
             self._applying_redist = True
             self._to_create_mode(now_ps)

@@ -12,7 +12,9 @@ An Issue Unit can leave the buffer only when all its slots have arrived —
 very large units spanning a late second block stall, the corner case the
 paper notes. The replay-issue stage of
 :meth:`repro.core.flywheel.FlywheelCore.run` (``# ---- replay issue``)
-checks arrivals and advances ``_consumed`` inline, one unit at a time.
+and the replay skip-ahead both ask :meth:`FillBuffer.can_consume` whether
+a unit's slots have arrived; the stage advances ``_consumed`` inline,
+one unit at a time.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ that stalls Rename (trace creation) or the EC dispatch (trace execution).
 These stalls are the "limited rename capacity" cost the paper measures in
 Fig. 11, and what redistribution (Section 3.5, [12]) relieves.
 
-The per-instruction accounting (the capacity check, the in-flight count
-and high-water mark, the release at retirement and its underflow guard)
-is written inline in :meth:`repro.core.flywheel.FlywheelCore.run`; this
-class holds the geometry, the in-flight counts and the stall history.
+The capacity check is :meth:`PoolFile.full`, which both Flywheel stages
+and their skip-aheads call. The in-flight count and high-water mark, the
+release at retirement and its underflow guard are written inline in
+:meth:`repro.core.flywheel.FlywheelCore.run`; this class holds the
+geometry, the in-flight counts and the stall history.
 """
 
 from __future__ import annotations
@@ -75,7 +76,13 @@ class PoolFile:
         if base != self.total_regs:
             raise SimulationError("pool sizes no longer sum to the file size")
 
-    # ----------------------------------------------------- stall history
+    # ------------------------------------------ capacity and stall history
+
+    def full(self, arch) -> bool:
+        """A write to ``arch`` must wait (never for register 0 or None):
+        its pool holds the committed value and ``size - 1`` writes."""
+        return (arch is not None and arch != 0
+                and self.inflight[arch] >= self.sizes[arch] - 1)
 
     def note_stall(self, arch: int, n: int = 1) -> None:
         """Count ``n`` rename stalls (one per stalled cycle) on ``arch``."""

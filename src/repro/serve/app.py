@@ -37,7 +37,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.campaign.journal import CampaignRun, list_campaigns
+from repro.campaign.journal import (CampaignRun, UnreadableJournal,
+                                    list_campaigns)
 from repro.campaign.scheduler import submit_campaign
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError, ReproError
@@ -256,8 +257,12 @@ class ServeHandler(BaseHTTPRequestHandler):
                 self._json(self.app.results(parse_qs(url.query)))
             else:
                 self._error(404, f"no route for {url.path}")
+        except UnreadableJournal as exc:
+            self._error(404, str(exc))    # no such campaign
         except CampaignError as exc:
-            self._error(404, str(exc))
+            # On a GET only a journal in the store that does not
+            # reconstruct raises this: the server's fault, not the client's.
+            self._error(500, str(exc))
         except ReproError as exc:
             self._error(400, str(exc))
         except BrokenPipeError:

@@ -183,6 +183,29 @@ class TestService:
             urllib.request.urlopen(f"{base}/nope")
         assert err.value.code == 404
 
+    def test_bad_journal_is_a_server_fault(self, service):
+        # A journal whose header reads but whose spec payload does not
+        # reconstruct is the server's fault, not a missing route:
+        # /healthz and /campaigns answer 500 naming the journal. A route
+        # or a campaign id with no journal is still a 404.
+        app, client = service
+        journals = app.store.root / "campaigns"
+        journals.mkdir(parents=True, exist_ok=True)
+        (journals / "bad.jsonl").write_text(json.dumps(
+            {"journal": 1, "campaign": "bad", "specs": [{"kind": "baseline"}],
+             "keys": []}) + "\n", encoding="utf-8")
+        base = client.base_url
+        for path in ("/healthz", "/campaigns", "/campaigns/bad"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{base}{path}")
+            assert err.value.code == 500, path
+            body = json.loads(err.value.read())
+            assert "bad.jsonl" in body["error"], path
+        for path in ("/campaigns/nonexistent", "/nope"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{base}{path}")
+            assert err.value.code == 404, path
+
     def test_sse_wire_format(self, service):
         _, client = service
         cid = client.submit({"benchmarks": ["smoke"], "instructions": N,

@@ -242,16 +242,40 @@ def _tick_pool_waits(self, replay, c, deadline):
     capacity one by one, as the loop did before it counted their stalls
     in bulk."""
     ap = replay.alloc_ptr
-    if ap < replay.valid_count:
-        dyn = replay.paired[ap]
-        be = self.be
-        dest = dyn.dest
-        if not (len(be._rob_q) >= be.rob.capacity
-                or (dyn.mem_addr is not None and be.lsq.full)
-                or not dest
-                or self.pools.inflight[dest] < self.pools.sizes[dest] - 1):
-            return None
+    if (ap < replay.valid_count
+            and self._alloc_blocked(replay.paired[ap]) == "pool_full"):
+        return None
     return _REPLAY_JUMP(self, replay, c, deadline)
+
+
+def _roomier_rob(gate):
+    """A ROB-checking stage gate that admits 8 entries past capacity."""
+    def blocked(self, dyn):
+        rob = self.rob
+        rob.capacity += 8
+        try:
+            return gate(self, dyn)
+        finally:
+            rob.capacity -= 8
+    return blocked
+
+
+def _check_invariants(result):
+    """Identities of every finished Flywheel run, jumps or not: commit
+    overshoots the budget by less than one retire group, each domain's
+    cycles split exactly into its two counters, EC-supplied commits are
+    commits, and every cache access hits or misses."""
+    stats, core = result.stats, result.core
+    assert 0 <= stats.committed - _SKIP_N < core.config.commit_width
+    assert (stats.be_cycles_create + stats.be_cycles_execute
+            == core.be_dom.cycles)
+    assert (stats.fe_cycles_active + stats.fe_cycles_gated
+            == core.fe_dom.cycles)
+    assert stats.instrs_from_ec <= stats.committed
+    for level, counts in core.hierarchy.stats_dict().items():
+        if "accesses" in counts:
+            assert counts["hits"] + counts["misses"] == counts["accesses"], (
+                level)
 
 
 def _skip_pair(monkeypatch, bench, create=_no_jump, replay=None, fly=None,
@@ -261,7 +285,7 @@ def _skip_pair(monkeypatch, bench, create=_no_jump, replay=None, fly=None,
     The reference swaps ``create``/``replay`` in for the two skip
     methods (None keeps one). By default it stubs the creation-mode
     jump out, so its loop runs every creation tick, and keeps the replay
-    skip-ahead.
+    skip-ahead. The live run must also hold the machine invariants.
     """
     def run():
         return execute_kind("flywheel", bench, config=CoreConfig(**cfg_kw),
@@ -275,6 +299,7 @@ def _skip_pair(monkeypatch, bench, create=_no_jump, replay=None, fly=None,
         if replay is not None:
             m.setattr(FlywheelCore, "_replay_idle_until", replay)
         reference = run()
+    _check_invariants(live)
     return live, reference
 
 
@@ -283,7 +308,9 @@ class TestCreateSkipAhead:
     creation-mode ticks that can only wait. It must be invisible: the
     stats, cache stats, metric snapshots and trace ring of a live run
     equal those of the tick-by-tick loop, governor hooks and the
-    watchdog included (DESIGN.md §8)."""
+    watchdog included (DESIGN.md §8). Every live run also holds the
+    machine invariants, and both skips must ask the stages' own gate
+    functions (DESIGN.md §2)."""
 
     @pytest.mark.parametrize("gov", _SKIP_GOVS)
     @pytest.mark.parametrize("mem", _SKIP_MEMS)
@@ -321,6 +348,32 @@ class TestCreateSkipAhead:
                                fly=_TWO_ENTRY_POOLS, clock=_FE100_BE50)
         assert live.stats.trace_hits > 0
         assert live.stats.rename_pool_stalls > 5000
+        assert live.to_dict() == ref.to_dict()
+
+    def test_skips_ask_the_stage_gates(self, monkeypatch):
+        # Widen the ROB in the Register Update and replay allocation
+        # gates only. A skip-ahead that kept its own copy of either gate
+        # would still see the ROB full at its old capacity, jump over
+        # ticks on which the stage admits an entry, and so leave the
+        # tick-by-tick run (both skips stubbed out: without a governor,
+        # recorder or watchdog trip the replay jump is exact too). A
+        # 48-entry ROB fills before the 64-entry LSQ on pointer_chase,
+        # so the widening matters in both modes.
+        def run():
+            return execute_kind("flywheel", "pointer_chase",
+                                config=CoreConfig(rob_entries=48),
+                                clock=_FE100_BE50, max_instructions=_SKIP_N,
+                                warmup=_SKIP_W)
+
+        narrow = run()
+        for gate in ("_update_blocked", "_alloc_blocked"):
+            monkeypatch.setattr(FlywheelCore, gate,
+                                _roomier_rob(getattr(FlywheelCore, gate)))
+        live, ref = _skip_pair(monkeypatch, "pointer_chase",
+                               replay=_no_jump, clock=_FE100_BE50,
+                               rob_entries=48)
+        assert live.stats.trace_hits > 0
+        assert live.to_dict() != narrow.to_dict()
         assert live.to_dict() == ref.to_dict()
 
     def test_replay_pool_waits_keep_governor_hooks_on_time(
