@@ -7,19 +7,21 @@ Pieces:
   a sweep expands benchmarks × clock plans × config overrides × seeds
   into a deduplicated job list, each job content-addressed by
   :meth:`RunSpec.cache_key` (config + workload + budgets + code version).
-* :func:`run_campaign` (``executor.py``) — execute a job list with
-  ``jobs`` worker processes, per-job timeout and progress reporting;
-  the first failed job raises.
+* :func:`run_campaign` (``executor.py``) — the one campaign loop:
+  dedup a job list, resolve store hits, run the misses on ``jobs``
+  persistent worker processes (``executor.run_workers``) with a per-job
+  timeout, land each result in the store and fill the
+  :class:`CampaignReport`. By default the first failed job raises.
 * :class:`ResultStore` (``store.py``) — sharded on-disk JSON memo table
   keyed by cache key, so repeated and overlapping campaigns are
   near-instant; listings scan the shards newest first.
 * :class:`CampaignRun` (``journal.py``) + :class:`CampaignScheduler`
-  (``scheduler.py``) — the resumable serving-stack executor: an
-  append-only per-campaign journal, per-job timeout, bounded retry with
-  backoff, quarantine for poisoned specs, and ``resume`` after a crash
-  from the journal + store alone. It runs its jobs on the same worker
-  loop as ``run_campaign``, ``executor.run_workers``: one loop of
-  persistent, individually killable workers, two failure policies.
+  (``scheduler.py``) — the resumable serving-stack front end: an
+  append-only per-campaign journal, and callbacks on ``run_campaign``
+  that journal each dispatch and result, retry a failed job with
+  backoff and quarantine a poisoned spec, so ``resume`` finishes a
+  crashed campaign from the journal + store alone. ``campaign run`` is
+  not journaled: running it again finishes it from the store.
 * ``python -m repro.campaign`` (``__main__.py``) — ``run`` / ``ls`` /
   ``resume`` / ``migrate`` / ``clean`` / ``export --csv`` over the
   store; ``python -m repro.serve`` puts the same machinery behind
@@ -48,8 +50,7 @@ _EXPORTS = {
         "CampaignReport", "print_progress", "run_campaign"),
     "repro.campaign.journal": ("CampaignRun", "list_campaigns"),
     "repro.campaign.scheduler": (
-        "CampaignScheduler", "ScheduleReport", "resume_campaign",
-        "submit_campaign"),
+        "CampaignScheduler", "resume_campaign", "submit_campaign"),
     "repro.campaign.spec": ("RunSpec", "Sweep", "code_fingerprint", "dedup"),
     "repro.campaign.store": ("ResultStore", "default_store_root"),
 }
@@ -62,7 +63,6 @@ __all__ = [
     "CampaignScheduler",
     "ResultStore",
     "RunSpec",
-    "ScheduleReport",
     "Sweep",
     "code_fingerprint",
     "dedup",

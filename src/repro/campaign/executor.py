@@ -1,4 +1,4 @@
-"""Campaign executor: one loop of persistent worker processes.
+"""Campaign executor: the one campaign loop, on persistent worker processes.
 
 ``run_campaign`` takes a job list of :class:`RunSpec`s, resolves as many
 as possible from the :class:`ResultStore`, and runs the remaining misses
@@ -7,19 +7,22 @@ on ``jobs`` worker processes. Results come back as serialized dicts
 them to experiments — the exact same bytes a cache hit would yield,
 which is what makes parallel and serial campaigns bit-identical.
 
-:func:`run_workers` is the worker loop, shared with
-:class:`~repro.campaign.scheduler.CampaignScheduler`. At most ``jobs``
+Every campaign runs through it: ``campaign run``, ``Session`` and the
+experiments fail fast (the default policy raises
+:class:`~repro.errors.CampaignError` naming the first failed spec, after
+the results that already landed are persisted), while
+:class:`~repro.campaign.scheduler.CampaignScheduler` passes callbacks
+that journal each dispatch and result and retry or quarantine a failed
+job. :func:`run_workers` is the worker loop under it: at most ``jobs``
 forked workers each run job after job over their own pipe, so the
 per-process program and stream-pool memos carry over between jobs. A
 job's deadline starts when it is dispatched. A worker whose job times
 out, raises or dies with it is killed and replaced by a fresh fork.
-The callers differ only in their failure policy: ``run_campaign``
-raises :class:`~repro.errors.CampaignError` naming the first failed
-spec, after the results that already landed are persisted.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,10 +51,11 @@ class CampaignReport:
     executed: int = 0      # jobs actually simulated
     elapsed_s: float = 0.0
     jobs: int = 1
-
-    #: Jobs given up on (a class attribute here, not a field): only the
-    #: scheduler's report quarantines jobs instead of raising.
-    quarantined = ()
+    retried: int = 0       # failed attempts that were re-queued
+    #: Jobs given up on, ``{"key", "error", "label"}`` each: only a
+    #: failure policy that quarantines (the scheduler's) adds any.
+    quarantined: List[Dict[str, str]] = field(default_factory=list)
+    campaign_id: str = ""  # the journal's id, on the scheduler's path
 
     @property
     def total(self) -> int:
@@ -61,19 +65,26 @@ class CampaignReport:
         return self.results[spec.cache_key()]
 
     def summary(self) -> str:
-        return (f"{self.total} jobs: {self.hits} from cache, "
+        bits = [f"{self.total} jobs: {self.hits} from cache, "
                 f"{self.executed} simulated on {self.jobs} worker(s) "
-                f"in {self.elapsed_s:.1f}s")
+                f"in {self.elapsed_s:.1f}s"]
+        if self.retried:
+            bits.append(f"{self.retried} retried")
+        if self.quarantined:
+            bits.append(f"{len(self.quarantined)} quarantined")
+        return ", ".join(bits)
 
-    def land(self, spec: RunSpec, key: str, payload: Dict[str, object],
-             elapsed_s: float, store: Optional[ResultStore]) -> SimResult:
-        """Persist (given a store) and record one simulated result."""
-        result = SimResult.from_dict(payload)
-        if store is not None:
-            store.put(key, spec, result, elapsed_s=elapsed_s)
-        self.results[key] = result
-        self.executed += 1
-        return result
+    def stats_payload(self) -> bytes:
+        """Canonical bytes of every result's stats, keyed by cache key.
+
+        Deliberately excludes wall-clock metadata (elapsed, created), so
+        an interrupted-then-resumed campaign and an uninterrupted one
+        produce **byte-identical** payloads — the crash-resume
+        acceptance check compares exactly this.
+        """
+        stats = {key: result.stats.to_dict()
+                 for key, result in sorted(self.results.items())}
+        return json.dumps(stats, sort_keys=True).encode("utf-8")
 
 
 def print_progress(done: int, total: int, spec: RunSpec, source: str) -> None:
@@ -84,25 +95,48 @@ def print_progress(done: int, total: int, spec: RunSpec, source: str) -> None:
           file=sys.stderr, flush=True)
 
 
+class WorkerTraceback(Exception):
+    """The traceback a failed job left in its worker process."""
+
+
+def _raise_failure(job: "Job", error: str,
+                   exc: Optional[BaseException]) -> None:
+    """``run_campaign``'s failure policy: the first failure ends it."""
+    if exc is None:
+        raise CampaignError(f"campaign {error}: {job.spec.label}") from None
+    exc.__cause__ = WorkerTraceback(error)
+    raise CampaignError(
+        f"campaign job failed: {job.spec.label}: {exc}") from exc
+
+
 def run_campaign(specs: Iterable[RunSpec],
                  store: Optional[ResultStore] = None,
                  jobs: int = 1,
                  timeout_s: Optional[float] = None,
                  progress: Optional[ProgressFn] = None,
-                 on_result: Optional[ResultFn] = None) -> CampaignReport:
+                 on_result: Optional[ResultFn] = None,
+                 on_failed: Callable = _raise_failure,
+                 on_dispatch: Optional[Callable] = None,
+                 hook: Optional[Callable] = None) -> CampaignReport:
     """Execute a deduplicated job list, memoizing through ``store``.
 
-    With ``jobs > 1`` the misses run on :func:`run_workers`' worker
-    processes; the parent process performs all store writes, so workers
-    never race on the cache directory, and writes the index rows of all
-    of them in one transaction when the campaign ends or raises.
-    Identical seeds give identical stats dicts regardless of ``jobs``
-    (simulations are deterministic and share no state across runs).
+    Store hits resolve first; the misses run in this process when a
+    failure ends the campaign, no timeout is set and one worker (or one
+    miss) suffices, else on :func:`run_workers`' worker processes. The
+    parent process performs all store writes, so workers never race on
+    the cache directory. Identical seeds give identical stats dicts
+    regardless of ``jobs`` (simulations are deterministic and share no
+    state across runs).
 
     ``on_result`` (if given) is called with ``(spec, result, source)``
     as each job resolves, after the result is in the report (and, for
     executed jobs, persisted); it is how ``Session.stream`` surfaces
-    results incrementally.
+    results incrementally and the scheduler journals them.
+
+    ``on_failed``, ``on_dispatch`` and ``hook`` go to :func:`run_workers`
+    as its failure policy, dispatch callback and worker hook. The
+    default policy raises :class:`~repro.errors.CampaignError` on the
+    first failed job; a policy that returns a delay retries the job.
     """
     t0 = time.monotonic()
     specs = dedup(specs)
@@ -131,35 +165,31 @@ def run_campaign(specs: Iterable[RunSpec],
 
     def finish(job: Job, payload: Dict[str, object],
                elapsed_s: float) -> None:
-        report.land(job.spec, job.spec.cache_key(), payload, elapsed_s,
-                    store)
+        key = job.spec.cache_key()
+        result = SimResult.from_dict(payload)
+        if store is not None:
+            store.put(key, job.spec, result, elapsed_s=elapsed_s)
+        report.results[key] = result
+        report.executed += 1
         note(job.spec, "run")
 
     # A timeout can only be enforced from outside the job, so any
-    # timeout_s takes the worker path even for a single serial miss.
-    if (jobs > 1 and len(misses) > 1) or timeout_s is not None:
-        run_workers([Job(spec) for spec in misses], jobs, timeout_s,
-                    on_done=finish, on_failed=_raise_failure)
-    else:
+    # timeout_s takes the worker path even for a single serial miss;
+    # so does any policy that survives a failure.
+    if (on_failed is _raise_failure and timeout_s is None
+            and (jobs <= 1 or len(misses) <= 1)):
         for spec in misses:
-            finish(Job(spec), *_execute(spec))
+            job = Job(spec)
+            if on_dispatch is not None:
+                on_dispatch(job)
+            finish(job, *_execute(spec, hook))
+    else:
+        run_workers([Job(spec) for spec in misses], jobs, timeout_s,
+                    on_done=finish, on_failed=on_failed,
+                    hook=hook, on_dispatch=on_dispatch)
 
     report.elapsed_s = time.monotonic() - t0
     return report
-
-
-class WorkerTraceback(Exception):
-    """The traceback a failed job left in its worker process."""
-
-
-def _raise_failure(job: "Job", error: str,
-                   exc: Optional[BaseException]) -> None:
-    """``run_campaign``'s failure policy: the first failure ends it."""
-    if exc is None:
-        raise CampaignError(f"campaign {error}: {job.spec.label}") from None
-    exc.__cause__ = WorkerTraceback(error)
-    raise CampaignError(
-        f"campaign job failed: {job.spec.label}: {exc}") from exc
 
 
 # ------------------------------------------------------------ worker loop
@@ -170,7 +200,6 @@ class Job:
     """One spec on its way through :func:`run_workers`."""
 
     spec: RunSpec
-    entry: object = None   # the caller's own handle (a journal entry)
     attempt: int = 1
 
 

@@ -12,7 +12,7 @@ payloads and their cache keys); every later line is one state
 transition::
 
     {"job": 3, "state": "running", "attempt": 1, "ts": ...}
-    {"job": 3, "state": "done", "source": "run", "elapsed_s": 0.41}
+    {"job": 3, "state": "done", "source": "run"}
     {"job": 5, "state": "failed", "attempt": 1, "error": "..."}
     {"job": 5, "state": "quarantined", "error": "Traceback ..."}
     {"campaign": "...", "state": "complete", "hits": 2, "executed": 4}

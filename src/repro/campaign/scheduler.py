@@ -1,13 +1,14 @@
 """Resumable asynchronous campaign scheduler.
 
-Where :func:`repro.campaign.executor.run_campaign` is a synchronous
-batch primitive (and raises on the first worker failure), the
-:class:`CampaignScheduler` is the serving-stack executor. It runs a
-:class:`~repro.campaign.journal.CampaignRun`'s open jobs on the same
-worker loop, :func:`~repro.campaign.executor.run_workers` (at most
-``jobs`` persistent worker processes; the worker of a failed attempt is
-killed and replaced), with its own failure policy, and survives
-everything short of the host catching fire:
+The :class:`CampaignScheduler` is the serving-stack front end of the one
+campaign loop, :func:`repro.campaign.executor.run_campaign`. It takes a
+:class:`~repro.campaign.journal.CampaignRun`'s open jobs from the
+journal, hands them to ``run_campaign`` with callbacks that write the
+journal and emit events, and marks the campaign complete. The loop does
+the rest: store hits resolve first, misses run on at most ``jobs``
+persistent worker processes (the worker of a failed attempt is killed
+and replaced), and results land in the store. The callbacks make the
+campaign survive everything short of the host catching fire:
 
 * **per-job timeout** — a wedged simulation's worker is killed and the
   attempt counted as failed, never stalling the rest of the campaign;
@@ -16,9 +17,12 @@ everything short of the host catching fire:
 * **quarantine** — a spec that keeps failing is recorded in the journal
   with its final traceback and the campaign *continues*; the report
   lists the quarantined jobs instead of raising mid-flight;
-* **crash resume** — every transition is journaled before/after the
-  fact, so ``campaign resume <id>`` (→ :func:`resume_campaign`) rebuilds
-  the remaining work from the journal + store alone after a SIGKILL.
+* **crash resume** — every dispatch and result is journaled, so
+  ``campaign resume <id>`` (→ :func:`resume_campaign`) rebuilds the
+  remaining work from the journal + store alone after a SIGKILL.
+
+``campaign run`` is not journaled: running a killed ``run`` again
+finishes it from the store, which a journal would only slow down.
 
 Progress surfaces as :class:`~repro.session.SessionEvent` s — the same
 ``plan``/``result``/``summary`` schema ``Session.stream`` yields, plus
@@ -38,12 +42,9 @@ Hooks (both optional, test/fault-injection seams):
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from repro.campaign.executor import CampaignReport, Job, run_workers
+from repro.campaign.executor import CampaignReport, Job, run_campaign
 from repro.campaign.journal import CampaignRun, JobEntry, list_campaigns
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
@@ -61,7 +62,6 @@ def _event(**kwargs) -> "SessionEvent":
 
 __all__ = [
     "CampaignScheduler",
-    "ScheduleReport",
     "list_campaigns",
     "resume_campaign",
     "submit_campaign",
@@ -69,35 +69,6 @@ __all__ = [
 
 #: Event callback: receives each SessionEvent as the campaign advances.
 EventFn = Callable[["SessionEvent"], None]
-
-
-@dataclass
-class ScheduleReport(CampaignReport):
-    """Outcome of one scheduler pass over a campaign."""
-
-    campaign_id: str = ""
-    retried: int = 0              # failed attempts that were re-queued
-    quarantined: List[Dict[str, str]] = field(default_factory=list)
-
-    def summary(self) -> str:
-        bits = [super().summary()]
-        if self.retried:
-            bits.append(f"{self.retried} retried")
-        if self.quarantined:
-            bits.append(f"{len(self.quarantined)} quarantined")
-        return ", ".join(bits)
-
-    def stats_payload(self) -> bytes:
-        """Canonical bytes of every result's stats, keyed by cache key.
-
-        Deliberately excludes wall-clock metadata (elapsed, created), so
-        an interrupted-then-resumed campaign and an uninterrupted one
-        produce **byte-identical** payloads — the crash-resume
-        acceptance check compares exactly this.
-        """
-        stats = {key: result.stats.to_dict()
-                 for key, result in sorted(self.results.items())}
-        return json.dumps(stats, sort_keys=True).encode("utf-8")
 
 
 class CampaignScheduler:
@@ -140,96 +111,71 @@ class CampaignScheduler:
 
     # --------------------------------------------------------------- run
 
-    def execute(self) -> ScheduleReport:
+    def execute(self) -> CampaignReport:
         """Drive the campaign to completion (or total quarantine).
 
-        Store hits resolve first (including jobs a previous, crashed
-        pass already simulated — that is what makes resume cheap), then
-        the misses stream through the worker loop. Raises only for
-        *scheduler* faults (e.g. a ``dispatch_hook`` crash-injection);
-        job failures end in quarantine, not an exception.
+        Runs the journal's jobs, bar the quarantined, through
+        :func:`run_campaign` with callbacks that journal each dispatch
+        and result and emit the events, then records the campaign
+        complete. Store hits resolve first (including jobs a previous,
+        crashed pass already simulated — that is what makes resume
+        cheap). Raises only for *scheduler* faults (e.g. a
+        ``dispatch_hook`` crash-injection); job failures end in
+        quarantine, not an exception.
         """
-        t0 = time.monotonic()
-        report = ScheduleReport(campaign_id=self.run.campaign_id,
-                                jobs=self.jobs)
         total = len(self.run.jobs)
-        done = 0
         self._emit(_event(event="plan", total=total))
+        quarantined = self.run.status()["quarantined"]
+        retried = done = 0
+        # Jobs quarantined before are not run, only counted, each where
+        # the store-hit pass (which goes in journal order) passes it.
+        uncounted = [job.index for job in self.run.jobs
+                     if job.state == "quarantined"]
 
-        # Phase 1: resolve everything the store already has. On resume
-        # this covers both previously-done jobs and records some other
-        # campaign happened to produce — the store is the truth.
-        misses: List[JobEntry] = []
+        def advance(index: int) -> None:
+            nonlocal done
+            while uncounted and uncounted[0] < index:
+                del uncounted[0]
+                done += 1
+            done += 1
+        # Every job but the quarantined: a "done" one resolves from the
+        # store, or runs again if its record has left it.
+        specs: List[RunSpec] = []
+        entries: Dict[str, JobEntry] = {}    # by the key the loop reports
         for job in self.run.jobs:
-            if job.state == "quarantined":
-                done += 1
-                report.quarantined.append(
-                    {"key": job.key, "error": job.error,
-                     "label": _label(job)})
-                continue
-            cached = self.store.get(job.key)
-            if cached is not None:
-                if job.state != "done":
-                    self.run.record(job.index, "done", source="store")
-                report.results[job.key] = cached
-                report.hits += 1
-                done += 1
-                self._emit(_event(
-                    event="result", spec=self._spec_of(job), result=cached,
-                    source="store", done=done, total=total))
-            else:
-                if job.state == "done":
-                    # Journal says done but the record vanished (store
-                    # cleaned between passes): owe the work again.
-                    job.state = "pending"
-                misses.append(job)
-
-        if misses:
-            done = self._drain(misses, report, done, total)
-
-        report.elapsed_s = time.monotonic() - t0
-        self.run.record_complete(hits=report.hits, executed=report.executed,
-                                 quarantined=len(report.quarantined),
-                                 retried=report.retried)
-        self._emit(_event(
-            event="summary", done=done, total=total, hits=report.hits,
-            executed=report.executed, quarantined=len(report.quarantined),
-            elapsed_s=report.elapsed_s))
-        return report
-
-    def _drain(self, misses: List[JobEntry], report: ScheduleReport,
-               done: int, total: int) -> int:
-        """Run the misses on the shared worker loop; retry failed
-        attempts with backoff and quarantine what keeps failing."""
+            if job.state != "quarantined":
+                specs.append(self._spec_of(job))
+                entries[specs[-1].cache_key()] = job
 
         def dispatch(job: Job) -> None:
+            entry = entries[job.spec.cache_key()]
+            attempt = entry.attempts + 1
             if self.dispatch_hook is not None:
-                self.dispatch_hook(job.spec, job.entry.index, job.attempt)
-            self.run.record(job.entry.index, "running", attempt=job.attempt)
+                self.dispatch_hook(job.spec, entry.index, attempt)
+            self.run.record(entry.index, "running", attempt=attempt)
 
-        def finished(job: Job, payload: Dict[str, object],
-                     elapsed_s: float) -> None:
-            nonlocal done
-            result = report.land(job.spec, job.entry.key, payload,
-                                 elapsed_s, self.store)
-            self.run.record(job.entry.index, "done", source="run",
-                            elapsed_s=round(elapsed_s, 6))
-            done += 1
-            self._emit(_event(event="result", spec=job.spec, result=result,
-                              source="run", done=done, total=total))
+        def landed(spec: RunSpec, result, source: str) -> None:
+            entry = entries[spec.cache_key()]
+            source = "store" if source == "hit" else "run"
+            if source == "run" or entry.state != "done":
+                self.run.record(entry.index, "done", source=source)
+            advance(entry.index if source == "store" else total)
+            self._emit(_event(event="result", spec=spec, result=result,
+                              source=source, done=done, total=total))
 
         def failed(job: Job, error: str, _exc) -> Optional[float]:
-            nonlocal done
-            if job.attempt <= self.retries:
-                self.run.record(job.entry.index, "failed",
-                                attempt=job.attempt, error=error)
-                report.retried += 1
-                return self.backoff_s * (2 ** (job.attempt - 1))
-            self.run.record(job.entry.index, "quarantined",
-                            attempt=job.attempt, error=error)
-            report.quarantined.append({"key": job.entry.key, "error": error,
-                                       "label": job.spec.label})
-            done += 1
+            nonlocal retried
+            entry = entries[job.spec.cache_key()]
+            if entry.attempts <= self.retries:
+                self.run.record(entry.index, "failed",
+                                attempt=entry.attempts, error=error)
+                retried += 1
+                return self.backoff_s * (2 ** (entry.attempts - 1))
+            self.run.record(entry.index, "quarantined",
+                            attempt=entry.attempts, error=error)
+            quarantined.append({"key": entry.key, "error": error,
+                                "label": job.spec.label})
+            advance(total)
             self._emit(_event(event="quarantine", spec=job.spec, done=done,
                               total=total, error=error))
             return None
@@ -237,19 +183,21 @@ class CampaignScheduler:
         # A scheduler fault (crash injection, ^C) propagates after the
         # loop has reaped its workers: their journal entries stay
         # "running" and fold back to pending on the next load.
-        run_workers([Job(self._spec_of(job), job, job.attempts + 1)
-                     for job in misses],
-                    self.jobs, self.timeout_s, on_done=finished,
-                    on_failed=failed, hook=self.worker_hook,
-                    on_dispatch=dispatch)
-        return done
-
-
-def _label(job: JobEntry) -> str:
-    try:
-        return job.spec().label
-    except Exception:
-        return job.key[:12]
+        report = run_campaign(
+            specs, self.store, self.jobs, self.timeout_s, on_result=landed,
+            on_failed=failed, on_dispatch=dispatch, hook=self.worker_hook)
+        done += len(uncounted)
+        report.campaign_id = self.run.campaign_id
+        report.retried = retried
+        report.quarantined = quarantined
+        self.run.record_complete(hits=report.hits, executed=report.executed,
+                                 quarantined=len(quarantined),
+                                 retried=retried)
+        self._emit(_event(
+            event="summary", done=done, total=total, hits=report.hits,
+            executed=report.executed, quarantined=len(quarantined),
+            elapsed_s=report.elapsed_s))
+        return report
 
 
 def submit_campaign(specs,

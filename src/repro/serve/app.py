@@ -41,8 +41,21 @@ from repro.campaign.journal import (CampaignRun, UnreadableJournal,
                                     list_campaigns)
 from repro.campaign.scheduler import submit_campaign
 from repro.campaign.store import ResultStore
-from repro.errors import CampaignError, ReproError
+from repro.errors import CampaignError, ConfigError, ReproError
 from repro.serve.payload import event_payload, specs_from_payload
+
+
+def _count(value, name: str) -> int:
+    """A non-negative integer from a request, else :class:`ConfigError`
+    (HTTP 400 on every route)."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = -1
+    if count < 0:
+        raise ConfigError(
+            f"{name} must be a non-negative integer, not {value!r}")
+    return count
 
 
 class CampaignFeed:
@@ -105,7 +118,7 @@ class ServeApp:
         feed = CampaignFeed()
         scheduler = submit_campaign(
             specs, self.store,
-            jobs=int(payload.get("jobs") or self.jobs),
+            jobs=_count(payload.get("jobs") or self.jobs, "jobs"),
             timeout_s=self.timeout_s, retries=self.retries,
             backoff_s=self.backoff_s,
             on_event=lambda ev: feed.publish(event_payload(ev)))
@@ -207,7 +220,7 @@ class ServeApp:
                    for name, values in query.items()
                    if name in ("kind", "bench", "code", "engine", "gov",
                                "mem", "key") and values}
-        limit = int(query.get("limit", ["0"])[0] or 0)
+        limit = _count(query.get("limit", ["0"])[0] or 0, "limit")
         return self.store.query(limit=limit, **filters)
 
 
@@ -274,7 +287,8 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._error(404, f"no route for {url.path}")
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = _count(self.headers.get("Content-Length") or 0,
+                            "Content-Length")
             try:
                 payload = json.loads(self.rfile.read(length) or b"{}")
             except ValueError as exc:

@@ -33,3 +33,8 @@ class TestAblationRun:
         for label, _cfg in ablations.ABLATIONS:
             assert label in rows[0]
             assert rows[0][label] > 0
+        # No knocked-out mechanism improves the geomean much, and a 4x
+        # smaller EC never helps.
+        avg = rows[-1]
+        assert avg["ec_4k"] <= avg["full"] * 1.10
+        assert avg["no_redistribution"] <= avg["full"] * 1.10

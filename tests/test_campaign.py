@@ -259,6 +259,22 @@ class TestCampaign:
             assert (serial.result_for(job).stats.to_dict()
                     == parallel.result_for(job).stats.to_dict())
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_journaled_campaign_reports_the_same_payload(self, tmp_path,
+                                                         workers):
+        # The scheduler is callbacks on the one loop: same jobs, same
+        # report, journal or not.
+        from repro.campaign import submit_campaign
+
+        jobs = self.jobs()
+        plain = run_campaign(jobs, store=ResultStore(tmp_path / "plain"),
+                             jobs=workers)
+        journaled = submit_campaign(jobs, ResultStore(tmp_path / "journal"),
+                                    jobs=workers).execute()
+        assert plain.stats_payload() == journaled.stats_payload()
+        assert (plain.hits, plain.executed) == (0, len(jobs))
+        assert (journaled.hits, journaled.executed) == (0, len(jobs))
+
     def test_overlapping_campaign_only_runs_new_jobs(self, tmp_path):
         jobs = self.jobs()
         run_campaign(jobs, store=ResultStore(tmp_path))
@@ -612,6 +628,8 @@ class TestCampaignCli:
         assert self.run_cli("run", *args) == 0
         first = capsys.readouterr()
         assert "0 from cache" in first.err
+        # Not journaled: a killed `run` reruns from the store instead.
+        assert not (Path(store) / "campaigns").exists()
 
         # Immediately repeated invocation: zero new simulations.
         assert self.run_cli("run", *args) == 0

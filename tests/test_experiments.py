@@ -3,11 +3,13 @@
 import pytest
 
 from repro.experiments import ExperimentContext, geomean
+from repro.timing.frequency import PAPER_TABLE1, TABLE1_NODES
 from repro.experiments import (
     fig01_latency,
     fig02_loops,
     fig11_same_clock,
     fig12_performance,
+    fig14_power,
     residency,
     table1_freq,
 )
@@ -25,12 +27,20 @@ class TestAnalyticalExperiments:
         assert len(rows) == 6
         for row in rows:
             assert row["0.25um"] > row["0.06um"]
+        # The wire-bound issue window scales worse: the cache catches up.
+        iw, cache = rows[0], rows[2]
+        assert (cache["0.25um"] / iw["0.25um"]
+                > cache["0.06um"] / iw["0.06um"])
 
     def test_table1_rows(self):
         rows = table1_freq.run(None)
         assert len(rows) == 6
         for row in rows:
             assert row["0.06um"] > row["0.18um"]
+            # The printed table is within 6% of the paper's Table 1.
+            for node in TABLE1_NODES:
+                paper = PAPER_TABLE1[row["module"]][node]
+                assert abs(row[f"{node}um"] - paper) / paper < 0.06
 
 
 class TestSimulationExperiments:
@@ -39,18 +49,31 @@ class TestSimulationExperiments:
         avg = rows[-1]
         assert avg["benchmark"] == "average"
         assert avg["wakeup_select_%"] > avg["fetch_mispredict_%"]
+        # Losing back-to-back scheduling costs far more than one more
+        # front-end stage (paper: <3% vs ~30%).
+        assert avg["wakeup_select_%"] > 2 * avg["fetch_mispredict_%"]
+        assert avg["fetch_mispredict_%"] < 5.0
 
     def test_fig11(self, ctx):
         rows = fig11_same_clock.run(ctx)
         for row in rows:
             assert 0.1 < row["register_allocation"] < 2.0
             assert 0.1 < row["flywheel"] < 2.0
+        assert 0.3 < rows[-1]["flywheel"] <= 1.3
 
     def test_fig12_sweep_monotone_on_loopy_bench(self, ctx):
         rows = fig12_performance.run(ctx)
         ij = next(r for r in rows if r["benchmark"] == "ijpeg")
         # More front-end clock never makes ijpeg dramatically worse.
         assert ij["FE100%,BE50%"] > 0.5 * ij["FE0%,BE50%"]
+        # Nor the geomean: a faster front end never collapses it.
+        avg = rows[-1]
+        assert avg["FE100%,BE50%"] > 0.85 * avg["FE0%,BE50%"]
+
+    def test_fig14_power_rises_with_fe_clock(self, ctx):
+        avg = fig14_power.run(ctx)[-1]
+        assert avg["FE100%,BE50%"] > avg["FE0%,BE50%"]
+        assert avg["FE0%,BE50%"] < 1.5
 
     def test_residency(self, ctx):
         rows = residency.run(ctx)

@@ -1,6 +1,7 @@
 """HTTP/SSE campaign service: payload translation, routes, the SSE
 lifecycle, cache-warm resubmission, and journal replay."""
 
+import http.client
 import json
 import threading
 import urllib.request
@@ -182,6 +183,40 @@ class TestService:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{base}/nope")
         assert err.value.code == 404
+
+    @pytest.mark.parametrize("limit", ["abc", "-1"])
+    def test_bad_results_limit_is_a_400(self, service, limit):
+        _, client = service
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(f"{client.base_url}/results?limit={limit}")
+        assert err.value.code == 400
+        assert "limit" in json.loads(err.value.read())["error"]
+
+    def test_bad_jobs_in_a_submission_is_a_400(self, service):
+        _, client = service
+        request = urllib.request.Request(
+            f"{client.base_url}/campaigns",
+            data=json.dumps({"benchmarks": ["smoke"], "jobs": "x"}).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        assert "jobs" in json.loads(err.value.read())["error"]
+        assert client.campaigns() == []        # nothing was journaled
+
+    def test_bad_content_length_is_a_400(self, service):
+        _, client = service
+        host, port = client.base_url.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            conn.putrequest("POST", "/campaigns")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders(b"{}")
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
 
     def test_bad_journal_is_a_server_fault(self, service):
         # A journal whose header reads but whose spec payload does not
