@@ -29,23 +29,19 @@ import sys
 import time
 
 from repro.campaign.executor import print_progress
-from repro.campaign.spec import RunSpec
 from repro.campaign.store import (ResultStore, default_store_root,
-                                  mem_label, record_engine)
+                                  mem_label, record_engine, spec_variant)
 from repro.core.stats import SimStats
-from repro.errors import ReproError
+from repro.errors import CampaignError, ReproError
 
 
-def _spec_variant(spec_payload) -> str:
-    """`k=v` summary of a stored spec's non-default config axes, or ''.
-
-    Best-effort: records from other code versions may not reconstruct.
-    """
+def _open_output(path: str, **kw):
+    """``path`` opened for writing, or a :class:`CampaignError`."""
     try:
-        variant = RunSpec.from_dict(spec_payload).variant()
-    except Exception:
-        return ""
-    return ";".join(f"{k}={v}" for k, v in variant.items())
+        return open(path, "w", encoding="utf-8", **kw)
+    except OSError as exc:
+        raise CampaignError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cache_rate(stats_payload, level: str):
@@ -137,7 +133,7 @@ def _ls_summary(record) -> dict:
         "be_speedup": clock.get("be_speedup"),
         "governor": governor.get("name"),
         "mem": mem_label(spec),
-        "variant": _spec_variant(spec),
+        "variant": spec_variant(spec),
         "committed": stats.committed,
         "cycles": stats.total_be_cycles,
         "ipc": stats.ipc,
@@ -286,8 +282,8 @@ def _cmd_export(args) -> int:
               + list(_EXPORT_STATS) + ["ipc", "l2_accesses"]
               + [f"{lvl}_hit_rate" for lvl in _EXPORT_CACHE_LEVELS]
               + ["mshr_occ_avg", "mshr_stall_cycles", "elapsed_s"])
-    out = (open(args.csv, "w", newline="", encoding="utf-8")
-           if args.csv != "-" else sys.stdout)
+    out = (_open_output(args.csv, newline="") if args.csv != "-"
+           else sys.stdout)
     try:
         writer = csv.writer(out)
         writer.writerow(header)
@@ -301,7 +297,7 @@ def _cmd_export(args) -> int:
                 row = [record.get("key", ""), record.get("created", ""),
                        record.get("code", ""), record_engine(record)]
                 row += [spec.get(c, "") for c in _EXPORT_SPEC]
-                row += [_spec_variant(spec), mem_label(spec)]
+                row += [spec_variant(spec), mem_label(spec)]
                 row += [spec.get("clock", {}).get(c, "")
                         for c in _EXPORT_CLOCK]
                 row += [stats.get(c, "") for c in _EXPORT_STATS]
@@ -338,8 +334,7 @@ def _export_json(store, path: str) -> int:
     """
     import json
 
-    out = (open(path, "w", encoding="utf-8") if path != "-"
-           else sys.stdout)
+    out = _open_output(path) if path != "-" else sys.stdout
     rows = 0
     try:
         out.write("[")

@@ -36,7 +36,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.store import ResultStore, mem_label, record_engine
+from repro.campaign.spec import RunSpec
+from repro.campaign.store import (ResultStore, mem_label, record_engine,
+                                  spec_variant)
 from repro.core.config import stable_hash
 from repro.core.sim import SimResult
 from repro.core.stats import SimStats
@@ -229,8 +231,16 @@ def select(records: Sequence[dict], text: str) -> Selection:
 # ---------------------------------------------------------------- pairing
 
 def _pair_identity(record: dict, stripped: Sequence[str]) -> str:
-    """Hash of the spec payload minus the selector-varied axes."""
-    payload = copy.deepcopy(record.get("spec") or {})
+    """Hash of the spec payload minus the selector-varied axes.
+
+    A payload that rebuilds is taken in today's format, so records
+    written before a payload format change still pair with new ones.
+    """
+    payload = record.get("spec") or {}
+    try:
+        payload = RunSpec.from_dict(payload).to_dict()
+    except Exception:             # damaged or foreign: pair it as stored
+        payload = copy.deepcopy(payload)
     clock = payload.get("clock") or {}
     config = payload.get("config") or {}
     for axis in stripped:
@@ -259,7 +269,10 @@ def _newest_per_identity(selection: Selection,
     return out
 
 
-def _pair_label(axes: Dict[str, object]) -> str:
+def _pair_label(record: dict) -> str:
+    """A record's row label: its axes, then its config variant the way
+    ``campaign ls`` shows it."""
+    axes = record_axes(record)
     bits = [f"{axes['kind']}/{axes['bench']}"]
     if axes.get("clock"):
         bits.append(str(axes["clock"]))
@@ -271,6 +284,9 @@ def _pair_label(axes: Dict[str, object]) -> str:
         bits.append(f"engine={axes['engine']}")
     if axes.get("seed") is not None:
         bits.append(f"seed={axes['seed']}")
+    variant = spec_variant(record.get("spec") or {})
+    if variant:
+        bits.append(f"[{variant}]")
     return " ".join(bits)
 
 
@@ -305,7 +321,6 @@ def diff_records(a: Selection, b: Selection,
             (rec_a.get("result") or {}).get("stats", {}))
         stats_b = SimStats.from_dict(
             (rec_b.get("result") or {}).get("stats", {}))
-        axes = record_axes(rec_a)
         row_metrics: Dict[str, Dict[str, object]] = {}
         for name in metrics:
             metric = METRICS[name]
@@ -320,8 +335,8 @@ def diff_records(a: Selection, b: Selection,
                                  "rel": verdict.rel_delta,
                                  "verdict": verdict.verdict}
         pairs.append({
-            "label": _pair_label(axes),
-            "axes": axes,
+            "label": _pair_label(rec_a),
+            "axes": record_axes(rec_a),
             "a_key": rec_a.get("key", ""),
             "b_key": rec_b.get("key", ""),
             "metrics": row_metrics,
@@ -343,9 +358,9 @@ def diff_records(a: Selection, b: Selection,
                 cell["outlier"] = bool(z is not None and abs(z) > 3.5)
 
     pairs.sort(key=lambda p: p["label"])
-    unpaired_a = sorted(_pair_label(record_axes(a_by_id[i]))
+    unpaired_a = sorted(_pair_label(a_by_id[i])
                         for i in set(a_by_id) - set(b_by_id))
-    unpaired_b = sorted(_pair_label(record_axes(b_by_id[i]))
+    unpaired_b = sorted(_pair_label(b_by_id[i])
                         for i in set(b_by_id) - set(a_by_id))
 
     from repro.analysis.htmlreport import group_delta_rows
@@ -425,6 +440,9 @@ def print_report(report: Dict[str, object], limit: int = 0,
 
 def cmd_diff(args) -> int:
     """``python -m repro.campaign diff`` entry point."""
+    if args.limit < 0:
+        raise CampaignError(
+            f"--limit must be >= 0 (0 = all), got {args.limit}")
     store = ResultStore(args.store) if args.store else ResultStore()
     records = list(store.records())
     if not records:
@@ -449,8 +467,12 @@ def cmd_diff(args) -> int:
         from repro.analysis.htmlreport import render_diff_html
 
         html = render_diff_html(report)
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(html)
+        try:
+            with open(args.html, "w", encoding="utf-8") as fh:
+                fh.write(html)
+        except OSError as exc:
+            raise CampaignError(
+                f"cannot write {args.html}: {exc.strerror or exc}") from None
         print(f"wrote {args.html}", file=sys.stderr)
         if args.serve is not None:
             _serve(args.html, args.serve)

@@ -109,6 +109,13 @@ def _raise_failure(job: "Job", error: str,
         f"campaign job failed: {job.spec.label}: {exc}") from exc
 
 
+def check_timeout(timeout_s: Optional[float]) -> None:
+    """Refuse a per-job timeout that would fail every job, or none."""
+    if timeout_s is not None and timeout_s <= 0:
+        raise CampaignError(
+            f"timeout must be positive (seconds), got {timeout_s:g}")
+
+
 def run_campaign(specs: Iterable[RunSpec],
                  store: Optional[ResultStore] = None,
                  jobs: int = 1,
@@ -137,7 +144,9 @@ def run_campaign(specs: Iterable[RunSpec],
     as its failure policy, dispatch callback and worker hook. The
     default policy raises :class:`~repro.errors.CampaignError` on the
     first failed job; a policy that returns a delay retries the job.
+    A ``timeout_s`` that is not positive raises before any job runs.
     """
+    check_timeout(timeout_s)
     t0 = time.monotonic()
     specs = dedup(specs)
     report = CampaignReport(jobs=max(1, jobs))

@@ -44,7 +44,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from repro.campaign.executor import CampaignReport, Job, run_campaign
+from repro.campaign.executor import (CampaignReport, Job, check_timeout,
+                                     run_campaign)
 from repro.campaign.journal import CampaignRun, JobEntry, list_campaigns
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
@@ -214,8 +215,11 @@ def submit_campaign(specs,
     """Journal a new campaign and return its (not yet run) scheduler.
 
     The scheduler options are persisted in the journal header so
-    ``resume`` re-runs with the submitter's settings by default.
+    ``resume`` re-runs with the submitter's settings by default. A
+    ``timeout_s`` that is not positive raises before the journal is
+    written.
     """
+    check_timeout(timeout_s)
     if not isinstance(store, ResultStore):
         store = ResultStore(store)
     run = CampaignRun.create(
@@ -250,8 +254,9 @@ def resume_campaign(campaign_id: str,
     return CampaignScheduler(
         run, store,
         jobs=jobs if jobs is not None else int(opts.get("jobs") or 1),
+        # A journaled 0 meant "no timeout" before it was refused.
         timeout_s=(timeout_s if timeout_s is not None
-                   else opts.get("timeout_s")),
+                   else opts.get("timeout_s") or None),
         retries=(retries if retries is not None
                  else int(opts.get("retries", 2))),
         backoff_s=float(opts.get("backoff_s", 0.25)),

@@ -46,7 +46,6 @@ from repro.core.sim import (
 )
 from repro.errors import CampaignError, ConfigError
 from repro.frontend.bpred import BPredConfig
-from repro.mem.hierarchy import MemoryConfig
 from repro.mem.spec import MemorySpec
 from repro.workloads.profiles import get_profile
 
@@ -54,6 +53,19 @@ from repro.workloads.profiles import get_profile
 #: pipelined-wakeup machine is opt-in (it only appears in the Fig. 2
 #: loop study), so default sweeps don't silently grow a third leg.
 DEFAULT_SWEEP_KINDS = (KIND_BASELINE, KIND_FLYWHEEL)
+
+#: The default memory system (Table 2), which payloads and labels omit.
+_DEFAULT_MEM = MemorySpec()
+
+#: The flat Table 2 ``config.memory`` member that payloads carried before
+#: ``CoreConfig.mem`` became the only memory description. It describes
+#: ``_DEFAULT_MEM``, so :meth:`RunSpec.from_dict` drops it.
+_TABLE2_MEMORY = {"l1i_kb": 64, "l1i_ways": 2, "l1d_kb": 64, "l1d_ways": 4,
+                  "l2_kb": 512, "l2_ways": 4, "line_bytes": 32,
+                  "l1_latency": 2, "l2_latency": 10, "dram_latency": 100}
+
+#: ``fly`` members of older payloads that no simulated path ever read.
+_UNREAD_FLY = ("tag_window", "max_trace_units")
 
 
 def _kind_info(kind: str) -> KindInfo:
@@ -247,7 +259,7 @@ class RunSpec:
         if self.clock.governor is not None:
             gov = self.clock.governor
             bits.append(f"gov={gov.name}@{gov.interval}")
-        if self.config.mem is not None:
+        if self.config.mem != _DEFAULT_MEM:
             bits.append(f"mem={self.config.mem.label}")
         if self.config.trace is not None:
             bits.append(self.config.trace.label)
@@ -288,7 +300,11 @@ class RunSpec:
 
         Payloads come from outside (journals, store records, ``POST
         /campaigns``), so a malformed one raises :class:`CampaignError`
-        naming the problem.
+        naming the problem. Payloads written before ``CoreConfig.mem``
+        became the only memory description still load: their Table 2
+        ``config.memory`` member and the ``fly`` members no simulated
+        path read (:data:`_UNREAD_FLY`) are dropped, and any other
+        ``memory`` member is refused.
         """
         if not isinstance(data, dict):
             raise CampaignError(
@@ -301,16 +317,19 @@ class RunSpec:
         config = data.get("config")
         if config is not None:
             config = _member(dict, "config", config)
-            for name, part in (("bpred", BPredConfig),
-                               ("memory", MemoryConfig)):
-                if name in config:
-                    config[name] = _member(part, f"config.{name}",
-                                           config[name])
+            if "memory" in config:
+                _check_table2_memory(config.pop("memory"))
+            if "bpred" in config:
+                config["bpred"] = _member(BPredConfig, "config.bpred",
+                                          config["bpred"])
             config = _member(CoreConfig, "config", config)
         clock = data.get("clock")
         clock = _member(ClockPlan, "clock", clock) if clock else None
         fly = data.get("fly")
         if fly is not None:
+            fly = {name: value for name, value in
+                   _member(dict, "fly", fly).items()
+                   if name not in _UNREAD_FLY}
             fly = _member(FlywheelConfig, "fly", fly)
         try:
             return cls(
@@ -347,6 +366,19 @@ def _member(cls, name: str, value):
             f"spec payload member {name!r}: {exc}") from None
 
 
+def _check_table2_memory(value) -> None:
+    """Refuse an old payload's ``config.memory`` unless it is Table 2's."""
+    memory = _member(dict, "config.memory", value)
+    other = {name: setting for name, setting in memory.items()
+             if name not in _TABLE2_MEMORY
+             or _TABLE2_MEMORY[name] != setting}
+    if other:
+        raise CampaignError(
+            f"spec payload member 'config.memory' is not the Table 2 "
+            f"memory system ({other!r}); describe it as 'config.mem', "
+            f"a MemorySpec")
+
+
 @lru_cache(maxsize=4096)
 def _cache_key(spec: RunSpec, code: str) -> str:
     """``stable_hash({**spec.payload(), "code": code}, length=40)``.
@@ -371,10 +403,9 @@ def _cache_key(spec: RunSpec, code: str) -> str:
 def _config_payload(config: CoreConfig) -> Dict[str, object]:
     """A spec payload's ``config`` member."""
     data = asdict(config)
-    if data.get("mem") is None:
-        # The default (derive-from-``memory``) spec serializes the way
-        # pre-MemorySpec payloads did, keeping every historical content
-        # address — and the PR 4 pinned hashes — intact.
+    if config.mem == _DEFAULT_MEM:
+        # The default memory system is left out, so the two spellings
+        # of the Table 2 machine share one payload.
         del data["mem"]
     if data.get("trace") is None:
         # Same contract for the flight recorder: an untraced run's

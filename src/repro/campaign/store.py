@@ -79,6 +79,16 @@ def mem_label(spec: Dict[str, object]) -> str:
         return "?"
 
 
+def spec_variant(spec: Dict[str, object]) -> str:
+    """``k=v;k=v`` of a stored spec payload's non-default config and
+    Flywheel fields ('' = none, or a payload that does not rebuild)."""
+    try:
+        variant = RunSpec.from_dict(spec).variant()
+    except Exception:
+        return ""
+    return ";".join(f"{k}={v}" for k, v in variant.items())
+
+
 def record_engine(record: Dict[str, object]) -> str:
     """The engine that produced a record.
 
@@ -110,6 +120,13 @@ def record_row(record: Dict[str, object]) -> Dict[str, object]:
         "elapsed_s": record.get("elapsed_s"),
         "created": record.get("created", 0.0),
     }
+
+
+def _stop(limit: int) -> Optional[int]:
+    """The ``islice`` stop of a listing ``limit`` (0 = every record)."""
+    if limit < 0:
+        raise CampaignError(f"limit must be >= 0 (0 = all), got {limit}")
+    return limit or None
 
 
 class ResultStore:
@@ -231,7 +248,7 @@ class ResultStore:
                 f"unknown store filter(s) {', '.join(unknown)}; "
                 f"expected one of {', '.join(QUERY_COLUMNS)}")
         return [record_row(record) for record in
-                islice(self._scan_records(filters), limit or None)]
+                islice(self._scan_records(filters), _stop(limit))]
 
     def records(self,
                 kind: Optional[str] = None,
@@ -242,10 +259,11 @@ class ResultStore:
 
         A record is read only when the iteration reaches it, so a
         ``limit`` stops the reads there; a record deleted between the
-        listing and its read is skipped.
+        listing and its read is skipped. A negative ``limit`` raises
+        :class:`~repro.errors.CampaignError` at the call.
         """
-        yield from islice(self._scan_records({"kind": kind, "bench": bench}),
-                          limit or None)
+        return islice(self._scan_records({"kind": kind, "bench": bench}),
+                      _stop(limit))
 
     def _record_paths(self) -> List[Path]:
         """Every record path, newest first and ties by key (stat only)."""

@@ -98,8 +98,7 @@ class BaselineCore:
         self.clock = clock
         self.stats = SimStats()
 
-        self.hierarchy = hierarchy or MemoryHierarchy(config.memory,
-                                                      spec=config.mem)
+        self.hierarchy = hierarchy or MemoryHierarchy(config.mem)
         # The oracle. ``stream`` itself is never advanced: the pool walks
         # its own copy of the program from seq 0.
         if config.engine == "legacy":

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from typing import Optional
 
 from repro.errors import ConfigError
 from repro.frontend.bpred import BPredConfig
-from repro.mem.hierarchy import MemoryConfig
 from repro.mem.spec import MemorySpec
 from repro.obs.spec import TraceSpec
 from repro.rename.pools import check_min_pool_size
@@ -68,16 +67,8 @@ def stable_hash(payload: object, length: int = 16) -> str:
 DEFAULT_ENGINE = "turbo"
 
 
-class _CacheKeyMixin:
-    """Content-addressed identity for frozen config dataclasses."""
-
-    def cache_key(self) -> str:
-        """Stable short hash of every field (nested configs included)."""
-        return stable_hash(asdict(self))
-
-
 @dataclass(frozen=True)
-class CoreConfig(_CacheKeyMixin):
+class CoreConfig:
     """Microarchitecture parameters (defaults = paper Table 2, baseline)."""
 
     # Widths
@@ -114,15 +105,12 @@ class CoreConfig(_CacheKeyMixin):
 
     # Substrates
     bpred: BPredConfig = field(default_factory=BPredConfig)
-    memory: MemoryConfig = field(default_factory=MemoryConfig)
 
-    #: Composable memory-system spec (:class:`repro.mem.MemorySpec`):
-    #: cache-level chain, MSHR budget, prefetcher, write policy. ``None``
-    #: derives the legacy-equivalent spec from ``memory`` — the
-    #: golden-pinned default. The kind registry's ``normalize_config``
-    #: folds an explicit-but-redundant spec back to ``None`` so both
-    #: spellings of the default machine hash identically.
-    mem: Optional[MemorySpec] = None
+    #: The memory system (:class:`repro.mem.MemorySpec`): cache-level
+    #: chain, MSHR budget, prefetcher, write policy. The default is the
+    #: paper's Table 2 stack, the golden-pinned machine; ``None`` is
+    #: another spelling of it.
+    mem: MemorySpec = field(default_factory=MemorySpec)
 
     #: Flight-recorder spec (:class:`repro.obs.TraceSpec`): ring-buffer
     #: size, event mask and cycle window. ``None`` (the default) means
@@ -148,7 +136,9 @@ class CoreConfig(_CacheKeyMixin):
     def __post_init__(self) -> None:
         # Rebuild specs handed over as plain payload dicts (store
         # records, RunSpec.from_dict), mirroring ClockPlan.governor.
-        if isinstance(self.mem, dict):
+        if self.mem is None:
+            object.__setattr__(self, "mem", MemorySpec())
+        elif isinstance(self.mem, dict):
             object.__setattr__(self, "mem", MemorySpec.from_dict(self.mem))
         if isinstance(self.trace, dict):
             object.__setattr__(self, "trace",
@@ -172,7 +162,7 @@ class CoreConfig(_CacheKeyMixin):
 
 
 @dataclass(frozen=True)
-class FlywheelConfig(_CacheKeyMixin):
+class FlywheelConfig:
     """Flywheel-specific structures on top of a :class:`CoreConfig`.
 
     Defaults follow Table 2 and Sections 3.3-3.5: a 128K two-way Execution
@@ -188,16 +178,9 @@ class FlywheelConfig(_CacheKeyMixin):
     ec_latency: int = 3             # cycles per data-array access
     ec_block_slots: int = 8         # instructions per DA block
     ec_bytes_per_slot: int = 8      # storage per pre-scheduled instruction
-    #: Traces are kept "as long as possible" (Section 3.3) so that the
-    #: recurring post-mispredict PCs dominate trace starts; a short cap
-    #: would slice loops at phase-shifting addresses and thrash the EC.
-    #: ``max_trace_units`` is part of the config (so of cache keys and
-    #: pinned payloads), but nothing reads it: it changes no simulated
-    #: number. Traces end at ``max_trace_instrs`` (fetch side); the
-    #: largest one stored in a default-budget run has 354 Issue Units
-    #: (bzip2; gcc 276).
-    max_trace_units: int = 512
-    max_trace_instrs: int = 768     # natural trace-end threshold
+    #: Traces are kept "as long as possible" (Section 3.3); they end at
+    #: this many fetched instructions (DESIGN.md §1, trace length).
+    max_trace_instrs: int = 768
 
     pool_regs: int = 512            # Flywheel register file entries
     default_pool_size: int = 8      # 512 / 64 architected registers
@@ -221,20 +204,12 @@ class FlywheelConfig(_CacheKeyMixin):
     #: while tags broadcast in the back-end one, so a tag can arrive after
     #: the RAT read but before Wake-Up sees the entry (the race of Fig. 4).
     #: The paper offers two fixes; the run loop applies the chosen one at
-    #: window insertion (``# ---- Register Update``).
-    #:
-    #: Duplicated tag matching (the default): wake-up also matches tags
-    #: broadcast in the previous ``tag_window`` back-end cycles, so a
-    #: raced tag is caught and back-to-back scheduling is kept. The timing
-    #: model needs no state for this (an inserted entry sees the
-    #: scoreboard as of its insertion cycle) and the power model does not
-    #: charge the extra match lines, so ``tag_window`` is part of the
-    #: config (so of cache keys and pinned payloads) but changes no
-    #: simulated number.
-    tag_window: int = 2
-    #: The delay network: entries become selectable one extra back-end
-    #: cycle after insertion, losing exactly the back-to-back capability
-    #: the design preserves.
+    #: window insertion (``# ---- Register Update``). ``False`` is
+    #: duplicated tag matching, which keeps back-to-back scheduling and
+    #: needs no timing state (DESIGN.md §1, tag matching). ``True`` is the
+    #: delay network: entries become selectable one extra back-end cycle
+    #: after insertion, losing exactly the back-to-back capability the
+    #: design preserves.
     delay_network: bool = False
 
     def __post_init__(self) -> None:
@@ -254,7 +229,7 @@ class FlywheelConfig(_CacheKeyMixin):
 
 
 @dataclass(frozen=True)
-class ClockPlan(_CacheKeyMixin):
+class ClockPlan:
     """Frequencies (MHz) for a run, plus an optional adaptive governor.
 
     ``fe_mhz`` drives fetch/decode/rename/dispatch; ``be_mhz`` drives the
@@ -267,8 +242,8 @@ class ClockPlan(_CacheKeyMixin):
     (:class:`repro.dvfs.GovernorConfig`) that retunes the back-end clock
     at interval boundaries; ``None`` (the default) attaches no controller
     and is the static machine the paper models. Because the governor
-    rides inside the plan, it participates in ``cache_key()`` and flows
-    through campaign specs and the result store unchanged.
+    rides inside the plan, it is part of a spec's content address and
+    flows through campaign specs and the result store unchanged.
     """
 
     base_mhz: float = 950.0          # Table 1, 0.18um issue window

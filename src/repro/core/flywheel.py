@@ -172,8 +172,7 @@ class FlywheelCore:
         self.stats = SimStats()
         self._events = self.stats.events
 
-        self.hierarchy = hierarchy or MemoryHierarchy(config.memory,
-                                                      spec=config.mem)
+        self.hierarchy = hierarchy or MemoryHierarchy(config.mem)
         self.bpred = BranchPredictor(config.bpred)
         self.pools = PoolFile(fly.pool_regs, fly.default_pool_size,
                               fly.min_pool_size, fly.max_pool_size)

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.registry import get_kind, register_kind
 from repro.core.stats import SimStats
-from repro.mem.spec import MemorySpec
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
 if TYPE_CHECKING:
@@ -281,34 +280,20 @@ def _pipelined_default_config() -> CoreConfig:
     return CoreConfig(wakeup_extra_delay=1)
 
 
-def _normalize_memory(config: CoreConfig) -> CoreConfig:
-    # An explicit MemorySpec that merely spells out what ``memory``
-    # already implies describes the same machine as ``mem=None``; fold
-    # it away so both spellings compare, label and content-address
-    # identically (the memory-system analogue of the clock-axis
-    # normalization in RunSpec).
-    if (config.mem is not None
-            and config.mem == MemorySpec.from_config(config.memory)):
-        return config.with_variant(mem=None)
-    return config
-
-
 def _pipelined_normalize(config: CoreConfig) -> CoreConfig:
     # The core forces the pipelined Wake-Up/Select loop; normalizing here
     # keeps spec payloads/cache keys describing the machine actually
     # simulated.
     if config.wakeup_extra_delay < 1:
         config = config.with_variant(wakeup_extra_delay=1)
-    return _normalize_memory(config)
+    return config
 
 
 register_kind(KIND_BASELINE, _baseline_core_cls,
-              _sync_runner(KIND_BASELINE),
-              normalize_config=_normalize_memory)
+              _sync_runner(KIND_BASELINE))
 register_kind(KIND_PIPELINED_WAKEUP, _pipelined_core_cls,
               _sync_runner(KIND_PIPELINED_WAKEUP),
               default_config=_pipelined_default_config,
               normalize_config=_pipelined_normalize)
 register_kind(KIND_FLYWHEEL, _flywheel_core_cls, _flywheel_runner,
-              default_config=_flywheel_default_config, dual_clock=True,
-              normalize_config=_normalize_memory)
+              default_config=_flywheel_default_config, dual_clock=True)

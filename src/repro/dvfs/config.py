@@ -22,7 +22,7 @@ would cycle. The tech-node lookup is deferred into validation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ConfigError
@@ -39,9 +39,10 @@ DEFAULT_SCALE_STEPS = (0.6, 0.7, 0.8, 0.9, 1.0)
 class GovernorConfig:
     """Everything that defines one adaptive-clock policy.
 
-    Participates in ``cache_key()`` (via the enclosing ``ClockPlan``), so
-    two runs that differ only in governor tuning are distinct campaign
-    jobs and never alias in the result store.
+    Part of a spec's content address (``RunSpec.cache_key()``, via the
+    enclosing ``ClockPlan``), so two runs that differ only in governor
+    tuning are distinct campaign jobs and never alias in the result
+    store.
     """
 
     #: Policy name; one of :data:`GOVERNOR_NAMES`.
@@ -119,12 +120,6 @@ class GovernorConfig:
         steps = self.scale_steps
         return min(range(len(steps)),
                    key=lambda i: abs(steps[i] - self.start_scale))
-
-    def cache_key(self) -> str:
-        """Stable short hash of every field (for ad-hoc identity)."""
-        from repro.core.config import stable_hash  # deferred: import cycle
-
-        return stable_hash(asdict(self))
 
 
 def governor_plan(base_plan, name: str, **overrides) -> "object":

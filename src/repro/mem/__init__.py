@@ -2,7 +2,7 @@
 and the composable L1/L2/DRAM hierarchy with MSHRs and prefetch."""
 
 from repro.mem.cache import Cache, CacheStats
-from repro.mem.hierarchy import CacheLevel, MemoryConfig, MemoryHierarchy
+from repro.mem.hierarchy import CacheLevel, MemoryHierarchy
 from repro.mem.spec import (
     PREFETCHERS,
     WRITE_POLICIES,
@@ -15,7 +15,6 @@ __all__ = [
     "CacheStats",
     "CacheLevel",
     "CacheLevelSpec",
-    "MemoryConfig",
     "MemoryHierarchy",
     "MemorySpec",
     "PREFETCHERS",

@@ -1,7 +1,7 @@
 """The memory system: a composable cache-level chain with miss handling.
 
-Built from a declarative :class:`~repro.mem.spec.MemorySpec` (or, for
-backward compatibility, the flat Table-2 :class:`MemoryConfig`): a
+Built from a declarative :class:`~repro.mem.spec.MemorySpec` (the
+paper's Table 2 stack by default; ``CoreConfig.mem`` carries it): a
 private L1I in front of the shared tail of a data-side
 :class:`CacheLevel` chain (L1D → L2 [→ L3 ...] → DRAM). Latencies are
 returned in cycles *of the requesting clock domain*; the paper keeps
@@ -41,33 +41,10 @@ timed run's miss overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mem.cache import Cache
 from repro.mem.spec import CacheLevelSpec, MemorySpec
-
-
-@dataclass(frozen=True)
-class MemoryConfig:
-    """Flat sizes and latencies, defaulting to the paper's Table 2.
-
-    The historical description of the memory system; kept as the
-    payload-stable default inside ``CoreConfig``. Richer shapes (MSHRs,
-    prefetch, write policy, deeper chains) are described by
-    :class:`~repro.mem.spec.MemorySpec` via ``CoreConfig.mem``.
-    """
-
-    l1i_kb: int = 64
-    l1i_ways: int = 2
-    l1d_kb: int = 64
-    l1d_ways: int = 4
-    l2_kb: int = 512
-    l2_ways: int = 4
-    line_bytes: int = 32
-    l1_latency: int = 2          # cycles, pipelined
-    l2_latency: int = 10         # cycles
-    dram_latency: int = 100      # cycles at the baseline clock
 
 
 class CacheLevel:
@@ -98,12 +75,9 @@ class MemoryHierarchy:
     timing-free variants for functional warmup.
     """
 
-    def __init__(self, config: Optional[MemoryConfig] = None,
-                 spec: Optional[MemorySpec] = None,
+    def __init__(self, spec: Optional[MemorySpec] = None,
                  force_general: bool = False):
-        self.config = config or MemoryConfig()
-        self.spec = spec or MemorySpec.from_config(self.config)
-        spec = self.spec
+        self.spec = spec = spec or MemorySpec()
         write_back = spec.write_policy == "back"
 
         self.l1i = Cache("l1i", spec.l1i.kb * 1024, spec.l1i.ways,

@@ -9,16 +9,15 @@ level), the line size, the DRAM latency, the miss-handling register
 configurations flow through ``MachineSpec``/``RunSpec`` payloads, cache
 keys, campaign sweeps and both CLIs like any other machine axis.
 
-``MemorySpec()`` (all defaults) describes *exactly* the legacy
-Table-2 stack of :class:`~repro.mem.hierarchy.MemoryConfig`:
-split 64K L1I / 64K L1D over a unified 512K L2, 32-byte lines, 2/10/100
-cycle latencies, unbounded miss overlap (``mshrs=0``), no prefetcher,
-allocate-on-write. The hierarchy detects that shape and takes the
-historical fast path, which is what keeps the default spec
-golden-equivalent (bit-identical ``SimStats``) with pre-spec trees.
-``CoreConfig.mem=None`` means "derive the spec from ``CoreConfig.
-memory``"; the kind registry's ``normalize_config`` folds an explicit
-but redundant spec back to ``None`` so both spellings hash identically.
+``MemorySpec()`` (all defaults) is the paper's Table 2 stack and the
+default ``CoreConfig.mem``: split 64K L1I / 64K L1D over a unified 512K
+L2, 32-byte lines, 2/10/100 cycle latencies, unbounded miss overlap
+(``mshrs=0``), no prefetcher, allocate-on-write. The hierarchy detects
+that shape and takes the historical fast path, which is what keeps the
+default machine golden-equivalent (bit-identical ``SimStats``) with
+pre-spec trees. A spec payload leaves the default out, so
+``CoreConfig()`` and ``CoreConfig(mem=MemorySpec())`` are one machine
+with one content address.
 
 The interesting axes:
 
@@ -162,22 +161,6 @@ class MemorySpec:
         return "+".join(bits)
 
     # ------------------------------------------------------- conversions
-
-    @classmethod
-    def from_config(cls, config) -> "MemorySpec":
-        """The legacy-equivalent spec of a
-        :class:`~repro.mem.hierarchy.MemoryConfig` (flat Table-2
-        geometry, ideal overlap, no prefetch, allocate-on-write)."""
-        return cls(
-            l1i=CacheLevelSpec(config.l1i_kb, config.l1i_ways,
-                               config.l1_latency),
-            levels=(CacheLevelSpec(config.l1d_kb, config.l1d_ways,
-                                   config.l1_latency),
-                    CacheLevelSpec(config.l2_kb, config.l2_ways,
-                                   config.l2_latency)),
-            line_bytes=config.line_bytes,
-            dram_latency=config.dram_latency,
-        )
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe payload; exact inverse of :meth:`from_dict`."""

@@ -72,14 +72,17 @@ class TestRunSpec:
                 == spec(config=CoreConfig(iw_entries=64)).cache_key())
 
     def test_config_cache_key_api(self):
-        # The config dataclasses expose stable content hashing directly.
-        assert CoreConfig().cache_key() == CoreConfig().cache_key()
-        assert (CoreConfig(iw_entries=64).cache_key()
-                != CoreConfig().cache_key())
-        assert (FlywheelConfig(ec_kb=64).cache_key()
-                != FlywheelConfig().cache_key())
-        assert (ClockPlan(base_mhz=950).cache_key()
-                == ClockPlan().cache_key())
+        # The config objects are content-addressed through the spec
+        # that carries them.
+        assert (spec(config=CoreConfig()).cache_key()
+                == spec(config=CoreConfig()).cache_key())
+        assert (spec(config=CoreConfig(iw_entries=64)).cache_key()
+                != spec(config=CoreConfig()).cache_key())
+        assert (spec(kind="flywheel", fly=FlywheelConfig(ec_kb=64))
+                .cache_key()
+                != spec(kind="flywheel", fly=FlywheelConfig()).cache_key())
+        assert (spec(clock=ClockPlan(base_mhz=950)).cache_key()
+                == spec(clock=ClockPlan()).cache_key())
 
     def test_code_fingerprint_ignores_presentation_layers(self):
         from repro.campaign.spec import SIM_PACKAGES
@@ -146,6 +149,134 @@ class TestRunSpec:
     def test_malformed_payload_names_the_problem(self, payload, names):
         with pytest.raises(CampaignError, match=names):
             RunSpec.from_dict(payload)
+
+
+#: Payload members as written before ``CoreConfig.mem`` became the only
+#: memory description: every config carried the flat Table 2 ``memory``
+#: member, and every Flywheel config ``tag_window``/``max_trace_units``.
+_OLD_CONFIG = {
+    "bpred": {"btb_entries": 2048, "btb_ways": 4, "history_bits": 12,
+              "pht_entries": 2048, "ras_entries": 16},
+    "commit_width": 4, "deadlock_window": 0, "decode_width": 4,
+    "dispatch_width": 4, "extra_frontend_stages": 0, "fetch_width": 4,
+    "fp_adders": 2, "fp_muldivs": 1, "int_alus": 4, "int_muldivs": 2,
+    "issue_width": 6, "iw_entries": 128, "lsq_entries": 64, "mem_ports": 2,
+    "memory": {"dram_latency": 100, "l1_latency": 2, "l1d_kb": 64,
+               "l1d_ways": 4, "l1i_kb": 64, "l1i_ways": 2, "l2_kb": 512,
+               "l2_latency": 10, "l2_ways": 4, "line_bytes": 32},
+    "phys_regs": 192, "regread_stages": 1, "rename_width": 4,
+    "rob_entries": 160, "wakeup_extra_delay": 0}
+_OLD_CLOCK = {"base_mhz": 950.0, "be_speedup": 0.0, "fe_speedup": 0.0,
+              "governor": None}
+#: ``RunSpec("flywheel", "gcc", clock=ClockPlan(fe_speedup=1.0,
+#: be_speedup=0.5), fly=FlywheelConfig(ec_kb=64), seed=7,
+#: instructions=1000, warmup=500, engine="turbo").to_dict()`` then.
+OLD_FLYWHEEL_PAYLOAD = {
+    "bench": "gcc",
+    "clock": {**_OLD_CLOCK, "be_speedup": 0.5, "fe_speedup": 1.0},
+    "config": {**_OLD_CONFIG, "engine": "turbo", "phys_regs": 512,
+               "regread_stages": 2},
+    "fly": {"default_pool_size": 8, "delay_network": False,
+            "ec_block_slots": 8, "ec_bytes_per_slot": 8,
+            "ec_enabled": True, "ec_kb": 64, "ec_latency": 3, "ec_ways": 2,
+            "max_pool_size": 32, "max_trace_instrs": 768,
+            "max_trace_units": 512, "min_pool_size": 2, "pool_regs": 512,
+            "redistribution_enabled": True,
+            "redistribution_interval": 10000,
+            "redistribution_penalty": 100, "sync_cycles": 1,
+            "tag_window": 2, "use_srt": True},
+    "instructions": 1000, "kind": "flywheel", "mem_scale": 1.0, "seed": 7,
+    "warmup": 500}
+#: ``RunSpec("pipelined_wakeup", "gcc", config=CoreConfig(
+#: mem=MemorySpec(mshrs=4)), instructions=1000, warmup=500).to_dict()``.
+OLD_PIPELINED_PAYLOAD = {
+    "bench": "gcc", "clock": _OLD_CLOCK,
+    "config": {**_OLD_CONFIG, "wakeup_extra_delay": 1, "mem": {
+        "dram_latency": 100, "l1i": {"kb": 64, "latency": 2, "ways": 2},
+        "levels": [{"kb": 64, "latency": 2, "ways": 4},
+                   {"kb": 512, "latency": 10, "ways": 4}],
+        "line_bytes": 32, "mshrs": 4, "prefetch": "none",
+        "write_policy": "allocate"}},
+    "fly": None, "instructions": 1000, "kind": "pipelined_wakeup",
+    "mem_scale": 1.0, "seed": None, "warmup": 500}
+
+
+def old_payload_specs():
+    """The specs today's code builds for the two old payloads' runs."""
+    from repro.mem import MemorySpec
+
+    return [
+        RunSpec("flywheel", "gcc",
+                clock=ClockPlan(fe_speedup=1.0, be_speedup=0.5),
+                fly=FlywheelConfig(ec_kb=64), seed=7, instructions=1000,
+                warmup=500, engine="turbo"),
+        RunSpec("pipelined_wakeup", "gcc",
+                config=CoreConfig(mem=MemorySpec(mshrs=4)),
+                instructions=1000, warmup=500),
+    ]
+
+
+class TestOldPayloads:
+    """Payloads carrying ``config.memory`` and the unread Flywheel
+    fields (journals, store records) still rebuild their run."""
+
+    def test_old_payloads_rebuild_todays_spec(self):
+        for payload, expected in zip(
+                (OLD_FLYWHEEL_PAYLOAD, OLD_PIPELINED_PAYLOAD),
+                old_payload_specs()):
+            again = RunSpec.from_dict(json.loads(json.dumps(payload)))
+            assert again == expected
+            assert again.cache_key() == expected.cache_key()
+            assert again.label == expected.label
+
+    def test_old_payload_shape_is_gone(self):
+        data = old_payload_specs()[0].to_dict()
+        assert "memory" not in data["config"]
+        assert not {"tag_window", "max_trace_units"} & set(data["fly"])
+
+    def test_a_partial_table2_memory_member_is_dropped(self):
+        payload = {"kind": "baseline", "bench": "smoke",
+                   "config": {"memory": {"l2_kb": 512, "l1_latency": 2}}}
+        assert RunSpec.from_dict(payload) == RunSpec("baseline", "smoke")
+
+    @pytest.mark.parametrize("memory", [
+        {"l2_kb": 1024}, {"dram_latency": 200}, {"l3_kb": 4096}],
+        ids=["l2-size", "dram", "unknown-member"])
+    def test_other_memory_member_is_refused(self, memory):
+        payload = {"kind": "baseline", "bench": "smoke",
+                   "config": {"memory": memory}}
+        with pytest.raises(CampaignError, match="'config.memory'"):
+            RunSpec.from_dict(payload)
+
+    def test_old_journal_resumes(self, tmp_path):
+        from repro.campaign import resume_campaign
+
+        # Written by the code before this payload change: job 0 done
+        # (its record, under the old key, is not in this store), job 1
+        # never dispatched.
+        journal = tmp_path / "campaigns" / "old.jsonl"
+        journal.parent.mkdir()
+        header = {
+            "campaign": "old", "created": 1792445431.3721356,
+            "journal": 1,
+            "keys": ["52c3386a92303b1e7ac7b225f5a84ad01a270df1",
+                     "b8bb3bb77b4876c7448c24d173593f68d09046ea"],
+            "options": {"backoff_s": 0.25, "jobs": 1, "retries": 2,
+                        "timeout_s": None},
+            "specs": [OLD_FLYWHEEL_PAYLOAD, OLD_PIPELINED_PAYLOAD]}
+        journal.write_text("\n".join([
+            json.dumps(header, sort_keys=True),
+            '{"attempt": 1, "job": 0, "state": "running", '
+            '"ts": 1792445431.471}',
+            '{"job": 0, "source": "run", "state": "done", '
+            '"ts": 1792445431.564}']) + "\n")
+        store = ResultStore(tmp_path)
+        report = resume_campaign("old", store).execute()
+        assert (report.total, report.executed, report.quarantined) \
+            == (2, 2, [])
+        for expected in old_payload_specs():
+            assert expected.cache_key() in report.results
+            assert expected.cache_key() in store
 
 
 class TestSweep:
@@ -513,11 +644,11 @@ class TestExperimentContext:
     @pytest.mark.parametrize("benches, n, w, jobs, kinds, digest, labels", [
         (SPEC_NAMES, 30_000, 60_000, 330,
          {"flywheel": 230, "baseline": 90, "pipelined_wakeup": 10},
-         "1ed7250b77aaad0358c02a69cdfeea6a58aa489c26ee84848f109ae38fddb7eb",
+         "882963f4ac56b127f20a09f6959b8cec1d262c2b867210a8a2f371b85cf78ab8",
          "5ec1a053d670145bb3befa4320c8d0405f7dcadd36ddd4bd106913d434e1b629"),
         (("gcc", "ijpeg"), 1000, 2000, 82,
          {"flywheel": 54, "baseline": 26, "pipelined_wakeup": 2},
-         "84483d1dd48a57a8ed693e23d4615e18a2129675516cea170b8b1030008e3495",
+         "0df0c87770185b8babdd3e12a95daf819683477f18f27d6c3fd9c7f830174dcb",
          "a2c625999c89bce5e601c3283c1dd9070917491e10e60ea81c6e3000d61dbe28"),
     ], ids=["spec-30k", "gcc-ijpeg-1k"])
     def test_campaign_job_list_is_pinned(self, benches, n, w, jobs, kinds,
@@ -980,3 +1111,135 @@ class TestDiffAcrossCodeVersions:
         assert len(report["pairs"]) == 1
         assert report["a"]["codes"] == ["old0000code0"]
         assert report["b"]["codes"] == ["new0000code0"]
+
+
+    def test_records_from_before_the_payload_change_pair(
+            self, tmp_path, monkeypatch, capsys):
+        """An old-format record (flat ``config.memory``, unread ``fly``
+        members) pairs with today's record of the same run."""
+        from repro.campaign.__main__ import main as campaign_main
+
+        store = ResultStore(tmp_path / "store")
+        run = old_payload_specs()[0]
+        self._put_as(store, run, "old0000code0", 1000.0, monkeypatch)
+        path = store._path(run.cache_key())
+        record = json.loads(path.read_text())
+        record["spec"] = OLD_FLYWHEEL_PAYLOAD
+        path.write_text(json.dumps(record))
+        self._put_as(store, run, "new0000code0", 2000.0, monkeypatch)
+        monkeypatch.undo()
+        assert campaign_main(["diff", "prev", "latest",
+                              "--store", str(store.root)]) == 0
+        assert "1 pair(s), 0 flagged delta(s); 0 only in A, 0 only in B" \
+            in capsys.readouterr().out
+
+
+class TestDiffLabels:
+    def test_config_variants_get_distinct_labels(self, tmp_path, capsys):
+        """Two baselines that differ only in a config field (fig2's
+        plain and ``extra_frontend_stages=1`` legs) label apart in the
+        rows, the JSON and the ``only in`` lines."""
+        from repro.campaign.__main__ import main as campaign_main
+
+        store = ResultStore(tmp_path)
+        plain = spec(instructions=300, warmup=100)
+        deep = spec(instructions=300, warmup=100,
+                    config=CoreConfig(extra_frontend_stages=1))
+        slow = spec(instructions=300, warmup=100,
+                    clock=ClockPlan(base_mhz=400))
+        for s in (plain, deep, slow):
+            store.put(s.cache_key(), s, s.execute())
+        assert campaign_main(["diff", "kind=baseline", "kind=baseline",
+                              "--store", str(tmp_path), "--json"]) == 0
+        labels = [p["label"] for p in
+                  json.loads(capsys.readouterr().out)["pairs"]]
+        assert sorted(labels) == [
+            "baseline/smoke 400MHz engine=turbo",
+            "baseline/smoke 950MHz engine=turbo",
+            "baseline/smoke 950MHz engine=turbo [extra_frontend_stages=1]"]
+        assert campaign_main(["diff", "base_mhz=950", "base_mhz=400",
+                              "--store", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 pair(s)" in out
+        assert ("only in A: baseline/smoke 950MHz engine=turbo "
+                "[extra_frontend_stages=1]") in out
+
+
+class TestBadInputEndsInAnError:
+    """Bad limits, timeouts and output paths end in ``CampaignError``
+    (``error: ...`` and exit 1 on the CLIs), before any work."""
+
+    def cli(self, capsys, *argv):
+        from repro.campaign.__main__ import main as campaign_main
+
+        code = campaign_main(list(argv))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_store_listings_refuse_a_negative_limit(self, tmp_path):
+        store = ResultStore(tmp_path)
+        with pytest.raises(CampaignError, match="limit must be >= 0"):
+            store.records(limit=-1)
+        with pytest.raises(CampaignError, match="limit must be >= 0"):
+            store.query(limit=-1)
+
+    def test_ls_refuses_a_negative_limit(self, tmp_path, capsys):
+        code, err = self.cli(capsys, "ls", "--limit", "-1",
+                             "--store", str(tmp_path))
+        assert code == 1 and "error: limit must be >= 0" in err
+
+    def test_diff_refuses_a_negative_limit(self, tmp_path, capsys):
+        code, err = self.cli(capsys, "diff", "kind=baseline",
+                             "kind=baseline", "--limit", "-1",
+                             "--store", str(tmp_path))
+        assert code == 1 and "error: --limit must be >= 0" in err
+
+    @pytest.mark.parametrize("timeout", [-1, 0])
+    def test_run_campaign_refuses_a_non_positive_timeout(self, tmp_path,
+                                                         timeout):
+        store = ResultStore(tmp_path)
+        with pytest.raises(CampaignError, match="timeout must be positive"):
+            run_campaign([spec()], store=store, timeout_s=timeout)
+        assert len(store) == 0
+
+    def test_submit_campaign_refuses_it_before_the_journal(self, tmp_path):
+        from repro.campaign import submit_campaign
+
+        with pytest.raises(CampaignError, match="timeout must be positive"):
+            submit_campaign([spec()], ResultStore(tmp_path), timeout_s=-1)
+        assert not (tmp_path / "campaigns").exists()
+
+    def test_campaign_run_refuses_a_negative_timeout(self, tmp_path,
+                                                     capsys):
+        code, err = self.cli(capsys, "run", "--experiments", "fig2",
+                             "--benchmarks", "gcc", "--instructions", "300",
+                             "--warmup", "100", "--timeout", "-1",
+                             "--store", str(tmp_path))
+        assert code == 1 and "error: timeout must be positive" in err
+        assert len(ResultStore(tmp_path)) == 0
+
+    def test_experiments_cli_refuses_a_negative_timeout(self, capsys):
+        from repro.experiments.__main__ import main as experiments_main
+
+        assert experiments_main(["fig2", "--benchmarks", "gcc",
+                                 "--instructions", "300", "--warmup", "100",
+                                 "--timeout", "-1"]) == 1
+        out = capsys.readouterr()
+        assert "error: timeout must be positive" in out.err
+        assert "Traceback" not in out.err and not out.out
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--csv", "{missing}/x.csv"],
+        ["export", "--json", "{missing}/x.json"],
+        ["diff", "kind=baseline", "kind=baseline", "--html",
+         "{missing}/x.html"],
+    ], ids=["export-csv", "export-json", "diff-html"])
+    def test_unwritable_output_path(self, tmp_path, capsys, argv):
+        s = spec(instructions=300, warmup=100)
+        ResultStore(tmp_path).put(s.cache_key(), s, s.execute())
+        path = argv[-1].format(missing=tmp_path / "none")
+        code, err = self.cli(capsys, *argv[:-1], path,
+                             "--store", str(tmp_path))
+        assert code == 1
+        assert f"error: cannot write {path}: " in err

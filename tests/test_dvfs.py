@@ -40,6 +40,12 @@ def _plan(name, **kw):
     return ClockPlan(governor=GovernorConfig(name=name, **kw))
 
 
+def _governed_key(governor):
+    """Content address of a baseline gcc run under ``governor``."""
+    return RunSpec(kind="baseline", bench="gcc",
+                   clock=ClockPlan(governor=governor)).cache_key()
+
+
 # --------------------------------------------------------------- config
 
 
@@ -76,12 +82,12 @@ class TestGovernorConfig:
         a = GovernorConfig(scale_steps=[1, 1.5], start_scale=1)
         b = GovernorConfig(scale_steps=(1.0, 1.5), start_scale=1.0)
         assert a == b
-        assert a.cache_key() == b.cache_key()
+        assert _governed_key(a) == _governed_key(b)
 
     def test_cache_key_sees_every_knob(self):
-        base = GovernorConfig()
-        assert base.cache_key() != GovernorConfig(interval=2000).cache_key()
-        assert base.cache_key() != GovernorConfig(occ_high=0.7).cache_key()
+        base = _governed_key(GovernorConfig())
+        assert base != _governed_key(GovernorConfig(interval=2000))
+        assert base != _governed_key(GovernorConfig(occ_high=0.7))
 
 
 class TestClockPlanGovernor:
@@ -91,8 +97,8 @@ class TestClockPlanGovernor:
         assert plan.governor.interval == 123
 
     def test_governed_plan_changes_cache_key(self):
-        assert (ClockPlan().cache_key()
-                != ClockPlan(governor=GovernorConfig()).cache_key())
+        assert (RunSpec(kind="baseline", bench="gcc").cache_key()
+                != _governed_key(GovernorConfig()))
 
 
 # ------------------------------------------------------------- policies

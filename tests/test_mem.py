@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.mem import Cache, MemoryConfig, MemoryHierarchy, MemorySpec
+from repro.mem import Cache, MemoryHierarchy, MemorySpec
 
 
 class TestCacheGeometry:
@@ -183,42 +183,42 @@ def test_small_working_set_never_evicts(addrs):
 
 class TestHierarchy:
     def test_latency_ordering(self):
-        h = MemoryHierarchy(MemoryConfig())
+        h = MemoryHierarchy()
         cold = h.load(0x10000)
         warm = h.load(0x10000)
         assert cold > warm
-        assert warm == h.config.l1_latency
+        assert warm == h.spec.levels[0].latency
 
     def test_l2_hit_latency(self):
-        h = MemoryHierarchy(MemoryConfig())
+        h = MemoryHierarchy()
         h.load(0x40)                       # fill L1 + L2
         # Evict from tiny... instead use a fresh hierarchy and touch via l2
-        h2 = MemoryHierarchy(MemoryConfig())
+        h2 = MemoryHierarchy()
         h2.l2.access(0x40)                 # resident only in L2
         lat = h2.load(0x40)
-        assert lat == h2.config.l1_latency + h2.config.l2_latency
+        assert lat == h2.spec.levels[0].latency + h2.spec.levels[1].latency
 
     def test_mem_scale_inflates_dram(self):
-        slow = MemoryHierarchy(MemoryConfig()).load(0x999000, mem_scale=1.0)
-        fast = MemoryHierarchy(MemoryConfig()).load(0x999000, mem_scale=1.5)
-        assert fast == slow + round(0.5 * MemoryConfig().dram_latency)
+        slow = MemoryHierarchy().load(0x999000, mem_scale=1.0)
+        fast = MemoryHierarchy().load(0x999000, mem_scale=1.5)
+        assert fast == slow + round(0.5 * MemorySpec().dram_latency)
 
     def test_ifetch_separate_from_data(self):
-        h = MemoryHierarchy(MemoryConfig())
+        h = MemoryHierarchy()
         h.ifetch(0x40)
         assert h.l1i.stats.accesses == 1
         assert h.l1d.stats.accesses == 0
 
     def test_store_write_allocates(self):
-        h = MemoryHierarchy(MemoryConfig())
+        h = MemoryHierarchy()
         h.store(0x40)
-        assert h.load(0x40) == h.config.l1_latency
+        assert h.load(0x40) == h.spec.levels[0].latency
 
 
 def _legacy_spec(**overrides) -> MemorySpec:
     from dataclasses import replace
 
-    return replace(MemorySpec.from_config(MemoryConfig()), **overrides)
+    return replace(MemorySpec(), **overrides)
 
 
 class TestGeneralPathParity:
@@ -232,8 +232,8 @@ class TestGeneralPathParity:
         return [rng.randrange(1 << 24) for _ in range(4000)]
 
     def test_load_latencies_and_stats_match_fast_path(self):
-        fast = MemoryHierarchy(MemoryConfig())
-        general = MemoryHierarchy(MemoryConfig(), force_general=True)
+        fast = MemoryHierarchy()
+        general = MemoryHierarchy(force_general=True)
         assert fast.ifetch.__func__ is fast._ifetch_fast.__func__
         assert general.load.__func__ is general._load_general.__func__
         for addr in self._streams():
@@ -244,8 +244,8 @@ class TestGeneralPathParity:
             assert n1 == n2 and c1.stats == c2.stats
 
     def test_store_latencies_match_fast_path(self):
-        fast = MemoryHierarchy(MemoryConfig())
-        general = MemoryHierarchy(MemoryConfig(), force_general=True)
+        fast = MemoryHierarchy()
+        general = MemoryHierarchy(force_general=True)
         for addr in self._streams():
             assert fast.store(addr) == general.store(addr)
         assert fast.l1d.stats == general.l1d.stats
@@ -283,7 +283,7 @@ class TestStoreAllocation:
         assert h.load(0x40) == h.spec.levels[0].latency
 
     def test_fast_path_store_also_allocates(self):
-        h = MemoryHierarchy(MemoryConfig())
+        h = MemoryHierarchy()
         h.l2.install(0x40)
         h.store(0x40)
         assert h.l1d.probe(0x40)

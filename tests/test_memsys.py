@@ -12,7 +12,7 @@ from repro.campaign.spec import RunSpec, Sweep
 from repro.campaign.store import ResultStore
 from repro.core.config import CoreConfig
 from repro.errors import ConfigError
-from repro.mem import CacheLevelSpec, MemoryConfig, MemorySpec
+from repro.mem import CacheLevelSpec, MemorySpec
 from repro.session import MachineSpec, Session
 
 #: Tiny budgets: every simulated spec in this file finishes in ~100ms.
@@ -30,8 +30,13 @@ def ms(kind="baseline", bench="smoke", **kw):
 
 class TestMemorySpec:
     def test_default_is_legacy_equivalent(self):
-        assert MemorySpec() == MemorySpec.from_config(MemoryConfig())
+        # The paper's Table 2 stack, and the default machine's memory.
+        assert MemorySpec() == MemorySpec(
+            l1i=CacheLevelSpec(64, 2, 2),
+            levels=(CacheLevelSpec(64, 4, 2), CacheLevelSpec(512, 4, 10)),
+            line_bytes=32, dram_latency=100)
         assert MemorySpec().is_simple
+        assert CoreConfig().mem == MemorySpec()
 
     def test_non_simple_shapes(self):
         assert not MemorySpec(mshrs=4).is_simple
@@ -95,24 +100,30 @@ class TestMemorySpec:
 
 
 class TestSpecThreading:
-    def test_redundant_spec_normalizes_to_none(self):
-        # Spelling out the derived default describes the same machine;
-        # the registry's normalize_config folds it away for every kind.
+    def test_explicit_default_spec_is_the_default_machine(self):
+        # Spelling out the Table 2 spec (or None) describes the same
+        # machine for every kind: equal, one key, one label, no payload.
         from repro.core.registry import get_kind
 
+        assert CoreConfig() == CoreConfig(mem=MemorySpec())
+        assert hash(CoreConfig()) == hash(CoreConfig(mem=MemorySpec()))
+        assert CoreConfig(mem=None) == CoreConfig()
         for kind in ("baseline", "pipelined_wakeup", "flywheel"):
             explicit = ms(kind=kind,
                           config=get_kind(kind).default_config()
                           .with_variant(mem=MemorySpec()))
-            assert explicit.config.mem is None
             assert explicit == ms(kind=kind)
             assert explicit.cache_key() == ms(kind=kind).cache_key()
+            assert explicit.label == ms(kind=kind).label
+            assert "mem=" not in explicit.label
+            assert "mem" not in explicit.payload()["config"]
 
     def test_default_payload_has_no_mem_key(self):
-        # The pre-MemorySpec payload shape (and the PR 4 pinned hashes)
-        # survive: a default config serializes without a "mem" key.
+        # A default config serializes without a "mem" key (and without
+        # the flat "memory" member payloads carried before).
         payload = ms().payload()
         assert "mem" not in payload["config"]
+        assert "memory" not in payload["config"]
 
     def test_non_default_spec_changes_key_and_round_trips(self):
         spec = ms(config=CoreConfig(mem=MemorySpec(mshrs=4)))
@@ -136,7 +147,7 @@ class TestSpecThreading:
         specs = sweep.expand()
         assert len(specs) == 3
         assert {s.config.mem for s in specs} == {
-            None, MemorySpec(mshrs=1), MemorySpec(mshrs=4)}
+            MemorySpec(), MemorySpec(mshrs=1), MemorySpec(mshrs=4)}
 
     def test_mem_axis_composes_with_config_axis(self):
         sweep = Sweep(kinds=("baseline",), benchmarks=("smoke",),

@@ -108,6 +108,15 @@ class TestSchedulerBasics:
         assert overridden.jobs == 1 and overridden.retries == 0
         assert overridden.timeout_s == 42.0
 
+    def test_a_journaled_zero_timeout_resumes_without_one(self, tmp_path):
+        # Journals written before non-positive timeouts were refused
+        # may carry 0, which then meant "no timeout".
+        run = CampaignRun.create(tmp_path, specs(1),
+                                 options={"jobs": 1, "timeout_s": 0})
+        resumed = resume_campaign(run.campaign_id, ResultStore(tmp_path))
+        assert resumed.timeout_s is None
+        assert resumed.execute().executed == 1
+
 
 class TestFailureHandling:
     def test_retry_with_backoff_then_success(self, tmp_path):
