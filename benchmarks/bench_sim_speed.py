@@ -29,7 +29,7 @@ import json
 import sys
 import time
 
-from repro.core.registry import get_kind, kind_names
+from repro.core.sim import default_config, kind_names
 from repro.session import Session
 from repro.workloads import generate_program, get_profile
 
@@ -60,15 +60,15 @@ MEMBOUND_WARMUP = 4_000
 
 #: Measured through the Session facade's uncached path, so any overhead
 #: the front door adds to a simulation call is part of the number. The
-#: kind list comes from the registry: a new machine kind is benchmarked
-#: (and perf-tracked by ``repro.perf check``) the moment it registers.
+#: kind list is the kind table's, so every machine kind is benchmarked
+#: (and perf-tracked by ``repro.perf check``).
 _SESSION = Session()
 
 
 def _engine_config(kind, engine="legacy"):
     """The kind's default config with only the engine set explicitly
     (the bare series names track the legacy engine, not the default)."""
-    return get_kind(kind).default_config().with_variant(engine=engine)
+    return default_config(kind).with_variant(engine=engine)
 
 
 def _run(kind, workload, instructions, warmup, config=None):

@@ -32,10 +32,8 @@ long campaigns::
     results = session.map(specs)              # input-order results
     print(session.hits, session.executed)     # warm rerun: all hits
 
-Machine kinds (``"baseline"``, ``"pipelined_wakeup"``, ``"flywheel"``)
-resolve through the pluggable registry —
-:func:`repro.core.registry.register_kind` adds third-party machines that
-then work everywhere a kind name is accepted.
+The machine kinds are the paper's three: ``"baseline"``,
+``"pipelined_wakeup"`` and ``"flywheel"`` (:func:`kind_names`).
 ``Session().run_workload(kind, workload, ...)`` runs an ad-hoc profile
 or program uncached and keeps the live core.
 
@@ -67,10 +65,8 @@ _EXPORTS = {
     "repro.core.config": ("ClockPlan", "CoreConfig", "FlywheelConfig"),
     "repro.core.flywheel": ("FlywheelCore",),
     "repro.core.pipelined": ("PipelinedWakeupCore",),
-    "repro.core.sim": ("SimResult",),
+    "repro.core.sim": ("SimResult", "get_kind", "kind_names"),
     "repro.core.stats": ("SimStats",),
-    "repro.core.registry": (
-        "get_kind", "kind_names", "register_kind", "unregister_kind"),
     "repro.dvfs.config": ("GovernorConfig",),
     "repro.mem.spec": ("CacheLevelSpec", "MemorySpec"),
     "repro.obs.metrics": ("MetricRegistry",),
@@ -92,9 +88,7 @@ __all__ = [
     "MachineSpec",
     "Session",
     "SessionEvent",
-    # Core-kind registry.
-    "register_kind",
-    "unregister_kind",
+    # The machine kinds.
     "get_kind",
     "kind_names",
     # Machines, configs, results.

@@ -30,8 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.spec import RunSpec, dedup
 from repro.campaign.store import ResultStore
-from repro.core.registry import get_kind
-from repro.core.sim import SimResult
+from repro.core.sim import SimResult, get_kind
 from repro.errors import CampaignError
 
 #: progress callback: (done, total, spec, source) with source "hit"/"run".

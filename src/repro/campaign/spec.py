@@ -3,11 +3,12 @@
 A :class:`RunSpec` names one simulation completely: core kind, benchmark,
 clock plan, config overrides, seed, instruction budgets and memory scale.
 Specs are frozen, hashable and normalized (``None`` configs are resolved
-to the defaults the runners would substitute), so two ways of writing the
-same run produce the same spec — and the same :meth:`RunSpec.cache_key`.
-It is the one spec class: the public front door exports it as
-:class:`~repro.session.MachineSpec`, and kinds resolve through the
-pluggable registry in :mod:`repro.core.registry`.
+to the defaults :func:`~repro.core.sim.build_core` would substitute), so
+two ways of writing the same run produce the same spec — and the same
+:meth:`RunSpec.cache_key`. It is the one spec class: the public front
+door exports it as :class:`~repro.session.MachineSpec`, kinds are the
+fixed table in :mod:`repro.core.sim`, and :meth:`RunSpec.execute` runs
+through that module's one runner.
 
 The cache key is a content hash over the full spec payload *plus a code
 fingerprint* of the installed ``repro`` sources, so results memoized by
@@ -35,14 +36,18 @@ from repro.core.config import (
     FlywheelConfig,
     canonical_json,
 )
-from repro.core.registry import KindInfo, get_kind, kind_names
 from repro.core.sim import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_WARMUP,
     KIND_BASELINE,
     KIND_FLYWHEEL,
+    KindInfo,
     SimResult,
+    check_budgets,
     default_config,
+    execute_kind,
+    get_kind,
+    kind_names,
 )
 from repro.errors import CampaignError, ConfigError
 from repro.frontend.bpred import BPredConfig
@@ -69,7 +74,7 @@ _UNREAD_FLY = ("tag_window", "max_trace_units")
 
 
 def _kind_info(kind: str) -> KindInfo:
-    """Registry lookup re-raised as the campaign layer's error type."""
+    """Kind lookup re-raised as the campaign layer's error type."""
     try:
         return get_kind(kind)
     except ConfigError:
@@ -116,7 +121,7 @@ def code_fingerprint() -> str:
 class RunSpec:
     """Frozen, declarative description of one machine + run.
 
-    Construction validates the kind (against the core-kind registry),
+    Construction validates the kind (against the kind table),
     the benchmark name and the budgets, and *normalizes* the axes —
     ``None`` config/fly/clock resolve to the kind's defaults, synchronous
     kinds drop the clock speedup axes — so two ways of writing the same
@@ -146,8 +151,10 @@ class RunSpec:
             raise CampaignError(
                 f"{self.kind} spec for {self.bench!r} cannot carry a "
                 "FlywheelConfig")
-        if self.instructions < 1 or self.warmup < 0:
-            raise CampaignError("instruction budgets must be positive")
+        try:
+            check_budgets(self.instructions, self.warmup)
+        except ConfigError as exc:
+            raise CampaignError(str(exc)) from None
         # Equal specs must serialize identically: JSON renders 2 and 2.0
         # differently, so an int-valued mem_scale would split cache keys.
         object.__setattr__(self, "mem_scale", float(self.mem_scale))
@@ -279,8 +286,8 @@ class RunSpec:
 
     def execute(self) -> SimResult:
         """Run the simulation this spec describes (in this process)."""
-        return _kind_info(self.kind).runner(
-            self.bench, config=self.config, fly=self.fly,
+        return execute_kind(
+            self.kind, self.bench, config=self.config, fly=self.fly,
             clock=self.clock, max_instructions=self.instructions,
             warmup=self.warmup, seed=self.seed, mem_scale=self.mem_scale)
 
@@ -458,8 +465,8 @@ class Sweep:
     Axes that do not apply to a kind are normalized away (a baseline job
     ignores the ``flys`` axis), which is where the dedup earns its keep.
 
-    Budgets default to the library's ``run_*`` defaults (60k measured
-    instructions); the experiments CLI and presets measure 30k. Budgets
+    Budgets default to :class:`RunSpec`'s (60k measured instructions
+    after a 60k warmup); the experiments CLI and presets measure 30k. Budgets
     are part of the cache key, so pass ``instructions=``/``warmup=``
     explicitly when a sweep should share store entries with a
     ``python -m repro.campaign run``-warmed cache.

@@ -7,14 +7,14 @@ a nine-stage, four-way superscalar out-of-order pipeline with a monolithic
 its Fig. 2 variant with the Wake-Up/Select loop pipelined. The Flywheel
 core adds the Dual Clock Issue Window and the Execution Cache with
 two-phase register renaming.
+
+:mod:`repro.core.sim` holds the fixed table of these three kinds
+(:func:`get_kind`, :func:`kind_names`) and the one path that builds and
+runs any of them, ``build_core`` then ``run_core``; :func:`execute_kind`
+is the two in one call.
 """
 
 from repro._lazy import lazy_exports
-
-# The built-in kinds register on import of ``repro.core.sim``; importing
-# it here means no kind can be looked up before they are registered.
-# It loads no core class: the registry resolves those on first use.
-from repro.core import sim as _sim  # noqa: F401
 
 _EXPORTS = {
     "repro.core.config": ("CoreConfig", "FlywheelConfig", "ClockPlan"),
@@ -22,8 +22,8 @@ _EXPORTS = {
     "repro.core.baseline": ("BaselineCore",),
     "repro.core.pipelined": ("PipelinedWakeupCore",),
     "repro.core.flywheel": ("FlywheelCore",),
-    "repro.core.registry": ("get_kind", "kind_names", "register_kind"),
-    "repro.core.sim": ("execute_kind", "SimResult"),
+    "repro.core.sim": ("execute_kind", "get_kind", "kind_names",
+                       "SimResult"),
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
@@ -39,6 +39,5 @@ __all__ = [
     "execute_kind",
     "get_kind",
     "kind_names",
-    "register_kind",
     "SimResult",
 ]

@@ -8,29 +8,17 @@ back-to-back scheduling of dependent instructions.
 Structurally this machine *is* the synchronous baseline with
 ``wakeup_extra_delay >= 1``: a producer's tag broadcast reaches dependents
 one cycle late, and a selection round completes only every other cycle.
-The engine refactor makes it a first-class core kind (one class, no
-duplicated back-end) so campaigns and experiments can sweep it like any
-other machine instead of threading config overrides through every layer.
+It is a core kind of its own so campaigns and experiments can sweep it
+like any other machine instead of threading config overrides through
+every layer; :func:`repro.core.sim.build_core` raises its config to
+``wakeup_extra_delay >= 1``. The class adds no behaviour; it names the
+kind's core in profiles and deadlock snapshots.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.baseline import BaselineCore
-from repro.core.config import ClockPlan, CoreConfig
-from repro.mem.hierarchy import MemoryHierarchy
-from repro.workloads.stream import InstructionStream
 
 
 class PipelinedWakeupCore(BaselineCore):
     """Baseline composition with the Wake-Up/Select loop pipelined."""
-
-    def __init__(self, config: CoreConfig, stream: InstructionStream,
-                 mem_scale: float = 1.0,
-                 hierarchy: Optional[MemoryHierarchy] = None,
-                 clock: Optional[ClockPlan] = None):
-        if config.wakeup_extra_delay < 1:
-            config = config.with_variant(wakeup_extra_delay=1)
-        super().__init__(config, stream, mem_scale=mem_scale,
-                         hierarchy=hierarchy, clock=clock)

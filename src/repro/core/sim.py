@@ -1,10 +1,11 @@
-"""Simulation execution for the registered core kinds.
+"""Simulation execution: the three machine kinds and their one runner.
 
-This module defines :class:`SimResult`, the per-kind runners, and the
-built-in registrations in the core-kind registry
-(:mod:`repro.core.registry`). The public entry point is ``repro.Session``
-with a ``repro.MachineSpec``; ``Session.run_workload`` reaches
-:func:`execute_kind` directly for ad-hoc workloads.
+This module holds the fixed table of the machines the paper evaluates
+(:func:`get_kind`, :func:`kind_names`), :func:`build_core` and
+:func:`run_core`, which every run goes through (``RunSpec.execute``,
+``Session.run_workload``, the self-profiler), and :class:`SimResult`.
+The public entry point is ``repro.Session`` with a ``repro.MachineSpec``;
+:func:`execute_kind` builds and runs one machine directly.
 
 ``SimResult`` is serializable: the live ``core`` object is an in-process
 convenience only, and everything downstream consumers need (the power
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
-from repro.core.registry import get_kind, register_kind
 from repro.core.stats import SimStats
+from repro.errors import ConfigError
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
 if TYPE_CHECKING:
@@ -34,9 +36,15 @@ __all__ = [
     "KIND_BASELINE",
     "KIND_FLYWHEEL",
     "KIND_PIPELINED_WAKEUP",
+    "KindInfo",
     "SimResult",
+    "build_core",
+    "check_budgets",
     "default_config",
     "execute_kind",
+    "get_kind",
+    "kind_names",
+    "run_core",
 ]
 
 #: Default instruction budgets; small enough for a pure-Python simulator,
@@ -44,7 +52,7 @@ __all__ = [
 DEFAULT_WARMUP = 60_000
 DEFAULT_INSTRUCTIONS = 60_000
 
-#: Kind tags of the built-in machines (also their registry names).
+#: Kind tags of the three machines.
 KIND_BASELINE = "baseline"
 KIND_FLYWHEEL = "flywheel"
 KIND_PIPELINED_WAKEUP = "pipelined_wakeup"
@@ -56,9 +64,8 @@ class SimResult:
 
     ``core`` holds the live simulator for in-process inspection and is
     ``None`` on results rebuilt from a worker process or the on-disk
-    store; ``kind`` is the machine's registered name in
-    :mod:`repro.core.registry` (``"baseline"``, ``"flywheel"``,
-    ``"pipelined_wakeup"``, or a plug-in kind), and ``l2_accesses``
+    store; ``kind`` is the machine's kind name (``"baseline"``,
+    ``"flywheel"`` or ``"pipelined_wakeup"``), and ``l2_accesses``
     carries the information the power model would otherwise read off
     the core object.
     """
@@ -67,7 +74,7 @@ class SimResult:
     stats: SimStats
     core: object = None   # live core object, or None if detached
     clock: ClockPlan = field(default_factory=ClockPlan)
-    kind: str = ""        # registered kind name (see repro.core.registry)
+    kind: str = ""        # kind name (see get_kind)
     l2_accesses: int = 0
     #: Serialized flight-recorder ring (``TraceRecorder.serialize()``),
     #: or None when the run was untraced — the common case, and the one
@@ -149,74 +156,147 @@ def _resolve_workload(workload: Union[str, WorkloadProfile, Program],
     return _shared_program(workload, seed)
 
 
-# ---------------------------------------------------------------- runners
+# ------------------------------------------------------------ the kinds
 
-def _sync_runner(kind: str):
-    """Runner factory for the single-clock core kinds."""
+@dataclass(frozen=True)
+class KindInfo:
+    """Everything the library knows about one machine kind.
 
-    def runner(workload: Union[str, WorkloadProfile, Program],
+    The core class is ``module.cls``, imported on first use through
+    :attr:`core_cls`, so validating specs and reading results back load
+    no simulator. ``dual_clock`` kinds keep the full :class:`ClockPlan`
+    (front-end/back-end speedups) and accept a ``FlywheelConfig``;
+    synchronous kinds are normalized down to ``base_mhz`` + governor and
+    must not carry one. ``normalize_config`` (optional) maps a user
+    config onto the config the core actually simulates, so spec
+    payloads and cache keys always describe the simulated machine.
+    """
+
+    name: str
+    module: str
+    cls: str
+    default_config: Callable[[], CoreConfig] = CoreConfig
+    dual_clock: bool = False
+    normalize_config: Optional[Callable[[CoreConfig], CoreConfig]] = None
+
+    @property
+    def core_cls(self) -> type:
+        return getattr(import_module(self.module), self.cls)
+
+
+def _pipelined_normalize(config: CoreConfig) -> CoreConfig:
+    # The kind is the pipelined Wake-Up/Select loop: a config that asks
+    # for back-to-back scheduling is raised to one extra cycle.
+    if config.wakeup_extra_delay < 1:
+        config = config.with_variant(wakeup_extra_delay=1)
+    return config
+
+
+#: The three machines the paper evaluates, in table order.
+_KINDS: Dict[str, KindInfo] = {info.name: info for info in (
+    KindInfo(KIND_BASELINE, "repro.core.baseline", "BaselineCore"),
+    KindInfo(KIND_PIPELINED_WAKEUP, "repro.core.pipelined",
+             "PipelinedWakeupCore",
+             default_config=lambda: CoreConfig(wakeup_extra_delay=1),
+             normalize_config=_pipelined_normalize),
+    KindInfo(KIND_FLYWHEEL, "repro.core.flywheel", "FlywheelCore",
+             default_config=lambda: CoreConfig(phys_regs=512,
+                                               regread_stages=2),
+             dual_clock=True),
+)}
+
+
+def get_kind(name: str) -> KindInfo:
+    """Look a kind up, raising :class:`ConfigError` for unknown names."""
+    try:
+        return _KINDS[name]
+    except KeyError:
+        raise ConfigError(f"unknown core kind {name!r}; kinds: "
+                          f"{', '.join(_KINDS)}") from None
+
+
+def kind_names() -> Tuple[str, ...]:
+    """Every kind name, in table order."""
+    return tuple(_KINDS)
+
+
+def default_config(kind: str) -> CoreConfig:
+    """The CoreConfig :func:`build_core` substitutes for ``config=None``.
+
+    Shared by the runs and spec normalization, so ``config=None`` and an
+    explicitly passed default always describe (and hash as) the same
+    run.
+    """
+    return get_kind(kind).default_config()
+
+
+# ------------------------------------------------------------ the runner
+
+def check_budgets(instructions: int, warmup: int) -> None:
+    """Refuse a budget no run can honour: at least one measured
+    instruction, and no negative warmup."""
+    if instructions < 1 or warmup < 0:
+        raise ConfigError(
+            f"instruction budgets must be instructions >= 1 and warmup "
+            f">= 0, got instructions={instructions}, warmup={warmup}")
+
+
+def build_core(kind: str,
+               workload: Union[str, WorkloadProfile, Program],
                config: Optional[CoreConfig] = None,
                fly: Optional[FlywheelConfig] = None,
                clock: Optional[ClockPlan] = None,
-               max_instructions: int = DEFAULT_INSTRUCTIONS,
-               warmup: int = DEFAULT_WARMUP,
                seed: Optional[int] = None,
-               mem_scale: float = 1.0) -> SimResult:
-        from repro.workloads.stream import InstructionStream
+               mem_scale: float = 1.0):
+    """An unrun core of ``kind`` over ``workload``.
 
-        info = get_kind(kind)
-        if fly is not None:
-            from repro.errors import ConfigError
+    ``None`` axes resolve to the kind's defaults and the config goes
+    through the kind's ``normalize_config``, as :class:`RunSpec`
+    construction does. ``workload`` is a benchmark name, a profile or a
+    built program; names and profiles share one generated program per
+    process (:func:`_shared_program`).
+    """
+    from repro.workloads.stream import InstructionStream
 
-            raise ConfigError(f"{kind} does not take a FlywheelConfig")
-        config = config or info.default_config()
-        clock = clock or ClockPlan()
-        program = _resolve_workload(workload, seed)
-        stream = InstructionStream(program)
-        core = info.core_cls(config, stream, mem_scale=mem_scale,
-                             clock=clock)
-        stats = core.run(max_instructions, warmup=warmup)
+    info = get_kind(kind)
+    if fly is not None and not info.dual_clock:
+        raise ConfigError(f"{kind} does not take a FlywheelConfig")
+    config = config or info.default_config()
+    if info.normalize_config is not None:
+        config = info.normalize_config(config)
+    clock = clock or ClockPlan()
+    stream = InstructionStream(_resolve_workload(workload, seed))
+    if info.dual_clock:
+        return info.core_cls(config, fly or FlywheelConfig(), clock, stream,
+                             mem_scale=mem_scale)
+    return info.core_cls(config, stream, mem_scale=mem_scale, clock=clock)
+
+
+def run_core(core, kind: str,
+             instructions: int = DEFAULT_INSTRUCTIONS,
+             warmup: int = DEFAULT_WARMUP) -> SimResult:
+    """Run a :func:`build_core` core and return its :class:`SimResult`.
+
+    ``warmup`` instructions are streamed through the caches functionally
+    before ``instructions`` are measured. The result's stats carry the
+    simulated time, the cache and metric snapshots, and the trace ring
+    when the config armed the recorder.
+    """
+    check_budgets(instructions, warmup)
+    info = get_kind(kind)
+    name = core.stream.program.name   # the run may swap the stream out
+    stats = core.run(instructions, warmup=warmup)
+    if not info.dual_clock:           # the Flywheel loop sums its own
         if core.dvfs is not None:
             # Piecewise sum over the governor's frequency segments; with
             # no retunes this is exactly cycles x base period.
             stats.sim_time_ps = core.dvfs.finalize(stats.total_be_cycles)
         else:
-            period_ps = round(1e6 / clock.base_mhz)
-            stats.sim_time_ps = stats.total_be_cycles * period_ps
-        stats.cache_stats = core.hierarchy.stats_dict()
-        stats.metrics = core.metrics.snapshot()
-        return SimResult(name=program.name, stats=stats, core=core,
-                         clock=clock, kind=info.name,
-                         l2_accesses=core.hierarchy.l2.stats.accesses,
-                         trace=(core.trace.serialize()
-                                if core.trace is not None else None))
-
-    runner.__name__ = f"run_{kind}_kind"
-    return runner
-
-
-def _flywheel_runner(workload: Union[str, WorkloadProfile, Program],
-                     config: Optional[CoreConfig] = None,
-                     fly: Optional[FlywheelConfig] = None,
-                     clock: Optional[ClockPlan] = None,
-                     max_instructions: int = DEFAULT_INSTRUCTIONS,
-                     warmup: int = DEFAULT_WARMUP,
-                     seed: Optional[int] = None,
-                     mem_scale: float = 1.0) -> SimResult:
-    """Runner for the dual-clock Flywheel machine."""
-    from repro.workloads.stream import InstructionStream
-
-    info = get_kind(KIND_FLYWHEEL)
-    config = config or info.default_config()
-    fly = fly or FlywheelConfig()
-    clock = clock or ClockPlan()
-    program = _resolve_workload(workload, seed)
-    stream = InstructionStream(program)
-    core = info.core_cls(config, fly, clock, stream, mem_scale=mem_scale)
-    stats = core.run(max_instructions, warmup=warmup)
+            stats.sim_time_ps = (stats.total_be_cycles
+                                 * round(1e6 / core.clock.base_mhz))
     stats.cache_stats = core.hierarchy.stats_dict()
     stats.metrics = core.metrics.snapshot()
-    return SimResult(name=program.name, stats=stats, core=core, clock=clock,
+    return SimResult(name=name, stats=stats, core=core, clock=core.clock,
                      kind=info.name,
                      l2_accesses=core.hierarchy.l2.stats.accesses,
                      trace=(core.trace.serialize()
@@ -232,68 +312,7 @@ def execute_kind(kind: str,
                  warmup: int = DEFAULT_WARMUP,
                  seed: Optional[int] = None,
                  mem_scale: float = 1.0) -> SimResult:
-    """Execute any registered kind through its runner (uncached)."""
-    return get_kind(kind).runner(
-        workload, config=config, fly=fly, clock=clock,
-        max_instructions=max_instructions, warmup=warmup, seed=seed,
-        mem_scale=mem_scale)
-
-
-def default_config(kind: str) -> CoreConfig:
-    """The CoreConfig a kind's runner substitutes for ``config=None``.
-
-    Single source of truth (via the registry) shared by the runners and
-    spec normalization, so ``config=None`` and an explicitly passed
-    default always describe (and hash as) the same run.
-    """
-    return get_kind(kind).default_config()
-
-
-# --------------------------------------------------- built-in registration
-
-# The core classes resolve on first use (``KindInfo.core_cls``), so
-# validating specs and reading results back load no simulator.
-
-def _baseline_core_cls() -> type:
-    from repro.core.baseline import BaselineCore
-
-    return BaselineCore
-
-
-def _pipelined_core_cls() -> type:
-    from repro.core.pipelined import PipelinedWakeupCore
-
-    return PipelinedWakeupCore
-
-
-def _flywheel_core_cls() -> type:
-    from repro.core.flywheel import FlywheelCore
-
-    return FlywheelCore
-
-
-def _flywheel_default_config() -> CoreConfig:
-    return CoreConfig(phys_regs=512, regread_stages=2)
-
-
-def _pipelined_default_config() -> CoreConfig:
-    return CoreConfig(wakeup_extra_delay=1)
-
-
-def _pipelined_normalize(config: CoreConfig) -> CoreConfig:
-    # The core forces the pipelined Wake-Up/Select loop; normalizing here
-    # keeps spec payloads/cache keys describing the machine actually
-    # simulated.
-    if config.wakeup_extra_delay < 1:
-        config = config.with_variant(wakeup_extra_delay=1)
-    return config
-
-
-register_kind(KIND_BASELINE, _baseline_core_cls,
-              _sync_runner(KIND_BASELINE))
-register_kind(KIND_PIPELINED_WAKEUP, _pipelined_core_cls,
-              _sync_runner(KIND_PIPELINED_WAKEUP),
-              default_config=_pipelined_default_config,
-              normalize_config=_pipelined_normalize)
-register_kind(KIND_FLYWHEEL, _flywheel_core_cls, _flywheel_runner,
-              default_config=_flywheel_default_config, dual_clock=True)
+    """Build and run one machine (uncached)."""
+    core = build_core(kind, workload, config=config, fly=fly, clock=clock,
+                      seed=seed, mem_scale=mem_scale)
+    return run_core(core, kind, max_instructions, warmup)

@@ -30,8 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.report import cache_stats_rows, format_cache_stats
 from repro.core.config import ClockPlan
-from repro.core.registry import get_kind
-from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL
+from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL, default_config
 from repro.experiments.common import ExperimentContext, Legs, print_table
 from repro.mem import MemorySpec
 
@@ -68,8 +67,7 @@ def legs(ctx: ExperimentContext) -> Legs:
             for label, mem in POINTS:
                 config = None
                 if mem is not None:
-                    config = get_kind(kind).default_config().with_variant(
-                        mem=mem)
+                    config = default_config(kind).with_variant(mem=mem)
                 specs[bench, kind, label] = ctx.spec(
                     kind, bench, clock=clock, config=config)
     return specs

@@ -14,7 +14,9 @@
 
 Every command takes the same machine axes (``--kind``, ``--bench``,
 ``--instructions``, ``--warmup``, ``--seed``); budgets default to the
-golden-stats sizes so a smoke invocation stays cheap.
+golden-stats sizes so a smoke invocation stays cheap. Bad input (an
+unknown kind or benchmark, a negative warmup) ends in one ``error:``
+line and exit status 1.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.core.sim import default_config, execute_kind, kind_names
+from repro.errors import ReproError
 from repro.obs.profiler import format_profile, profile_machine, write_profile
 from repro.obs.render import chrome_trace, render_pipeview
 from repro.obs.spec import EVENT_KINDS, TraceSpec
@@ -31,7 +35,8 @@ from repro.obs.spec import EVENT_KINDS, TraceSpec
 
 def _add_machine_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", default="baseline",
-                     help="registered core kind (default: baseline)")
+                     help=f"core kind, one of {', '.join(kind_names())} "
+                          "(default: baseline)")
     sub.add_argument("--bench", default="gcc",
                      help="benchmark profile name (default: gcc)")
     sub.add_argument("--instructions", type=int, default=8000,
@@ -57,8 +62,6 @@ def _add_trace_args(sub: argparse.ArgumentParser) -> None:
 
 def _traced_result(args):
     """Run the requested machine with the recorder armed."""
-    from repro.core.sim import default_config, execute_kind
-
     mask = tuple(k for k in args.events.split(",") if k)
     spec = TraceSpec(buffer=args.buffer, events=mask, start=args.start,
                      stop=(args.start + args.cycles) if args.cycles else 0)
@@ -91,8 +94,6 @@ def _cmd_chrome(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from repro.core.sim import execute_kind
-
     result = execute_kind(args.kind, args.bench,
                           max_instructions=args.instructions,
                           warmup=args.warmup, seed=args.seed)
@@ -107,8 +108,6 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.core.sim import default_config
-
     config = default_config(args.kind).with_variant(engine=args.engine)
     report = profile_machine(args.kind, args.bench, config=config,
                              instructions=args.instructions,
@@ -154,9 +153,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="wall-time per engine phase")
     _add_machine_args(profile)
     profile.add_argument("--engine", choices=("legacy", "turbo"),
-                         default="legacy",
+                         default=None,
                          help="instruction oracle of the profiled run "
-                              "(either reports pool/loop buckets)")
+                              "(default: the default engine, as campaigns "
+                              "run; either reports pool/loop buckets)")
     profile.add_argument("--out", default="",
                          help="also write the JSON report here")
     profile.set_defaults(fn=_cmd_profile)
@@ -164,6 +164,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly the way
         # well-behaved Unix filters do.

@@ -12,14 +12,17 @@ Every core kind runs one fused loop (``BaselineCore.run``,
 boundaries to clock, so it reports the two phases it actually has
 (:data:`PHASES`):
 
-``pool``   the instruction pool and rename plan the loop reads, plus a
-           functional warmup done inside ``run`` (:func:`profile_machine`
-           times the warmup on its own)
+``pool``   the instruction pool and rename plan the loop reads, plus
+           the functional warmup
 ``loop``   the loop itself
 
 and counts its executed ticks, which the report sets against the
 simulated cycles: the gap is what the skip-aheads elided. Anything else
-in the run (``other``) is setup outside both buckets.
+in the run (``other``) is setup before the loop's first timestamp and
+the runner's snapshots after its last. :func:`profile_machine` builds
+and runs the machine through :func:`repro.core.sim.build_core` and
+:func:`repro.core.sim.run_core`, the path every run takes, so the
+profiled run is the run a campaign executes.
 """
 
 from __future__ import annotations
@@ -39,13 +42,11 @@ class PhaseProfile:
     def __init__(self):
         self.seconds: Dict[str, float] = {ph: 0.0 for ph in PHASES}
         self.ticks = 0
-        self.warmup_s = 0.0
         self.run_s = 0.0
 
     @property
     def other_s(self) -> float:
-        """Run time outside every phase bucket (setup before the
-        loop's first timestamp)."""
+        """Run time outside every phase bucket."""
         return max(0.0, self.run_s - sum(self.seconds.values()))
 
     def to_dict(self) -> Dict[str, object]:
@@ -55,7 +56,6 @@ class PhaseProfile:
             "phase_frac": {ph: round(s / total, 4)
                            for ph, s in self.seconds.items()},
             "other_s": round(self.other_s, 6),
-            "warmup_s": round(self.warmup_s, 6),
             "run_s": round(self.run_s, 6),
             "ticks": self.ticks,
         }
@@ -84,61 +84,41 @@ def profile_machine(kind: str, workload, config=None, fly=None, clock=None,
                     mem_scale: float = 1.0) -> Dict[str, object]:
     """Run one machine with phase profiling; returns the profile report.
 
-    Follows the built-in runners' construction contract (kind registry,
-    default config/clock, functional warmup), so the simulated machine
-    is the same one ``Session.run`` would produce — only the wall clock
-    is watched more closely.
+    The machine is the one :func:`repro.core.sim.execute_kind` would run
+    with the same arguments, built and run by the same two functions;
+    only the wall clock is watched more closely. The report's
+    ``result`` is that run's :meth:`SimResult.to_dict`.
     """
-    # Deferred imports: repro.core.sim imports nothing from repro.obs,
-    # but keeping the profiler importable without the core package costs
-    # nothing and mirrors the render/trace modules' independence.
-    from repro.core.config import ClockPlan, FlywheelConfig
-    from repro.core.registry import get_kind
+    # Deferred import: like the render/trace modules, the profiler
+    # stays importable without the core package.
     from repro.core.sim import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
-                                _resolve_workload)
-    from repro.workloads import InstructionStream
+                                build_core, get_kind, run_core)
 
-    info = get_kind(kind)
-    config = config or info.default_config()
-    clock = clock or ClockPlan()
     instructions = DEFAULT_INSTRUCTIONS if instructions is None else instructions
     warmup = DEFAULT_WARMUP if warmup is None else warmup
-    program = _resolve_workload(workload, seed)
-    stream = InstructionStream(program)
-    if info.dual_clock:
-        fly = fly or FlywheelConfig()
-        core = info.core_cls(config, fly, clock, stream,
-                             mem_scale=mem_scale)
-    else:
-        core = info.core_cls(config, stream, mem_scale=mem_scale,
-                             clock=clock)
+    core = build_core(kind, workload, config=config, fly=fly, clock=clock,
+                      seed=seed, mem_scale=mem_scale)
     prof = install(core)
-
     t0 = perf_counter()
-    if warmup:
-        core._functional_warmup(warmup)
-        if core.dvfs is not None:
-            core.dvfs.reset_baseline(core)
-    t1 = perf_counter()
-    stats = core.run(instructions, warmup=0)
-    prof.run_s = perf_counter() - t1
-    prof.warmup_s = t1 - t0
+    result = run_core(core, kind, instructions, warmup)
+    prof.run_s = perf_counter() - t0
 
+    stats = result.stats
     cycles = stats.total_be_cycles
-    report = {
+    return {
         "kind": kind,
-        "workload": program.name,
+        "workload": result.name,
         "instructions": instructions,
         "warmup": warmup,
         "cycles": cycles,
         # The front-end domain's simulated cycles on a dual-clock core (0
         # on one clock): the loop's ``ticks`` count both domains' ticks.
         "fe_cycles": (stats.fe_cycles_active + stats.fe_cycles_gated
-                      if info.dual_clock else 0),
+                      if get_kind(kind).dual_clock else 0),
         "cycles_per_sec": round(cycles / prof.run_s, 1) if prof.run_s else 0.0,
         "profile": prof.to_dict(),
+        "result": result.to_dict(),
     }
-    return report
 
 
 def write_profile(report: Dict[str, object], path: str) -> None:
@@ -154,7 +134,6 @@ def format_profile(report: Dict[str, object]) -> str:
         f"{report['kind']}/{report['workload']}  "
         f"{report['cycles']} cycles in {prof['run_s']:.3f}s  "
         f"({report['cycles_per_sec']:.0f} cyc/s)",
-        f"  warmup: {prof['warmup_s']:.3f}s",
     ]
     # Iterate the report's own buckets, not the module-level tuple.
     for ph in prof["phases_s"]:

@@ -248,7 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.campaign.executor import check_timeout
 from repro.campaign.journal import (CampaignRun, UnreadableJournal,
                                     list_campaigns)
 from repro.campaign.scheduler import submit_campaign
@@ -102,6 +103,9 @@ class ServeApp:
                  timeout_s: Optional[float] = None,
                  retries: int = 1,
                  backoff_s: float = 0.25):
+        # Refused here, not on each POST: the timeout is the daemon's
+        # own setting, not the client's.
+        check_timeout(timeout_s)
         self.store = store
         self.jobs = jobs
         self.timeout_s = timeout_s

@@ -5,8 +5,7 @@ Two translations live here, shared by the daemon and the client:
 * **Sweep JSON → job list** (:func:`specs_from_payload`) — the body of
   ``POST /campaigns``. Either a pre-expanded ``{"specs": [RunSpec
   payload, ...]}`` (the lossless form — anything ``RunSpec.to_dict``
-  emits round-trips, including third-party registered kinds), or a
-  declarative sweep::
+  emits round-trips), or a declarative sweep::
 
       {"kinds": ["baseline", "flywheel"],
        "benchmarks": ["gcc"],

@@ -23,9 +23,10 @@ every :class:`~repro.campaign.store.ResultStore` record is filed under.
 
 A session is warm-cache aware on three levels: its in-memory memo table,
 the optional persistent store, and the multiprocess campaign executor it
-fans ``map``/``stream`` batches out through. Machine kinds resolve
-through :mod:`repro.core.registry`, so a third-party
-``register_kind(...)`` machine works here with no further wiring.
+fans ``map``/``stream`` batches out through. The machine kinds are the
+paper's three (:func:`repro.core.sim.kind_names`), and every run a
+session makes, in this process or a worker, is built and run by
+:func:`repro.core.sim.build_core` and :func:`repro.core.sim.run_core`.
 
 :meth:`Session.run_workload` is the imperative escape hatch: it runs an
 ad-hoc profile or program uncached and keeps the live core.
@@ -192,7 +193,7 @@ class Session:
                      warmup: int = DEFAULT_WARMUP,
                      seed: Optional[int] = None,
                      mem_scale: float = 1.0) -> SimResult:
-        """Imperative escape hatch: run any registered kind directly.
+        """Imperative escape hatch: run any kind directly.
 
         Unlike :meth:`run` this accepts ad-hoc workloads (a
         :class:`WorkloadProfile` or pre-built :class:`Program`, not just
@@ -210,10 +211,10 @@ class Session:
                 out: Optional[str] = None) -> Dict[str, object]:
         """Self-profile one spec: wall time bucketed per engine phase.
 
-        Runs the spec's machine uncached (profiling wraps the engine's
-        stage functions, so a memoized result would defeat the point)
-        and returns the :func:`repro.obs.profiler.profile_machine`
-        report; ``out`` additionally writes it as JSON.
+        Runs the spec's machine uncached (a memoized result would time
+        nothing) and returns the
+        :func:`repro.obs.profiler.profile_machine` report; ``out``
+        additionally writes it as JSON.
         """
         from repro.obs.profiler import profile_machine, write_profile
 

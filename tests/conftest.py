@@ -5,11 +5,9 @@ from functools import lru_cache
 
 import pytest
 
-from repro.core.config import ClockPlan, FlywheelConfig
-from repro.core.sim import default_config, generate_program, get_kind
+from repro.core.config import FlywheelConfig
+from repro.core.sim import build_core, default_config, run_core
 from repro.obs.spec import TraceSpec
-from repro.workloads.profiles import get_profile
-from repro.workloads.stream import InstructionStream
 
 #: Budget of the captured legacy runs (measured / functional warmup).
 LEGACY_RUN_INSTRUCTIONS = 6000
@@ -40,19 +38,17 @@ class CapturedRun:
 
 @lru_cache(maxsize=None)
 def _legacy_run(kind, bench, fly=None, **core_fields):
-    stream = InstructionStream(generate_program(get_profile(bench),
-                                                seed=LEGACY_RUN_SEED))
     warmup = LEGACY_RUN_WARMUP
     if kind == "flywheel":
-        return _flywheel_run(stream, warmup, fly, core_fields)
+        return _flywheel_run(bench, warmup, fly, core_fields)
     # The one synchronous loop renames from its rename plan and emits a
     # rename and a retire event per instruction, in stage order.
     config = default_config(kind).with_variant(
         engine="legacy", trace=TraceSpec(buffer=1 << 16,
                                          events=("rename", "retire")),
         **core_fields)
-    core = get_kind(kind).core_cls(config, stream, clock=ClockPlan())
-    stats = core.run(LEGACY_RUN_INSTRUCTIONS, warmup=warmup)
+    core = build_core(kind, bench, config=config, seed=LEGACY_RUN_SEED)
+    stats = run_core(core, kind, LEGACY_RUN_INSTRUCTIONS, warmup).stats
     assert core.trace.dropped == 0
     events = [(kind, seq) for _c, kind, seq, _i in core.trace.events]
     retired = [seq for kind, seq in events if kind == "retire"]
@@ -72,21 +68,22 @@ def _legacy_run(kind, bench, fly=None, **core_fields):
                        [record(s) for s in renamed[len(retired):]], events)
 
 
-def _flywheel_run(stream, warmup, fly, core_fields):
+def _flywheel_run(bench, warmup, fly, core_fields):
+    config = default_config("flywheel").with_variant(engine="legacy",
+                                                     **core_fields)
+    fly = fly or FlywheelConfig(redistribution_enabled=False)
+    core = build_core("flywheel", bench, config=config, fly=fly,
+                      seed=LEGACY_RUN_SEED)
     emitted = []
-    live_next = stream.next_instr
+    live_next = core.stream.next_instr
 
     def next_instr():
         dyn = live_next()
         emitted.append(dyn)
         return dyn
 
-    stream.next_instr = next_instr
-    config = default_config("flywheel").with_variant(engine="legacy",
-                                                     **core_fields)
-    fly = fly or FlywheelConfig(redistribution_enabled=False)
-    core = get_kind("flywheel").core_cls(config, fly, ClockPlan(), stream)
-    stats = core.run(LEGACY_RUN_INSTRUCTIONS, warmup=warmup)
+    core.stream.next_instr = next_instr
+    stats = run_core(core, "flywheel", LEGACY_RUN_INSTRUCTIONS, warmup).stats
     # No wrong-path instruction enters the machine, so the committed
     # instructions are exactly the first ``committed`` ones emitted after
     # the functional warmup.

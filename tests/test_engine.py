@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import CoreConfig
 from repro.core.engine import DeadlockWatchdog
 from repro.core.pipelined import PipelinedWakeupCore
-from repro.core.sim import KIND_PIPELINED_WAKEUP, default_config
+from repro.core.sim import KIND_PIPELINED_WAKEUP, build_core, default_config
 from repro.errors import CampaignError, ConfigError, SimulationError
 from repro.session import Session
 from repro.workloads import InstructionStream, generate_program, get_profile
@@ -79,8 +79,11 @@ class TestPipelinedWakeupKind:
         assert res.stats.committed >= 3000
 
     def test_forces_pipelined_wakeup(self):
-        prog = generate_program(get_profile("smoke"))
-        core = PipelinedWakeupCore(CoreConfig(), InstructionStream(prog))
+        # build_core normalizes the kind's config: an explicit
+        # back-to-back config still builds the pipelined loop.
+        core = build_core(KIND_PIPELINED_WAKEUP, "smoke",
+                          config=CoreConfig())
+        assert isinstance(core, PipelinedWakeupCore)
         assert core.config.wakeup_extra_delay == 1
 
     def test_matches_baseline_with_override(self):

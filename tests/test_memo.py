@@ -17,8 +17,7 @@ import repro.core.sim as sim
 from repro.campaign.presets import experiment_specs
 from repro.campaign.spec import RunSpec, code_fingerprint
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig, stable_hash
-from repro.core.registry import kind_names
-from repro.core.sim import default_config, execute_kind
+from repro.core.sim import default_config, execute_kind, kind_names
 from repro.dvfs.config import GOVERNOR_NAMES, GovernorConfig
 from repro.experiments.__main__ import ALL_ORDER
 from repro.mem.spec import PREFETCHERS, WRITE_POLICIES, MemorySpec

@@ -103,7 +103,7 @@ class TestSpecThreading:
     def test_explicit_default_spec_is_the_default_machine(self):
         # Spelling out the Table 2 spec (or None) describes the same
         # machine for every kind: equal, one key, one label, no payload.
-        from repro.core.registry import get_kind
+        from repro.core.sim import get_kind
 
         assert CoreConfig() == CoreConfig(mem=MemorySpec())
         assert hash(CoreConfig()) == hash(CoreConfig(mem=MemorySpec()))
@@ -189,7 +189,7 @@ class TestCacheStatsSurface:
         assert a.to_dict() == b.to_dict()
 
     def test_flywheel_runs_general_path(self):
-        from repro.core.registry import get_kind
+        from repro.core.sim import get_kind
 
         config = (get_kind("flywheel").default_config()
                   .with_variant(mem=MemorySpec(mshrs=4)))

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import CoreConfig
 from repro.core.engine.watchdog import DeadlockWatchdog
-from repro.core.sim import default_config, execute_kind
+from repro.core.sim import build_core, default_config, execute_kind, run_core
 from repro.errors import ConfigError, DeadlockError
 from repro.obs import (
     EVENT_KINDS,
@@ -307,27 +307,67 @@ class TestProfiler:
 
     @staticmethod
     def _check_profiled_stats(engine):
-        from repro.core.baseline import BaselineCore
-        from repro.workloads import InstructionStream, generate_program, \
-            get_profile
-
         config = CoreConfig(engine=engine)
         plain = execute_kind("baseline", "smoke", config=config,
                              max_instructions=N, warmup=W)
-        core = BaselineCore(config, InstructionStream(
-            generate_program(get_profile("smoke"))))
+        core = build_core("baseline", "smoke", config=config)
         prof = install(core)
-        stats = core.run(N, warmup=W)
+        result = run_core(core, "baseline", N, W)
         assert prof.seconds["loop"] > 0
-        # What the runner adds after the run, from the same objects.
-        stats.cache_stats = core.hierarchy.stats_dict()
-        stats.metrics = core.metrics.snapshot()
-        stats.sim_time_ps = plain.stats.sim_time_ps
-        assert stats.to_dict() == plain.stats.to_dict()
+        assert result.to_dict() == plain.to_dict()
         report = profile_machine("baseline", "smoke", config=config,
                                  instructions=N, warmup=W)
         assert report["cycles"] == plain.stats.total_be_cycles
         assert report["instructions"] == N
+
+    # The profiler builds and runs its machine through build_core and
+    # run_core, so what it times is the run a campaign executes: the
+    # same result, from the same walks of the program.
+    @pytest.mark.parametrize("engine", ("legacy", "turbo"))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_profile_result_is_the_plain_result(self, kind, engine):
+        config = default_config(kind).with_variant(engine=engine)
+        plain = execute_kind(kind, "smoke", config=config,
+                             max_instructions=N, warmup=W)
+        report = profile_machine(kind, "smoke", config=config,
+                                 instructions=N, warmup=W)
+        assert report["result"] == plain.to_dict()
+
+    @pytest.mark.parametrize("engine", ("legacy", "turbo"))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_profiled_run_walks_the_program_as_often(self, kind, engine,
+                                                     monkeypatch):
+        from repro.core.engine.turbo import pool as pool_module
+        from repro.workloads.stream import InstructionStream
+
+        walked = []
+        live_next = InstructionStream.next_instr
+
+        def next_instr(stream):
+            walked.append(stream)
+            return live_next(stream)
+
+        monkeypatch.setattr(InstructionStream, "next_instr", next_instr)
+        config = default_config(kind).with_variant(engine=engine)
+
+        def walks(run):
+            # An empty pool cache: a pool an earlier run built would
+            # hide this run's walk.
+            monkeypatch.setattr(pool_module, "_POOL_CACHE", {})
+            walked.clear()
+            run()
+            return len(walked)
+
+        plain = walks(lambda: execute_kind(kind, "smoke", config=config,
+                                           max_instructions=N, warmup=W))
+        profiled = walks(lambda: profile_machine(
+            kind, "smoke", config=config, instructions=N, warmup=W))
+        assert plain >= N + W
+        assert profiled == plain
+
+    def test_profile_refuses_bad_budgets(self):
+        with pytest.raises(ConfigError, match="budgets"):
+            profile_machine("baseline", "smoke", instructions=200, warmup=-5)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_turbo_engine_buckets(self, kind):
@@ -395,3 +435,57 @@ class TestDeadlockSnapshot:
                                   max_instructions=N, warmup=W)
             snap = result.core._deadlock_snapshot()
             assert "trace_window" not in snap
+
+
+# ----------------------------------------------------------- the obs CLI
+
+
+class TestObsCli:
+    # Bad input ends in one ``error:`` line and exit status 1, never a
+    # traceback; a negative warmup is refused rather than read as pool
+    # rows counted from the end.
+    @pytest.mark.parametrize("argv", (
+        ["metrics", "--kind", "nope"],
+        ["metrics", "--bench", "nope"],
+        ["metrics", "--bench", "smoke", "--warmup", "-5",
+         "--instructions", "200"],
+        ["metrics", "--bench", "smoke", "--instructions", "0"],
+        ["profile", "--bench", "smoke", "--warmup", "-5"],
+    ))
+    def test_bad_input_is_an_error_line(self, argv, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "\n" == out.err[-1]
+        assert out.err.count("\n") == 1
+        assert out.out == ""
+
+    def test_kind_help_lists_the_kinds(self, capsys):
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["metrics", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "baseline, pipelined_wakeup, flywheel" in help_text
+
+    def test_profile_defaults_to_the_default_engine(self, monkeypatch,
+                                                    capsys):
+        # ``obs profile`` measures the engine campaigns run on unless
+        # ``--engine`` names another.
+        import repro.obs.__main__ as cli
+
+        engines = []
+        real = cli.profile_machine
+
+        def spy(*args, **kwargs):
+            engines.append(kwargs["config"].resolved_engine)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "profile_machine", spy)
+        budget = ["--bench", "smoke", "--instructions", "300",
+                  "--warmup", "100"]
+        assert cli.main(["profile", *budget]) == 0
+        assert cli.main(["profile", "--engine", "legacy", *budget]) == 0
+        assert engines == [CoreConfig().resolved_engine, "legacy"]
+        assert "loop" in capsys.readouterr().out

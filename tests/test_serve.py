@@ -257,3 +257,28 @@ class TestService:
             assert lines[1].startswith("event: ")
             json.loads(lines[2][len("data: "):])
         assert "event: summary" in frames[-1]
+
+
+class TestDaemonSettings:
+    # The timeout is the daemon's own setting: a bad one stops the
+    # daemon at start, before any port is bound, instead of answering
+    # every submission with a 400 that blames the client.
+    @pytest.mark.parametrize("timeout", (0, -1))
+    def test_non_positive_timeout_is_refused(self, tmp_path, timeout):
+        with pytest.raises(CampaignError, match="timeout must be positive"):
+            ServeApp(ResultStore(tmp_path), timeout_s=timeout)
+
+    def test_cli_refuses_a_non_positive_timeout(self, tmp_path, capsys,
+                                                monkeypatch):
+        import repro.serve.app
+        from repro.serve.__main__ import main
+
+        def bind(*args, **kwargs):
+            raise AssertionError("the daemon bound a port")
+
+        monkeypatch.setattr(repro.serve.app, "make_server", bind)
+        code = main(["daemon", "--timeout", "-1",
+                     "--store", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: timeout must be positive")

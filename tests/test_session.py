@@ -1,5 +1,5 @@
 """Tests for the MachineSpec + Session front door and the core-kind
-registry (PR 4 API redesign)."""
+table."""
 
 import dataclasses
 
@@ -9,13 +9,7 @@ import repro
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig, stable_hash
-from repro.core.registry import (
-    get_kind,
-    is_registered,
-    kind_names,
-    register_kind,
-    unregister_kind,
-)
+from repro.core.sim import get_kind, kind_names
 from repro.dvfs import GovernorConfig
 from repro.errors import CampaignError, ConfigError, WorkloadError
 from repro.session import MachineSpec, Session, SessionEvent
@@ -49,6 +43,10 @@ class TestMachineSpec:
             ms(bench="nonesuch")
         with pytest.raises(CampaignError):
             ms(kind="baseline", fly=FlywheelConfig())
+        # The runner's budget rule, in the campaign layer's error type.
+        for instructions, warmup in ((0, 0), (200, -5)):
+            with pytest.raises(CampaignError, match="budgets must be"):
+                ms(instructions=instructions, warmup=warmup)
 
     def test_round_trip_keeps_cache_key(self):
         for spec in (
@@ -191,6 +189,17 @@ class TestSessionRun:
             session.run_workload("baseline", "nonesuch")
         assert session.executed == before
 
+    def test_run_workload_refuses_bad_budgets(self):
+        # The runner checks the budgets RunSpec checks: a negative
+        # warmup would start the timed region before seq 0.
+        session = Session()
+        for instructions, warmup in ((200, -5), (0, 0)):
+            with pytest.raises(ConfigError, match="budgets"):
+                session.run_workload("baseline", "smoke",
+                                     max_instructions=instructions,
+                                     warmup=warmup)
+        assert session.executed == 0
+
     def test_close_drops_memory_cache_only(self, tmp_path):
         session = Session(store=ResultStore(tmp_path))
         session.run(ms())
@@ -282,19 +291,7 @@ class TestSessionStream:
         assert session.executed == 1
 
 
-# ---------------------------------------------------------------- registry
-
-
-def _stub_runner(workload, config=None, fly=None, clock=None,
-                 max_instructions=0, warmup=0, seed=None, mem_scale=1.0):
-    from repro.core.sim import execute_kind
-
-    # Delegate to the baseline machinery but stamp the plug-in kind.
-    result = execute_kind("baseline", workload, config=config, clock=clock,
-                          max_instructions=max_instructions, warmup=warmup,
-                          seed=seed, mem_scale=mem_scale)
-    result.kind = "stub"
-    return result
+# ------------------------------------------------------------- kind table
 
 
 class TestRegistry:
@@ -307,39 +304,6 @@ class TestRegistry:
     def test_unknown_kind_raises_config_error(self):
         with pytest.raises(ConfigError):
             get_kind("turbo")
-        with pytest.raises(ConfigError):
-            unregister_kind("turbo")
-
-    def test_duplicate_kind_rejected(self):
-        from repro.core.baseline import BaselineCore
-
-        with pytest.raises(ConfigError):
-            register_kind("baseline", BaselineCore, _stub_runner)
-        # replace=True is the explicit override path.
-        info = get_kind("baseline")
-        register_kind("baseline", info.core, info.runner,
-                      default_config=info.default_config,
-                      normalize_config=info.normalize_config, replace=True)
-        assert get_kind("baseline").runner is info.runner
-
-    def test_third_party_kind_plugs_into_specs_and_session(self):
-        from repro.core.baseline import BaselineCore
-
-        register_kind("stub", BaselineCore, _stub_runner)
-        try:
-            assert is_registered("stub")
-            spec = ms(kind="stub")
-            assert spec.config == CoreConfig()      # registry default
-            with Session() as session:
-                result = session.run(spec)
-            assert result.kind == "stub"
-            assert result.stats.committed >= N
-            # Same machine as the baseline, different content address.
-            assert spec.cache_key() != ms().cache_key()
-        finally:
-            unregister_kind("stub")
-        with pytest.raises(CampaignError):
-            ms(kind="stub")
 
     def test_core_cls_resolves_lazily(self):
         from repro.core.flywheel import FlywheelCore
@@ -387,7 +351,7 @@ class TestExperimentContextOnSession:
 class TestPublicSurface:
     def test_new_names_exported(self):
         for name in ("MachineSpec", "Session", "SessionEvent",
-                     "register_kind", "kind_names"):
+                     "get_kind", "kind_names"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
 
