@@ -103,7 +103,7 @@ def main(argv=None) -> int:
                         help=f"governors to evaluate (known: "
                              f"{', '.join(n for n in GOVERNOR_NAMES)})")
     # Budget defaults match repro.experiments.common so the curves agree
-    # with what `python -m repro.experiments dvfs` prints.
+    # with what `python -m repro.campaign run --experiments dvfs` prints.
     parser.add_argument("--instructions", type=int, default=30_000)
     parser.add_argument("--warmup", type=int, default=60_000)
     parser.add_argument("--seed", type=int, default=None)

@@ -53,6 +53,23 @@ def _cache_rate(stats_payload, level: str):
     return round(counters.get("hits", 0) / accesses, 6) if accesses else ""
 
 
+def parse_benchmarks(arg: str) -> tuple:
+    """Validate a comma-separated benchmark list early (clear CLI error)."""
+    from repro.errors import WorkloadError
+    from repro.workloads.profiles import get_profile
+
+    names = tuple(dict.fromkeys(n.strip() for n in arg.split(",")
+                                if n.strip()))
+    try:
+        for name in names:
+            get_profile(name)
+    except WorkloadError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not names:
+        raise argparse.ArgumentTypeError("empty benchmark list")
+    return names
+
+
 def _add_store_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", default=None, metavar="DIR",
                         help=f"store directory (default: "
@@ -60,7 +77,7 @@ def _add_store_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _store(args) -> ResultStore:
-    return ResultStore(args.store) if args.store else ResultStore()
+    return ResultStore(args.store)
 
 
 def _cmd_diff(args) -> int:
@@ -70,37 +87,37 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.campaign.presets import experiment_legs
-    from repro.experiments.__main__ import (
-        ALL_ORDER,
-        build_context,
-        print_experiments,
-        warm_experiments,
-    )
+    from repro.campaign.presets import (EXPERIMENTS, experiment_legs,
+                                        print_experiments)
+    from repro.experiments.common import ExperimentContext
+    from repro.session import Session
 
-    # Unknown names raise CampaignError from experiment_legs (inside
-    # warm_experiments too) and are reported by main()'s handler.
-    names = (list(ALL_ORDER) if args.experiments == "all"
+    names = (list(EXPERIMENTS) if args.experiments == "all"
              else [n.strip() for n in args.experiments.split(",") if n.strip()])
-    args.store = args.store or str(default_store_root())
-    ctx = build_context(args)
+    store = _store(args)
+    # One Session per invocation; the experiments share its caches.
+    ctx = ExperimentContext(
+        instructions=args.instructions, warmup=args.warmup,
+        benchmarks=args.benchmarks, seed=args.seed,
+        session=Session(store=store, jobs=args.jobs,
+                        timeout_s=args.timeout))
+    # Unknown names raise CampaignError here, reported by main().
+    specs = experiment_legs(ctx, names)
     if args.dry_run:
-        specs = experiment_legs(ctx, names)
         hits = 0
         for spec in specs:
             key = spec.cache_key()
-            hit = key in ctx.store
+            hit = key in store
             hits += hit
             print(f"{key[:12]}  {'hit ' if hit else 'miss'}  {spec.label}")
         print(f"{len(specs)} jobs: {hits} cached, {len(specs) - hits} to "
-              f"simulate (store: {ctx.store.root})", file=sys.stderr)
+              f"simulate (store: {store.root})", file=sys.stderr)
         return 0
 
-    report = warm_experiments(ctx, names, jobs=args.jobs,
-                              timeout=args.timeout,
-                              progress=None if args.quiet else print_progress)
+    report = ctx.warm(specs,
+                      progress=None if args.quiet else print_progress)
     print(f"campaign: {report.summary()} "
-          f"(store: {ctx.store.hits} hits / {ctx.store.misses} misses)",
+          f"(store: {store.hits} hits / {store.misses} misses)",
           file=sys.stderr)
 
     if not args.no_tables:
@@ -354,7 +371,8 @@ def _export_json(store, path: str) -> int:
 
 
 def main(argv=None) -> int:
-    from repro.experiments.__main__ import add_run_flags
+    from repro.experiments.common import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
+    from repro.workloads.profiles import SPEC_NAMES
 
     parser = argparse.ArgumentParser(
         prog="repro.campaign",
@@ -365,8 +383,23 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment campaign")
     p_run.add_argument("--experiments", default="all", metavar="A,B,...",
                        help="experiments to cover (default: all)")
-    add_run_flags(p_run)  # --instructions/--warmup/--benchmarks/--seed/
-    #                       --jobs/--store/--timeout
+    p_run.add_argument("--instructions", type=int,
+                       default=DEFAULT_INSTRUCTIONS,
+                       help="measured instructions per run")
+    p_run.add_argument("--warmup", type=int, default=DEFAULT_WARMUP,
+                       help="functional warmup instructions per run")
+    p_run.add_argument("--benchmarks", type=parse_benchmarks,
+                       default=SPEC_NAMES, metavar="A,B,...",
+                       help="comma-separated benchmark subset "
+                            f"(default: {','.join(SPEC_NAMES)})")
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="workload generation seed shared by all runs "
+                            "(default: each benchmark's stable seed)")
+    p_run.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="worker processes for the simulations")
+    _add_store_flag(p_run)
+    p_run.add_argument("--timeout", type=float, default=None, metavar="S",
+                       help="per-job timeout in seconds (parallel runs)")
     p_run.add_argument("--dry-run", action="store_true",
                        help="list the expanded job specs and exit")
     p_run.add_argument("--no-tables", action="store_true",

@@ -5,7 +5,10 @@ An experiment that simulates names its runs once, in its module's
 reads every result through those legs. The presets only expand them, so
 a job list and the table it feeds cannot drift apart: a campaign warmed
 with :func:`experiment_legs` leaves the tables nothing to simulate, and
-the CLIs report any run they do make.
+``campaign run`` reports any run they do make.
+
+:data:`EXPERIMENTS` is the one experiment registry, in presentation
+order, and :func:`print_experiments` prints their tables.
 
 This module imports the experiment modules, which import
 ``repro.campaign.spec`` — keep it out of ``repro.campaign.__init__`` to
@@ -23,16 +26,31 @@ from repro.experiments.common import (
     DEFAULT_WARMUP,
     ExperimentContext,
 )
-from repro.experiments.__main__ import EXPERIMENTS
+from repro.experiments import fig01_latency, fig02_loops, fig11_same_clock
+from repro.experiments import fig12_performance, fig13_energy, fig14_power
+from repro.experiments import fig15_technology, residency, table1_freq
+from repro.experiments import ablations, dvfs_sweep, mem_sweep, sensitivity
 from repro.workloads.profiles import SPEC_NAMES
 
-#: Derived from the experiments CLI's registry — the single source of
-#: truth — so a newly registered experiment is automatically accepted
-#: here.
-ALL_EXPERIMENTS = tuple(EXPERIMENTS)
+#: Every experiment by CLI name, in the order ``all`` prints them.
+EXPERIMENTS = {
+    "fig1": fig01_latency,
+    "table1": table1_freq,
+    "fig2": fig02_loops,
+    "fig11": fig11_same_clock,
+    "residency": residency,
+    "fig12": fig12_performance,
+    "fig13": fig13_energy,
+    "fig14": fig14_power,
+    "fig15": fig15_technology,
+    "ablations": ablations,
+    "sensitivity": sensitivity,
+    "dvfs": dvfs_sweep,
+    "mem": mem_sweep,
+}
 
 #: Experiments that run simulations (the rest are analytical).
-SIM_EXPERIMENTS = tuple(name for name in ALL_EXPERIMENTS
+SIM_EXPERIMENTS = tuple(name for name in EXPERIMENTS
                         if hasattr(EXPERIMENTS[name], "legs"))
 
 
@@ -45,10 +63,10 @@ def experiment_legs(ctx: ExperimentContext,
     """
     specs: List[RunSpec] = []
     for name in names:
-        if name not in ALL_EXPERIMENTS:
+        if name not in EXPERIMENTS:
             raise CampaignError(
                 f"unknown experiment {name!r}; known: "
-                f"{', '.join(ALL_EXPERIMENTS)}")
+                f"{', '.join(EXPERIMENTS)}")
         if name in SIM_EXPERIMENTS:
             specs.extend(EXPERIMENTS[name].legs(ctx).values())
     return dedup(specs)
@@ -63,3 +81,9 @@ def experiment_specs(names: Iterable[str],
     ctx = ExperimentContext(instructions=instructions, warmup=warmup,
                             benchmarks=tuple(benchmarks), seed=seed)
     return experiment_legs(ctx, names)
+
+
+def print_experiments(ctx: ExperimentContext, names: Iterable[str]) -> None:
+    """Print the named experiments' tables, reading runs through ``ctx``."""
+    for name in names:
+        EXPERIMENTS[name].main(ctx)

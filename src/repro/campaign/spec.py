@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 from dataclasses import InitVar, asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -155,6 +156,18 @@ class RunSpec:
             check_budgets(self.instructions, self.warmup)
         except ConfigError as exc:
             raise CampaignError(str(exc)) from None
+        if not (_is_int(self.instructions) and _is_int(self.warmup)):
+            raise CampaignError(
+                f"instruction budgets must be integers, got "
+                f"instructions={self.instructions!r}, "
+                f"warmup={self.warmup!r}")
+        if self.seed is not None and not _is_int(self.seed):
+            raise CampaignError(
+                f"seed must be an int or None, got {self.seed!r}")
+        if (not isinstance(self.mem_scale, (int, float))
+                or not 0.0 < self.mem_scale < math.inf):
+            raise CampaignError(f"mem_scale must be finite and positive, "
+                                f"got {self.mem_scale!r}")
         # Equal specs must serialize identically: JSON renders 2 and 2.0
         # differently, so an int-valued mem_scale would split cache keys.
         object.__setattr__(self, "mem_scale", float(self.mem_scale))
@@ -357,6 +370,11 @@ class RunSpec:
 #: The spec class's public name, which ``repro`` and ``repro.session``
 #: export.
 MachineSpec = RunSpec
+
+
+def _is_int(value) -> bool:
+    """An int axis value: a float or a bool is a malformed one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _member(cls, name: str, value):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from typing import Optional
@@ -257,6 +258,13 @@ class ClockPlan:
         # 950 and 950.0 render differently.
         for name in ("base_mhz", "fe_speedup", "be_speedup"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        # Every field feeds a clock, so this also refuses NaN and inf.
+        if not all(0.0 < mhz < math.inf
+                   for mhz in (self.fe_mhz, self.be_mhz, self.be_fast_mhz)):
+            raise ConfigError(
+                f"ClockPlan clocks must be positive and finite, got "
+                f"fe={self.fe_mhz!r}, be={self.be_mhz!r}, "
+                f"be_fast={self.be_fast_mhz!r} MHz")
         # Rebuild a governor handed over as a plain payload dict (store
         # records, RunSpec.from_dict). Deferred import: repro.dvfs is a
         # consumer of this module.

@@ -73,14 +73,8 @@ def run(ctx: ExperimentContext) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     print_table(
         "Ablations: normalized performance at (FE50%, BE50%)",
         rows, ["benchmark"] + [l for l, _ in ABLATIONS], fmt="{:>14}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -14,11 +14,11 @@ session, memoized under its content hash. That keying covers the
 config overrides, seed, budgets and memory scale — so two legs that
 differ only in ``config=``/``fly=`` can never alias.
 
-Attach a :class:`~repro.campaign.store.ResultStore` (or pass a
-ready-made :class:`~repro.session.Session`) to make the cache
-persistent across invocations, and use :meth:`ExperimentContext.warm`
-to fan a job list out over worker processes before the (serial)
-experiment code reads the results back.
+Pass a :class:`~repro.session.Session` with a
+:class:`~repro.campaign.store.ResultStore` to make the cache persistent
+across invocations, and use :meth:`ExperimentContext.warm` to fan a job
+list out over worker processes before the (serial) experiment code
+reads the results back.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ import math
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.campaign.executor import CampaignReport, ProgressFn
-from repro.campaign.store import ResultStore
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
-from repro.errors import ConfigError
 from repro.session import MachineSpec, Session
 from repro.workloads.profiles import SPEC_NAMES
 
@@ -47,10 +45,10 @@ class ExperimentContext:
     """Session + budgets shared by all experiments in one invocation.
 
     ``seed`` applies to every run (None = each benchmark's stable default
-    seed); ``store`` adds a persistent second cache level; ``executed``
-    counts simulations the underlying session actually ran, so tests can
-    verify a warmed context performs zero new work. Pass ``session`` to
-    share one (and its warm cache) across several contexts.
+    seed); ``executed`` counts simulations the underlying session
+    actually ran, so tests can verify a warmed context performs zero new
+    work. Pass ``session`` to share one (its store and warm cache)
+    across several contexts.
     """
 
     def __init__(self,
@@ -58,18 +56,12 @@ class ExperimentContext:
                  warmup: int = DEFAULT_WARMUP,
                  benchmarks: Tuple[str, ...] = SPEC_NAMES,
                  seed: Optional[int] = None,
-                 store: Optional[ResultStore] = None,
                  session: Optional[Session] = None):
         self.instructions = instructions
         self.warmup = warmup
         self.benchmarks = benchmarks
         self.seed = seed
-        if session is not None and store is not None:
-            raise ConfigError(
-                "pass either store= or session= to ExperimentContext, "
-                "not both (attach the store to the session instead)")
-        self.session = session if session is not None else Session(store=store)
-        self.store = self.session.store
+        self.session = session if session is not None else Session()
         # Snapshot so a shared session's earlier work (and this
         # context's own warm() batches) never count as on-demand runs.
         self._executed_before = self.session.executed
@@ -83,8 +75,9 @@ class ExperimentContext:
         """Simulations run *on demand* by this context — outside
         :meth:`warm` and after construction.
 
-        Zero after a pass warmed with the experiments' legs; the CLIs
-        report a positive value as a table reading a run outside them.
+        Zero after a pass warmed with the experiments' legs; ``campaign
+        run`` reports a positive value as a table reading a run outside
+        them.
         """
         return (self.session.executed - self._executed_before
                 - self._warm_executed)

@@ -131,8 +131,7 @@ def run(ctx: ExperimentContext, tech=TECH_130) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     labels = [label for label, _clock in sweep_points()]
     print_table("DVFS sweep: EDP normalized to the be+0% static plan "
@@ -151,8 +150,3 @@ def main(ctx: ExperimentContext = None) -> List[dict]:
         if p["adaptive"]:
             print(f"{sample_bench} {p['label']}: "
                   f"{format_freq_trace(p['stats'])}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -40,7 +40,7 @@ def run(ctx: ExperimentContext = None) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     cols = ["structure"] + [f"{n}um" for n in TECH_NODES]
     print_table("Fig. 1: access latency (ps) vs technology node",
@@ -51,8 +51,3 @@ def main(ctx: ExperimentContext = None) -> List[dict]:
     c06 = rows[2]["0.06um"]
     print(f"\ncache/IW latency ratio: {c25 / iw25:.2f} at 0.25um -> "
           f"{c06 / iw06:.2f} at 0.06um (paper: ~2x -> ~1x)")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -48,14 +48,8 @@ def run(ctx: ExperimentContext) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     print_table("Fig. 2: IPC degradation (%) from pipelining each loop",
                 rows, ["benchmark", "fetch_mispredict_%", "wakeup_select_%"],
                 fmt="{:>20}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

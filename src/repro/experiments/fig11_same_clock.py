@@ -60,8 +60,7 @@ def run(ctx: ExperimentContext) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     print_table("Fig. 11: normalized performance at the baseline clock",
                 rows, ["benchmark", "register_allocation", "flywheel"],
@@ -70,8 +69,3 @@ def main(ctx: ExperimentContext = None) -> List[dict]:
     print()
     print(bar_chart({r["benchmark"]: r["flywheel"] for r in rows},
                     baseline=1.0, title="Flywheel vs baseline (| = 1.0)"))
-    return rows
-
-
-if __name__ == "__main__":
-    main()

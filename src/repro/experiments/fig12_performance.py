@@ -59,13 +59,7 @@ def run(ctx: ExperimentContext) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     print_table("Fig. 12: normalized performance vs clock speedups",
                 rows, ["benchmark"] + [l for l, _ in SWEEP], fmt="{:>14}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -33,13 +33,7 @@ def run(ctx: ExperimentContext, tech=TECH_130) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     print_table("Fig. 14: normalized power (130nm) vs clock speedups",
                 rows, ["benchmark"] + [l for l, _ in SWEEP], fmt="{:>14}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

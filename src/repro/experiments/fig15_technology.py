@@ -60,14 +60,8 @@ def run(ctx: ExperimentContext) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     print_table(
         "Fig. 15: normalized energy, (FE100%, BE50%) per technology node",
         rows, ["benchmark", "130nm", "90nm", "60nm"], fmt="{:>12}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

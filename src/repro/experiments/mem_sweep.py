@@ -96,8 +96,7 @@ def run(ctx: ExperimentContext) -> List[Dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[Dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     labels = [label for label, _mem in POINTS]
     print_table("Memory-system sweep: IPC per MemorySpec point "
@@ -125,8 +124,3 @@ def main(ctx: ExperimentContext = None) -> List[Dict]:
                 level_rows, ["level", "accesses", "hit_rate", "prefetch",
                              "writeback", "mshr_occ", "stalls"])
     print(f"summary: {format_cache_stats(sample.stats)}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -41,14 +41,8 @@ def run(ctx: ExperimentContext) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     print_table("EC-path residency (Section 5; paper avg 88%, vortex <60%)",
                 rows, ["benchmark", "ec_residency_%", "traces_built",
                        "trace_hits", "mispredict_%"], fmt="{:>16}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

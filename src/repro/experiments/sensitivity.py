@@ -60,8 +60,7 @@ def run(ctx: ExperimentContext) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
-    ctx = ctx or ExperimentContext()
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     cols = (["benchmark"]
             + [f"ipc_{e}" for e, _ in IW_POINTS]
@@ -70,8 +69,3 @@ def main(ctx: ExperimentContext = None) -> List[dict]:
         f"IW sensitivity at {_NODE_UM}um: IPC and clock-adjusted "
         "performance (128-entry clock = 1.0)",
         rows, cols, fmt="{:>11}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

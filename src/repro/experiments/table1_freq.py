@@ -24,15 +24,10 @@ def run(ctx: ExperimentContext = None) -> List[dict]:
     return rows
 
 
-def main(ctx: ExperimentContext = None) -> List[dict]:
+def main(ctx: ExperimentContext) -> None:
     rows = run(ctx)
     cols = ["module"]
     for node in TABLE1_NODES:
         cols += [f"{node}um", f"paper@{node}"]
     print_table("Table 1: module clock frequencies (MHz), model vs paper",
                 rows, cols, fmt="{:>12}")
-    return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -34,6 +34,9 @@ from repro.errors import CampaignError
 
 #: Sweep-axis keys accepted by the declarative POST body.
 SWEEP_AXES = ("kinds", "benchmarks", "clocks", "seeds", "mem_scales")
+#: Every top-level key a POST body may carry (``jobs`` is the worker
+#: count the daemon reads).
+PAYLOAD_KEYS = ("specs", "jobs", "instructions", "warmup") + SWEEP_AXES
 
 
 def _clock_from(data) -> Optional[ClockPlan]:
@@ -56,10 +59,21 @@ def specs_from_payload(data: Dict[str, object]) -> List[RunSpec]:
     """Expand one ``POST /campaigns`` body into a deduplicated job list.
 
     Raises :class:`CampaignError` (→ HTTP 400) for anything that does
-    not describe at least one valid job.
+    not describe at least one valid job, naming an unknown key and an
+    axis that is not a list.
     """
     if not isinstance(data, dict):
         raise CampaignError("campaign payload must be a JSON object")
+    unknown = [key for key in data if key not in PAYLOAD_KEYS]
+    if unknown:
+        raise CampaignError(
+            f"unknown campaign payload key(s) {', '.join(map(repr, unknown))}"
+            f"; known: {', '.join(PAYLOAD_KEYS)}")
+    for axis in SWEEP_AXES:
+        value = data.get(axis)
+        if value is not None and not isinstance(value, (list, tuple)):
+            raise CampaignError(
+                f"campaign payload {axis!r} must be a list, got {value!r}")
     try:
         if "specs" in data:
             specs = data["specs"]
@@ -81,7 +95,7 @@ def specs_from_payload(data: Dict[str, object]) -> List[RunSpec]:
             sweep_kwargs["kinds"] = tuple(data["kinds"])
         for budget in ("instructions", "warmup"):
             if data.get(budget) is not None:
-                sweep_kwargs[budget] = int(data[budget])
+                sweep_kwargs[budget] = data[budget]
         return Sweep(**sweep_kwargs).expand()
     except CampaignError:
         raise

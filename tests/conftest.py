@@ -93,6 +93,14 @@ def _flywheel_run(bench, warmup, fly, core_fields):
     return CapturedRun(core, committed, emitted[end:])
 
 
+@pytest.fixture(autouse=True)
+def _private_default_store(tmp_path_factory, monkeypatch):
+    """Point the default result store at a per-test directory, so no
+    test reads or writes the user's ``~/.cache/repro-campaign``."""
+    monkeypatch.setenv("REPRO_CAMPAIGN_DIR",
+                       str(tmp_path_factory.mktemp("default-store")))
+
+
 @pytest.fixture(scope="session")
 def legacy_run():
     """``legacy_run(kind, bench, fly=None, **core_fields)`` runs a kind on

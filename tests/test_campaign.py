@@ -13,7 +13,7 @@ import pytest
 from repro.campaign import ResultStore, RunSpec, Sweep, dedup, run_campaign
 from repro.campaign.spec import code_fingerprint
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
-from repro.errors import CampaignError, WorkloadError
+from repro.errors import CampaignError, ConfigError, WorkloadError
 from repro.campaign.presets import SIM_EXPERIMENTS
 from repro.session import MachineSpec, Session
 from repro.workloads.profiles import SPEC_NAMES
@@ -103,6 +103,41 @@ class TestRunSpec:
             spec(bench="nonesuch")
         with pytest.raises(CampaignError):
             spec(kind="baseline", fly=FlywheelConfig())
+
+    @pytest.mark.parametrize("axes, message", [
+        ({"seed": "a"}, "seed must be an int or None"),
+        ({"seed": 1.5}, "seed must be an int or None"),
+        ({"seed": True}, "seed must be an int or None"),
+        ({"mem_scale": 0.0}, "mem_scale must be finite and positive"),
+        ({"mem_scale": -1.0}, "mem_scale must be finite and positive"),
+        ({"mem_scale": float("nan")}, "mem_scale must be finite"),
+        ({"mem_scale": float("inf")}, "mem_scale must be finite"),
+        ({"mem_scale": "near"}, "mem_scale must be finite"),
+        ({"instructions": 1200.5}, "budgets must be integers"),
+        ({"warmup": True}, "budgets must be integers"),
+    ], ids=["seed-str", "seed-float", "seed-bool", "mem-zero",
+            "mem-negative", "mem-nan", "mem-inf", "mem-str",
+            "budget-float", "budget-bool"])
+    def test_malformed_axes_are_refused(self, axes, message):
+        with pytest.raises(CampaignError, match=message):
+            spec(**axes)
+        payload = {**spec().to_dict(), **axes}
+        with pytest.raises(CampaignError, match=message):
+            RunSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("clock", [
+        {"base_mhz": 0.0}, {"base_mhz": -950.0},
+        {"fe_speedup": -1.0}, {"be_speedup": -2.0},
+        {"base_mhz": float("inf")}, {"fe_speedup": float("nan")},
+        {"base_mhz": 1e308, "be_speedup": 1.0},
+    ], ids=["base-zero", "base-negative", "fe-zero", "be-fast-negative",
+            "base-inf", "fe-nan", "be-fast-overflow"])
+    def test_clock_plans_without_a_positive_clock_are_refused(self, clock):
+        with pytest.raises(ConfigError, match="ClockPlan"):
+            ClockPlan(**clock)
+        payload = {**spec(kind="flywheel").to_dict(), "clock": clock}
+        with pytest.raises(ConfigError, match="ClockPlan"):
+            RunSpec.from_dict(payload)
 
     def test_variant_surfaces_non_default_axes(self):
         assert spec().variant() == {}
@@ -627,14 +662,13 @@ class TestExperimentContext:
     def test_warmed_context_executes_nothing(self, name, tmp_path):
         """Each simulating experiment's table reads only the runs its
         presets list, so a warmed context simulates nothing more."""
-        from repro.campaign.presets import experiment_specs
-        from repro.experiments.__main__ import EXPERIMENTS
+        from repro.campaign.presets import EXPERIMENTS, experiment_specs
         from repro.experiments.common import ExperimentContext
 
         benches = ("smoke",)
         ctx = ExperimentContext(instructions=DRIFT_N, warmup=DRIFT_W,
                                 benchmarks=benches,
-                                store=ResultStore(tmp_path))
+                                session=Session(store=ResultStore(tmp_path)))
         ctx.warm(experiment_specs((name,), benchmarks=benches,
                                   instructions=DRIFT_N, warmup=DRIFT_W),
                  jobs=2)
@@ -659,10 +693,9 @@ class TestExperimentContext:
         import hashlib
         from collections import Counter
 
-        from repro.campaign.presets import experiment_specs
-        from repro.experiments.__main__ import ALL_ORDER
+        from repro.campaign.presets import EXPERIMENTS, experiment_specs
 
-        specs = experiment_specs(ALL_ORDER, benchmarks=benches,
+        specs = experiment_specs(EXPERIMENTS, benchmarks=benches,
                                  instructions=n, warmup=w)
         assert len(specs) == jobs
         assert Counter(s.kind for s in specs) == kinds
@@ -701,9 +734,9 @@ class TestExperimentContext:
                                        benchmarks=benches)
         serial_rows = fig12_performance.run(serial_ctx)
 
-        camp_ctx = ExperimentContext(instructions=N, warmup=W,
-                                     benchmarks=benches,
-                                     store=ResultStore(tmp_path))
+        camp_ctx = ExperimentContext(
+            instructions=N, warmup=W, benchmarks=benches,
+            session=Session(store=ResultStore(tmp_path)))
         camp_ctx.warm(experiment_specs(("fig12",), benchmarks=benches,
                                        instructions=N, warmup=W), jobs=2)
         camp_rows = fig12_performance.run(camp_ctx)
@@ -1219,15 +1252,22 @@ class TestBadInputEndsInAnError:
         assert code == 1 and "error: timeout must be positive" in err
         assert len(ResultStore(tmp_path)) == 0
 
-    def test_experiments_cli_refuses_a_negative_timeout(self, capsys):
+    def test_experiments_cli_refuses_a_negative_timeout(self, tmp_path,
+                                                        capsys):
+        """The alias ends bad input in campaign run's error line."""
         from repro.experiments.__main__ import main as experiments_main
 
-        assert experiments_main(["fig2", "--benchmarks", "gcc",
-                                 "--instructions", "300", "--warmup", "100",
-                                 "--timeout", "-1"]) == 1
-        out = capsys.readouterr()
-        assert "error: timeout must be positive" in out.err
-        assert "Traceback" not in out.err and not out.out
+        for argv, message in (
+                (["fig2", "--benchmarks", "gcc", "--instructions", "300",
+                  "--warmup", "100", "--timeout", "-1"],
+                 "error: timeout must be positive"),
+                (["fig11", "--benchmarks", "smoke", "--instructions", "0"],
+                 "error: instruction budgets must be instructions >= 1")):
+            assert experiments_main([*argv, "--store", str(tmp_path)]) == 1
+            out = capsys.readouterr()
+            assert message in out.err
+            assert "Traceback" not in out.err and not out.out
+            assert len(ResultStore(tmp_path)) == 0
 
     @pytest.mark.parametrize("argv", [
         ["export", "--csv", "{missing}/x.csv"],

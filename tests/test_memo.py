@@ -14,12 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro.campaign.spec as spec_module
 import repro.core.sim as sim
-from repro.campaign.presets import experiment_specs
+from repro.campaign.presets import EXPERIMENTS, experiment_specs
 from repro.campaign.spec import RunSpec, code_fingerprint
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig, stable_hash
 from repro.core.sim import default_config, execute_kind, kind_names
 from repro.dvfs.config import GOVERNOR_NAMES, GovernorConfig
-from repro.experiments.__main__ import ALL_ORDER
 from repro.mem.spec import PREFETCHERS, WRITE_POLICIES, MemorySpec
 from repro.obs.spec import EVENT_KINDS, TraceSpec
 from repro.session import MachineSpec
@@ -113,7 +112,7 @@ def _unmemoized_key(run: RunSpec) -> str:
 
 class TestCacheKeyMemo:
     def test_memoized_keys_match_the_formula_for_every_preset(self):
-        specs = experiment_specs(ALL_ORDER, benchmarks=tuple(PROFILES),
+        specs = experiment_specs(EXPERIMENTS, benchmarks=tuple(PROFILES),
                                  instructions=1000, warmup=500)
         assert specs
         for run in specs:

@@ -68,6 +68,12 @@ class TestPayload:
         {"specs": []},                       # empty spec list
         {"benchmarks": ["smoke"], "clocks": ["fast"]},
         {"benchmarks": ["smoke"], "kinds": ["no-such-kind"]},
+        {"benchmarks": ["smoke"], "seed": 7},         # typo of "seeds"
+        {"benchmarks": ["smoke"], "kinds": "baseline"},  # bare string axis
+        {"benchmarks": ["smoke"], "instructions": 1.7},
+        {"benchmarks": ["smoke"], "seeds": ["a"]},
+        {"benchmarks": ["smoke"], "mem_scales": [0]},
+        {"benchmarks": ["smoke"], "clocks": [{"fe_speedup": -1.0}]},
     ])
     def test_bad_payloads_raise(self, bad):
         with pytest.raises(CampaignError):
@@ -202,6 +208,28 @@ class TestService:
             urllib.request.urlopen(request)
         assert err.value.code == 400
         assert "jobs" in json.loads(err.value.read())["error"]
+        assert client.campaigns() == []        # nothing was journaled
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"seed": 7}, "'seed'"),
+        ({"kinds": "baseline"}, "'kinds'"),
+        ({"instructions": 1.7}, "instructions=1.7"),
+        ({"seeds": [1.5]}, "seed"),
+        ({"mem_scales": [-1.0]}, "mem_scale"),
+        ({"clocks": [{"base_mhz": float("nan")}]}, "ClockPlan"),
+    ], ids=["unknown-key", "bare-string-axis", "float-budget",
+            "float-seed", "negative-mem-scale", "nan-clock"])
+    def test_malformed_sweep_is_a_400_naming_the_key(self, service, extra,
+                                                     key):
+        _, client = service
+        request = urllib.request.Request(
+            f"{client.base_url}/campaigns",
+            data=json.dumps({"benchmarks": ["smoke"], **extra}).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        assert key in json.loads(err.value.read())["error"]
         assert client.campaigns() == []        # nothing was journaled
 
     def test_bad_content_length_is_a_400(self, service):

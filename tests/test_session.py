@@ -312,13 +312,6 @@ class TestRegistry:
 
 
 class TestExperimentContextOnSession:
-    def test_conflicting_store_and_session_rejected(self, tmp_path):
-        from repro.experiments.common import ExperimentContext
-
-        with pytest.raises(ConfigError):
-            ExperimentContext(store=ResultStore(tmp_path),
-                              session=Session())
-
     def test_shared_session_snapshots_executed(self):
         from repro.experiments.common import ExperimentContext
 
