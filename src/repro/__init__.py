@@ -21,8 +21,7 @@ through one :class:`Session`::
 
 Batches — ``Session.map`` dedups a spec list, resolves what it can from
 the (optional, persistent) store and fans the rest out over worker
-processes; ``Session.stream`` yields structured progress events for
-long campaigns::
+processes::
 
     session = Session(store="~/.cache/repro-campaign", jobs=4)
     specs = [MachineSpec("flywheel", b,
@@ -69,11 +68,11 @@ _EXPORTS = {
     "repro.core.stats": ("SimStats",),
     "repro.dvfs.config": ("GovernorConfig",),
     "repro.mem.spec": ("CacheLevelSpec", "MemorySpec"),
-    "repro.obs.metrics": ("MetricRegistry",),
     "repro.obs.trace": ("TraceRecorder",),
     "repro.obs.spec": ("TraceSpec",),
     "repro.power.accounting": ("energy_report",),
-    "repro.session": ("Session", "SessionEvent"),
+    "repro.campaign.scheduler": ("SessionEvent",),
+    "repro.session": ("Session",),
     "repro.workloads.profiles": (
         "PROFILES", "SPEC_NAMES", "WorkloadProfile", "get_profile"),
     "repro.workloads.generator": ("generate_program",),
@@ -103,10 +102,9 @@ __all__ = [
     "MemorySpec",
     "SimResult",
     "SimStats",
-    # Observability (repro.obs): flight recorder + metrics.
+    # Observability (repro.obs): the flight recorder.
     "TraceSpec",
     "TraceRecorder",
-    "MetricRegistry",
     # Power and workloads.
     "energy_report",
     "PROFILES",

@@ -7,7 +7,7 @@ plotting dependency.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import ConfigError
 
@@ -39,19 +39,3 @@ def bar_chart(values: Mapping[str, float], width: int = 50,
         lines.append(f"{key:>{label_w}} {''.join(row)} {value:.3f}")
     return "\n".join(lines)
 
-
-def series_table(rows: Sequence[Mapping], x_key: str,
-                 series: Iterable[str], width: int = 8) -> str:
-    """Fixed-width multi-series table (one line per x value)."""
-    series = list(series)
-    header = f"{x_key:>{16}}" + "".join(f"{s[:width]:>{width + 2}}"
-                                        for s in series)
-    lines: List[str] = [header]
-    for row in rows:
-        line = f"{str(row.get(x_key, '')):>{16}}"
-        for s in series:
-            v = row.get(s, "")
-            line += (f"{v:>{width + 2}.3f}" if isinstance(v, float)
-                     else f"{str(v):>{width + 2}}")
-        lines.append(line)
-    return "\n".join(lines)

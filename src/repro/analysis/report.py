@@ -1,44 +1,9 @@
-"""Markdown rendering of experiment rows (the ``run(ctx)`` rows behind
-``python -m repro.campaign run --experiments all``), per-interval frequency-trace rendering for governed (DVFS) runs, and
-memory-system (per-level cache / MSHR) summaries."""
+"""Footer summaries of experiment runs: the frequency trajectory of
+governed (DVFS) runs and the memory system (per-level cache / MSHR)."""
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
-
-
-def markdown_table(rows: Sequence[Mapping], columns: List[str]) -> str:
-    """Render experiment rows as a GitHub-flavoured markdown table."""
-    out = ["| " + " | ".join(columns) + " |",
-           "|" + "|".join("---" for _ in columns) + "|"]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row.get(col, "")
-            cells.append(f"{v:.3f}" if isinstance(v, float) else str(v))
-        out.append("| " + " | ".join(cells) + " |")
-    return "\n".join(out)
-
-
-def freq_trace_rows(stats, limit: int = 0) -> List[dict]:
-    """``SimStats.freq_trace`` as table rows (cycle, MHz, dwell cycles).
-
-    ``dwell`` is the number of back-end cycles spent at each frequency
-    (the last segment's dwell extends to the end of the run and is
-    reported as the remaining cycles). ``limit`` truncates to the first N
-    transitions (0 = all) — traces grow with one entry per retune, not
-    per interval, but a long adaptive run can still have hundreds.
-    """
-    trace = stats.freq_trace
-    rows: List[dict] = []
-    total = stats.total_be_cycles
-    for i, (cycle, mhz) in enumerate(trace):
-        nxt = trace[i + 1][0] if i + 1 < len(trace) else total
-        rows.append({"cycle": int(cycle), "mhz": float(mhz),
-                     "dwell": int(max(0, nxt - cycle))})
-        if limit and len(rows) >= limit:
-            break
-    return rows
+from typing import List, Sequence
 
 
 def cache_stats_rows(stats) -> List[dict]:

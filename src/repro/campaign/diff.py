@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -161,13 +163,29 @@ def _codes_newest_first(records: Sequence[dict]) -> List[str]:
     return [c for c, _t in sorted(newest.items(), key=lambda kv: -kv[1])]
 
 
+def _valid_value(key: str, value: str) -> bool:
+    """Whether ``key=value`` can match a record (as :func:`_matches`
+    compares them)."""
+    if key == "base_mhz":
+        try:
+            return math.isfinite(float(value))
+        except ValueError:
+            return False
+    if key in ("seed", "instructions", "warmup"):
+        return (value.lower() in ("none", "")
+                or re.fullmatch(r"-?\d+", value) is not None)
+    return True
+
+
 def parse_selector(text: str,
                    records: Sequence[dict]) -> Tuple[Dict[str, str], str]:
     """``(filters, label)`` for one selector string.
 
     ``latest`` / ``prev`` resolve against the store's code-fingerprint
     timeline; everything else is a comma-separated ``key=value``
-    conjunction over :data:`SELECTOR_KEYS`.
+    conjunction over :data:`SELECTOR_KEYS`. A ``base_mhz`` must be a
+    number and a ``seed``/``instructions``/``warmup`` an int or
+    ``none``, or no record could match.
     """
     text = text.strip()
     if text in ("latest", "prev"):
@@ -193,7 +211,13 @@ def parse_selector(text: str,
             raise CampaignError(
                 f"unknown selector key {key!r}; expected one of "
                 f"{', '.join(SELECTOR_KEYS)}")
-        filters[key] = value.strip()
+        value = value.strip()
+        if not _valid_value(key, value):
+            expected = ("a number" if key == "base_mhz"
+                        else "an integer or 'none'")
+            raise CampaignError(
+                f"bad selector value {key}={value!r}: expected {expected}")
+        filters[key] = value
     if not filters:
         raise CampaignError(f"empty selector {text!r}")
     return filters, text

@@ -37,7 +37,7 @@ from repro.errors import CampaignError
 ProgressFn = Callable[[int, int, RunSpec, str], None]
 
 #: result callback: (spec, result, source) fired as each job resolves —
-#: the hook ``Session.stream`` uses to yield results incrementally.
+#: the hook the scheduler journals and emits each result through.
 ResultFn = Callable[[RunSpec, SimResult, str], None]
 
 
@@ -59,9 +59,6 @@ class CampaignReport:
     @property
     def total(self) -> int:
         return self.hits + self.executed + len(self.quarantined)
-
-    def result_for(self, spec: RunSpec) -> SimResult:
-        return self.results[spec.cache_key()]
 
     def summary(self) -> str:
         bits = [f"{self.total} jobs: {self.hits} from cache, "
@@ -136,8 +133,7 @@ def run_campaign(specs: Iterable[RunSpec],
 
     ``on_result`` (if given) is called with ``(spec, result, source)``
     as each job resolves, after the result is in the report (and, for
-    executed jobs, persisted); it is how ``Session.stream`` surfaces
-    results incrementally and the scheduler journals them.
+    executed jobs, persisted); it is how the scheduler journals them.
 
     ``on_failed``, ``on_dispatch`` and ``hook`` go to :func:`run_workers`
     as its failure policy, dispatch callback and worker hook. The

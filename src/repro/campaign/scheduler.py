@@ -24,9 +24,9 @@ campaign survive everything short of the host catching fire:
 ``campaign run`` is not journaled: running a killed ``run`` again
 finishes it from the store, which a journal would only slow down.
 
-Progress surfaces as :class:`~repro.session.SessionEvent` s — the same
-``plan``/``result``/``summary`` schema ``Session.stream`` yields, plus
-``quarantine`` — which is what the serve daemon bridges onto SSE.
+Progress surfaces as :class:`SessionEvent` s (``plan``, ``result``,
+``quarantine``, ``summary``), which is what the serve daemon bridges
+onto SSE.
 
 Hooks (both optional, test/fault-injection seams):
 
@@ -42,34 +42,60 @@ Hooks (both optional, test/fault-injection seams):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.campaign.executor import (CampaignReport, Job, check_timeout,
                                      run_campaign)
 from repro.campaign.journal import CampaignRun, JobEntry, list_campaigns
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
+from repro.core.sim import SimResult
 from repro.errors import CampaignError
-
-if TYPE_CHECKING:                 # runtime import is lazy: repro.session
-    from repro.session import SessionEvent  # imports repro.campaign back
-
-
-def _event(**kwargs) -> "SessionEvent":
-    """Build a SessionEvent without a module-level cyclic import."""
-    from repro.session import SessionEvent
-
-    return SessionEvent(**kwargs)
 
 __all__ = [
     "CampaignScheduler",
+    "SessionEvent",
     "list_campaigns",
     "resume_campaign",
     "submit_campaign",
 ]
 
+
+@dataclass(frozen=True)
+class SessionEvent:
+    """One structured progress/result event of a scheduled campaign.
+
+    ``event`` is one of:
+
+    * ``"plan"`` — campaign accepted; ``total`` jobs in its journal.
+    * ``"result"`` — one job finished; carries the ``spec``, the
+      ``result`` and ``source`` (``"store"``/``"run"``), with ``done``
+      counting finished jobs so far.
+    * ``"quarantine"`` — a job given up on after its retry budget;
+      ``spec`` plus the final traceback in ``error``.
+    * ``"summary"`` — campaign complete; ``hits``/``executed``/
+      ``quarantined`` counters and ``elapsed_s`` wall time.
+
+    The serve daemon bridges these events 1:1 onto its SSE wire format
+    (see ``repro.serve``), so the schema here *is* the service schema.
+    """
+
+    event: str
+    spec: Optional[RunSpec] = None
+    result: Optional[SimResult] = None
+    source: str = ""
+    done: int = 0
+    total: int = 0
+    hits: int = 0
+    executed: int = 0
+    elapsed_s: float = 0.0
+    error: str = ""
+    quarantined: int = 0
+
+
 #: Event callback: receives each SessionEvent as the campaign advances.
-EventFn = Callable[["SessionEvent"], None]
+EventFn = Callable[[SessionEvent], None]
 
 
 class CampaignScheduler:
@@ -125,7 +151,7 @@ class CampaignScheduler:
         quarantine, not an exception.
         """
         total = len(self.run.jobs)
-        self._emit(_event(event="plan", total=total))
+        self._emit(SessionEvent(event="plan", total=total))
         quarantined = self.run.status()["quarantined"]
         retried = done = 0
         # Jobs quarantined before are not run, only counted, each where
@@ -161,8 +187,8 @@ class CampaignScheduler:
             if source == "run" or entry.state != "done":
                 self.run.record(entry.index, "done", source=source)
             advance(entry.index if source == "store" else total)
-            self._emit(_event(event="result", spec=spec, result=result,
-                              source=source, done=done, total=total))
+            self._emit(SessionEvent(event="result", spec=spec, result=result,
+                                    source=source, done=done, total=total))
 
         def failed(job: Job, error: str, _exc) -> Optional[float]:
             nonlocal retried
@@ -177,8 +203,8 @@ class CampaignScheduler:
             quarantined.append({"key": entry.key, "error": error,
                                 "label": job.spec.label})
             advance(total)
-            self._emit(_event(event="quarantine", spec=job.spec, done=done,
-                              total=total, error=error))
+            self._emit(SessionEvent(event="quarantine", spec=job.spec,
+                                    done=done, total=total, error=error))
             return None
 
         # A scheduler fault (crash injection, ^C) propagates after the
@@ -194,7 +220,7 @@ class CampaignScheduler:
         self.run.record_complete(hits=report.hits, executed=report.executed,
                                  quarantined=len(quarantined),
                                  retried=retried)
-        self._emit(_event(
+        self._emit(SessionEvent(
             event="summary", done=done, total=total, hits=report.hits,
             executed=report.executed, quarantined=len(quarantined),
             elapsed_s=report.elapsed_s))

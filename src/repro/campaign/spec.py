@@ -479,9 +479,8 @@ class Sweep:
     """Cross-product of run axes, expanded into a deduplicated job list.
 
     Every axis is a sequence; ``expand()`` yields the full product of
-    kinds × benchmarks × clocks × configs × flys × seeds × mem_scales.
-    Axes that do not apply to a kind are normalized away (a baseline job
-    ignores the ``flys`` axis), which is where the dedup earns its keep.
+    kinds × benchmarks × clocks × seeds × mem_scales, each job on its
+    kind's default machine (build a :class:`RunSpec` for any other).
 
     Budgets default to :class:`RunSpec`'s (60k measured instructions
     after a 60k warmup); the experiments CLI and presets measure 30k. Budgets
@@ -493,29 +492,16 @@ class Sweep:
     kinds: Tuple[str, ...] = DEFAULT_SWEEP_KINDS
     benchmarks: Tuple[str, ...] = ()
     clocks: Tuple[Optional[ClockPlan], ...] = (None,)
-    configs: Tuple[Optional[CoreConfig], ...] = (None,)
-    flys: Tuple[Optional[FlywheelConfig], ...] = (None,)
     seeds: Tuple[Optional[int], ...] = (None,)
     mem_scales: Tuple[float, ...] = (1.0,)
-    #: Memory-system axis: each entry overrides ``config.mem`` on top of
-    #: whatever the ``configs`` axis supplies (``None`` = leave as-is),
-    #: so memory specs sweep first-class without hand-building configs.
-    mems: Tuple[Optional[MemorySpec], ...] = (None,)
     instructions: int = DEFAULT_INSTRUCTIONS
     warmup: int = DEFAULT_WARMUP
 
     def expand(self) -> List[RunSpec]:
-        specs = []
-        for kind, bench, clock, config, fly, seed, mem_scale, mem in (
-                itertools.product(self.kinds, self.benchmarks, self.clocks,
-                                  self.configs, self.flys, self.seeds,
-                                  self.mem_scales, self.mems)):
-            if mem is not None:
-                base = config or _kind_info(kind).default_config()
-                config = base.with_variant(mem=mem)
-            specs.append(RunSpec(
-                kind=kind, bench=bench, clock=clock, config=config,
-                fly=fly if _kind_info(kind).dual_clock else None,
-                seed=seed, instructions=self.instructions,
-                warmup=self.warmup, mem_scale=mem_scale))
-        return dedup(specs)
+        return dedup(
+            RunSpec(kind=kind, bench=bench, clock=clock, seed=seed,
+                    instructions=self.instructions, warmup=self.warmup,
+                    mem_scale=mem_scale)
+            for kind, bench, clock, seed, mem_scale in itertools.product(
+                self.kinds, self.benchmarks, self.clocks, self.seeds,
+                self.mem_scales))

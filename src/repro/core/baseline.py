@@ -69,7 +69,6 @@ from repro.errors import SimulationError
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.issue.window import IssueWindow
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.obs.metrics import MetricRegistry, register_core_sources
 from repro.obs.trace import TraceRecorder
 from repro.workloads.stream import InstructionStream
 
@@ -120,8 +119,6 @@ class BaselineCore:
             self.hierarchy.trace = self.trace
         else:
             self.trace = None
-        self.metrics = MetricRegistry()
-        register_core_sources(self.metrics, self)
 
         # Engine structures, re-exposed under their historical names.
         self.rob = self.be.rob

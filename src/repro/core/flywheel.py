@@ -62,7 +62,6 @@ from repro.isa import DynInstr, OpClass
 from repro.isa.opclasses import EXEC_LATENCY_TAB, FU_KIND_TAB, UNPIPELINED_TAB
 from repro.issue.window import IssueWindow, IWEntry
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.obs.metrics import MetricRegistry, register_core_sources
 from repro.obs.trace import TraceRecorder
 from repro.rename.pools import PoolFile
 from repro.rename.redistribution import RedistributionController
@@ -284,8 +283,6 @@ class FlywheelCore:
             self.hierarchy.trace = self.trace
         else:
             self.trace = None
-        self.metrics = MetricRegistry()
-        register_core_sources(self.metrics, self)
 
     # ------------------------------------------------------------------ run
 

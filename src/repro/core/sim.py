@@ -282,6 +282,8 @@ def run_core(core, kind: str,
     simulated time, the cache and metric snapshots, and the trace ring
     when the config armed the recorder.
     """
+    from repro.obs.metrics import core_metrics
+
     check_budgets(instructions, warmup)
     info = get_kind(kind)
     name = core.stream.program.name   # the run may swap the stream out
@@ -295,7 +297,7 @@ def run_core(core, kind: str,
             stats.sim_time_ps = (stats.total_be_cycles
                                  * round(1e6 / core.clock.base_mhz))
     stats.cache_stats = core.hierarchy.stats_dict()
-    stats.metrics = core.metrics.snapshot()
+    stats.metrics = core_metrics(core)
     return SimResult(name=name, stats=stats, core=core, clock=core.clock,
                      kind=info.name,
                      l2_accesses=core.hierarchy.l2.stats.accesses,

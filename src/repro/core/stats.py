@@ -58,10 +58,11 @@ class SimStats:
     #: runners from ``MemoryHierarchy.stats_dict()`` at the end of a run.
     cache_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
-    #: Flat MetricRegistry snapshot (``"engine.rob.occupancy"`` -> value)
-    #: taken by the runners at the end of a run. Deterministic for a
-    #: deterministic simulation, so it rides through the golden-stats
-    #: gate and the content-addressed store like any other counter.
+    #: Flat :func:`repro.obs.metrics.core_metrics` snapshot
+    #: (``"engine.rob.occupancy"`` -> value) taken by ``run_core`` at the
+    #: end of a run. Deterministic for a deterministic simulation, so it
+    #: rides through the golden-stats gate and the content-addressed
+    #: store like any other counter.
     metrics: Dict[str, object] = field(default_factory=dict)
 
     #: Power events: structure-access counts consumed by repro.power.
@@ -108,12 +109,6 @@ class SimStats:
         return self.sim_time_ps / 1e12
 
     @property
-    def instr_per_second(self) -> float:
-        """Architectural throughput — the paper's performance measure
-        (total execution time for a fixed instruction budget)."""
-        return self.committed / self.time_seconds if self.sim_time_ps else 0.0
-
-    @property
     def mispredict_rate(self) -> float:
         return self.mispredicts / self.branches if self.branches else 0.0
 
@@ -126,25 +121,7 @@ class SimStats:
         return counters.get("hits", 0) / accesses if accesses else 0.0
 
     @property
-    def mshr_occupancy_avg(self) -> float:
-        """Average MSHR occupancy at allocation (0.0 when unmodelled)."""
-        mshr = self.cache_stats.get("mshr")
-        return float(mshr.get("occupancy_avg", 0.0)) if mshr else 0.0
-
-    @property
     def ec_residency(self) -> float:
         """Fraction of back-end time spent on the alternative (EC) path."""
         cycles = self.total_be_cycles
         return self.be_cycles_execute / cycles if cycles else 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat dict of headline numbers (for reports and tests)."""
-        return {
-            "committed": self.committed,
-            "cycles": self.total_be_cycles,
-            "ipc": self.ipc,
-            "time_ps": self.sim_time_ps,
-            "mispredict_rate": self.mispredict_rate,
-            "ec_residency": self.ec_residency,
-            "traces_built": self.traces_built,
-        }

@@ -21,8 +21,7 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "repro.dvfs.config": (
-        "DEFAULT_SCALE_STEPS", "GOVERNOR_NAMES", "GovernorConfig",
-        "governor_plan"),
+        "DEFAULT_SCALE_STEPS", "GOVERNOR_NAMES", "GovernorConfig"),
     "repro.dvfs.controller": ("FlywheelDvfsController", "SyncDvfsController"),
     "repro.dvfs.governors": (
         "GOVERNORS", "EnergyBudgetGovernor", "Governor", "IpcLadderGovernor",
@@ -36,7 +35,6 @@ __all__ = [
     "GovernorConfig",
     "GOVERNOR_NAMES",
     "DEFAULT_SCALE_STEPS",
-    "governor_plan",
     "IntervalTelemetry",
     "Governor",
     "StaticGovernor",

@@ -122,13 +122,4 @@ class GovernorConfig:
                    key=lambda i: abs(steps[i] - self.start_scale))
 
 
-def governor_plan(base_plan, name: str, **overrides) -> "object":
-    """Copy ``base_plan`` (a ClockPlan) with a governor attached."""
-    from dataclasses import replace
-
-    return replace(base_plan, governor=GovernorConfig(name=name,
-                                                      **overrides))
-
-
-__all__ = ["GovernorConfig", "GOVERNOR_NAMES", "DEFAULT_SCALE_STEPS",
-           "governor_plan"]
+__all__ = ["GovernorConfig", "GOVERNOR_NAMES", "DEFAULT_SCALE_STEPS"]

@@ -10,10 +10,10 @@ real operand values differ between runs of the same trace.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import SimulationError
-from repro.isa import DynInstr, OpClass
+from repro.isa import DynInstr
 
 
 class TraceInstr:

@@ -10,10 +10,10 @@ the biggest front-end sensitivity on vortex (lowest EC residency).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List
 
 from repro.core.config import ClockPlan
-from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL
+from repro.core.sim import KIND_BASELINE, KIND_FLYWHEEL, SimResult
 from repro.experiments.common import (
     ExperimentContext,
     Legs,
@@ -30,6 +30,9 @@ SWEEP = (
     ("FE100%,BE50%", ClockPlan(fe_speedup=1.0, be_speedup=0.5)),
 )
 
+#: The table columns of Figs. 12-14.
+COLUMNS = ["benchmark"] + [label for label, _clock in SWEEP]
+
 
 def legs(ctx: ExperimentContext) -> Legs:
     """Per benchmark: the baseline and the Flywheel at each SWEEP pair
@@ -42,15 +45,24 @@ def legs(ctx: ExperimentContext) -> Legs:
     return specs
 
 
-def run(ctx: ExperimentContext) -> List[dict]:
+def speedup(base, fly) -> float:
+    """The baseline's simulated time over the Flywheel's."""
+    return base.stats.sim_time_ps / max(1, fly.stats.sim_time_ps)
+
+
+def run(ctx: ExperimentContext,
+        ratio: Callable[[SimResult, SimResult], float] = speedup
+        ) -> List[dict]:
+    """Per benchmark, ``ratio(baseline, flywheel)`` at each SWEEP pair,
+    then the geomean row. Figs. 13 and 14 are this loop with their own
+    ratio."""
     specs = legs(ctx)
     rows = []
     for bench in ctx.benchmarks:
         base = ctx.session.run(specs[bench, "base"])
         row = {"benchmark": bench}
         for label, _clock in SWEEP:
-            fly = ctx.session.run(specs[bench, label])
-            row[label] = base.stats.sim_time_ps / max(1, fly.stats.sim_time_ps)
+            row[label] = ratio(base, ctx.session.run(specs[bench, label]))
         rows.append(row)
     avg = {"benchmark": "geomean"}
     for label, _clock in SWEEP:
@@ -60,6 +72,5 @@ def run(ctx: ExperimentContext) -> List[dict]:
 
 
 def main(ctx: ExperimentContext) -> None:
-    rows = run(ctx)
     print_table("Fig. 12: normalized performance vs clock speedups",
-                rows, ["benchmark"] + [l for l, _ in SWEEP], fmt="{:>14}")
+                run(ctx), COLUMNS, fmt="{:>14}")

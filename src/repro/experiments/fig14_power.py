@@ -10,30 +10,20 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.experiments.common import ExperimentContext, geomean, print_table
-# Fig. 12's runs are this figure's legs too.
-from repro.experiments.fig12_performance import SWEEP, legs
+from repro.experiments import fig12_performance
+from repro.experiments.common import ExperimentContext, print_table
 from repro.power import TECH_130, energy_report
 
+# Fig. 12's runs are this figure's legs too.
+legs = fig12_performance.legs
 
-def run(ctx: ExperimentContext, tech=TECH_130) -> List[dict]:
-    specs = legs(ctx)
-    rows = []
-    for bench in ctx.benchmarks:
-        base = energy_report(ctx.session.run(specs[bench, "base"]), tech)
-        row = {"benchmark": bench}
-        for label, _clock in SWEEP:
-            fly = energy_report(ctx.session.run(specs[bench, label]), tech)
-            row[label] = fly.power_w / base.power_w
-        rows.append(row)
-    avg = {"benchmark": "geomean"}
-    for label, _clock in SWEEP:
-        avg[label] = geomean(r[label] for r in rows)
-    rows.append(avg)
-    return rows
+
+def run(ctx: ExperimentContext) -> List[dict]:
+    return fig12_performance.run(
+        ctx, lambda base, fly: (energy_report(fly, TECH_130).power_w
+                                / energy_report(base, TECH_130).power_w))
 
 
 def main(ctx: ExperimentContext) -> None:
-    rows = run(ctx)
     print_table("Fig. 14: normalized power (130nm) vs clock speedups",
-                rows, ["benchmark"] + [l for l, _ in SWEEP], fmt="{:>14}")
+                run(ctx), fig12_performance.COLUMNS, fmt="{:>14}")

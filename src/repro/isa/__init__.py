@@ -21,7 +21,6 @@ from repro.isa.registers import (
     INT_REG_BASE,
     FP_REG_BASE,
     ZERO_REG,
-    reg_name,
 )
 from repro.isa.instruction import (
     BranchKind,
@@ -44,7 +43,6 @@ __all__ = [
     "INT_REG_BASE",
     "FP_REG_BASE",
     "ZERO_REG",
-    "reg_name",
     "BranchKind",
     "MemRef",
     "BranchSpec",

@@ -19,11 +19,3 @@ FP_REG_BASE = NUM_INT_REGS
 #: The hard-wired zero register: writes are discarded, reads always ready.
 ZERO_REG = 0
 
-
-def reg_name(reg: int) -> str:
-    """Human-readable name for a flat register index (``r3``, ``f7``)."""
-    if not 0 <= reg < NUM_ARCH_REGS:
-        raise ValueError(f"register index out of range: {reg}")
-    if reg < FP_REG_BASE:
-        return f"r{reg}"
-    return f"f{reg - FP_REG_BASE}"

@@ -32,10 +32,6 @@ class CacheStats:
     writebacks: int = 0
 
     @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
@@ -46,10 +42,6 @@ class CacheStats:
             "writes": self.writes, "prefetches": self.prefetches,
             "writebacks": self.writebacks,
         }
-
-    def reset(self) -> None:
-        self.accesses = self.hits = self.misses = self.evictions = 0
-        self.writes = self.prefetches = self.writebacks = 0
 
 
 def _is_pow2(n: int) -> bool:

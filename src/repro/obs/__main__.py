@@ -7,7 +7,7 @@
     Same run, exported as Chrome trace-event JSON (open the file in
     ``about://tracing`` or ui.perfetto.dev).
 ``metrics``
-    Run one machine and print the MetricRegistry snapshot.
+    Run one machine and print its metric snapshot (``SimStats.metrics``).
 ``profile``
     Self-profile the simulator: wall seconds per engine phase, and the
     loop ticks it executed against the cycles it simulated.
@@ -144,8 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="output path (default: trace.json)")
     chrome.set_defaults(fn=_cmd_chrome)
 
-    metrics = subs.add_parser("metrics",
-                              help="print the MetricRegistry snapshot")
+    metrics = subs.add_parser("metrics", help="print the metric snapshot")
     _add_machine_args(metrics)
     metrics.set_defaults(fn=_cmd_metrics)
 

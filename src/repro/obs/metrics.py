@@ -1,14 +1,10 @@
-"""Named metric registry: one namespace over every layer's counters.
+"""Metric snapshots: one dotted namespace over every layer's counters.
 
 The engine, cores, memory hierarchy and DVFS controllers each keep their
 hot counters as plain attributes (``stats.committed``, ``rob.writes``,
 ``mshr`` aggregates) because attribute increments are what the tick loop
-can afford.  The registry does not change that: publishers register
-*pull sources* — zero-cost closures over the live structures — and the
-registry materialises one flat, dotted-name snapshot on demand
-(end of run, per DVFS interval, on deadlock).  Counters, gauges and
-histograms created directly through the registry are for code that is
-not on the simulator's hot path (renderers, the profiler, tooling).
+can afford. :func:`core_metrics` reads them once, at the end of a run,
+into one flat, dotted-name snapshot, so the loop pays nothing for it.
 
 Snapshots are deterministic for a deterministic simulation, which is
 what lets them ride on :class:`SimStats` through the golden-stats gate
@@ -17,8 +13,7 @@ and the content-addressed store.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List
 
 
 def _flatten(prefix: str, value, out: Dict[str, object]) -> None:
@@ -30,120 +25,51 @@ def _flatten(prefix: str, value, out: Dict[str, object]) -> None:
         out[prefix] = value
 
 
-class MetricCounter:
-    """Monotonic counter handle."""
+def core_metrics(core) -> Dict[str, object]:
+    """One flat ``name -> value`` snapshot of a core's counters.
 
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-
-class MetricHistogram:
-    """Fixed-bucket histogram (upper bounds, plus an overflow bucket)."""
-
-    __slots__ = ("name", "bounds", "counts", "total", "sum")
-
-    def __init__(self, name: str, bounds: Tuple[float, ...]):
-        self.name = name
-        self.bounds = tuple(sorted(bounds))
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_right(self.bounds, value)] += 1
-        self.total += 1
-        self.sum += value
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"bounds": list(self.bounds), "counts": list(self.counts),
-                "total": self.total, "sum": self.sum}
-
-
-class MetricRegistry:
-    """Flat namespace of counters, gauges, histograms and pull sources."""
-
-    def __init__(self):
-        self._counters: Dict[str, MetricCounter] = {}
-        self._gauges: Dict[str, Callable[[], object]] = {}
-        self._histograms: Dict[str, MetricHistogram] = {}
-        self._sources: List[Tuple[str, Callable[[], Dict[str, object]]]] = []
-        self._last: Dict[str, float] = {}
-
-    # ------------------------------------------------------- registration
-
-    def counter(self, name: str) -> MetricCounter:
-        """Create (or fetch) a push-style counter handle."""
-        handle = self._counters.get(name)
-        if handle is None:
-            handle = self._counters[name] = MetricCounter(name)
-        return handle
-
-    def gauge(self, name: str, fn: Callable[[], object]) -> None:
-        """Register a point-in-time value read at snapshot time."""
-        self._gauges[name] = fn
-
-    def histogram(self, name: str,
-                  bounds: Tuple[float, ...]) -> MetricHistogram:
-        handle = self._histograms.get(name)
-        if handle is None:
-            handle = self._histograms[name] = MetricHistogram(name, bounds)
-        return handle
-
-    def source(self, prefix: str,
-               fn: Callable[[], Dict[str, object]]) -> None:
-        """Register a pull source: ``fn()`` returns a (possibly nested)
-        dict merged into the snapshot under ``prefix``."""
-        self._sources.append((prefix, fn))
-
-    # --------------------------------------------------------- snapshots
-
-    def snapshot(self) -> Dict[str, object]:
-        """One flat ``name -> value`` dict over everything registered.
-
-        Keys are sorted so serialized snapshots are byte-stable.
-        """
-        out: Dict[str, object] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, fn in self._gauges.items():
-            out[name] = fn()
-        for name, hist in self._histograms.items():
-            out[name] = hist.to_dict()
-        for prefix, fn in self._sources:
-            _flatten(prefix, fn(), out)
-        return dict(sorted(out.items()))
-
-    def interval(self) -> Dict[str, float]:
-        """Deltas of every numeric metric since the previous call.
-
-        Gauges are points in time, not accumulations, so they appear
-        with their absolute value; histograms are skipped.
-        """
-        snap = self.snapshot()
-        out: Dict[str, float] = {}
-        last = self._last
-        for name, value in snap.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if name in self._gauges:
-                out[name] = value
-            else:
-                out[name] = value - last.get(name, 0)
-            last[name] = value
-        return out
+    Reads the attributes every kind has (``stats``, ``be``, ``iw``,
+    ``hierarchy``, and ``trace`` when the recorder is armed). Keys are
+    sorted so serialized snapshots are byte-stable.
+    """
+    stats, be, iw = core.stats, core.be, core.iw
+    tree = {
+        "engine": {
+            "committed": stats.committed,
+            "fetched": stats.fetched,
+            "issued": stats.issued,
+            "cycles": stats.total_be_cycles,
+            "branches": stats.branches,
+            "mispredicts": stats.mispredicts,
+            "traces_built": stats.traces_built,
+            "instrs_from_ec": stats.instrs_from_ec,
+            "rename_pool_stalls": stats.rename_pool_stalls,
+            "rob": {"occupancy": len(be.rob), "capacity": be.rob.capacity,
+                    "writes": be.rob.writes},
+            "lsq": {"occupancy": len(be.lsq), "capacity": be.lsq.capacity,
+                    "inserts": be.lsq.inserts},
+            "iw": {"occupancy": len(iw), "capacity": iw.capacity,
+                   "writes": iw.writes, "broadcasts": iw.broadcasts},
+        },
+        "power": dict(stats.events),
+        "mem": core.hierarchy.stats_dict(),
+        "dvfs": {"retunes": stats.dvfs_retunes,
+                 "freq_points": len(stats.freq_trace)},
+    }
+    trace = core.trace
+    if trace is not None:
+        tree["trace"] = {"emitted": trace.emitted, "dropped": trace.dropped,
+                         "retained": len(trace.events)}
+    out: Dict[str, object] = {}
+    _flatten("", tree, out)
+    return dict(sorted(out.items()))
 
 
 def metrics_delta(a: Dict[str, object], b: Dict[str, object],
                   limit: int = 0) -> List[Dict[str, object]]:
     """Changed numeric metrics between two flat snapshots, biggest first.
 
-    ``a`` and ``b`` are :meth:`MetricRegistry.snapshot`-shaped dicts
+    ``a`` and ``b`` are :func:`core_metrics`-shaped dicts
     (e.g. ``SimStats.metrics`` of two stored runs).  Rows carry both
     values, the absolute delta and the relative change (``None`` when
     the metric is absent on one side — a code-version difference — or
@@ -170,54 +96,3 @@ def metrics_delta(a: Dict[str, object], b: Dict[str, object],
                              -abs(r["rel"]) if r["rel"] is not None else 0.0,
                              r["metric"]))
     return rows[:limit] if limit else rows
-
-
-def register_core_sources(registry: MetricRegistry, core) -> None:
-    """Wire a core's live structures into the registry as pull sources.
-
-    Works against the attribute contract shared by the built-in kinds
-    (``stats``, ``be``, ``iw``, ``hierarchy``, optional ``trace``);
-    anything absent is simply not registered.
-    """
-    stats = core.stats
-    registry.source("engine", lambda: {
-        "committed": stats.committed,
-        "fetched": stats.fetched,
-        "issued": stats.issued,
-        "cycles": stats.total_be_cycles,
-        "branches": stats.branches,
-        "mispredicts": stats.mispredicts,
-        "traces_built": stats.traces_built,
-        "instrs_from_ec": stats.instrs_from_ec,
-        "rename_pool_stalls": stats.rename_pool_stalls,
-    })
-    registry.source("power", lambda: dict(stats.events))
-    be = getattr(core, "be", None)
-    if be is not None:
-        registry.source("engine.rob", lambda: {
-            "occupancy": len(be.rob), "capacity": be.rob.capacity,
-            "writes": be.rob.writes,
-        })
-        registry.source("engine.lsq", lambda: {
-            "occupancy": len(be.lsq), "capacity": be.lsq.capacity,
-            "inserts": be.lsq.inserts,
-        })
-    iw = getattr(core, "iw", None)
-    if iw is not None:
-        registry.source("engine.iw", lambda: {
-            "occupancy": len(iw), "capacity": iw.capacity,
-            "writes": iw.writes, "broadcasts": iw.broadcasts,
-        })
-    hierarchy = getattr(core, "hierarchy", None)
-    if hierarchy is not None:
-        registry.source("mem", hierarchy.stats_dict)
-    registry.source("dvfs", lambda: {
-        "retunes": stats.dvfs_retunes,
-        "freq_points": len(stats.freq_trace),
-    })
-    trace = getattr(core, "trace", None)
-    if trace is not None:
-        registry.source("trace", lambda: {
-            "emitted": trace.emitted, "dropped": trace.dropped,
-            "retained": len(trace.events),
-        })

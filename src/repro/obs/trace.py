@@ -45,16 +45,6 @@ class TraceRecorder:
         self._start = spec.start
         self._stop = spec.stop
 
-    def wants(self, kind: str) -> bool:
-        """True if ``kind`` passes the event mask (window not checked)."""
-        return kind in self._mask
-
-    def active(self, cycle: int) -> bool:
-        """True if ``cycle`` falls inside the recording window."""
-        if cycle < self._start:
-            return False
-        return not self._stop or cycle < self._stop
-
     def emit(self, cycle: int, kind: str, seq: int,
              info: object = None) -> None:
         if cycle < self._start or (self._stop and cycle >= self._stop):

@@ -3,8 +3,9 @@
 :class:`ServeApp` owns one sharded :class:`ResultStore` and launches
 one :class:`~repro.campaign.scheduler.CampaignScheduler` thread per
 submitted campaign; :class:`CampaignFeed` buffers each campaign's
-:class:`~repro.session.SessionEvent` s so any number of SSE clients can
-attach at any time (each replays from event 0, then follows live).
+:class:`~repro.campaign.scheduler.SessionEvent` s so any number of SSE
+clients can attach at any time (each replays from event 0, then follows
+live).
 
 Endpoints (JSON unless noted):
 

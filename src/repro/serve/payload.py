@@ -59,8 +59,9 @@ def specs_from_payload(data: Dict[str, object]) -> List[RunSpec]:
     """Expand one ``POST /campaigns`` body into a deduplicated job list.
 
     Raises :class:`CampaignError` (→ HTTP 400) for anything that does
-    not describe at least one valid job, naming an unknown key and an
-    axis that is not a list.
+    not describe at least one valid job, naming an unknown key, an axis
+    that is not a list, and a sweep key beside ``"specs"`` (each spec
+    carries its own axes and budgets, so such a key would be ignored).
     """
     if not isinstance(data, dict):
         raise CampaignError("campaign payload must be a JSON object")
@@ -76,6 +77,12 @@ def specs_from_payload(data: Dict[str, object]) -> List[RunSpec]:
                 f"campaign payload {axis!r} must be a list, got {value!r}")
     try:
         if "specs" in data:
+            ignored = [key for key in data if key not in ("specs", "jobs")]
+            if ignored:
+                raise CampaignError(
+                    f"campaign payload key(s) "
+                    f"{', '.join(map(repr, ignored))} would be ignored "
+                    f"beside 'specs'; put them in each spec instead")
             specs = data["specs"]
             if not isinstance(specs, list) or not specs:
                 raise CampaignError("'specs' must be a non-empty list")

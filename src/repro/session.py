@@ -18,12 +18,10 @@ every :class:`~repro.campaign.store.ResultStore` record is filed under.
                              clock=ClockPlan(fe_speedup=f, be_speedup=0.5))
                  for f in (0.0, 0.5, 1.0)]
         results = session.map(sweep)            # dedup + fan-out + memoize
-        for event in session.stream(sweep):     # structured progress
-            print(event)
 
 A session is warm-cache aware on three levels: its in-memory memo table,
 the optional persistent store, and the multiprocess campaign executor it
-fans ``map``/``stream`` batches out through. The machine kinds are the
+fans ``map`` batches out through. The machine kinds are the
 paper's three (:func:`repro.core.sim.kind_names`), and every run a
 session makes, in this process or a worker, is built and run by
 :func:`repro.core.sim.build_core` and :func:`repro.core.sim.run_core`.
@@ -34,17 +32,7 @@ ad-hoc profile or program uncached and keeps the live core.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.campaign.executor import CampaignReport, ProgressFn, run_campaign
 from repro.campaign.spec import MachineSpec, RunSpec
@@ -60,7 +48,6 @@ from repro.core.sim import (
 __all__ = [
     "MachineSpec",
     "Session",
-    "SessionEvent",
 ]
 
 
@@ -70,47 +57,12 @@ def _checked(spec: RunSpec) -> RunSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class SessionEvent:
-    """One structured progress/result event from :meth:`Session.stream`.
-
-    ``event`` is one of:
-
-    * ``"plan"`` — batch accepted; ``total`` unique jobs after dedup.
-    * ``"result"`` — one job finished; carries the ``spec``, the
-      ``result`` and ``source`` (``"memory"``/``"store"``/``"run"``),
-      with ``done`` counting finished jobs so far.
-    * ``"quarantine"`` — a job the resumable scheduler gave up on
-      after its retry budget; ``spec`` plus the final traceback in
-      ``error`` (only the :mod:`repro.campaign.scheduler` path emits
-      this — ``Session.stream`` raises on failure instead).
-    * ``"summary"`` — batch complete; ``hits``/``executed`` counters
-      (plus ``quarantined`` on the scheduler path) and ``elapsed_s``
-      wall time.
-
-    The serve daemon bridges these events 1:1 onto its SSE wire format
-    (see ``repro.serve``), so the schema here *is* the service schema.
-    """
-
-    event: str
-    spec: Optional[RunSpec] = None
-    result: Optional[SimResult] = None
-    source: str = ""
-    done: int = 0
-    total: int = 0
-    hits: int = 0
-    executed: int = 0
-    elapsed_s: float = 0.0
-    error: str = ""
-    quarantined: int = 0
-
-
 class Session:
     """The single front door for executing :class:`MachineSpec` s.
 
     ``store`` may be a :class:`ResultStore`, a directory path, or None
     (no persistence); ``jobs`` is the default worker-process count for
-    :meth:`map`/:meth:`stream`. Results are memoized in-memory for the
+    :meth:`map`/:meth:`warm`. Results are memoized in-memory for the
     session's lifetime and (when a store is attached) on disk under the
     spec's content hash, so a warmed session re-simulates nothing.
 
@@ -207,27 +159,6 @@ class Session:
         self.executed += 1
         return result
 
-    def profile(self, spec: RunSpec,
-                out: Optional[str] = None) -> Dict[str, object]:
-        """Self-profile one spec: wall time bucketed per engine phase.
-
-        Runs the spec's machine uncached (a memoized result would time
-        nothing) and returns the
-        :func:`repro.obs.profiler.profile_machine` report; ``out``
-        additionally writes it as JSON.
-        """
-        from repro.obs.profiler import profile_machine, write_profile
-
-        run = _checked(spec)
-        report = profile_machine(
-            run.kind, run.bench, config=run.config, fly=run.fly,
-            clock=run.clock, instructions=run.instructions,
-            warmup=run.warmup, seed=run.seed, mem_scale=run.mem_scale)
-        if out is not None:
-            write_profile(report, out)
-        self.executed += 1
-        return report
-
     # ----------------------------------------------------------- batches
 
     def warm(self, specs: Iterable[RunSpec],
@@ -274,102 +205,6 @@ class Session:
         runs = list(specs)
         self.warm(runs, jobs=jobs, timeout_s=timeout_s, progress=progress)
         return [self._cache[r.cache_key()] for r in runs]
-
-    def stream(self, specs: Iterable[RunSpec],
-               jobs: Optional[int] = None,
-               timeout_s: Optional[float] = None) -> Iterator[SessionEvent]:
-        """Execute a batch, yielding structured events as jobs finish.
-
-        Event order: one ``"plan"``, then one ``"result"`` per unique
-        spec as each resolves (memory hits first, then store hits /
-        simulations in completion order), then one ``"summary"``.
-        Results are memoized exactly as :meth:`map` does; an error in
-        the underlying campaign (worker failure, timeout) propagates
-        after the events for already-finished jobs have been yielded.
-
-        Once the first miss has been dispatched, abandoning the iterator
-        does not cancel the campaign: the remaining jobs finish on a
-        background thread and are still memoized and counted — only
-        their events go unobserved. (Dropping the iterator before then —
-        e.g. right after the ``"plan"`` event — runs nothing, as the
-        generator body never reaches the executor.)
-        """
-        from repro.campaign.spec import dedup
-
-        runs = dedup(_checked(s) for s in specs)
-        total = len(runs)
-        yield SessionEvent(event="plan", total=total)
-
-        done = 0
-        memory_hits: List[RunSpec] = []
-        misses: List[RunSpec] = []
-        for run in runs:
-            (memory_hits if run.cache_key() in self._cache
-             else misses).append(run)
-        for run in memory_hits:
-            done += 1
-            self.hits += 1
-            yield SessionEvent(event="result", spec=run,
-                               result=self._cache[run.cache_key()],
-                               source="memory", done=done, total=total)
-
-        report = CampaignReport()
-        if misses:
-            # The executor is synchronous; run it on a thread and drain
-            # its completion callbacks through a queue so results stream
-            # out as they finish rather than after the whole batch.
-            import queue
-
-            events: "queue.Queue" = queue.Queue()
-
-            def on_result(spec: RunSpec, result: SimResult,
-                          source: str) -> None:
-                # Memoize and count here, on the campaign thread, so an
-                # abandoned consumer loses events but never results.
-                self._cache[spec.cache_key()] = result
-                self._export_trace(spec.cache_key(), result)
-                if source == "hit":
-                    self.hits += 1
-                else:
-                    self.executed += 1
-                events.put(("result", spec, result, source))
-
-            outcome: Dict[str, object] = {}
-
-            def drive() -> None:
-                try:
-                    outcome["report"] = run_campaign(
-                        misses, store=self.store,
-                        jobs=self.jobs if jobs is None else jobs,
-                        timeout_s=(self.timeout_s if timeout_s is None
-                                   else timeout_s),
-                        on_result=on_result)
-                except BaseException as exc:  # re-raised on the consumer
-                    outcome["error"] = exc
-                finally:
-                    events.put(("end",))
-
-            worker = threading.Thread(target=drive, daemon=True)
-            worker.start()
-            while True:
-                item = events.get()
-                if item[0] == "end":
-                    break
-                _tag, spec, result, source = item
-                done += 1
-                source = "store" if source == "hit" else "run"
-                yield SessionEvent(event="result", spec=spec, result=result,
-                                   source=source, done=done, total=total)
-            worker.join()
-            error = outcome.get("error")
-            if error is not None:
-                raise error
-            report = outcome["report"]
-
-        yield SessionEvent(event="summary", done=done, total=total,
-                           hits=len(memory_hits) + report.hits,
-                           executed=report.executed,
-                           elapsed_s=report.elapsed_s)
 
     # -------------------------------------------------------- lifecycle
 

@@ -60,8 +60,3 @@ class DelayModel:
         return (self.logic_ps * logic_scale(node_um)
                 + self.wire_ps * wire_scale(node_um))
 
-    def frequency_mhz(self, node_um: float, cycles: int = 1) -> float:
-        """Achievable clock if the access is pipelined over ``cycles``."""
-        if cycles < 1:
-            raise ConfigError("cycles must be >= 1")
-        return 1e6 * cycles / self.delay_ps(node_um)

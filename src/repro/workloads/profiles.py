@@ -20,7 +20,7 @@ paper's experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import WorkloadError

@@ -17,7 +17,7 @@ import random
 from typing import Dict, Iterator, List
 
 from repro.errors import SimulationError, WorkloadError
-from repro.isa import BranchKind, DynInstr, OpClass
+from repro.isa import BranchKind, DynInstr
 from repro.workloads.cfg import INSTR_BYTES, BasicBlock, Program
 
 #: Call-stack depth limit; the generated dispatcher/function structure never

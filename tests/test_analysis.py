@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import bar_chart, markdown_table, series_table
+from repro.analysis import bar_chart
 from repro.errors import ConfigError
 
 
@@ -34,20 +34,3 @@ class TestBarChart:
         out = bar_chart({"a": 0.0, "b": 0.0})
         assert "0.000" in out
 
-
-class TestSeriesTable:
-    def test_renders_all_rows(self):
-        rows = [{"bench": "gcc", "x": 1.5}, {"bench": "vpr", "x": 0.25}]
-        out = series_table(rows, "bench", ["x"])
-        assert "gcc" in out and "vpr" in out
-        assert "1.500" in out and "0.250" in out
-
-
-class TestMarkdownTable:
-    def test_shape(self):
-        rows = [{"a": 1.0, "b": "x"}]
-        out = markdown_table(rows, ["a", "b"])
-        lines = out.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1.000 | x |"

@@ -321,15 +321,6 @@ class TestSweep:
                       seeds=(1, 2), instructions=N, warmup=W)
         assert len(sweep.expand()) == 2 * 2 * 2
 
-    def test_baseline_leg_collapses_fly_axis(self):
-        # Two flywheel configs -> two flywheel jobs but ONE baseline job.
-        sweep = Sweep(benchmarks=("smoke",),
-                      flys=(None, FlywheelConfig(ec_kb=64)),
-                      instructions=N, warmup=W)
-        jobs = sweep.expand()
-        assert len(jobs) == 3
-        assert sum(1 for j in jobs if j.kind == "baseline") == 1
-
     def test_baseline_leg_collapses_speedup_axis(self):
         # The baseline core only sees base_mhz, so FE/BE speedup points
         # fold into one baseline job per base clock.
@@ -412,8 +403,8 @@ class TestCampaign:
         again = run_campaign(jobs, store=ResultStore(tmp_path))
         assert (again.hits, again.executed) == (len(jobs), 0)
         for job in jobs:
-            assert (again.result_for(job).stats.to_dict()
-                    == first.result_for(job).stats.to_dict())
+            assert (again.results[job.cache_key()].stats.to_dict()
+                    == first.results[job.cache_key()].stats.to_dict())
 
     def test_parallel_matches_serial(self):
         jobs = [spec(seed=s) for s in (1, 2)] + \
@@ -422,8 +413,8 @@ class TestCampaign:
         parallel = run_campaign(jobs, jobs=2)
         assert serial.executed == parallel.executed == len(jobs)
         for job in jobs:
-            assert (serial.result_for(job).stats.to_dict()
-                    == parallel.result_for(job).stats.to_dict())
+            assert (serial.results[job.cache_key()].stats.to_dict()
+                    == parallel.results[job.cache_key()].stats.to_dict())
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_journaled_campaign_reports_the_same_payload(self, tmp_path,
@@ -622,8 +613,8 @@ class TestAffineDispatch:
         assert len(set(runs)) <= len(self.BENCHES) + 2, runs
         serial = run_campaign(legs, jobs=1)
         for leg in legs:
-            assert (parallel.result_for(leg).stats.to_dict()
-                    == serial.result_for(leg).stats.to_dict())
+            assert (parallel.results[leg.cache_key()].stats.to_dict()
+                    == serial.results[leg.cache_key()].stats.to_dict())
 
     def test_one_worker_dispatches_in_queue_order(self, tmp_path):
         from repro.campaign import submit_campaign
@@ -948,7 +939,7 @@ class TestObservabilityOnCampaign:
         # jobs=2 with a single miss still uses the pool when timeout set;
         # force the parallel path to cover pickling of traced results.
         report = run_campaign([traced], store=store, jobs=2, timeout_s=120)
-        result = report.result_for(traced)
+        result = report.results[traced.cache_key()]
         assert result.trace is not None
         assert result.trace["events"]
 

@@ -376,13 +376,10 @@ class TestBenchRegressionGate:
 
 class TestReporting:
     def test_freq_trace_rows_and_format(self):
-        from repro.analysis.report import format_freq_trace, freq_trace_rows
+        from repro.analysis.report import format_freq_trace
 
         stats = SimStats(be_cycles_create=2000, dvfs_retunes=1,
                          freq_trace=[[0, 950.0], [500, 855.0]])
-        rows = freq_trace_rows(stats)
-        assert rows == [{"cycle": 0, "mhz": 950.0, "dwell": 500},
-                        {"cycle": 500, "mhz": 855.0, "dwell": 1500}]
         text = format_freq_trace(stats)
         assert "0:950" in text and "500:855" in text
         assert "1 retunes" in text

@@ -26,7 +26,7 @@ import pytest
 from repro.core.config import ClockPlan, CoreConfig
 from repro.dvfs import GovernorConfig
 from repro.mem import MemorySpec
-from repro.obs.metrics import MetricRegistry, register_core_sources
+from repro.obs.metrics import core_metrics
 from repro.session import MachineSpec, Session
 
 #: kind/bench -> pinned counters (captured before the engine refactor;
@@ -163,11 +163,9 @@ ENGINES = ("turbo",)
 
 def _full_observables(result):
     """(stats dict, cache stats, metric snapshot) for one live-core run."""
-    registry = MetricRegistry()
-    register_core_sources(registry, result.core)
     return (result.stats.to_dict(),
             result.core.hierarchy.stats_dict(),
-            registry.snapshot())
+            core_metrics(result.core))
 
 
 def _engine_pair(kind, bench, engine, config_kw=None, clock=None):

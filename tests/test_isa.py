@@ -13,7 +13,6 @@ from repro.isa import (
     StaticInstr,
     is_branch,
     is_memory,
-    reg_name,
 )
 from repro.isa.opclasses import UNPIPELINED, FuKind
 from repro.isa.registers import FP_REG_BASE, NUM_ARCH_REGS, NUM_INT_REGS
@@ -51,18 +50,6 @@ class TestRegisters:
     def test_flat_space_layout(self):
         assert NUM_ARCH_REGS == NUM_INT_REGS + 32
         assert FP_REG_BASE == NUM_INT_REGS
-
-    def test_reg_names(self):
-        assert reg_name(0) == "r0"
-        assert reg_name(31) == "r31"
-        assert reg_name(32) == "f0"
-        assert reg_name(63) == "f31"
-
-    def test_reg_name_bounds(self):
-        with pytest.raises(ValueError):
-            reg_name(64)
-        with pytest.raises(ValueError):
-            reg_name(-1)
 
 
 class TestStaticInstr:

@@ -60,7 +60,7 @@ class TestCacheBehaviour:
         cache.access(0x40)
         assert cache.stats.accesses == 2
         assert cache.stats.hits == 1
-        assert cache.stats.miss_rate == pytest.approx(0.5)
+        assert cache.stats.misses / cache.stats.accesses == pytest.approx(0.5)
 
     def test_lru_eviction_order_over_many_fills(self):
         # 4-way, 1 set: fill A,B,C,D then stream E,F,G,H — victims must

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.campaign.spec import RunSpec, Sweep
+from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore
 from repro.core.config import CoreConfig
 from repro.errors import ConfigError
@@ -140,22 +140,15 @@ class TestSpecThreading:
         assert "mem=mshr4+nl" in run.label
         assert "mem" not in run.variant()   # rendered via label, not k=v
 
-    def test_sweep_mems_axis(self):
-        sweep = Sweep(kinds=("baseline",), benchmarks=("smoke",),
-                      mems=(None, MemorySpec(mshrs=1), MemorySpec(mshrs=4)),
-                      instructions=N, warmup=W)
-        specs = sweep.expand()
-        assert len(specs) == 3
-        assert {s.config.mem for s in specs} == {
-            MemorySpec(), MemorySpec(mshrs=1), MemorySpec(mshrs=4)}
-
     def test_mem_axis_composes_with_config_axis(self):
-        sweep = Sweep(kinds=("baseline",), benchmarks=("smoke",),
-                      configs=(CoreConfig(iw_entries=64),),
-                      mems=(MemorySpec(mshrs=2),),
-                      instructions=N, warmup=W)
-        (spec,) = sweep.expand()
+        # A memory variant keeps the config's other fields through the
+        # spec's kind normalization (pipelined_wakeup forces its wakeup
+        # delay).
+        config = CoreConfig(iw_entries=64).with_variant(
+            mem=MemorySpec(mshrs=2))
+        spec = ms(kind="pipelined_wakeup", config=config)
         assert spec.config.iw_entries == 64
+        assert spec.config.wakeup_extra_delay >= 1
         assert spec.config.mem == MemorySpec(mshrs=2)
 
 
@@ -176,7 +169,7 @@ class TestCacheStatsSurface:
         store = ResultStore(tmp_path)
         result = Session(store=store).run(spec)
         assert result.stats.cache_stats["mshr"]["allocs"] > 0
-        assert result.stats.mshr_occupancy_avg > 0.0
+        assert result.stats.cache_stats["mshr"]["occupancy_avg"] > 0.0
         # Store round trip keeps the whole cache_stats payload.
         warm = Session(store=ResultStore(tmp_path)).run(spec)
         assert warm.stats.cache_stats == result.stats.cache_stats

@@ -472,6 +472,20 @@ class TestDiffCli:
         assert rc == 1
         assert "matched no records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selector", [
+        "base_mhz=abc", "base_mhz=nan", "seed=x", "instructions=1.5",
+        "warmup=many"])
+    def test_bad_selector_value_is_an_error(self, clock_store, capsys,
+                                            selector):
+        # Such a value could match no record; say so rather than report
+        # an empty selection.
+        rc = self.run_cli("diff", selector, "base_mhz=600",
+                          "--store", str(clock_store.root))
+        assert rc == 1
+        key, _, value = selector.partition("=")
+        assert (f"error: bad selector value {key}={value!r}"
+                in capsys.readouterr().err)
+
     def test_serve_requires_html(self, clock_store, capsys):
         rc = self.run_cli("diff", "base_mhz=400", "base_mhz=600",
                           "--store", str(clock_store.root), "--serve")

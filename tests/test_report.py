@@ -1,6 +1,6 @@
-"""Analysis/report layer: markdown tables, frequency-trace and cache
-rendering, sparklines, diff-report grouping, the self-contained HTML
-renderer, and the obs metric-snapshot delta helper."""
+"""Analysis/report layer: frequency-trace and cache rendering,
+sparklines, diff-report grouping, the self-contained HTML renderer, and
+the obs metric-snapshot delta helper."""
 
 from html.parser import HTMLParser
 
@@ -9,8 +9,6 @@ from repro.analysis.report import (
     cache_stats_rows,
     format_cache_stats,
     format_freq_trace,
-    freq_trace_rows,
-    markdown_table,
     sparkline,
 )
 from repro.core.stats import SimStats
@@ -21,30 +19,7 @@ def _stats(**kw):
     return SimStats(**kw)
 
 
-class TestMarkdownTable:
-    def test_renders_floats_and_missing_cells(self):
-        text = markdown_table([{"a": 1.23456, "b": "x"}, {"a": 2.0}],
-                              ["a", "b"])
-        lines = text.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1.235 | x |"
-        assert lines[3] == "| 2.000 |  |"
-
-
 class TestFreqTrace:
-    def test_rows_compute_dwell(self):
-        stats = _stats(be_cycles_execute=1000,
-                       freq_trace=[[0, 400.0], [300, 600.0], [700, 500.0]])
-        rows = freq_trace_rows(stats)
-        assert [r["dwell"] for r in rows] == [300, 400, 300]
-        assert rows[1] == {"cycle": 300, "mhz": 600.0, "dwell": 400}
-
-    def test_rows_limit(self):
-        stats = _stats(be_cycles_execute=100,
-                       freq_trace=[[i * 10, 400.0] for i in range(6)])
-        assert len(freq_trace_rows(stats, limit=2)) == 2
-
     def test_format_without_governor(self):
         assert format_freq_trace(_stats()) == "no governor (fixed clock)"
 

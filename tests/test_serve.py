@@ -20,6 +20,9 @@ N, W = 1200, 2500
 SWEEP = {"kinds": ["baseline", "flywheel"], "benchmarks": ["smoke"],
          "clocks": [400, 600], "instructions": N, "warmup": W}
 
+SPEC = RunSpec(kind="baseline", bench="smoke", instructions=N,
+               warmup=W).to_dict()
+
 
 @pytest.fixture()
 def service(tmp_path):
@@ -56,9 +59,8 @@ class TestPayload:
         assert rich[0].clock.governor.name == "occupancy"
 
     def test_explicit_specs_roundtrip_and_dedup(self):
-        payload = RunSpec(kind="baseline", bench="smoke",
-                          instructions=N, warmup=W).to_dict()
-        specs = specs_from_payload({"specs": [payload, payload]})
+        # "jobs" is the daemon's worker count, the one key beside "specs".
+        specs = specs_from_payload({"specs": [SPEC, SPEC], "jobs": 2})
         assert len(specs) == 1
         assert specs[0].bench == "smoke"
 
@@ -74,6 +76,8 @@ class TestPayload:
         {"benchmarks": ["smoke"], "seeds": ["a"]},
         {"benchmarks": ["smoke"], "mem_scales": [0]},
         {"benchmarks": ["smoke"], "clocks": [{"fe_speedup": -1.0}]},
+        # Each spec carries its own axes: these would be ignored.
+        {"specs": [SPEC], "seeds": [7], "instructions": 500},
     ])
     def test_bad_payloads_raise(self, bad):
         with pytest.raises(CampaignError):
@@ -217,8 +221,10 @@ class TestService:
         ({"seeds": [1.5]}, "seed"),
         ({"mem_scales": [-1.0]}, "mem_scale"),
         ({"clocks": [{"base_mhz": float("nan")}]}, "ClockPlan"),
+        ({"specs": [SPEC], "seeds": [7]}, "'seeds'"),
     ], ids=["unknown-key", "bare-string-axis", "float-budget",
-            "float-seed", "negative-mem-scale", "nan-clock"])
+            "float-seed", "negative-mem-scale", "nan-clock",
+            "sweep-key-beside-specs"])
     def test_malformed_sweep_is_a_400_naming_the_key(self, service, extra,
                                                      key):
         _, client = service

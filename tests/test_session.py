@@ -12,7 +12,8 @@ from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig, stable_hash
 from repro.core.sim import get_kind, kind_names
 from repro.dvfs import GovernorConfig
 from repro.errors import CampaignError, ConfigError, WorkloadError
-from repro.session import MachineSpec, Session, SessionEvent
+from repro.campaign.scheduler import SessionEvent
+from repro.session import MachineSpec, Session
 
 #: Tiny budgets: every simulated spec in this file finishes in ~50ms.
 N, W = 1200, 2500
@@ -251,46 +252,6 @@ class TestSessionMap:
         assert (session.hits, session.executed) == (len(specs), len(specs))
 
 
-class TestSessionStream:
-    def test_event_ordering_under_parallel_jobs(self):
-        session = Session()
-        specs = [ms(seed=s) for s in (1, 2, 3)] + [ms(seed=1)]  # dup
-        events = list(session.stream(specs, jobs=2))
-        assert [e.event for e in events] == \
-            ["plan"] + ["result"] * 3 + ["summary"]
-        plan, results, summary = events[0], events[1:-1], events[-1]
-        assert plan.total == 3            # deduplicated
-        assert [e.done for e in results] == [1, 2, 3]
-        assert {e.spec.cache_key() for e in results} == \
-            {s.cache_key() for s in specs}
-        for e in results:
-            assert e.source == "run"
-            assert e.result.stats.committed >= N
-        assert summary.executed == 3 and summary.hits == 0
-        assert session.executed == 3
-
-    def test_stream_sources_reflect_cache_levels(self, tmp_path):
-        store_specs = [ms(seed=1), ms(seed=2)]
-        Session(store=ResultStore(tmp_path)).map(store_specs)
-
-        session = Session(store=ResultStore(tmp_path))
-        session.run(ms(seed=1))           # memory-level hit
-        events = list(session.stream([ms(seed=1), ms(seed=2), ms(seed=3)]))
-        sources = {e.spec.cache_key(): e.source for e in events
-                   if e.event == "result"}
-        assert sources[ms(seed=1).cache_key()] == "memory"
-        assert sources[ms(seed=2).cache_key()] == "store"
-        assert sources[ms(seed=3).cache_key()] == "run"
-        summary = events[-1]
-        assert summary.hits == 2 and summary.executed == 1
-
-    def test_stream_memoizes_results(self):
-        session = Session()
-        list(session.stream([ms(seed=4)]))
-        assert session.run(ms(seed=4)) is not None
-        assert session.executed == 1
-
-
 # ------------------------------------------------------------- kind table
 
 
@@ -450,11 +411,3 @@ class TestResultRoundTrips:
         result = session.run(ms())
         assert result.trace is None and result.trace_path is None
         assert not (tmp_path / "traces").exists()
-
-    def test_session_profile_reports_phases(self):
-        from repro.obs.profiler import PHASES
-
-        session = Session()
-        report = session.profile(ms().replace(engine="legacy"))
-        assert set(report["profile"]["phases_s"]) == set(PHASES)
-        assert session.executed == 1

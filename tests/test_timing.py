@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.timing.delay import DelayModel, logic_scale, wire_scale, TECH_NODES
+from repro.timing.delay import logic_scale, wire_scale, TECH_NODES
 from repro.timing.frequency import (
     PAPER_TABLE1,
     TABLE1_NODES,
@@ -96,13 +96,3 @@ class TestFig1Shape:
 def test_iw_latency_monotone_in_size(node, entries, width):
     assert (iw_latency_ps(node, entries, width)
             <= iw_latency_ps(node, entries * 2, width))
-
-
-class TestDelayModel:
-    def test_frequency_from_cycles(self):
-        m = DelayModel("x", logic_ps=800, wire_ps=200)
-        assert m.frequency_mhz(0.18, cycles=2) == pytest.approx(2e6 / 1000.0)
-
-    def test_bad_cycles(self):
-        with pytest.raises(ConfigError):
-            DelayModel("x", 1, 1).frequency_mhz(0.18, cycles=0)
