@@ -22,7 +22,6 @@ out, raises or dies with it is killed and replaced by a fresh fork.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from dataclasses import dataclass, field
@@ -69,18 +68,6 @@ class CampaignReport:
         if self.quarantined:
             bits.append(f"{len(self.quarantined)} quarantined")
         return ", ".join(bits)
-
-    def stats_payload(self) -> bytes:
-        """Canonical bytes of every result's stats, keyed by cache key.
-
-        Deliberately excludes wall-clock metadata (elapsed, created), so
-        an interrupted-then-resumed campaign and an uninterrupted one
-        produce **byte-identical** payloads — the crash-resume
-        acceptance check compares exactly this.
-        """
-        stats = {key: result.stats.to_dict()
-                 for key, result in sorted(self.results.items())}
-        return json.dumps(stats, sort_keys=True).encode("utf-8")
 
 
 def print_progress(done: int, total: int, spec: RunSpec, source: str) -> None:

@@ -63,7 +63,7 @@ from typing import Optional
 from repro.core.config import ClockPlan, CoreConfig
 from repro.core.engine import DeadlockWatchdog, ExecBackend
 from repro.core.engine.frontend import FETCH_BUFFER_GROUPS
-from repro.core.engine.turbo.pool import StreamPool, get_pool
+from repro.core.engine.turbo.pool import core_pool, functional_warmup
 from repro.core.stats import SimStats
 from repro.errors import SimulationError
 from repro.isa.registers import NUM_ARCH_REGS
@@ -98,13 +98,7 @@ class BaselineCore:
         self.stats = SimStats()
 
         self.hierarchy = hierarchy or MemoryHierarchy(config.mem)
-        # The oracle. ``stream`` itself is never advanced: the pool walks
-        # its own copy of the program from seq 0.
-        if config.engine == "legacy":
-            self.pool = StreamPool(stream.program, stream.seed,
-                                   config.bpred)
-        else:
-            self.pool = get_pool(stream.program, stream.seed, config.bpred)
+        self.pool = core_pool(stream, config)   # the oracle
         self._seq = stream._seq        # next seq to warm up or fetch
         self.iw = IssueWindow(config.iw_entries, config.issue_width,
                               config.wakeup_extra_delay)
@@ -817,34 +811,9 @@ class BaselineCore:
         return stats
 
     def _functional_warmup(self, count: int) -> None:
-        """Prime caches without timing: the next ``count`` pool rows.
-
-        Goes through the hierarchy's ``warm_*`` entry points: contents
-        and counters update exactly as a timed access would, but the
-        MSHR timeline is never touched (a warmup burst at cycle 0 must
-        not pre-occupy the miss-overlap budget of the timed run). The
-        predictor trains inside the pool as it extends across these
-        rows, every branch once, in program order.
-        """
-        pool = self.pool
-        s0 = self._seq
-        pool.ensure(s0 + count)
-        w_ifetch = self.hierarchy.warm_ifetch
-        w_load = self.hierarchy.warm_load
-        w_store = self.hierarchy.warm_store
-        wp_pc = pool.pc
-        wp_addr = pool.mem_addr
-        wp_isld = pool.is_load
-        for s in range(s0, s0 + count):
-            if not s & 3:                  # one I-cache probe per 4 instrs
-                w_ifetch(wp_pc[s])
-            addr = wp_addr[s]
-            if addr is not None:
-                if wp_isld[s]:
-                    w_load(addr)
-                else:
-                    w_store(addr)
-        self._seq = s0 + count
+        # A method so that perfbench/spans.py can time it per kind.
+        self._seq = functional_warmup(self.pool, self.hierarchy, self._seq,
+                                      count)
 
     def _deadlock_snapshot(self):
         """Structured machine state for the watchdog's DeadlockError."""

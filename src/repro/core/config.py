@@ -121,12 +121,13 @@ class CoreConfig:
     #: untouched (DESIGN.md §7).
     trace: Optional[TraceSpec] = None
 
-    #: Instruction oracle of the one run loop per kind: ``None`` (the
-    #: default engine, which is ``"turbo"``: the cached instruction pool
-    #: of ``repro.core.engine.turbo``) or ``"legacy"`` (the program walked
-    #: afresh for the run). Both are required to be bit-identical on every
-    #: counter — the engine axis picks an implementation, never a machine
-    #: (DESIGN.md §8) — so the key never enters a spec's content address.
+    #: Which instruction pool every run loop reads: ``None`` (the
+    #: default engine, which is ``"turbo"``: the cached pool of
+    #: ``repro.core.engine.turbo``) or ``"legacy"`` (a private pool, the
+    #: program walked afresh for the run). Both are required to be
+    #: bit-identical on every counter — the engine axis picks an
+    #: implementation, never a machine (DESIGN.md §8) — so the key never
+    #: enters a spec's content address.
     engine: Optional[str] = None
 
     @property

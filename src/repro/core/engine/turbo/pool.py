@@ -230,27 +230,20 @@ class RenamePlan:
 
 
 class PooledOracle:
-    """Drop-in ``InstructionStream`` stand-in fed from pool columns.
+    """Pool rows from ``seq`` on as fresh ``DynInstr``s (fresh: the
+    Flywheel's pipeline mutates their rename/latch fields in place).
 
-    ``FlywheelCore.run`` swaps this in as ``core.stream`` on the turbo
-    engine — the only difference between the Flywheel's two engines:
-    every consumer (fetch, ``_next_oracle``, ``_pair_trace``, functional
-    warmup) then receives a freshly built ``DynInstr`` — instances must be fresh
-    because the pipelines mutate rename/latch fields in place — without
-    paying the live walker's block bookkeeping, RNG draws and address
-    resolution per instruction.  Exposes ``program``/``seed``/``_seq``
-    so pool lookups keyed off the stream keep working.
+    The Flywheel's fetch and trace pairing read every instruction
+    through one, on both engines, without paying the live walker's
+    block bookkeeping, RNG draws and address resolution.
     """
 
-    __slots__ = ("program", "seed", "_seq", "_pool", "_pc", "_op",
-                 "_dest", "_srcs", "_sid", "_addr", "_bk", "_taken",
-                 "_tpc", "_fpc")
+    __slots__ = ("seq", "_pool", "_pc", "_op", "_dest", "_srcs", "_sid",
+                 "_addr", "_bk", "_taken", "_tpc", "_fpc")
 
     def __init__(self, pool: StreamPool, start: int = 0):
         self._pool = pool
-        self.program = pool._stream.program
-        self.seed = pool._stream.seed
-        self._seq = start
+        self.seq = start
         self._pc = pool.pc
         self._op = pool.op
         self._dest = pool.dest
@@ -263,10 +256,10 @@ class PooledOracle:
         self._fpc = pool.fall_pc
 
     def next_instr(self) -> DynInstr:
-        i = self._seq
+        i = self.seq
         if i >= self._pool.n:
             self._pool.ensure(i + 1)
-        self._seq = i + 1
+        self.seq = i + 1
         return DynInstr(i, self._pc[i], self._op[i], self._dest[i],
                         self._srcs[i], self._sid[i], self._addr[i],
                         self._bk[i], self._taken[i], self._tpc[i],
@@ -290,3 +283,61 @@ def get_pool(program, seed: int, bpred_config) -> StreamPool:
             _POOL_CACHE.pop(next(iter(_POOL_CACHE)))
         pool = _POOL_CACHE[key] = StreamPool(program, seed, bpred_config)
     return pool
+
+
+def core_pool(stream: InstructionStream, config) -> StreamPool:
+    """The pool a core reads ``stream``'s program from.
+
+    This is the whole engine axis: ``config.engine == "legacy"`` walks
+    the program afresh into a private pool, any other engine shares
+    :func:`get_pool`'s cached one. ``stream`` itself is never advanced:
+    either pool walks its own copy of the program from seq 0.
+    """
+    if config.engine == "legacy":
+        return StreamPool(stream.program, stream.seed, config.bpred)
+    return get_pool(stream.program, stream.seed, config.bpred)
+
+
+def functional_warmup(pool: StreamPool, hierarchy, start: int, count: int,
+                      bpred=None) -> int:
+    """Prime caches without timing over pool rows ``[start, start +
+    count)``; returns the next seq, ``start + count``.
+
+    Goes through the hierarchy's ``warm_*`` entry points: contents and
+    counters update exactly as a timed access would, but the MSHR
+    timeline is never touched (a warmup burst at cycle 0 must not
+    pre-occupy the miss-overlap budget of the timed run). The pool's
+    own predictor trains as the pool extends across these rows, every
+    branch once, in program order. A core that drives a live predictor
+    of its own (the Flywheel, whose replayed branches never consult it)
+    passes it as ``bpred``: it then predicts every branch row in program
+    order, as the ``DynInstr`` a :class:`PooledOracle` builds for it.
+    """
+    stop = start + count
+    pool.ensure(stop)
+    w_ifetch = hierarchy.warm_ifetch
+    w_load = hierarchy.warm_load
+    w_store = hierarchy.warm_store
+    wp_pc = pool.pc
+    wp_addr = pool.mem_addr
+    wp_isld = pool.is_load
+    for s in range(start, stop):
+        if not s & 3:                      # one I-cache probe per 4 instrs
+            w_ifetch(wp_pc[s])
+        addr = wp_addr[s]
+        if addr is not None:
+            if wp_isld[s]:
+                w_load(addr)
+            else:
+                w_store(addr)
+    if bpred is not None:
+        # The predictor and the caches share no state, so it may train
+        # after the caches instead of interleaved with them.
+        predict = bpred.predict
+        oracle = PooledOracle(pool)
+        wp_bkind = pool.bkind
+        for s in range(start, stop):
+            if wp_bkind[s]:
+                oracle.seq = s
+                predict(oracle.next_instr())
+    return stop

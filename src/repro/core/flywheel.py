@@ -25,9 +25,10 @@ The machine's structures — scoreboard, wake/done queues, FuPool/LSQ,
 ROB, issue window, renamer, the deadlock watchdog — live in
 :mod:`repro.core.engine` and their own packages. :meth:`FlywheelCore.run`
 is the one pipeline over them: a fused loop with every hot stage written
-inline (the stage-marker comments name them), on both engines; the
-engine axis selects only the oracle (the live walker, or the pooled one
-on turbo). The rare paths — trace boundaries, checkpoints,
+inline (the stage-marker comments name them). It reads every
+instruction from a :class:`PooledOracle` over a :class:`StreamPool`;
+the engine axis selects only which pool (a private walk of the program,
+or the cached one). The rare paths — trace boundaries, checkpoints,
 redistribution, trace pairing, the replay and creation-mode skip-ahead
 jumps — are methods called from that loop.
 
@@ -50,7 +51,8 @@ from repro.clocks.scheduler import TickScheduler
 from repro.clocks.synchronizer import SyncFifo
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
 from repro.core.engine import DeadlockWatchdog, ExecBackend, FrontEndFeed
-from repro.core.engine.turbo.pool import PooledOracle, get_pool
+from repro.core.engine.turbo.pool import (PooledOracle, core_pool,
+                                         functional_warmup)
 from repro.core.stats import SimStats
 from repro.ec.builder import TraceBuilder
 from repro.ec.cache import ExecutionCache
@@ -172,6 +174,10 @@ class FlywheelCore:
         self._events = self.stats.events
 
         self.hierarchy = hierarchy or MemoryHierarchy(config.mem)
+        # The oracle: fetch, trace pairing and the warmup read the pool
+        # through it; ``stream`` itself is never advanced.
+        self.pool = core_pool(stream, config)
+        self.oracle = PooledOracle(self.pool, stream._seq)
         self.bpred = BranchPredictor(config.bpred)
         self.pools = PoolFile(fly.pool_regs, fly.default_pool_size,
                               fly.min_pool_size, fly.max_pool_size)
@@ -298,27 +304,14 @@ class FlywheelCore:
         the renamer's checkpoint tables) are re-read at stage granularity
         because those methods rebind them mid-run.
 
-        The engine axis selects only the oracle: ``"legacy"`` keeps the
-        live :class:`InstructionStream`, any other engine swaps in a
-        :class:`PooledOracle` over the shared :class:`StreamPool`, so the
-        program walk runs once per benchmark. ``self._prof``, when
-        set (:func:`repro.obs.profiler.install`), accumulates wall seconds
-        into its ``pool`` (pool build + functional warmup) and ``loop``
-        buckets and counts scheduler pops in ``ticks``.
+        ``self._prof``, when set (:func:`repro.obs.profiler.install`),
+        accumulates wall seconds into its ``pool`` (pool build +
+        functional warmup) and ``loop`` buckets and counts scheduler pops
+        in ``ticks``.
         """
         t0 = perf_counter()
         config = self.config
         fly = self.fly
-        if config.engine != "legacy":
-            stream = self.stream
-            pool = get_pool(stream.program, stream.seed, config.bpred)
-            s0 = stream._seq
-            # Cover the warmup only: the oracle grows the pool on demand
-            # past it. The pooled oracle replaces the live walker for the
-            # whole run — including the warmup and the method-call paths
-            # (``_pair_trace``, ``_next_oracle``) that read ``self.stream``.
-            pool.ensure(s0 + warmup)
-            self.stream = PooledOracle(pool, s0)
         if warmup:
             self._functional_warmup(warmup)
             if self.dvfs is not None:
@@ -380,7 +373,7 @@ class FlywheelCore:
         redist_installable = self._redist_installable
         fetch_open = self._fetch_open
         oracle_buffer = self._oracle_buffer
-        next_instr = self.stream.next_instr
+        next_instr = self.oracle.next_instr
         bpred_predict = self.bpred.predict
         outstanding = self._outstanding
         pre_update = self._pre_update
@@ -1006,30 +999,15 @@ class FlywheelCore:
         return snap
 
     def _functional_warmup(self, count: int) -> None:
-        # warm_* variants: contents and counters only — the MSHR
-        # timeline of a non-blocking spec stays untouched (see baseline).
-        next_instr = self.stream.next_instr
-        ifetch = self.hierarchy.warm_ifetch
-        load = self.hierarchy.warm_load
-        store = self.hierarchy.warm_store
-        predict = self.bpred.predict
-        for _ in range(count):
-            dyn = next_instr()
-            if dyn.seq % 4 == 0:
-                ifetch(dyn.pc)
-            addr = dyn.mem_addr
-            if addr is not None:
-                if dyn.op is OpClass.LOAD:
-                    load(addr)
-                else:
-                    store(addr)
-            if dyn.branch_kind:
-                predict(dyn)
+        # A method so that perfbench/spans.py can time it per kind.
+        oracle = self.oracle
+        oracle.seq = functional_warmup(self.pool, self.hierarchy, oracle.seq,
+                                       count, self.bpred)
 
     def _next_oracle(self) -> DynInstr:
         if self._oracle_buffer:
             return self._oracle_buffer.popleft()
-        return self.stream.next_instr()
+        return self.oracle.next_instr()
 
     # ----------------------------------------------------- trace boundaries
 

@@ -286,7 +286,6 @@ def run_core(core, kind: str,
 
     check_budgets(instructions, warmup)
     info = get_kind(kind)
-    name = core.stream.program.name   # the run may swap the stream out
     stats = core.run(instructions, warmup=warmup)
     if not info.dual_clock:           # the Flywheel loop sums its own
         if core.dvfs is not None:
@@ -298,8 +297,8 @@ def run_core(core, kind: str,
                                  * round(1e6 / core.clock.base_mhz))
     stats.cache_stats = core.hierarchy.stats_dict()
     stats.metrics = core_metrics(core)
-    return SimResult(name=name, stats=stats, core=core, clock=core.clock,
-                     kind=info.name,
+    return SimResult(name=core.stream.program.name, stats=stats, core=core,
+                     clock=core.clock, kind=info.name,
                      l2_accesses=core.hierarchy.l2.stats.accesses,
                      trace=(core.trace.serialize()
                             if core.trace is not None else None))

@@ -153,7 +153,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_machine_args(profile)
     profile.add_argument("--engine", choices=("legacy", "turbo"),
                          default=None,
-                         help="instruction oracle of the profiled run "
+                         help="instruction pool of the profiled run: "
+                              "turbo's cached one or legacy's private one "
                               "(default: the default engine, as campaigns "
                               "run; either reports pool/loop buckets)")
     profile.add_argument("--out", default="",

@@ -60,11 +60,6 @@ class InstructionStream:
     def __next__(self) -> DynInstr:
         return self.next_instr()
 
-    @property
-    def emitted(self) -> int:
-        """Number of dynamic instructions produced so far."""
-        return self._seq
-
     def next_instr(self) -> DynInstr:
         """Produce the next dynamic instruction in program order."""
         block = self._block

@@ -4,10 +4,17 @@ from collections import namedtuple
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import FlywheelConfig
+from repro.core.engine.turbo.pool import PooledOracle
 from repro.core.sim import build_core, default_config, run_core
 from repro.obs.spec import TraceSpec
+
+#: ``--hypothesis-profile deep``: a property that leaves its example
+#: budget to the profile (tests/test_oracle.py) runs this many instead of
+#: the default's 100; CI runs the oracle properties under it.
+settings.register_profile("deep", max_examples=2000)
 
 #: Budget of the captured legacy runs (measured / functional warmup).
 LEGACY_RUN_INSTRUCTIONS = 6000
@@ -27,7 +34,7 @@ class CapturedRun:
     On the synchronous kinds ``events`` is the loop's ``(kind, seq)``
     stream of ``rename`` and ``retire`` events, in emission order (the
     Flywheel's is empty, and its ``in_flight`` holds every instruction
-    the walker emitted past the committed ones)."""
+    its oracle handed out past the committed ones)."""
 
     def __init__(self, core, committed, in_flight, events=()):
         self.core = core
@@ -68,29 +75,39 @@ def _legacy_run(kind, bench, fly=None, **core_fields):
                        [record(s) for s in renamed[len(retired):]], events)
 
 
+class _CapturingOracle(PooledOracle):
+    """A Flywheel oracle that keeps every ``DynInstr`` it hands the loop
+    (fetch and trace pairing; the functional warmup reads the pool rows
+    itself)."""
+
+    __slots__ = ("emitted",)
+
+    def __init__(self, pool, start):
+        super().__init__(pool, start)
+        self.emitted = []
+
+    def next_instr(self):
+        dyn = super().next_instr()
+        self.emitted.append(dyn)
+        return dyn
+
+
 def _flywheel_run(bench, warmup, fly, core_fields):
     config = default_config("flywheel").with_variant(engine="legacy",
                                                      **core_fields)
     fly = fly or FlywheelConfig(redistribution_enabled=False)
     core = build_core("flywheel", bench, config=config, fly=fly,
                       seed=LEGACY_RUN_SEED)
-    emitted = []
-    live_next = core.stream.next_instr
-
-    def next_instr():
-        dyn = live_next()
-        emitted.append(dyn)
-        return dyn
-
-    core.stream.next_instr = next_instr
+    oracle = core.oracle = _CapturingOracle(core.pool, core.oracle.seq)
     stats = run_core(core, "flywheel", LEGACY_RUN_INSTRUCTIONS, warmup).stats
     # No wrong-path instruction enters the machine, so the committed
-    # instructions are exactly the first ``committed`` ones emitted after
-    # the functional warmup.
-    end = warmup + stats.committed
-    committed = emitted[warmup:end]
-    assert [d.seq for d in committed] == list(range(warmup, end))
-    return CapturedRun(core, committed, emitted[end:])
+    # instructions are exactly the first ``committed`` ones the oracle
+    # handed out after the functional warmup.
+    emitted = oracle.emitted
+    committed = emitted[:stats.committed]
+    assert [d.seq for d in committed] == list(
+        range(warmup, warmup + stats.committed))
+    return CapturedRun(core, committed, emitted[stats.committed:])
 
 
 @pytest.fixture(autouse=True)
@@ -109,8 +126,8 @@ def legacy_run():
 
     A synchronous kind runs traced (``rename``/``retire`` events only) and
     its records come from the pool and plan columns of the timed region;
-    a Flywheel's ``next_instr`` is wrapped to record every instruction
-    the walker emits, and it runs with redistribution off unless ``fly``
-    says otherwise. ``core_fields`` override ``CoreConfig`` fields.
+    a Flywheel's oracle records every instruction it hands the loop, and
+    it runs with redistribution off unless ``fly`` says otherwise.
+    ``core_fields`` override ``CoreConfig`` fields.
     """
     return _legacy_run

@@ -14,9 +14,12 @@ class, so a same-named method elsewhere (a file handle's ``flush()``,
 ``dict.clear()``) hides nothing.
 The receiver is typed by its last name (``self.rob`` and ``rob`` both by
 ``rob``): ``self`` inside the class itself, or a name that ``src/``
-binds to a component, by construction (``self.rob = ReorderBuffer(...)``),
-by a parameter annotation (``pools: PoolFile``), or by aliasing such a
-name (``rob = be.rob``). Any other receiver is not a caller.
+binds to a component, by construction (``self.rob = ReorderBuffer(...)``,
+``with Cls(...) as x``, a call of a function annotated ``-> Cls``), by
+an annotation (``pools: PoolFile``), or by aliasing such a name
+(``rob = be.rob``). A call that makes one (``Cls().name``) and the class
+itself (``Cls.name``) are typed receivers too. Any other receiver is not
+a caller. tests/test_public_callers.py types its receivers the same way.
 """
 
 import ast
@@ -61,28 +64,68 @@ def _walk(node, cls=None):
                          if isinstance(child, ast.ClassDef) else cls)
 
 
-def _receiver_types(trees):
-    """Name -> component classes an object under that name can be."""
+def _made(expr, classes, returns):
+    """The classes of ``classes`` that ``expr`` builds or returns: a call
+    of the class itself, or of a function annotated to return it."""
+    if not isinstance(expr, ast.Call):
+        return set()
+    name = _name(expr.func)
+    return {name} if name in classes else returns.get(name, set())
+
+
+def _annotated(annotation, classes):
+    return {_name(sub) for sub in ast.walk(annotation)
+            if _name(sub) in classes}
+
+
+def _receiver_types(trees, classes):
+    """Name -> the classes of ``classes`` an object under that name can
+    be: bound by a parameter or variable annotation, by construction
+    (``x = Cls(...)``, ``with Cls(...) as x``, or a call of a function
+    annotated ``-> Cls``), or by aliasing such a name (also pairwise,
+    ``a, b = x, y``)."""
+    returns = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.returns is not None):
+                made = _annotated(node.returns, classes)
+                if made:
+                    returns.setdefault(node.name, set()).update(made)
     types = {}
     aliases = []
     for tree in trees:
         for node in ast.walk(tree):
+            bound = []                   # (target name, classes)
             if isinstance(node, ast.arg) and node.annotation is not None:
-                for sub in ast.walk(node.annotation):
-                    if _name(sub) in COMPONENTS:
-                        types.setdefault(node.arg, set()).add(_name(sub))
-            elif (isinstance(node, (ast.Assign, ast.AnnAssign))
-                    and node.value is not None):
+                bound.append((node.arg,
+                              _annotated(node.annotation, classes)))
+            elif isinstance(node, ast.withitem) and node.optional_vars:
+                bound.append((_name(node.optional_vars),
+                               _made(node.context_expr, classes, returns)))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
-                value = node.value
-                made = (_name(value.func) if isinstance(value, ast.Call)
-                        else None)
-                for target in targets:
-                    if made in COMPONENTS:
-                        types.setdefault(_name(target), set()).add(made)
+                if isinstance(node, ast.AnnAssign):
+                    bound.append((_name(node.target),
+                                  _annotated(node.annotation, classes)))
+                pairs = [(target, node.value) for target in targets
+                         if node.value is not None]
+                for target, value in pairs:
+                    if (isinstance(target, ast.Tuple)
+                            and isinstance(value, ast.Tuple)
+                            and len(target.elts) == len(value.elts)):
+                        # ``a, b = x.stats, y.stats``: pairwise
+                        pairs.extend(zip(target.elts, value.elts))
+                        continue
+                    made = _made(value, classes, returns)
+                    if made:
+                        bound.append((_name(target), made))
                     elif _name(value) is not None:
                         aliases.append((_name(target), _name(value)))
+            for target, made in bound:
+                if made:
+                    types.setdefault(target, set()).update(made)
     changed = True
     while changed:
         changed = False
@@ -91,7 +134,34 @@ def _receiver_types(trees):
             if new:
                 types.setdefault(target, set()).update(new)
                 changed = True
-    return types
+    return types, returns
+
+
+def typed_references(trees, classes):
+    """``(class, attribute) -> [(path, line)]``: every attribute read in
+    ``trees`` (path -> module) whose receiver can be an instance of one
+    of ``classes``: ``self`` inside the class, the class itself, a
+    typed name (:func:`_receiver_types`), or a call that makes one."""
+    types, returns = _receiver_types(trees.values(), classes)
+    refs = {}
+    for path, tree in trees.items():
+        for node, cls in _walk(tree):
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            receiver = node.value
+            name = _name(receiver)
+            if name == "self":
+                owners = {cls} & set(classes)
+            elif name in classes and isinstance(receiver, ast.Name):
+                owners = {name}
+            else:
+                owners = (_made(receiver, classes, returns)
+                          or types.get(name, ()))
+            for owner in owners:
+                refs.setdefault((owner, node.attr), []).append(
+                    (path, node.lineno))
+    return refs
 
 
 def _scan():
@@ -99,12 +169,10 @@ def _scan():
     in src/."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.rglob("*.py"))}
-    types = _receiver_types(trees.values())
     classes = set()
     defs = {}
-    refs = {}
     for path, tree in trees.items():
-        for node, cls in _walk(tree):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name in COMPONENTS:
                 classes.add(node.name)
                 for item in node.body:
@@ -113,13 +181,7 @@ def _scan():
                         assert (node.name, item.name) not in defs
                         defs[node.name, item.name] = (
                             path, item.lineno, item.end_lineno)
-            elif isinstance(node, ast.Attribute):
-                receiver = _name(node.value)
-                for owner in ({cls} if receiver == "self"
-                              else types.get(receiver, ())):
-                    refs.setdefault((owner, node.attr), []).append(
-                        (path, node.lineno))
-    return classes, defs, refs
+    return classes, defs, typed_references(trees, COMPONENTS)
 
 
 def _outside(ref, span):

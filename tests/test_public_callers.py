@@ -20,6 +20,15 @@ A reference is a read, matched by spelling, not by type:
 An assignment (``self.name = ...``) reads nothing, so it is no caller
 of a method spelt the same.
 
+Spelling alone hides a dead method named like a common attribute: every
+core has a ``.stream``, so a ``Session.stream`` nothing called passed.
+So the methods and properties of the classes in ``TYPED`` count as
+referenced only through a receiver that can be an instance of their
+class, typed as tests/test_component_callers.py types its receivers
+(``self`` in the class, a name bound by construction, annotation or
+alias, ``Cls().name``, ``Cls.name``, and the ``"Cls.name"`` of a dotted
+string).
+
 The entries of ``__all__`` and ``_EXPORTS`` and the import statements
 themselves are not references: they re-export a name, they do not use
 it. Dunder methods are called by the language and are not checked.
@@ -30,9 +39,13 @@ import re
 from functools import lru_cache
 from pathlib import Path
 
+from test_component_callers import typed_references
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CALLERS = ("src", "examples", "benchmarks", "perfbench")
+#: Classes whose methods and properties need a typed receiver.
+TYPED = ("Session", "SimStats", "CampaignReport", "InstructionStream")
 
 #: Unreferenced on purpose, with the reason.
 ALLOWED = {
@@ -41,9 +54,6 @@ ALLOWED = {
         "tick against the bulk skip the Flywheel loop uses",
     "TickScheduler.now_ps":
         "reference model: the current time of that tick-by-tick scheduler",
-    "CampaignReport.stats_payload":
-        "CI's crash-resume step compares a resumed campaign's payload "
-        "with an uninterrupted one's (.github/workflows/ci.yml)",
     "ServeHandler.do_GET":
         "http.server dispatches a request to do_<METHOD> by name",
     "ServeHandler.do_POST":
@@ -97,45 +107,59 @@ def _export_table_nodes(tree):
     return skip
 
 
-def _references():
-    """``(by_attribute, by_name)``: spelling -> [(path, line)]."""
+def _trees():
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for folder in CALLERS
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+def _references(trees):
+    """``(by_attribute, by_name, typed)``: spelling -> [(path, line)],
+    and ``(class, attribute) -> [(path, line)]`` for ``TYPED``."""
     attrs, names = {}, {}
-    for folder in CALLERS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            skip = _export_table_nodes(tree)
-            aliases = {alias.asname: alias.name.rpartition(".")[2]
-                       for node in ast.walk(tree)
-                       if isinstance(node, (ast.Import, ast.ImportFrom))
-                       for alias in node.names if alias.asname}
-            for node in ast.walk(tree):
-                if id(node) in skip:
-                    continue
-                where = (path, getattr(node, "lineno", 0))
-                if isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                             ast.Load):
-                    for name in {node.id, aliases.get(node.id, node.id)}:
-                        names.setdefault(name, []).append(where)
-                elif (isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Load)):
-                    attrs.setdefault(node.attr, []).append(where)
-                elif (isinstance(node, ast.Constant)
-                        and isinstance(node.value, str)
-                        and _DOTTED.fullmatch(node.value)):
-                    for part in node.value.split("."):
-                        attrs.setdefault(part, []).append(where)
-    return attrs, names
+    typed = typed_references(trees, TYPED)
+    for path, tree in trees.items():
+        skip = _export_table_nodes(tree)
+        aliases = {alias.asname: alias.name.rpartition(".")[2]
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names if alias.asname}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            where = (path, getattr(node, "lineno", 0))
+            if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                         ast.Load):
+                for name in {node.id, aliases.get(node.id, node.id)}:
+                    names.setdefault(name, []).append(where)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                attrs.setdefault(node.attr, []).append(where)
+            elif (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and _DOTTED.fullmatch(node.value)):
+                parts = node.value.split(".")
+                for part in parts:
+                    attrs.setdefault(part, []).append(where)
+                for owner, part in zip(parts, parts[1:]):
+                    if owner in TYPED:
+                        typed.setdefault((owner, part), []).append(where)
+    return attrs, names, typed
 
 
 @lru_cache(maxsize=None)
 def _unreferenced():
     """Qualified names of the definitions with no reference outside
     their own span."""
-    attrs, names = _references()
+    attrs, names, typed = _references(_trees())
     dead = set()
     for qualname, name, is_method, path, first, last in _definitions():
-        refs = attrs.get(name, []) + ([] if is_method
-                                      else names.get(name, []))
+        owner = qualname.partition(".")[0]
+        if is_method and owner in TYPED:
+            refs = typed.get((owner, name), [])
+        else:
+            refs = attrs.get(name, []) + ([] if is_method
+                                          else names.get(name, []))
         if all(ref_path == path and first <= line <= last
                for ref_path, line in refs):
             dead.add(qualname)
@@ -159,7 +183,7 @@ def test_allowlist_is_current():
 def test_the_scan_sees_every_kind_of_reference():
     # A scan that missed a kind of reference would flag live code; pin
     # each kind on a name known to be reached only that way.
-    attrs, names = _references()
+    attrs, names, typed = _references(_trees())
     assert "run_core" in names                # called by name in src/
     assert "cache_key" in attrs               # perfbench's dotted LAYERS
     # core/sim.py calls the generator as ``generate`` (import ... as).
@@ -167,3 +191,12 @@ def test_the_scan_sees_every_kind_of_reference():
     call_line = next(i for i, line in enumerate(
         sim.read_text().splitlines(), 1) if " generate(" in line)
     assert (sim, call_line) in names["generate_program"]
+    # Typed receivers: a session bound by ``with``, a result's stats
+    # aliased pairwise, a report returned by an annotated function...
+    assert ("Session", "map") in typed
+    quickstart = ROOT / "examples" / "quickstart.py"
+    assert quickstart in {path for path, _line
+                          in typed["SimStats", "time_seconds"]}
+    assert ("CampaignReport", "summary") in typed
+    # ...and a spelling alone is none: every core has a ``.stream``.
+    assert "stream" in attrs and ("Session", "stream") not in typed

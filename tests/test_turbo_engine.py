@@ -6,8 +6,8 @@ creation-mode skip-aheads. Three observers make a naive jump wrong. For
 the first two skips each observer gets a pin here, once per loop. Every
 kind runs one loop on both engines. The synchronous pins are values
 recorded when a second synchronous loop still existed and both agreed;
-the Flywheel's compare the live instruction walker against the
-``PooledOracle`` feeding its loop:
+the Flywheel's compare its two engines, a private pool against the
+cached one:
 
 * the DVFS governor's interval hook must fire on the same cycles
   (these two skips fire it late, after the jump; a shifted hook shifts
@@ -45,7 +45,7 @@ from repro.core.config import (ClockPlan, CoreConfig, FlywheelConfig,
                                stable_hash)
 from repro.core.engine.turbo.pool import _POOL_CACHE, StreamPool, get_pool
 from repro.core.flywheel import FlywheelCore
-from repro.core.sim import execute_kind
+from repro.core.sim import default_config, execute_kind
 from repro.dvfs import GovernorConfig
 from repro.errors import ConfigError, DeadlockError
 from repro.frontend.bpred import BPredConfig
@@ -66,8 +66,8 @@ def _pair(kind, bench, n=8000, w=3000, clock=None, **cfg_kw):
 
 
 class TestSkipAheadEdges:
-    """Observers against the Flywheel's skip-ahead, on the live walker
-    (legacy) and the pooled oracle (turbo).
+    """Observers against the Flywheel's skip-ahead, on a private pool
+    (legacy) and the cached one (turbo).
 
     A skip-ahead may jump past a DVFS interval boundary or into a trace
     window; the hook then fires late and skipped spans emit no stall
@@ -458,10 +458,15 @@ class TestEngineSelection:
         assert config.engine is None
         assert config.resolved_engine == "turbo"
         assert CoreConfig(engine="legacy").resolved_engine == "legacy"
-        # The loop reads the pool, which walks its own copy of the stream.
-        result = execute_kind("baseline", "smoke", max_instructions=500,
-                              warmup=0)
-        assert result.core.stream.emitted == 0
+        # Every loop reads a pool, which walks its own copy of the
+        # stream: no kind on either engine advances the core's stream.
+        for kind in ("baseline", "pipelined_wakeup", "flywheel"):
+            for engine in (None, "legacy"):
+                config = default_config(kind).with_variant(engine=engine)
+                core = execute_kind(kind, "smoke", config=config,
+                                    max_instructions=500,
+                                    warmup=300).core
+                assert core.stream.next_instr().seq == 0, (kind, engine)
 
     def test_default_run_imports_no_numpy(self):
         # The fast engine is the default, so it must stay within the
@@ -546,7 +551,7 @@ class TestStreamPoolCache:
         assert next(iter(_POOL_CACHE.values())) is pool
         assert pool.n > rows_after_short
         # Both budgets, served from the same (grown) pool, match the
-        # pool-less legacy engine exactly.
+        # legacy engine's private pools exactly.
         assert short == stats("legacy", 2000)
         assert long == stats("legacy", 6000)
 
