@@ -37,8 +37,11 @@ counts it has acted, so ``dict(stats.events)`` and the metrics snapshot
 are fixed by the pins in tests/test_golden_stats.py.
 
 The memory hierarchy, trace recorder, DVFS controller and watchdog are
-the real objects, driven in stage order; the back-end structures (ROB,
-LSQ, FU pools, scoreboard, wake/done queues) are the shared
+the real objects, driven in stage order: every fetch, load and store is
+a :class:`MemoryHierarchy` ``ifetch``/``load``/``store`` call, as in the
+Flywheel's loop and the functional warmup, so cache state and counters
+live only in the hierarchy. The back-end structures (ROB, LSQ, FU
+pools, scoreboard, wake/done queues) are the shared
 :class:`ExecBackend`'s.
 
 Modelling decisions (documented in DESIGN.md):
@@ -89,7 +92,6 @@ class BaselineCore:
 
     def __init__(self, config: CoreConfig, stream: InstructionStream,
                  mem_scale: float = 1.0,
-                 hierarchy: Optional[MemoryHierarchy] = None,
                  clock: Optional[ClockPlan] = None):
         self.config = config
         self.stream = stream
@@ -97,7 +99,7 @@ class BaselineCore:
         self.clock = clock
         self.stats = SimStats()
 
-        self.hierarchy = hierarchy or MemoryHierarchy(config.mem)
+        self.hierarchy = MemoryHierarchy(config.mem)
         self.pool = core_pool(stream, config)   # the oracle
         self._seq = stream._seq        # next seq to warm up or fetch
         self.iw = IssueWindow(config.iw_entries, config.issue_width,
@@ -165,7 +167,7 @@ class BaselineCore:
         p_pc = pool.pc
         p_addr = pool.mem_addr
         p_nsrcs = pool.n_srcs
-        p_bkind = pool.bkind
+        p_bk = pool.bk
         p_correct = pool.correct
         p_isld = pool.is_load
         p_isst = pool.is_store
@@ -213,56 +215,6 @@ class BaselineCore:
         mem_scale = self.mem_scale
         watchdog = self.watchdog
         window = watchdog.window
-
-        # Simple-spec memory fast path: replicate the three-probe chains of
-        # ``MemoryHierarchy._ifetch_fast``/``_load_fast``/``_store_fast``
-        # (and ``Cache.access``) inline, with per-cache clocks and counters
-        # held in locals and flushed at every observation point.  General
-        # specs (MSHRs, prefetch, deep chains, write-back) keep the bound
-        # method calls — their miss handling is stateful beyond a probe.
-        fastmem = h_load.__func__ is MemoryHierarchy._load_fast
-        if fastmem:
-            l1i_c = hierarchy.l1i
-            l1d_c = hierarchy.l1d
-            l2_c = hierarchy.l2
-            i_sets = l1i_c._sets
-            i_lsh = l1i_c._line_shift
-            i_sm = l1i_c._set_mask
-            i_ts = l1i_c._tag_shift
-            i_ways = l1i_c.ways
-            d_sets = l1d_c._sets
-            d_lsh = l1d_c._line_shift
-            d_sm = l1d_c._set_mask
-            d_ts = l1d_c._tag_shift
-            d_ways = l1d_c.ways
-            l2_sets = l2_c._sets
-            l2_lsh = l2_c._line_shift
-            l2_sm = l2_c._set_mask
-            l2_ts = l2_c._tag_shift
-            l2_ways = l2_c.ways
-            i_clk = l1i_c._clock
-            i_acc = l1i_c.stats.accesses
-            i_hit = l1i_c.stats.hits
-            i_miss = l1i_c.stats.misses
-            i_ev = l1i_c.stats.evictions
-            d_clk = l1d_c._clock
-            d_acc = l1d_c.stats.accesses
-            d_hit = l1d_c.stats.hits
-            d_miss = l1d_c.stats.misses
-            d_ev = l1d_c.stats.evictions
-            d_wr = l1d_c.stats.writes
-            l2_clk = l2_c._clock
-            l2_acc = l2_c.stats.accesses
-            l2_hit = l2_c.stats.hits
-            l2_miss = l2_c.stats.misses
-            l2_ev = l2_c.stats.evictions
-            l2_wr = l2_c.stats.writes
-            l1_lat = hierarchy._l1_lat
-            l12_lat = hierarchy._l12_lat
-            l1i_lat = hierarchy._l1i_lat
-            l1i2_lat = hierarchy._l1i2_lat
-            dram_lat = hierarchy._dram_lat
-            dram_cost = max(1, round(dram_lat * mem_scale))
 
         # ---- config scalars ----
         fetch_width = config.fetch_width
@@ -422,41 +374,7 @@ class BaselineCore:
                     if addr is not None:
                         if p_isst[s]:
                             e_dca += 1
-                            if fastmem:
-                                d_clk += 1
-                                d_acc += 1
-                                d_wr += 1
-                                line = addr >> d_lsh
-                                cset = d_sets[line & d_sm]
-                                ctag = line >> d_ts
-                                if ctag in cset:
-                                    cset[ctag] = d_clk
-                                    d_hit += 1
-                                else:
-                                    d_miss += 1
-                                    if len(cset) >= d_ways:
-                                        victim = min(cset, key=cset.get)
-                                        del cset[victim]
-                                        d_ev += 1
-                                    cset[ctag] = d_clk
-                                    l2_clk += 1
-                                    l2_acc += 1
-                                    l2_wr += 1
-                                    line = addr >> l2_lsh
-                                    cset = l2_sets[line & l2_sm]
-                                    ctag = line >> l2_ts
-                                    if ctag in cset:
-                                        cset[ctag] = l2_clk
-                                        l2_hit += 1
-                                    else:
-                                        l2_miss += 1
-                                        if len(cset) >= l2_ways:
-                                            victim = min(cset, key=cset.get)
-                                            del cset[victim]
-                                            l2_ev += 1
-                                        cset[ctag] = l2_clk
-                            else:
-                                h_store(addr, mem_scale, c)
+                            h_store(addr, mem_scale, c)
                         lsq_count -= 1
                     if p_needs[s - r0]:
                         free_count += 1
@@ -496,43 +414,7 @@ class BaselineCore:
                             lat = p_lat[s]
                             if p_isld[s]:
                                 e_dca += 1
-                                if fastmem:
-                                    addr = p_addr[s]
-                                    d_clk += 1
-                                    d_acc += 1
-                                    line = addr >> d_lsh
-                                    cset = d_sets[line & d_sm]
-                                    ctag = line >> d_ts
-                                    if ctag in cset:
-                                        cset[ctag] = d_clk
-                                        d_hit += 1
-                                        lat += l1_lat
-                                    else:
-                                        d_miss += 1
-                                        if len(cset) >= d_ways:
-                                            victim = min(cset, key=cset.get)
-                                            del cset[victim]
-                                            d_ev += 1
-                                        cset[ctag] = d_clk
-                                        l2_clk += 1
-                                        l2_acc += 1
-                                        line = addr >> l2_lsh
-                                        cset = l2_sets[line & l2_sm]
-                                        ctag = line >> l2_ts
-                                        if ctag in cset:
-                                            cset[ctag] = l2_clk
-                                            l2_hit += 1
-                                            lat += l12_lat
-                                        else:
-                                            l2_miss += 1
-                                            if len(cset) >= l2_ways:
-                                                victim = min(cset, key=cset.get)
-                                                del cset[victim]
-                                                l2_ev += 1
-                                            cset[ctag] = l2_clk
-                                            lat += l12_lat + dram_cost
-                                else:
-                                    lat += h_load(p_addr[s], mem_scale, c)
+                                lat += h_load(p_addr[s], mem_scale, c)
                             if tron:
                                 emit(c, "issue", s, lat)
                             wake = c + lat
@@ -649,50 +531,14 @@ class BaselineCore:
                         s = fs + n
                         if not n:
                             e_ic += 1
-                            if fastmem:
-                                pc = p_pc[s]
-                                i_clk += 1
-                                i_acc += 1
-                                line = pc >> i_lsh
-                                cset = i_sets[line & i_sm]
-                                ctag = line >> i_ts
-                                if ctag in cset:
-                                    cset[ctag] = i_clk
-                                    i_hit += 1
-                                    rdy = c + l1i_lat + extra_fe
-                                else:
-                                    i_miss += 1
-                                    if len(cset) >= i_ways:
-                                        victim = min(cset, key=cset.get)
-                                        del cset[victim]
-                                        i_ev += 1
-                                    cset[ctag] = i_clk
-                                    l2_clk += 1
-                                    l2_acc += 1
-                                    line = pc >> l2_lsh
-                                    cset = l2_sets[line & l2_sm]
-                                    ctag = line >> l2_ts
-                                    if ctag in cset:
-                                        cset[ctag] = l2_clk
-                                        l2_hit += 1
-                                        rdy = c + l1i2_lat + extra_fe
-                                    else:
-                                        l2_miss += 1
-                                        if len(cset) >= l2_ways:
-                                            victim = min(cset, key=cset.get)
-                                            del cset[victim]
-                                            l2_ev += 1
-                                        cset[ctag] = l2_clk
-                                        rdy = c + l1i2_lat + dram_cost + extra_fe
-                            else:
-                                rdy = (c + h_ifetch(p_pc[s], mem_scale, c)
-                                       + extra_fe)
+                            rdy = (c + h_ifetch(p_pc[s], mem_scale, c)
+                                   + extra_fe)
                         lready[s] = rdy
                         fetch_out.append(s)
                         if tron:
                             emit(c, "fetch", s)
                         n += 1
-                        if p_bkind[s]:
+                        if p_bk[s]:
                             branches += 1
                             e_bp += 1
                             if not p_correct[s]:
@@ -715,10 +561,6 @@ class BaselineCore:
                        mispredicts, iw_count, lsq_count, e_ic, e_bp, e_dec,
                        e_ren, e_iww, e_robw, e_lsqw, e_iws, e_rfr, e_fuo,
                        e_dca, e_iwb, e_rfw, e_robr, rf_touched, offs)
-                if fastmem:
-                    _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
-                               d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
-                               l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr)
                 self._fetch_blocked = fetch_blocked
                 watchdog.trip(c, committed, snapshot=self._deadlock_snapshot)
             if dvfs_next is not None and c >= dvfs_next:
@@ -726,14 +568,8 @@ class BaselineCore:
                        mispredicts, iw_count, lsq_count, e_ic, e_bp, e_dec,
                        e_ren, e_iww, e_robw, e_lsqw, e_iws, e_rfr, e_fuo,
                        e_dca, e_iwb, e_rfw, e_robr, rf_touched, offs)
-                if fastmem:
-                    _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
-                               d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
-                               l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr)
                 dvfs_next = dvfs.on_interval(self, c)
                 mem_scale = self.mem_scale     # the governor may retune it
-                if fastmem:
-                    dram_cost = max(1, round(dram_lat * mem_scale))
             # ------------------------------------------------- idle skip-ahead
             if eligible or (rob_q and done[rob_q[0] - r0]):
                 continue
@@ -776,14 +612,9 @@ class BaselineCore:
                 fmin = future[0][0]
                 if bound is None or fmin < bound:
                     bound = fmin
-            if wake_events:
-                ev = min(wake_events)
-                if bound is None or ev < bound:
-                    bound = ev
-            if done_events:
-                ev = min(done_events)
-                if bound is None or ev < bound:
-                    bound = ev
+            ev = be.next_event_cycle()
+            if ev is not None and (bound is None or ev < bound):
+                bound = ev
             if bound is not None and bound > c:
                 c = bound
 
@@ -792,10 +623,6 @@ class BaselineCore:
                iw_count, lsq_count, e_ic, e_bp, e_dec, e_ren, e_iww, e_robw,
                e_lsqw, e_iws, e_rfr, e_fuo, e_dca, e_iwb, e_rfw, e_robr,
                rf_touched, offs)
-        if fastmem:
-            _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
-                       d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
-                       l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr)
         fu._dirty = f_dirty
         fu._n_reserved = f_nres
         self._fetch_blocked = fetch_blocked
@@ -884,37 +711,3 @@ def _flush(core, c, committed, fetched, issued, branches, mispredicts,
     be.lsq._count = lsq_count
     be.lsq.inserts = e_lsqw + offs[3]
     be.fu.ops = e_fuo + offs[4]
-
-
-def _flush_mem(hierarchy, i_clk, i_acc, i_hit, i_miss, i_ev,
-               d_clk, d_acc, d_hit, d_miss, d_ev, d_wr,
-               l2_clk, l2_acc, l2_hit, l2_miss, l2_ev, l2_wr):
-    """Publish the inlined fast-path cache counters to the live caches.
-
-    Only called when the run loop took the inline memory path; absolute
-    assignment, so repeated flushes are idempotent.  ``prefetches`` and
-    ``writebacks`` never move on the fast path.
-    """
-    cache = hierarchy.l1i
-    cache._clock = i_clk
-    st = cache.stats
-    st.accesses = i_acc
-    st.hits = i_hit
-    st.misses = i_miss
-    st.evictions = i_ev
-    cache = hierarchy.l1d
-    cache._clock = d_clk
-    st = cache.stats
-    st.accesses = d_acc
-    st.hits = d_hit
-    st.misses = d_miss
-    st.evictions = d_ev
-    st.writes = d_wr
-    cache = hierarchy.l2
-    cache._clock = l2_clk
-    st = cache.stats
-    st.accesses = l2_acc
-    st.hits = l2_hit
-    st.misses = l2_miss
-    st.evictions = l2_ev
-    st.writes = l2_wr

@@ -77,7 +77,7 @@ class StreamPool:
         self.dest: list = []         # architected dest (int or None)
         self.srcs: list = []         # tuple of architected sources
         self.n_srcs: list = []       # len(srcs): the rf_read count
-        self.bkind: list = []        # BranchKind as int (0 = NONE)
+        self.bk: list = []           # BranchKind (IntEnum: NONE is falsy)
         self.correct: list = []      # predictor outcome (True off-branch)
         # Full-identity columns for PooledOracle reconstruction: the
         # Flywheel consults its *live* predictor only for created-mode
@@ -85,7 +85,6 @@ class StreamPool:
         # is unusable there — but the walk itself is still program-order
         # deterministic and these columns rebuild exact DynInstrs.
         self.sid: list = []
-        self.bk: list = []           # BranchKind enum (identity-safe)
         self.taken: list = []
         self.target_pc: list = []
         self.fall_pc: list = []
@@ -121,7 +120,6 @@ class StreamPool:
         dest = self.dest
         srcs = self.srcs
         n_srcs = self.n_srcs
-        bkind = self.bkind
         correct = self.correct
         sid = self.sid
         bk = self.bk
@@ -138,9 +136,7 @@ class StreamPool:
             dest.append(dyn.dest)
             srcs.append(dyn.srcs)
             n_srcs.append(len(dyn.srcs))
-            k = int(dyn.branch_kind)
-            bkind.append(k)
-            correct.append(predict(dyn) if k else True)
+            correct.append(predict(dyn) if dyn.branch_kind else True)
             sid.append(dyn.sid)
             bk.append(dyn.branch_kind)
             taken.append(dyn.taken)
@@ -335,9 +331,9 @@ def functional_warmup(pool: StreamPool, hierarchy, start: int, count: int,
         # after the caches instead of interleaved with them.
         predict = bpred.predict
         oracle = PooledOracle(pool)
-        wp_bkind = pool.bkind
+        wp_bk = pool.bk
         for s in range(start, stop):
-            if wp_bkind[s]:
+            if wp_bk[s]:
                 oracle.seq = s
                 predict(oracle.next_instr())
     return stop

@@ -161,7 +161,6 @@ class FlywheelCore:
 
     def __init__(self, config: CoreConfig, fly: FlywheelConfig,
                  clock: ClockPlan, stream: InstructionStream,
-                 hierarchy: Optional[MemoryHierarchy] = None,
                  mem_scale: float = 1.0):
         self.config = config
         self.fly = fly
@@ -173,7 +172,7 @@ class FlywheelCore:
         self.stats = SimStats()
         self._events = self.stats.events
 
-        self.hierarchy = hierarchy or MemoryHierarchy(config.mem)
+        self.hierarchy = MemoryHierarchy(config.mem)
         # The oracle: fetch, trace pairing and the warmup read the pool
         # through it; ``stream`` itself is never advanced.
         self.pool = core_pool(stream, config)

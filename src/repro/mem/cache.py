@@ -110,7 +110,7 @@ class Cache:
         global line id (``addr >> line_shift``) of the line evicted to
         make room, or ``None``. Used by the general hierarchy path,
         whose write-back policy must know which line left the cache;
-        the legacy fast path keeps the cheaper :meth:`access`.
+        the hierarchy's fast path keeps the cheaper :meth:`access`.
         """
         self._clock += 1
         self.stats.accesses += 1

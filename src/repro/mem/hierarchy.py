@@ -12,10 +12,11 @@ raised the DRAM latency in cycles grows proportionally — callers pass a
 Two execution paths, chosen once at construction:
 
 * **Fast path** — taken when ``spec.is_simple`` (two data levels, no
-  MSHR modelling, no prefetcher, allocate-on-write): byte-for-byte the
-  historical three-probe code, which keeps the default spec
-  golden-equivalent with pre-spec trees and the L1-hit hot loop at full
-  speed.
+  MSHR modelling, no prefetcher, allocate-on-write): at most two
+  :meth:`Cache.access` probes per call, the general walk specialised to
+  that chain. It keeps the default spec golden-equivalent with pre-spec
+  trees and the L1-hit hot path cheap; both core loops and the
+  functional warmup call it, and none keeps a copy of it.
 * **General path** — walks the chain level by level (allocating on the
   way down, so a store that misses L1 but hits L2 installs the line in
   L1 — allocation is part of the walk, not a side effect of the last
@@ -113,15 +114,14 @@ class MemoryHierarchy:
 
         #: Flight recorder (set by the owning core when tracing is on).
         #: Consulted only on general-path miss/stall handling — the
-        #: golden-pinned fast path and the L1-hit hot loop never read it.
+        #: fast path and the general path's L1 hits never read it.
         self.trace = None
 
         if spec.is_simple and not force_general:
-            # Legacy fast path: identical probe sequence and latency
-            # arithmetic to the pre-spec hierarchy (golden-pinned; the
-            # I-side carries its own latency so a spec with a custom
-            # L1I stays fast *and* correct — default l1i latency equals
-            # l1d latency, so the default numbers are unchanged).
+            # Fast path: the general walk's latencies and counters for
+            # a two-level allocate chain (tests/test_mem.py checks it
+            # against ``_walk``). The I-side carries its own latency,
+            # so a spec with a custom L1I stays fast and correct.
             self._l1_lat = self._dchain[0].latency
             self._l12_lat = self._dchain[0].latency + self._dchain[1].latency
             self._l1i_lat = self._l1i_latency
@@ -191,9 +191,9 @@ class MemoryHierarchy:
         upper level holds it. That makes allocation explicit chain
         policy rather than a side effect of the last probe: in
         particular a *store* that misses L1D but hits L2 installs the
-        line in L1D under both write policies (the historical
-        ``store`` asymmetry this path is pinned against). Dirty victims
-        spill into the next level and count ``writebacks``.
+        line in L1D under both write policies (the fast path's
+        ``store`` does the same). Dirty victims spill into the next
+        level and count ``writebacks``.
         """
         lat = 0
         hit_idx = -1

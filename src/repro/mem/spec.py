@@ -13,11 +13,11 @@ keys, campaign sweeps and both CLIs like any other machine axis.
 default ``CoreConfig.mem``: split 64K L1I / 64K L1D over a unified 512K
 L2, 32-byte lines, 2/10/100 cycle latencies, unbounded miss overlap
 (``mshrs=0``), no prefetcher, allocate-on-write. The hierarchy detects
-that shape and takes the historical fast path, which is what keeps the
-default machine golden-equivalent (bit-identical ``SimStats``) with
-pre-spec trees. A spec payload leaves the default out, so
-``CoreConfig()`` and ``CoreConfig(mem=MemorySpec())`` are one machine
-with one content address.
+that shape and takes its fast path, which keeps the default machine
+golden-equivalent (bit-identical ``SimStats``) with pre-spec trees. A
+spec payload leaves the default out, so ``CoreConfig()`` and
+``CoreConfig(mem=MemorySpec())`` are one machine with one content
+address.
 
 The interesting axes:
 
@@ -121,10 +121,11 @@ class MemorySpec:
 
     @property
     def is_simple(self) -> bool:
-        """True when the hierarchy may take the legacy L1-hit fast path:
-        a two-level data chain with no MSHR modelling, no prefetcher and
-        the allocate write policy — the exact semantics of the
-        pre-spec hierarchy, whatever the geometry."""
+        """True when the hierarchy may take its fast path: a two-level
+        data chain with no MSHR modelling, no prefetcher and the
+        allocate write policy, whatever the geometry. The fast path
+        returns the general walk's latencies and counters for such a
+        chain at less cost."""
         return (len(self.levels) == 2 and self.mshrs == 0
                 and self.prefetch == "none"
                 and self.write_policy == "allocate")

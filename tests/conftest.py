@@ -12,8 +12,9 @@ from repro.core.sim import build_core, default_config, run_core
 from repro.obs.spec import TraceSpec
 
 #: ``--hypothesis-profile deep``: a property that leaves its example
-#: budget to the profile (tests/test_oracle.py) runs this many instead of
-#: the default's 100; CI runs the oracle properties under it.
+#: budget to the profile (tests/test_oracle.py, the cache-parity property
+#: of tests/test_mem.py) runs this many instead of the default's 100; CI
+#: runs those properties under it.
 settings.register_profile("deep", max_examples=2000)
 
 #: Budget of the captured legacy runs (measured / functional warmup).

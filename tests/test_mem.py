@@ -1,10 +1,14 @@
 """Unit + property tests for the cache model and hierarchy."""
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.mem import Cache, MemoryHierarchy, MemorySpec
+from repro.mem import Cache, CacheLevelSpec, MemoryHierarchy, MemorySpec
 
 
 class TestCacheGeometry:
@@ -221,47 +225,79 @@ def _legacy_spec(**overrides) -> MemorySpec:
     return replace(MemorySpec(), **overrides)
 
 
+def _pow2(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda e: 1 << e)
+
+
+def _levels(max_latency: int):
+    return st.builds(CacheLevelSpec, kb=_pow2(0, 6), ways=_pow2(0, 3),
+                     latency=st.integers(1, max_latency))
+
+
+#: Every ``is_simple`` shape: power-of-two geometry on all three caches
+#: (1..64 KB, 1..8 ways, 4..128-byte lines) and free latencies.
+simple_specs = st.builds(
+    MemorySpec, l1i=_levels(8), levels=st.tuples(_levels(8), _levels(40)),
+    line_bytes=_pow2(2, 7), dram_latency=st.integers(1, 400))
+
+#: Interleaved ``(entry point, address, mem_scale)`` calls. Addresses
+#: mix a small range that re-hits, 64 lines 512 bytes apart that fight
+#: over a few sets (evictions), and a wide range that misses to DRAM;
+#: ``mem_scale`` moves between calls as a governor retunes it.
+access_streams = st.lists(
+    st.tuples(st.sampled_from(("ifetch", "load", "store")),
+              st.one_of(st.integers(0, (1 << 14) - 1),
+                        st.integers(0, 63).map(lambda k: k << 9),
+                        st.integers(0, 1 << 22)),
+              st.floats(0.25, 4.0)),
+    min_size=30, max_size=150)
+
+
+_rng = random.Random(7)
+_FIXED_ADDRS = [_rng.randrange(1 << 24) for _ in range(4000)]
+_CUSTOM_L1I = MemorySpec(l1i=CacheLevelSpec(64, 2, 4))
+
+
+def _assert_fast_path_is_the_walk(spec, stream):
+    fast = MemoryHierarchy(spec)
+    general = MemoryHierarchy(spec, force_general=True)
+    assert fast.load.__func__ is MemoryHierarchy._load_fast
+    assert general.load.__func__ is MemoryHierarchy._load_general
+    for now, (kind, addr, scale) in enumerate(stream):
+        got = getattr(fast, kind)(addr, scale, now)
+        want = getattr(general, kind)(addr, scale, now)
+        assert got == want, (now, kind, addr, scale)
+    assert fast.stats_dict() == general.stats_dict()
+
+
 class TestGeneralPathParity:
-    """The general chain walk with a legacy-equivalent spec must behave
-    exactly like the fast path (latencies and per-level counters)."""
+    """The fast path of a simple spec is the general chain walk, made
+    cheaper: same latency on every call, same per-level counters."""
 
-    def _streams(self):
-        import random
-
-        rng = random.Random(7)
-        return [rng.randrange(1 << 24) for _ in range(4000)]
+    @settings(deadline=None)
+    @given(spec=simple_specs, stream=access_streams)
+    @example(spec=_CUSTOM_L1I,
+             stream=[("ifetch", a, 1.0) for a in _FIXED_ADDRS])
+    def test_fast_path_matches_general_walk(self, spec, stream):
+        _assert_fast_path_is_the_walk(spec, stream)
 
     def test_load_latencies_and_stats_match_fast_path(self):
-        fast = MemoryHierarchy()
-        general = MemoryHierarchy(force_general=True)
-        assert fast.ifetch.__func__ is fast._ifetch_fast.__func__
-        assert general.load.__func__ is general._load_general.__func__
-        for addr in self._streams():
-            assert fast.load(addr, 1.5) == general.load(addr, 1.5)
-            assert fast.ifetch(addr ^ 0x40) == general.ifetch(addr ^ 0x40)
-        for (n1, c1), (n2, c2) in zip(fast.named_caches(),
-                                      general.named_caches()):
-            assert n1 == n2 and c1.stats == c2.stats
+        # The default spec on a fixed load/ifetch stream, at a DRAM
+        # cost scaled by 1.5 on the data side.
+        _assert_fast_path_is_the_walk(
+            MemorySpec(),
+            [call for a in _FIXED_ADDRS
+             for call in (("load", a, 1.5), ("ifetch", a ^ 0x40, 1.0))])
 
     def test_store_latencies_match_fast_path(self):
-        fast = MemoryHierarchy()
-        general = MemoryHierarchy(force_general=True)
-        for addr in self._streams():
-            assert fast.store(addr) == general.store(addr)
-        assert fast.l1d.stats == general.l1d.stats
-        assert fast.l2.stats == general.l2.stats
+        _assert_fast_path_is_the_walk(
+            MemorySpec(), [("store", a, 1.0) for a in _FIXED_ADDRS])
 
     def test_custom_l1i_latency_stays_fast_and_correct(self):
         # A simple spec with its own L1I latency still takes the fast
-        # path, and the I-side latency matches the general walk.
-        spec = _legacy_spec()
-        spec = type(spec)(l1i=type(spec.l1i)(64, 2, 4),
-                          levels=spec.levels)
-        fast = MemoryHierarchy(spec=spec)
-        general = MemoryHierarchy(spec=spec, force_general=True)
-        assert fast.ifetch.__func__ is fast._ifetch_fast.__func__
-        for addr in self._streams():
-            assert fast.ifetch(addr) == general.ifetch(addr)
+        # path, and an I-side hit pays the L1I latency, not the L1D one.
+        fast = MemoryHierarchy(spec=_CUSTOM_L1I)
+        assert fast.ifetch.__func__ is MemoryHierarchy._ifetch_fast
         fast.ifetch(0x4000_0040)            # install the line...
         assert fast.ifetch(0x4000_0040) == 4   # ...hit pays the I latency
 
@@ -446,3 +482,66 @@ class TestDeepAndShallowChains:
         h = MemoryHierarchy(spec=spec)
         assert h.load(0x100_0000) == 2 + spec.dram_latency
         assert h.l2.stats.accesses == 0     # power tap reads zero
+
+
+# ------------------------------------------------- private memory state
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+MEM = SRC / "mem"
+MEMORY_CLASSES = ("Cache", "CacheLevel", "MemoryHierarchy")
+
+
+def _private_memory_attrs():
+    """Private attribute names the memory classes set on ``self``."""
+    names = set()
+    for path in MEM.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(cls, ast.ClassDef)
+                    and cls.name in MEMORY_CLASSES):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                        and node.attr.startswith("_")
+                        and not node.attr.startswith("__")):
+                    names.add(node.attr)
+    return names
+
+
+def _foreign_uses(source, names):
+    """``(line, attr)`` for every read or write of one of ``names``
+    through a receiver other than ``self``."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id == "self"))
+
+
+def test_memory_state_is_private_to_repro_mem():
+    # Cache contents, clocks, latencies and MSHR state live in the
+    # hierarchy alone: a core that reaches into them keeps a second
+    # copy of the cache model that every memory change must track.
+    names = _private_memory_attrs()
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if MEM in path.parents:
+            continue
+        uses = _foreign_uses(path.read_text(), names)
+        if uses:
+            found[str(path.relative_to(SRC))] = uses
+    assert found == {}
+
+
+def test_the_private_state_scan_sees_reads_and_writes():
+    names = _private_memory_attrs()
+    assert {"_sets", "_clock", "_l1_lat", "_dram_lat",
+            "_mshr_table"} <= names
+    source = ("sets = core.hierarchy.l1i._sets\n"
+              "h._clock = 3\n"
+              "self._sets = {}\n"
+              "lat = hierarchy._l1_lat + self._dram_lat\n")
+    assert _foreign_uses(source, names) == [(1, "_sets"), (2, "_clock"),
+                                            (4, "_l1_lat")]
